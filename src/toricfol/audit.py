@@ -12,7 +12,7 @@ hypotheses is itself informative.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 from .degrees import DegreeClass
 from .foliation import (
@@ -45,6 +45,15 @@ class BoundRow:
     actual: int
     slack: int
     sharp: bool
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "k": self.k + 1}
+
+    def to_text(self) -> str:
+        return (
+            f"k={self.k + 1}: bound={self.bound} actual={self.actual} "
+            f"slack={self.slack} sharp={'yes' if self.sharp else 'no'}"
+        )
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,10 @@ class AuditReport:
     decomposition_note: str = ""
     subset: tuple[int, ...] | None = None
     witnesses: tuple[PairwiseWitness, ...] = ()
+    # Raw values behind the hypothesis statuses, by name (deg_hypersurface,
+    # deg_field, cofactor, lie_g_member, strongly_quasi_smooth, ...); not
+    # serialized.
+    evidence: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     def violations(self) -> tuple[str, ...]:
         return tuple(f"{n}: {v}" for n, v in self.hypotheses if v != "pass")
@@ -103,30 +116,12 @@ class AuditReport:
             "lie_g": self.lie_g,
             "cofactor": self.cofactor,
             "hypotheses": {name: value for name, value in self.hypotheses},
-            "bounds": [
-                {
-                    "k": row.k + 1,
-                    "bound": row.bound,
-                    "actual": row.actual,
-                    "slack": row.slack,
-                    "sharp": row.sharp,
-                }
-                for row in self.rows
-            ],
+            "bounds": [row.to_dict() for row in self.rows],
             "candidates": [
                 {
                     "component": cand.component + 1,
                     "deg_f": str(cand.deg_field),
-                    "bounds": [
-                        {
-                            "k": row.k + 1,
-                            "bound": row.bound,
-                            "actual": row.actual,
-                            "slack": row.slack,
-                            "sharp": row.sharp,
-                        }
-                        for row in cand.rows
-                    ],
+                    "bounds": [row.to_dict() for row in cand.rows],
                 }
                 for cand in self.candidates
             ],
@@ -164,18 +159,10 @@ class AuditReport:
         lines.append(f"cofactor: {self.cofactor}")
         for name, value in self.hypotheses:
             lines.append(f"hypothesis {name}: {value}")
-        for row in self.rows:
-            lines.append(
-                f"k={row.k + 1}: bound={row.bound} actual={row.actual} "
-                f"slack={row.slack} sharp={'yes' if row.sharp else 'no'}"
-            )
+        lines.extend(row.to_text() for row in self.rows)
         for cand in self.candidates:
             lines.append(f"candidate component {cand.component + 1}: deg_f={cand.deg_field}")
-            for row in cand.rows:
-                lines.append(
-                    f"  k={row.k + 1}: bound={row.bound} actual={row.actual} "
-                    f"slack={row.slack} sharp={'yes' if row.sharp else 'no'}"
-                )
+            lines.extend("  " + row.to_text() for row in cand.rows)
         if self.decomposition is not None and names is not None:
             for key, value in self.decomposition.to_strings(names).items():
                 lines.append(f"decomposition {key}: {value}")
@@ -220,6 +207,114 @@ def _rows_for(model, deg_field, deg_v, eligible, subset) -> tuple[BoundRow, ...]
     return tuple(rows)
 
 
+@dataclass
+class _Case:
+    """What the hypothesis checkers read: the inputs, the options in force
+    and the evidence recorded by the checkers that ran before."""
+
+    model: ToricModel
+    field: VectorField  # as given
+    audited: VectorField  # restricted to the subset when one is given
+    f: Polynomial
+    options: AuditOptions
+    subset: tuple[int, ...] | None
+    evidence: dict
+
+
+def _check_quasi_homogeneous(case: _Case):
+    deg_v = homogeneous_degree(case.model, case.f)
+    return ("pass" if deg_v is not None else "fail: mixed degrees"), {"deg_hypersurface": deg_v}
+
+
+def _check_field_degree(case: _Case):
+    try:
+        return "pass", {"deg_field": foliation_degree(case.model, case.field), "candidates": []}
+    except DegreeInconsistencyError as exc:
+        candidates = component_degree_candidates(case.model, case.field)
+        return f"fail: {exc}", {"deg_field": None, "candidates": candidates}
+    except ValueError as exc:
+        raise ValueError(f"vector field unusable: {exc}") from None
+
+
+def _check_invariance(case: _Case):
+    cofactor = None
+    if case.evidence["deg_hypersurface"] is not None:
+        cofactor = invariance_cofactor(case.model, case.audited, case.f)
+    status = "pass" if cofactor is not None else "fail: no polynomial cofactor"
+    return status, {"cofactor": cofactor}
+
+
+def _check_radial_span(case: _Case):
+    member = None
+    if case.evidence["deg_field"] is not None or case.subset is not None:
+        try:
+            member, _ = lie_g_membership(case.model, case.audited)
+        except (DegreeInconsistencyError, ValueError):
+            pass
+    if member is None:
+        status = "fail: field degree inconsistent"
+    else:
+        status = "fail: field is radial" if member else "pass"
+    return status, {"lie_g_member": member}
+
+
+def _check_quasi_smoothness(case: _Case):
+    """Strong quasi-smoothness on the full variable set; on an index subset,
+    a regular subsequence plus a singular cone inside the removed locus.
+    The evidence carries the report's quasi_smoothness label."""
+    if case.evidence["deg_hypersurface"] is None:
+        return "fail: hypersurface not quasi-homogeneous", {"quasi_smoothness": "fails"}
+    model, f, cap = case.model, case.f, case.options.power_cap
+    if case.subset is None:
+        partials = [f.partial_derivative(j) for j in range(model.nvars)]
+        nonzero = [p for p in partials if not p.is_zero()]
+        strong = only_origin_check(model, nonzero, cap=cap) if nonzero else False
+        if strong is True:
+            status, label = "pass", "strong"
+        elif strong == INCONCLUSIVE:
+            status, label = "fail: power test inconclusive", "inconclusive"
+        else:
+            status, label = "fail: singular cone escapes the origin", "fails"
+        return status, {"quasi_smoothness": label, "strongly_quasi_smooth": strong}
+    problems = []
+    regular = regular_subsequence_check(f, case.subset)
+    if not regular:
+        problems.append("selected partials are not a regular subsequence")
+    radial = model.radial[case.options.radial_index].coefficients
+    if any(radial[j] for j in range(model.nvars) if j not in case.subset):
+        problems.append("radial field not supported on the subset")
+    sing = sing_inside_irrelevant(model, f, cap=cap)
+    if sing == "no":
+        problems.append("singular cone escapes the removed locus")
+    elif sing == INCONCLUSIVE:
+        problems.append("membership test inconclusive")
+    if not problems:
+        status, label = "pass", "quasi-sing-in-irrelevant"
+    else:
+        status = "fail: " + "; ".join(problems)
+        label = "inconclusive" if sing == INCONCLUSIVE else "fails"
+    return status, {"quasi_smoothness": label, "regular_subset": regular, "sing_in_irrelevant": sing}
+
+
+def _check_eligible(case: _Case):
+    eligible = case.model.nonnegative_coordinates()
+    status = "pass" if eligible else "fail: no all-nonnegative coordinate"
+    return status, {"eligible": eligible}
+
+
+# The hypotheses in report order.  Each checker returns its status
+# ("pass" or "fail: reason") and its evidence, the raw values behind that
+# status; later checkers read the evidence of earlier ones.
+HYPOTHESES = (
+    ("quasi_homogeneous_hypersurface", _check_quasi_homogeneous),
+    ("consistent_field_degree", _check_field_degree),
+    ("invariant_hypersurface", _check_invariance),
+    ("field_outside_radial_span", _check_radial_span),
+    ("quasi_smoothness", _check_quasi_smoothness),
+    ("eligible_coordinates", _check_eligible),
+)
+
+
 def audit_case(
     model: ToricModel,
     field: VectorField,
@@ -231,124 +326,38 @@ def audit_case(
     Hypothesis failures become report entries, not exceptions; only
     malformed inputs raise.
     """
-    hypotheses: list[tuple[str, str]] = []
-    names = model.variable_names
-
-    deg_v = homogeneous_degree(model, f)
-    if deg_v is None:
-        hypotheses.append(("quasi_homogeneous_hypersurface", "fail: mixed degrees"))
-    else:
-        hypotheses.append(("quasi_homogeneous_hypersurface", "pass"))
-
     subset = tuple(sorted(set(options.subset))) if options.subset is not None else None
     if subset is not None and len(subset) < 2:
         raise ValueError("an index subset needs at least two variables")
-    audited_field = field if subset is None else field.restrict(subset)
-    if subset is not None and audited_field.is_zero():
+    audited = field if subset is None else field.restrict(subset)
+    if subset is not None and audited.is_zero():
         raise ValueError("field restricted to the index subset is zero")
 
-    deg_field: DegreeClass | None = None
-    candidates: list[tuple[int, DegreeClass]] = []
-    try:
-        deg_field = foliation_degree(model, field)
-        hypotheses.append(("consistent_field_degree", "pass"))
-    except DegreeInconsistencyError as exc:
-        hypotheses.append(("consistent_field_degree", f"fail: {exc}"))
-        candidates = component_degree_candidates(model, field)
-    except ValueError as exc:
-        raise ValueError(f"vector field unusable: {exc}") from None
-
-    cofactor = None
-    if deg_v is not None:
-        cofactor = invariance_cofactor(model, audited_field, f)
-    if cofactor is None:
-        hypotheses.append(("invariant_hypersurface", "fail: no polynomial cofactor"))
-        cofactor_str = "none"
-    else:
-        hypotheses.append(("invariant_hypersurface", "pass"))
-        cofactor_str = cofactor.to_string(names)
-
-    lie_verdict = "not-evaluated"
-    if deg_field is not None or subset is not None:
-        try:
-            member, _ = lie_g_membership(model, audited_field)
-            lie_verdict = "member" if member else "not-member"
-            hypotheses.append(
-                ("field_outside_radial_span", "pass" if not member else "fail: field is radial")
-            )
-        except (DegreeInconsistencyError, ValueError):
-            hypotheses.append(
-                ("field_outside_radial_span", "fail: field degree inconsistent")
-            )
-    else:
-        hypotheses.append(("field_outside_radial_span", "fail: field degree inconsistent"))
-
-    quasi = "fails"
-    if deg_v is not None:
-        partials = [f.partial_derivative(j) for j in range(model.nvars)]
-        nonzero = [p for p in partials if not p.is_zero()]
-        if subset is None:
-            strong = only_origin_check(model, nonzero, cap=options.power_cap) if nonzero else False
-            if strong is True:
-                quasi = "strong"
-                hypotheses.append(("quasi_smoothness", "pass"))
-            elif strong == INCONCLUSIVE:
-                quasi = "inconclusive"
-                hypotheses.append(("quasi_smoothness", "fail: power test inconclusive"))
-            else:
-                quasi = "fails"
-                hypotheses.append(
-                    ("quasi_smoothness", "fail: singular cone escapes the origin")
-                )
-        else:
-            problems = []
-            if not regular_subsequence_check(f, subset):
-                problems.append("selected partials are not a regular subsequence")
-            radial = model.radial[options.radial_index].coefficients
-            if any(radial[j] for j in range(model.nvars) if j not in subset):
-                problems.append("radial field not supported on the subset")
-            sing = sing_inside_irrelevant(model, f, cap=options.power_cap)
-            if sing == "no":
-                problems.append("singular cone escapes the removed locus")
-            elif sing == INCONCLUSIVE:
-                problems.append("membership test inconclusive")
-            if problems:
-                quasi = "inconclusive" if "inconclusive" in " ".join(problems) else "fails"
-                hypotheses.append(("quasi_smoothness", "fail: " + "; ".join(problems)))
-            else:
-                quasi = "quasi-sing-in-irrelevant"
-                hypotheses.append(("quasi_smoothness", "pass"))
-    else:
-        hypotheses.append(("quasi_smoothness", "fail: hypersurface not quasi-homogeneous"))
-
-    eligible = model.nonnegative_coordinates()
-    if eligible:
-        hypotheses.append(("eligible_coordinates", "pass"))
-    else:
-        hypotheses.append(("eligible_coordinates", "fail: no all-nonnegative coordinate"))
+    case = _Case(model, field, audited, f, options, subset, evidence={})
+    hypotheses = []
+    for name, check in HYPOTHESES:
+        status, evidence = check(case)
+        hypotheses.append((name, status))
+        case.evidence.update(evidence)
+    ev = case.evidence
+    deg_v, deg_field, eligible = ev["deg_hypersurface"], ev["deg_field"], ev["eligible"]
 
     rows: tuple[BoundRow, ...] = ()
-    cand_blocks: list[DegreeCandidate] = []
+    cand_blocks: tuple[DegreeCandidate, ...] = ()
     if deg_v is not None and eligible:
         if deg_field is not None:
             rows = _rows_for(model, deg_field, deg_v, eligible, subset)
-        for comp, cand in candidates:
-            cand_blocks.append(
-                DegreeCandidate(
-                    component=comp,
-                    deg_field=cand,
-                    rows=_rows_for(model, cand, deg_v, eligible, subset),
-                )
-            )
+        cand_blocks = tuple(
+            DegreeCandidate(comp, cand, _rows_for(model, cand, deg_v, eligible, subset))
+            for comp, cand in ev["candidates"]
+        )
 
-    violated = any(r.slack < 0 for r in rows) or any(
-        r.slack < 0 for cand in cand_blocks for r in cand.rows
-    )
+    violated = any(r.slack < 0 for r in rows + tuple(r for c in cand_blocks for r in c.rows))
     all_pass = all(v == "pass" for _, v in hypotheses)
-    if all_pass:
-        verdict = "bound-violated" if violated else "bound-holds"
-    else:
+    if not all_pass:
         verdict = "bound-not-asserted"
+    else:
+        verdict = "bound-violated" if violated else "bound-holds"
 
     decomposition = None
     note = ""
@@ -359,7 +368,7 @@ def audit_case(
                 decomposition = koszul_decompose(
                     model,
                     f,
-                    audited_field,
+                    audited,
                     radial_index=options.radial_index,
                     index_set=subset,
                 )
@@ -381,21 +390,24 @@ def audit_case(
                 PairwiseWitness(k=k, pair=pair, bound=value, attained=value == deg_v.free[k])
             )
 
+    member = ev["lie_g_member"]
+    cofactor = ev["cofactor"]
     return AuditReport(
         model=model.name,
         deg_field=str(deg_field) if deg_field is not None else "inconsistent",
         deg_hypersurface=str(deg_v) if deg_v is not None else "mixed",
         eligible=eligible,
-        quasi_smoothness=quasi,
-        lie_g=lie_verdict,
-        cofactor=cofactor_str,
+        quasi_smoothness=ev["quasi_smoothness"],
+        lie_g="not-evaluated" if member is None else ("member" if member else "not-member"),
+        cofactor=cofactor.to_string(model.variable_names) if cofactor is not None else "none",
         hypotheses=tuple(hypotheses),
         rows=rows,
-        candidates=tuple(cand_blocks),
+        candidates=cand_blocks,
         verdict=verdict,
         inequality_violated=violated,
         decomposition=decomposition,
         decomposition_note=note,
         subset=subset,
         witnesses=tuple(witnesses),
+        evidence=ev,
     )

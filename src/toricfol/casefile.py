@@ -47,10 +47,17 @@ class CaseFile:
 _INT = re.compile(r"^[+-]?\d+$")
 
 
-def _int(text: str, line: int, what: str) -> int:
+def _exact_int(text: str, what: str) -> int:
     if not _INT.match(text.strip()):
-        raise CaseError([Located(f"{what}: exact integer required, got {text.strip()!r}", line)])
+        raise ValueError(f"{what}: exact integer required, got {text.strip()!r}")
     return int(text.strip())
+
+
+def _int(text: str, line: int, what: str) -> int:
+    try:
+        return _exact_int(text, what)
+    except ValueError as exc:
+        raise CaseError([Located(str(exc), line)]) from None
 
 
 def _split_groups(text: str, line: int) -> list[str]:
@@ -237,38 +244,51 @@ def parse_case(text: str) -> CaseFile:
         if not problems:
             field = VectorField.from_components(len(names), comps)
 
-    radial_index = 0
-    subset = None
-    power_cap = None
-    if "options" in sections:
-        for lineno, key, value in sections["options"]:
-            if key == "radial_index":
-                idx = _int(value, lineno, "radial_index")
-                if not 1 <= idx <= model.rank:
-                    problems.append(Located(f"radial_index {idx} out of range 1..{model.rank}", lineno))
-                else:
-                    radial_index = idx - 1
-            elif key == "subset":
-                items = value.split()
-                bad = [v for v in items if v not in names]
-                if bad:
-                    problems.append(Located(f"subset names not declared: {' '.join(bad)}", lineno))
-                else:
-                    subset = tuple(sorted(names.index(v) for v in items))
-            elif key == "power_cap":
-                power_cap = _int(value, lineno, "power_cap")
-            else:
-                problems.append(Located(f"unknown option {key!r}", lineno))
+    options = {}
+    for lineno, key, value in sections.get("options", ()):
+        try:
+            options[key] = parse_option(model, key, value)
+        except ValueError as exc:
+            problems.append(Located(str(exc), lineno))
     if problems:
         raise CaseError(problems)
-    return CaseFile(
-        model=model,
-        hypersurface=hypersurface,
-        field=field,
-        radial_index=radial_index,
-        subset=subset,
-        power_cap=power_cap,
-    )
+    return CaseFile(model=model, hypersurface=hypersurface, field=field, **options)
+
+
+def _radial_index(model: ToricModel, text: str) -> int:
+    """1-based radial field number -> 0-based index, within 1..rank."""
+    idx = _exact_int(text, "radial_index")
+    if not 1 <= idx <= model.rank:
+        raise ValueError(f"radial_index {idx} out of range 1..{model.rank}")
+    return idx - 1
+
+
+def _subset(model: ToricModel, text: str) -> tuple[int, ...]:
+    """Comma or space separated variable names -> sorted 0-based indices."""
+    names = model.variable_names
+    items = text.replace(",", " ").split()
+    bad = [v for v in items if v not in names]
+    if bad:
+        raise ValueError(f"subset names not declared: {' '.join(bad)}")
+    return tuple(sorted(names.index(v) for v in items))
+
+
+def _power_cap(model: ToricModel, text: str) -> int:
+    cap = _exact_int(text, "power_cap")
+    if cap < 1:
+        raise ValueError(f"power_cap must be at least 1, got {cap}")
+    return cap
+
+
+# One validator per option, shared by the [options] section and the CLI flags.
+OPTIONS = {"radial_index": _radial_index, "subset": _subset, "power_cap": _power_cap}
+
+
+def parse_option(model: ToricModel, key: str, text: str):
+    """The CaseFile value of one option given as text; ValueError when unusable."""
+    if key not in OPTIONS:
+        raise ValueError(f"unknown option {key!r}")
+    return OPTIONS[key](model, text.strip())
 
 
 def render_case(case: CaseFile) -> str:
@@ -282,7 +302,7 @@ def render_case(case: CaseFile) -> str:
         lines.append("rays = " + " ".join("(" + ",".join(map(str, r)) + ")" for r in model.rays))
     if model.moduli:
         lines.append("torsion = " + " ".join(map(str, model.moduli)))
-    lines.append("degrees = " + " ".join(_render_degree(d) for d in model.degrees))
+    lines.append("degrees = " + " ".join(map(str, model.degrees)))
     if model.max_cones is not None:
         lines.append(
             "cones = " + " ".join("{" + ",".join(str(i + 1) for i in c) + "}" for c in model.max_cones)
@@ -313,9 +333,3 @@ def render_case(case: CaseFile) -> str:
         lines.extend(opts)
     return "\n".join(lines) + "\n"
 
-
-def _render_degree(d: DegreeClass) -> str:
-    if len(d.free) == 1 and not d.moduli:
-        return str(d.free[0])
-    parts = [str(x) for x in d.free] + [f"[{c}]" for c in d.residues]
-    return "(" + ",".join(parts) + ")"

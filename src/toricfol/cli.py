@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .audit import AuditOptions, audit_case
-from .casefile import CaseError, CaseFile, parse_case, render_case
+from .casefile import OPTIONS, CaseError, CaseFile, parse_case, parse_option, render_case
 from .families import FIXTURE_BUILDERS, check_fixture
 from .foliation import invariance_cofactor
 from .grading import homogeneous_degree
@@ -25,7 +26,7 @@ OK, INPUT_ERROR, FAILED = 0, 1, 2
 
 
 def _load_case(args) -> CaseFile:
-    path = getattr(args, "case", None) or getattr(args, "model", None)
+    path = args.case
     if not path:
         raise CaseError([f"no case file given; use --case FILE"])
     try:
@@ -92,24 +93,14 @@ def _cmd_invariance(args) -> int:
     return OK
 
 
-def _apply_flag_overrides(case: CaseFile, args) -> AuditOptions:
-    radial = case.radial_index
-    if getattr(args, "radial_index", None):
-        radial = args.radial_index - 1
-    if not 0 <= radial < case.model.rank:
-        raise CaseError([f"radial index {radial + 1} out of range 1..{case.model.rank}"])
-    subset = case.subset
-    if getattr(args, "subset", None):
-        names = case.model.variable_names
-        items = [s for s in args.subset.replace(",", " ").split() if s]
-        bad = [s for s in items if s not in names]
-        if bad:
-            raise CaseError([f"subset names not declared: {' '.join(bad)}"])
-        subset = tuple(sorted(names.index(s) for s in items))
-    cap = case.power_cap
-    if getattr(args, "power_cap", None):
-        cap = args.power_cap
-    return AuditOptions(radial_index=radial, subset=subset, power_cap=cap)
+def _audit_options(case: CaseFile, args) -> AuditOptions:
+    """The case file's options, each overridden by its flag when given."""
+    values = {key: getattr(case, key) for key in OPTIONS}
+    for key in OPTIONS:
+        text = getattr(args, key)
+        if text is not None:
+            values[key] = parse_option(case.model, key, text)
+    return AuditOptions(**values, attach_decomposition=getattr(args, "decompose", False))
 
 
 def _cmd_decompose(args) -> int:
@@ -117,7 +108,7 @@ def _cmd_decompose(args) -> int:
     if case.hypersurface is None or case.field is None:
         print("decompose needs both a hypersurface and a field section")
         return INPUT_ERROR
-    opts = _apply_flag_overrides(case, args)
+    opts = _audit_options(case, args)
     field = case.field if opts.subset is None else case.field.restrict(opts.subset)
     names = case.model.variable_names
     try:
@@ -142,14 +133,7 @@ def _cmd_audit(args) -> int:
     if case.hypersurface is None or case.field is None:
         print("audit needs both a hypersurface and a field section")
         return INPUT_ERROR
-    opts = _apply_flag_overrides(case, args)
-    if args.decompose:
-        opts = AuditOptions(
-            radial_index=opts.radial_index,
-            subset=opts.subset,
-            power_cap=opts.power_cap,
-            attach_decomposition=True,
-        )
+    opts = _audit_options(case, args)
     report = audit_case(case.model, case.field, case.hypersurface, opts)
     if args.format == "machine":
         print(report.to_json())
@@ -176,21 +160,10 @@ def _cmd_fixture(args) -> int:
     except (ValueError, TypeError) as exc:
         print(f"cannot build fixture: {exc}")
         return INPUT_ERROR
-    results = check_fixture(fix)
-    opts = AuditOptions(radial_index=fix.radial_index, subset=fix.subset)
-    report = audit_case(fix.model, fix.field, fix.hypersurface, opts)
+    report, results = check_fixture(fix)
     doc = {
         "fixture": fix.name,
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "expected": r.expected,
-                "actual": r.actual,
-                "provenance": r.provenance,
-            }
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
         "audit": report.to_dict(),
     }
     lines = [f"fixture: {fix.name}"]
@@ -231,18 +204,16 @@ def _build_fixture(name: str, args):
 
 
 def _cmd_selftest(args) -> int:
-    outcome = run_all(fast=args.fast)
-    doc = {}
-    failed = False
-    for name, (ok, sample) in sorted(outcome.items()):
-        doc[name] = "pass" if ok else f"FAIL: {sample}"
-        print(f"suite {name}: {'pass' if ok else 'FAIL'}")
-        for note in sample:
-            print(f"  {note}")
-        failed = failed or not ok
+    outcome = sorted(run_all(fast=args.fast).items())
     if args.format == "machine":
+        doc = {name: "pass" if ok else f"FAIL: {sample}" for name, (ok, sample) in outcome}
         print(json.dumps(doc, indent=2, sort_keys=True))
-    return FAILED if failed else OK
+    else:
+        for name, (ok, sample) in outcome:
+            print(f"suite {name}: {'pass' if ok else 'FAIL'}")
+            for note in sample:
+                print(f"  {note}")
+    return OK if all(ok for _, (ok, _) in outcome) else FAILED
 
 
 def _cmd_export(args) -> int:
@@ -262,10 +233,15 @@ def _cmd_export(args) -> int:
     return OK
 
 
-def _add_common(sub, case=True):
+def _add_common(sub):
     sub.add_argument("--case", help="case file path")
-    sub.add_argument("--model", help="alias for --case (model-only files)")
     sub.add_argument("--format", choices=("text", "machine"), default="text")
+
+
+def _add_option_flags(sub):
+    sub.add_argument("--radial-index", dest="radial_index", help="1-based radial field")
+    sub.add_argument("--subset", help="comma or space separated variable names")
+    sub.add_argument("--power-cap", dest="power_cap", help="power bound of the membership tests")
 
 
 def _add_fixture_params(sub):
@@ -304,16 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("decompose", help="pair-field normal form of the case field")
     _add_common(sub)
-    sub.add_argument("--radial-index", type=int, dest="radial_index", help="1-based radial field")
-    sub.add_argument("--subset", help="comma or space separated variable names")
-    sub.add_argument("--power-cap", type=int, dest="power_cap")
+    _add_option_flags(sub)
     sub.set_defaults(func=_cmd_decompose)
 
     sub = subs.add_parser("audit", help="hypotheses plus degree-bound comparison")
     _add_common(sub)
-    sub.add_argument("--radial-index", type=int, dest="radial_index")
-    sub.add_argument("--subset")
-    sub.add_argument("--power-cap", type=int, dest="power_cap")
+    _add_option_flags(sub)
     sub.add_argument("--decompose", action="store_true", help="attach a normal form")
     sub.set_defaults(func=_cmd_audit)
 
@@ -338,7 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors exit 1, --help exits 0
+        return INPUT_ERROR if exc.code else OK
     try:
         return args.func(args)
     except CaseError as exc:

@@ -17,15 +17,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from .audit import AuditOptions, AuditReport, audit_case
 from .degrees import DegreeClass
-from .foliation import (
-    DegreeInconsistencyError,
-    VectorField,
-    foliation_degree,
-    invariance_cofactor,
-    lie_g_membership,
-)
-from .grading import homogeneous_degree
+from .foliation import VectorField, invariance_cofactor
 from .groebner import only_origin_check, regular_subsequence_check, sing_inside_irrelevant
 from .intlinalg import IntMatrix, smith_normal_form
 from .model import (
@@ -184,7 +178,12 @@ def octahedron_rays() -> list[tuple[int, int, int]]:
 
 @dataclass(frozen=True)
 class Fixture:
-    """A (model, field, hypersurface) case with tagged expected values."""
+    """A (model, field, hypersurface) case with tagged expected values.
+
+    The expected values describe the audit run with the fixture's own
+    options: with a subset, the cofactor, radial-span membership and
+    slack are those of the field restricted to it.
+    """
 
     name: str
     model: ToricModel
@@ -471,12 +470,17 @@ def _fmt(value, names) -> str:
     return str(value)
 
 
-def check_fixture(fix: Fixture) -> list[CheckResult]:
-    """Compare every tagged expected value against a fresh computation."""
+def check_fixture(fix: Fixture) -> tuple[AuditReport, list[CheckResult]]:
+    """Audit the fixture once with its own options and compare every tagged
+    expected value against that report; only what the audit does not
+    compute (field parts, decompositions, the quasi-smoothness test of the
+    other branch) is computed here."""
+    opts = AuditOptions(radial_index=fix.radial_index, subset=fix.subset)
+    report = audit_case(fix.model, fix.field, fix.hypersurface, opts)
     names = fix.model.variable_names
     results = []
     for key, want, tag in fix.expected:
-        actual, passed = _run_check(fix, key, want)
+        actual, passed = _run_check(fix, report, key, want)
         results.append(
             CheckResult(
                 name=key,
@@ -486,60 +490,38 @@ def check_fixture(fix: Fixture) -> list[CheckResult]:
                 provenance=tag,
             )
         )
-    return results
+    return report, results
 
 
-def _run_check(fix: Fixture, key: str, want):
+def _run_check(fix: Fixture, report: AuditReport, key: str, want):
     model, fieldv, f = fix.model, fix.field, fix.hypersurface
-    if key == "deg_hypersurface":
-        actual = homogeneous_degree(model, f)
-        return actual, actual == want
+    evidence = report.evidence
     if key == "deg_field":
-        try:
-            actual = foliation_degree(model, fieldv)
-        except DegreeInconsistencyError:
-            actual = "inconsistent"
-        return actual, actual == want
-    if key == "cofactor":
-        actual = invariance_cofactor(model, fieldv, f)
-        return actual, actual == want
-    if key == "cofactor_parts":
-        actual = tuple(invariance_cofactor(model, part, f) for part in fix.field_parts)
-        return actual, actual == want
-    if key == "strongly_quasi_smooth":
+        actual = "inconsistent" if evidence["deg_field"] is None else evidence["deg_field"]
+    elif key == "slack":
+        actual = {row.k: row.slack for row in report.rows}
+    elif key in evidence:
+        actual = evidence[key]
+    elif key == "strongly_quasi_smooth":
         partials = [f.partial_derivative(j) for j in range(f.nvars)]
         actual = only_origin_check(model, [p for p in partials if not p.is_zero()])
-        return actual, actual is want
-    if key == "sing_in_irrelevant":
+    elif key == "sing_in_irrelevant":
         actual = sing_inside_irrelevant(model, f)
-        return actual, actual == want
-    if key == "regular_subset":
+    elif key == "regular_subset":
         actual = regular_subsequence_check(f, fix.subset)
-        return actual, actual is want
-    if key == "lie_g_member":
-        actual = lie_g_membership(model, fieldv)[0]
-        return actual, actual is want
-    if key == "slack":
-        from .audit import poincare_bound
-
-        deg_f = foliation_degree(model, fieldv)
-        deg_v = homogeneous_degree(model, f)
-        actual = {
-            k: poincare_bound(model, deg_f, k) - deg_v.free[k]
-            for k in model.nonnegative_coordinates()
-        }
-        return actual, actual == want
-    if key == "decomposition_pairs":
+    elif key == "cofactor_parts":
+        actual = tuple(invariance_cofactor(model, part, f) for part in fix.field_parts)
+    elif key == "decomposition_pairs":
         dec = KoszulDecomposition(
             index_set=tuple(range(model.nvars)),
             pairs=tuple(sorted(want.items())),
             cofactor=Polynomial.zero(model.nvars),
             radial_index=fix.radial_index,
-            theta_value=model.theta(fix.radial_index, homogeneous_degree(model, f)),
+            theta_value=model.theta(fix.radial_index, evidence["deg_hypersurface"]),
         )
         ok = verify_decomposition(model, f, fieldv, dec)
         return "verified" if ok else "rejected", ok
-    if key == "subset_decomposition":
+    elif key == "subset_decomposition":
         part = fix.field_parts[0] if fix.field_parts else fieldv
         try:
             dec = koszul_decompose(
@@ -549,4 +531,6 @@ def _run_check(fix: Fixture, key: str, want):
             return f"failed: {exc}", False
         ok = verify_decomposition(model, f, part, dec)
         return "verified" if ok else "rejected", ok is want
-    raise KeyError(f"unknown expected-value key {key!r}")
+    else:
+        raise KeyError(f"unknown expected-value key {key!r}")
+    return actual, actual == want

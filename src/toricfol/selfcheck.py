@@ -178,11 +178,9 @@ def run_all(fast: bool = False):
         "euler_identity": euler_suite(models, per_model=per),
         "degree_additivity": additivity_suite(models, per_model=max(5, per // 2)),
         "exact_division": division_suite(models, per_model=max(5, per // 2)),
-        "lattice_counting": counting_suite(
-            default_models()[0], max_coefficient=2, budget=30
-        )
-        + counting_suite(default_models()[3], max_coefficient=2, budget=30)
-        + counting_suite(default_models()[6], max_coefficient=2, budget=30),
+        "lattice_counting": counting_suite(models[0], max_coefficient=2, budget=30)
+        + counting_suite(models[3], max_coefficient=2, budget=30)
+        + counting_suite(models[6], max_coefficient=2, budget=30),
     }
     return {
         name: (not failures, failures[:3]) for name, failures in suites.items()

@@ -1,6 +1,7 @@
 import pytest
 
 from toricfol import multiprojective, rational_scroll, torsion_surface, weighted_projective
+from toricfol.selfcheck import default_models
 
 
 @pytest.fixture(scope="session")
@@ -25,12 +26,4 @@ def scroll11():
 
 @pytest.fixture(scope="session")
 def family_models():
-    return [
-        weighted_projective(1, 1),
-        weighted_projective(1, 2),
-        weighted_projective(1, 2, 3),
-        multiprojective(1, 1),
-        multiprojective(2, 1),
-        rational_scroll(1, 1),
-        torsion_surface(),
-    ]
+    return default_models()

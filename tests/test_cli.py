@@ -182,3 +182,96 @@ def test_export_round_trip_through_cli(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(c["passed"] for c in doc["checks"])
+
+
+def _torsion_case(tmp_path, capsys, options=""):
+    _, text = invoke(capsys, "export", "torsion-fermat", "--m", "3")
+    path = tmp_path / "tor.case"
+    path.write_text(text + options)
+    return path
+
+
+def test_radial_index_flag_zero_rejected(tmp_path, capsys):
+    path = _torsion_case(tmp_path, capsys)
+    for command in ("audit", "decompose"):
+        code, out = invoke(capsys, command, "--case", str(path), "--radial-index", "0")
+        assert code == 1
+        assert "radial_index 0 out of range 1..1" in out
+
+
+def test_power_cap_flag_below_one_rejected(tmp_path, capsys):
+    path = _torsion_case(tmp_path, capsys)
+    for cap in ("0", "-2"):
+        code, out = invoke(capsys, "audit", "--case", str(path), f"--power-cap={cap}")
+        assert code == 1
+        assert f"power_cap must be at least 1, got {cap}" in out
+    code, out = invoke(capsys, "audit", "--case", str(path), "--power-cap", "5")
+    assert code == 0
+
+
+def test_subset_flag_undeclared_name_rejected(tmp_path, capsys):
+    path = _torsion_case(tmp_path, capsys)
+    code, out = invoke(capsys, "audit", "--case", str(path), "--subset", "z1,nope")
+    assert code == 1
+    assert "subset names not declared: nope" in out
+
+
+def test_power_cap_in_case_file_located_error(tmp_path, capsys):
+    for cap in ("0", "-3"):
+        path = _torsion_case(tmp_path, capsys, f"\n[options]\npower_cap = {cap}\n")
+        lineno = path.read_text().splitlines().index(f"power_cap = {cap}") + 1
+        code, out = invoke(capsys, "audit", "--case", str(path))
+        assert code == 1
+        assert f"line {lineno}: power_cap must be at least 1, got {cap}" in out
+
+
+def test_model_alias_removed(tmp_path, capsys):
+    path = _torsion_case(tmp_path, capsys)
+    code, _ = invoke(capsys, "classgroup", "--model", str(path))
+    assert code == 1
+
+
+def test_usage_errors_exit_one(tmp_path, capsys):
+    assert run([]) == 1
+    assert run(["audit", "--no-such-flag"]) == 1
+    assert run(["audit", "--format", "yaml"]) == 1
+    path = _torsion_case(tmp_path, capsys)
+    code, out = invoke(capsys, "audit", "--case", str(path), "--power-cap", "x")
+    assert code == 1
+    assert "power_cap: exact integer required, got 'x'" in out
+    capsys.readouterr()
+    assert run(["--help"]) == 0
+    assert run(["audit", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_selftest_machine_prints_json_only(capsys):
+    code, out = invoke(capsys, "selftest", "--fast", "--format", "machine")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["smith_normal_form"] == "pass"
+    assert set(doc.values()) == {"pass"}
+
+
+def test_fixture_computes_each_groebner_basis_once(capsys, monkeypatch):
+    from toricfol import groebner
+
+    calls = []
+    original = groebner.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    expected = [
+        (("torsion-fermat", "--m", "3"), 1),
+        (("monomial-hypersurface", "--alpha", "2", "--beta", "3"), 1),
+        # the subset audit's two tests plus the fixture's strong check
+        (("split-field", "--alpha1", "1", "--alpha2", "2"), 3),
+    ]
+    for params, want in expected:
+        calls.clear()
+        code, _ = invoke(capsys, "fixture", *params)
+        assert code == 0
+        assert len(calls) == want, params

@@ -175,7 +175,7 @@ def test_every_fixture_checks_clean():
         monomial_hypersurface_fixture(2, 3),
     ]
     for fix in fixtures:
-        results = check_fixture(fix)
+        _, results = check_fixture(fix)
         bad = [r for r in results if not r.passed]
         assert not bad, f"{fix.name}: {[(r.name, r.expected, r.actual) for r in bad]}"
         assert all(r.provenance in {"published", "derived", "trivial"} for r in results)
