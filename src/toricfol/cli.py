@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -319,13 +320,23 @@ def run(argv=None) -> int:
     except CaseError as exc:
         print(f"input error:\n{exc}")
         return INPUT_ERROR
+    except BrokenPipeError:
+        raise  # stdout is gone, so there is nowhere to report it
     except (ValueError, OSError) as exc:
         print(f"error: {exc}")
         return INPUT_ERROR
 
 
 def entry():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the
+        # flush at interpreter exit cannot fail again and print a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(INPUT_ERROR)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from .degrees import DegreeClass
 from .grading import homogeneous_degree
 from .model import ToricModel
 from .poly import Polynomial
-from .ratlinalg import solve_linear
+from .ratlinalg import solve_sparse
 
 
 class DegreeInconsistencyError(ValueError):
@@ -163,12 +163,12 @@ def lie_g_membership(
         quotients.append(q)
     monomials = sorted({m for q in quotients for m in q.terms}, reverse=True)
     coeff_rows = [
-        [Fraction(model.radial[i].coefficients[j]) for i in range(r)] for j in range(nv)
+        {i: Fraction(model.radial[i].coefficients[j]) for i in range(r)} for j in range(nv)
     ]
     witness_terms: list[dict] = [dict() for _ in range(r)]
     for m in monomials:
         rhs = [quotients[j].terms.get(m, Fraction(0)) for j in range(nv)]
-        sol = solve_linear(coeff_rows, rhs)
+        sol = solve_sparse(coeff_rows, rhs, r)
         if sol is None:
             return False, None
         for i, c in enumerate(sol):

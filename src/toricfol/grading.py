@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 from .degrees import DegreeClass
 from .model import ToricModel
@@ -56,6 +56,11 @@ def monomials_of_degree(
         )
 
     if functional is not None:
+        # Scaling the functional by a positive integer keeps every weight
+        # positive and every quotient remaining // weight unchanged, and
+        # turns the whole descent into integer arithmetic.
+        scale = lcm(*(c.denominator for c in functional))
+        functional = [int(c * scale) for c in functional]
         weights = [
             sum(c * x for c, x in zip(functional, d.free)) for d in model.degrees
         ]
@@ -63,14 +68,14 @@ def monomials_of_degree(
         if budget < 0:
             return ()
     else:
-        weights = [Fraction(0)] * nvars
-        budget = Fraction(0)
+        weights = [0] * nvars
+        budget = 0
 
     free_target = list(alpha.free)
     out: list[tuple[int, ...]] = []
     exps = [0] * nvars
 
-    def descend(j: int, remaining: Fraction, free_acc: list[int]):
+    def descend(j: int, remaining: int, free_acc: list[int]):
         if j == nvars:
             if free_acc == free_target:
                 res = [
@@ -80,16 +85,13 @@ def monomials_of_degree(
                 if tuple(res) == alpha.residues:
                     out.append(tuple(exps))
             return
-        if functional is not None:
-            top = int(remaining // weights[j])
-        else:
-            top = cap
+        top = remaining // weights[j] if functional is not None else cap
         d = model.degrees[j]
         for e in range(top + 1):
             exps[j] = e
             descend(
                 j + 1,
-                remaining - e * weights[j] if functional is not None else remaining,
+                remaining - e * weights[j],
                 [a + e * x for a, x in zip(free_acc, d.free)] if e else free_acc,
             )
         exps[j] = 0

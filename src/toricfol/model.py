@@ -26,7 +26,7 @@ from .intlinalg import (
     smith_normal_form,
     solve_integer_system,
 )
-from .ratlinalg import solve_linear
+from .ratlinalg import solve_sparse
 
 
 @dataclass(frozen=True)
@@ -323,8 +323,8 @@ def align_display_basis(model: ToricModel, target_degrees, name: str | None = No
     cur_free = [[d.free[i] for d in model.degrees] for i in range(r)]
     w_rows = []
     for i in range(r):
-        cols = [[cur_free[k][j] for k in range(r)] for j in range(model.nvars)]
-        sol = solve_linear(cols, [Fraction(target[j].free[i]) for j in range(model.nvars)])
+        cols = [{k: cur_free[k][j] for k in range(r)} for j in range(model.nvars)]
+        sol = solve_sparse(cols, [Fraction(target[j].free[i]) for j in range(model.nvars)], r)
         if sol is None or any(x.denominator != 1 for x in sol):
             raise ValueError("no integral change of basis reaches the target degrees")
         w_rows.append([int(x) for x in sol])

@@ -22,8 +22,8 @@ from .foliation import (
 )
 from .grading import homogeneous_degree, monomials_of_degree
 from .model import ToricModel
-from .poly import Polynomial, grevlex_key
-from .ratlinalg import solve_linear
+from .poly import Polynomial, monomial_mul
+from .ratlinalg import solve_sparse
 
 
 class DecompositionError(RuntimeError):
@@ -156,14 +156,14 @@ def koszul_decompose(
     )
 
     pair_list = [(j, k) for a, j in enumerate(indices) for k in indices[a + 1 :]]
-    supports = {}
     columns = []  # (pair, monomial) in deterministic order
     for j, k in pair_list:
         basis = monomials_of_degree(model, pair_degree(model, deg_field, alpha, j, k))
-        supports[(j, k)] = basis
         columns.extend(((j, k), m) for m in basis)
 
     # Equations: per slot c in the index set, match every monomial coefficient.
+    # Each row is a sparse {column: coefficient} dict; the solution the
+    # solver returns does not depend on the order of the rows.
     contributions: dict[tuple[int, tuple], dict[int, Fraction]] = {}
 
     def _add(slot, mono, col, val):
@@ -171,42 +171,32 @@ def koszul_decompose(
         row[col] = row.get(col, Fraction(0)) + val
 
     for col, ((j, k), m) in enumerate(columns):
-        for mm, cc in partials[j].mul_monomial(m).terms.items():
-            _add(k, mm, col, cc)
-        for mm, cc in partials[k].mul_monomial(m).terms.items():
-            _add(j, mm, col, -cc)
-    row_keys = set(contributions)
+        for mm, cc in partials[j].terms.items():
+            _add(k, monomial_mul(mm, m), col, cc)
+        for mm, cc in partials[k].terms.items():
+            _add(j, monomial_mul(mm, m), col, -cc)
     for c in indices:
-        row_keys.update((c, m) for m in residual.components[c].terms)
-    ordered_rows = sorted(row_keys, key=lambda cm: (cm[0], grevlex_key(cm[1])), reverse=True)
+        for m in residual.components[c].terms:
+            contributions.setdefault((c, m), {})
 
-    if not ordered_rows:
-        solution = [Fraction(0)] * len(columns)
-    elif not columns:
-        solution = [] if all(not residual.components[c].terms.get(m) for c, m in ordered_rows) else None
-    else:
-        matrix = [
-            [contributions.get(rk, {}).get(col, Fraction(0)) for col in range(len(columns))]
-            for rk in ordered_rows
-        ]
-        rhs = [residual.components[c].terms.get(m, Fraction(0)) for c, m in ordered_rows]
-        solution = solve_linear(matrix, rhs)
+    solution = solve_sparse(
+        list(contributions.values()),
+        [residual.components[c].terms.get(m, Fraction(0)) for c, m in contributions],
+        len(columns),
+    )
     if solution is None:
         raise DecompositionError(
             "pair-coefficient system is infeasible; the normal form fails here",
             residual=residual.to_strings(model.variable_names),
         )
 
-    pairs = []
-    for j, k in pair_list:
-        terms = {}
-        for col, ((jj, kk), m) in enumerate(columns):
-            if (jj, kk) == (j, k) and solution[col]:
-                terms[m] = solution[col]
-        pairs.append(((j, k), Polynomial(nv, terms)))
+    terms: dict[tuple[int, int], dict] = {jk: {} for jk in pair_list}
+    for (jk, m), value in zip(columns, solution):
+        if value:
+            terms[jk][m] = value
     return KoszulDecomposition(
         index_set=indices,
-        pairs=tuple(pairs),
+        pairs=tuple((jk, Polynomial(nv, terms[jk])) for jk in pair_list),
         cofactor=g,
         radial_index=radial_index,
         theta_value=theta,

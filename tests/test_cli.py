@@ -1,6 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import toricfol
 from toricfol.cli import run
 
 
@@ -275,3 +280,24 @@ def test_fixture_computes_each_groebner_basis_once(capsys, monkeypatch):
         code, _ = invoke(capsys, "fixture", *params)
         assert code == 0
         assert len(calls) == want, params
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # The reader of stdout is gone before anything is written, as with
+    # `toricfol selftest --fast --format machine | head -3` once head exits.
+    src = str(Path(toricfol.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "toricfol.cli", "selftest", "--fast", "--format", "machine"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""  # in particular, no traceback

@@ -12,7 +12,7 @@ from toricfol.groebner import (
     sing_inside_irrelevant,
 )
 from toricfol.poly import Polynomial
-from toricfol.ratlinalg import solve_linear
+from linalg_oracle import solve_dense
 
 
 def V(nv, j, p=1, c=1):
@@ -62,7 +62,7 @@ def test_membership_matches_bounded_combination_oracle():
         rows_idx = sorted({mm for c in cols for mm in c.terms} | set(f.terms))
         matrix = [[c.terms.get(r, Fraction(0)) for c in cols] for r in rows_idx]
         rhs = [f.terms.get(r, Fraction(0)) for r in rows_idx]
-        return solve_linear(matrix, rhs) is not None
+        return solve_dense(matrix, rhs) is not None
 
     for _ in range(12):
         terms = {}

@@ -7,6 +7,7 @@ from toricfol.degrees import DegreeClass
 from toricfol.foliation import VectorField, invariance_cofactor
 from toricfol.grading import homogeneous_degree
 from toricfol.normalform import (
+    DecompositionError,
     KoszulDecomposition,
     euler_check,
     koszul_decompose,
@@ -227,3 +228,13 @@ def test_decompose_rejects_radial_not_on_subset(p1p1):
     x = VectorField.from_components(4, {0: Polynomial.variable(4, 0)})
     with pytest.raises(ValueError):
         koszul_decompose(p1p1, f, x, radial_index=1, index_set=(0, 1))
+
+
+def test_decompose_without_pair_columns_raises(p1p1):
+    # On P^1 x P^1 the invariant field z0 z3^2 d/dz0 of f = z0^2 z2^3 forces
+    # every pair coefficient into a negative degree, so the system has no
+    # columns, while its residual -z1 z3^2 d/dz1 is nonzero.
+    f = Polynomial(4, {(2, 0, 3, 0): 1})
+    field = VectorField.from_components(4, {0: Polynomial(4, {(1, 0, 0, 2): 1})})
+    with pytest.raises(DecompositionError):
+        koszul_decompose(p1p1, f, field)

@@ -1,0 +1,138 @@
+"""The sparse solver against the dense Gauss-Jordan oracle."""
+
+import copy
+import random
+from fractions import Fraction
+
+import pytest
+from linalg_oracle import solve_dense
+
+from toricfol import normalform
+from toricfol.families import FIXTURE_BUILDERS
+from toricfol.foliation import DegreeInconsistencyError, VectorField, foliation_degree
+from toricfol.normalform import DecompositionError, koszul_decompose
+from toricfol.ratlinalg import solve_sparse
+
+
+def _oracle(rows, rhs, ncols):
+    if not rows:  # the dense oracle reads the width off the first row
+        return [Fraction(0)] * ncols
+    return solve_dense([[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows], rhs)
+
+
+def _random_system(rng):
+    """A small sparse system; some rows are combinations of earlier ones,
+    some are empty, some carry explicit zeros, and some columns are unused."""
+    nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+    density = rng.choice((0.2, 0.4, 0.7))
+
+    def value():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.3 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            s, t = value(), value()
+            rows.append({c: s * a.get(c, 0) + t * b.get(c, 0) for c in set(a) | set(b)})
+        else:
+            rows.append({c: value() for c in range(ncols) if rng.random() < density})
+    if ncols and rng.random() < 0.3:
+        dead = rng.randrange(ncols)
+        for row in rows:
+            row.pop(dead, None)
+    if rng.random() < 0.5:  # consistent by construction
+        x0 = [value() for _ in range(ncols)]
+        rhs = [sum((v * x0[c] for c, v in row.items()), Fraction(0)) for row in rows]
+    else:
+        rhs = [value() for _ in rows]
+    return rows, rhs, ncols
+
+
+def test_sparse_matches_dense_oracle_on_random_systems():
+    rng = random.Random(20240607)
+    seen = {"inconsistent": 0, "free unknowns": 0, "zero row": 0, "no columns": 0, "no rows": 0}
+    for _ in range(400):
+        rows, rhs, ncols = _random_system(rng)
+        want = _oracle(rows, rhs, ncols)
+        assert solve_sparse(rows, rhs, ncols) == want, (rows, rhs, ncols)
+        seen["inconsistent"] += want is None
+        seen["free unknowns"] += want is not None and ncols > len(rows)
+        seen["zero row"] += any(not any(row.values()) for row in rows)
+        seen["no columns"] += ncols == 0 and bool(rows)
+        seen["no rows"] += not rows
+    assert min(seen.values()) >= 10, seen
+
+
+def test_sparse_edge_cases():
+    half = Fraction(1, 2)
+    assert solve_sparse([], [], 0) == []
+    assert solve_sparse([], [], 3) == [0, 0, 0]
+    assert solve_sparse([{}, {}], [0, 0], 0) == []
+    assert solve_sparse([{}], [half], 0) is None
+    assert solve_sparse([{0: 0, 1: 2}], [1], 2) == [0, half]
+    assert solve_sparse([{1: 1}, {1: 2}], [1, 3], 2) is None
+    with pytest.raises(ValueError):
+        solve_sparse([{2: 1}], [1], 2)
+    with pytest.raises(ValueError):
+        solve_sparse([{0: 1}], [], 1)
+
+
+def test_sparse_leaves_caller_rows_untouched():
+    rng = random.Random(5)
+    for _ in range(50):
+        rows, rhs, ncols = _random_system(rng)
+        before = copy.deepcopy((rows, rhs))
+        solve_sparse(rows, rhs, ncols)
+        assert (rows, rhs) == before
+
+
+KOSZUL_FIXTURES = [
+    ("wps-pairs", ((1, 2, 1, 2), (4, 2, 4, 2))),
+    ("wps-pairs", ((1, 1, 1), (4, 4, 4))),
+    ("biproj-pairs", (1, [1], [1])),
+    ("biproj-pairs", (3, [2, 1], [1, 1])),
+    ("torsion-fermat", (3,)),
+    ("torsion-fermat", (6,)),
+    ("split-field", (1, 2)),
+    ("split-field", (2, 1, (1, 2))),
+    ("monomial-hypersurface", (2, 3)),
+]
+
+
+def _koszul_fields(fix):
+    """The audited field, or each of its components when it has no single degree."""
+    field = fix.field if fix.subset is None else fix.field.restrict(fix.subset)
+    try:
+        foliation_degree(fix.model, field)
+    except DegreeInconsistencyError:
+        nv = fix.model.nvars
+        return [VectorField.from_components(nv, {j: p}) for j, p in enumerate(field.components) if not p.is_zero()]
+    return [field]
+
+
+@pytest.mark.parametrize("name,args", KOSZUL_FIXTURES, ids=lambda v: str(v))
+def test_sparse_matches_dense_oracle_on_koszul_systems(name, args, monkeypatch):
+    systems = []
+
+    def capture(rows, rhs, ncols):
+        got = solve_sparse(rows, rhs, ncols)
+        systems.append((got, _oracle(rows, rhs, ncols)))
+        return got
+
+    monkeypatch.setattr(normalform, "solve_sparse", capture)
+    fix = FIXTURE_BUILDERS[name](*args)
+    fields = _koszul_fields(fix)
+    for field in fields:
+        try:
+            koszul_decompose(
+                fix.model, fix.hypersurface, field, radial_index=fix.radial_index, index_set=fix.subset
+            )
+        except DecompositionError:
+            pass
+    assert len(systems) == len(fields)
+    for got, want in systems:
+        assert got == want
