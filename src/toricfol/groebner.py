@@ -1,18 +1,41 @@
 """Buchberger-based ideal computations at desk scale.
 
-Uses the normal selection strategy (smallest lcm degree, ties by pair
-index) with first-match reduction, which keeps the reduced basis, and
-therefore every downstream certificate, deterministic.
+``buchberger`` follows Gebauer & Moeller, "On an installation of
+Buchberger's algorithm" (J. Symb. Comput. 6, 1988), at the level of
+Buchberger's two criteria:
+
+- each basis element is stored monic, with its leading monomial taken
+  once, when it enters the basis;
+- pending pairs sit in a heap keyed by (degree of lcm, i, j): the normal
+  selection strategy, ties broken by pair index;
+- a pair is skipped when its leading monomials are coprime, or by the
+  chain criterion: some other element k has a leading monomial dividing
+  the pair's lcm and neither (i, k) nor (j, k) is still pending;
+- every division, here and in ``reduce_poly``, runs the one kernel
+  ``poly.divide_terms``: first matching reducer, on a mutable term dict.
+
+The result is then minimalized and each survivor's tail is reduced once
+against the others.  Leading terms cannot change after minimalization
+and the remainder of a tail modulo a Groebner basis is its unique normal
+form, so one sweep gives the reduced basis.  For a fixed term order the
+reduced Groebner basis of an ideal is unique; the criteria and the
+selection order change the work done, never the basis returned, and so
+never a downstream certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 
 from .poly import (
     ORDER_KEYS,
+    Divisor,
     Polynomial,
+    as_divisor,
+    divide_terms,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -35,91 +58,86 @@ class GroebnerBasis:
 
 def reduce_poly(f: Polynomial, gens, order: str = "grevlex") -> Polynomial:
     """Full remainder of f on division by gens (first matching reducer)."""
-    key = ORDER_KEYS[order]
-    leads = [g.leading_term(order) for g in gens]
-    rem: dict = {}
-    work = f
-    while work:
-        lm, lc = work.leading_term(order)
-        for g, (glm, glc) in zip(gens, leads):
-            if monomial_divides(glm, lm):
-                work = work - g.mul_monomial(monomial_div(lm, glm), lc / glc)
-                break
-        else:
-            rem[lm] = lc
-            work = Polynomial(f.nvars, {m: c for m, c in work.terms.items() if key(m) < key(lm)})
-    return Polynomial(f.nvars, rem)
+    divisors = [as_divisor(g, order) for g in gens]
+    return Polynomial(f.nvars, dict(divide_terms(dict(f.terms), divisors, order)))
 
 
-def _spoly(f: Polynomial, g: Polynomial, order: str) -> Polynomial:
-    fm, fc = f.leading_term(order)
-    gm, gc = g.leading_term(order)
-    lcm = monomial_lcm(fm, gm)
-    return f.mul_monomial(monomial_div(lcm, fm), 1 / fc) - g.mul_monomial(
-        monomial_div(lcm, gm), 1 / gc
-    )
+def _spoly_terms(a: Divisor, b: Divisor, lcm) -> dict:
+    # Both leads are monic and cancel; only the tails are combined.
+    terms: dict = {}
+    shift = monomial_div(lcm, a.lead)
+    for m, c in a.tail:
+        terms[monomial_mul(m, shift)] = c
+    shift = monomial_div(lcm, b.lead)
+    for m, c in b.tail:
+        t = monomial_mul(m, shift)
+        terms[t] = terms.get(t, 0) - c
+    return terms
 
 
 def buchberger(gens, order: str = "grevlex") -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens."""
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
-    if not basis:
+    polys = [g for g in gens if not g.is_zero()]
+    if not polys:
         raise ValueError("no nonzero generators")
-    nvars = basis[0].nvars
-    for g in basis:
+    nvars = polys[0].nvars
+    for g in polys:
         if g.nvars != nvars:
             raise ValueError("variable count mismatch among generators")
 
-    pairs = set(combinations(range(len(basis)), 2))
-    while pairs:
-        best = None
-        for i, j in pairs:
-            lcm = monomial_lcm(basis[i].leading_term(order)[0], basis[j].leading_term(order)[0])
-            rank = (sum(lcm), i, j)
-            if best is None or rank < best[0]:
-                best = (rank, (i, j), lcm)
-        _, (i, j), lcm = best
-        pairs.discard((i, j))
-        lm_i = basis[i].leading_term(order)[0]
-        lm_j = basis[j].leading_term(order)[0]
-        if lcm == monomial_mul(lm_i, lm_j):
+    basis = [as_divisor(g.monic(order), order) for g in polys]
+    heap: list = []
+    pending: set[tuple[int, int]] = set()
+
+    def add_pairs(k):
+        lm_k = basis[k].lead
+        for i in range(k):
+            lcm = monomial_lcm(basis[i].lead, lm_k)
+            heappush(heap, (sum(lcm), i, k, lcm))
+            pending.add((i, k))
+
+    for k in range(1, len(basis)):
+        add_pairs(k)
+    while heap:
+        _, i, j, lcm = heappop(heap)
+        pending.discard((i, j))
+        if lcm == monomial_mul(basis[i].lead, basis[j].lead):
             continue  # coprime leading terms: s-polynomial reduces to zero
-        rem = reduce_poly(_spoly(basis[i], basis[j], order), basis, order)
+        if _chain_criterion(i, j, lcm, basis, pending):
+            continue
+        rem = list(divide_terms(_spoly_terms(basis[i], basis[j], lcm), basis, order))
         if rem:
-            basis.append(rem.monic(order))
-            k = len(basis) - 1
-            pairs.update((i2, k) for i2 in range(k))
-    return GroebnerBasis(generators=_interreduce(basis, order), order=order)
+            (lm, lc), tail = rem[0], rem[1:]
+            basis.append(Divisor(lm, Fraction(1), [(m, c / lc) for m, c in tail]))
+            add_pairs(len(basis) - 1)
+    return GroebnerBasis(generators=_interreduce(basis, nvars, order), order=order)
 
 
-def _interreduce(basis, order: str) -> tuple[Polynomial, ...]:
-    # Minimalize (drop generators whose leading term is divisible by a
+def _chain_criterion(i: int, j: int, lcm, basis, pending) -> bool:
+    for k in range(len(basis)):
+        if k == i or k == j or not monomial_divides(basis[k].lead, lcm):
+            continue
+        if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
+            return True
+    return False
+
+
+def _interreduce(basis: list[Divisor], nvars: int, order: str) -> tuple[Polynomial, ...]:
+    # Minimalize: drop generators whose leading term is divisible by a
     # smaller one; divisibility implies order, so an ascending sweep that
-    # compares against survivors only is enough), then fully tail-reduce.
+    # compares against survivors only is enough.
     key = ORDER_KEYS[order]
-    kept: list[Polynomial] = []
-    for g in sorted(basis, key=lambda g: key(g.leading_term(order)[0])):
-        lm = g.leading_term(order)[0]
-        if not any(monomial_divides(h.leading_term(order)[0], lm) for h in kept):
-            kept.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            rest = kept[:i] + kept[i + 1 :]
-            if not rest:
-                continue
-            red = reduce_poly(kept[i], rest, order)
-            if red.is_zero():
-                kept.pop(i)
-                changed = True
-                break
-            red = red.monic(order)
-            if red != kept[i]:
-                kept[i] = red
-                changed = True
-                break
-    return tuple(sorted(kept, key=lambda g: key(g.leading_term(order)[0]), reverse=True))
+    kept: list[Divisor] = []
+    for d in sorted(basis, key=lambda d: key(d.lead)):
+        if not any(monomial_divides(h.lead, d.lead) for h in kept):
+            kept.append(d)
+    reduced = []
+    for i, (lm, lc, tail) in enumerate(kept):
+        others = kept[:i] + kept[i + 1 :]
+        terms = {lm: lc}
+        terms.update(divide_terms(dict(tail), others, order))
+        reduced.append(Polynomial(nvars, terms))
+    return tuple(reversed(reduced))
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

@@ -9,7 +9,9 @@ exponents, independent of any toric grading.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Exponents = tuple[int, ...]
 
@@ -24,21 +26,87 @@ def lex_key(m: Exponents):
 
 ORDER_KEYS = {"grevlex": grevlex_key, "lex": lex_key}
 
+# The same orders reversed, as flat tuples: ascending in these keys is
+# descending in the term order, so a min-heap pops the leading monomial.
+HEAP_KEYS = {
+    "grevlex": lambda m: (-sum(m),) + m[::-1],
+    "lex": lambda m: tuple(-e for e in m),
+}
+
 
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+class Divisor(NamedTuple):
+    """A polynomial as the division kernel reads it, split at its leading term."""
+
+    lead: Exponents
+    coeff: Fraction
+    tail: list[tuple[Exponents, Fraction]]
+
+
+def divide_terms(
+    terms: dict[Exponents, Fraction],
+    divisors: list[Divisor],
+    order: str,
+    quotients: list[dict[Exponents, Fraction]] | None = None,
+) -> Iterator[tuple[Exponents, Fraction]]:
+    """Divide ``terms`` by ``divisors`` in place, yielding the remainder's terms.
+
+    The one division kernel.  At each step the leading term of what is
+    left is cancelled by the first divisor whose leading monomial divides
+    it; when none does, the term moves to the remainder and is yielded,
+    so the remainder comes out in descending order.  ``terms`` is
+    consumed.  When ``quotients`` is given, ``quotients[i]`` collects the
+    multiples of divisor i that were subtracted.  Division stops where
+    the caller stops iterating.
+
+    ``terms`` keeps cancelled monomials at coefficient zero until they are
+    popped, so each monomial in it has exactly one entry in the heap.
+    """
+    hkey = HEAP_KEYS[order]
+    heap = [(hkey(m), m) for m in terms]
+    heapify(heap)
+    while heap:
+        m = heappop(heap)[1]
+        c = terms.pop(m)
+        if not c:
+            continue
+        for i, (lm, lc, tail) in enumerate(divisors):
+            if monomial_divides(lm, m):
+                shift = monomial_div(m, lm)
+                q = c / lc
+                if quotients is not None:
+                    quotients[i][shift] = q
+                for tm, tc in tail:
+                    t = monomial_mul(tm, shift)
+                    old = terms.get(t)
+                    if old is None:
+                        terms[t] = -q * tc
+                        heappush(heap, (hkey(t), t))
+                    else:
+                        terms[t] = old - q * tc
+                break
+        else:
+            yield m, c
+
+
+def as_divisor(p: "Polynomial", order: str) -> Divisor:
+    lm, lc = p.leading_term(order)
+    return Divisor(lm, lc, [(m, c) for m, c in p.terms.items() if m != lm])
 
 
 class Polynomial:
@@ -228,18 +296,10 @@ class Polynomial:
         self._check(den)
         if den.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        lm, lc = den.leading_term(order)
-        q: dict[Exponents, Fraction] = {}
-        rem = self
-        while rem:
-            rm, rc = rem.leading_term(order)
-            if not monomial_divides(lm, rm):
-                return None
-            m = monomial_div(rm, lm)
-            c = rc / lc
-            q[m] = c
-            rem = rem - den.mul_monomial(m, c)
-        return Polynomial(self.nvars, q)
+        quotient: dict[Exponents, Fraction] = {}
+        for _ in divide_terms(dict(self.terms), [as_divisor(den, order)], order, [quotient]):
+            return None
+        return Polynomial(self.nvars, quotient)
 
     # -- printing ----------------------------------------------------------
 

@@ -1,0 +1,128 @@
+"""Buchberger's algorithm as first written: the reference the fast engine is tested against.
+
+Selection scans the whole pair set for the smallest (lcm degree, i, j),
+leading terms are recomputed at every step, the only criterion is the
+coprime one, and interreduction restarts after every change.  Slow but
+plainly correct; ``tests/test_groebner_oracle.py`` requires
+``toricfol.groebner`` and ``Polynomial.divide_exact`` to return the same
+reduced bases, remainders and quotients.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from toricfol.groebner import GroebnerBasis
+from toricfol.poly import (
+    ORDER_KEYS,
+    Polynomial,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+)
+
+
+def reduce_poly(f: Polynomial, gens, order: str = "grevlex") -> Polynomial:
+    """Full remainder of f on division by gens (first matching reducer)."""
+    key = ORDER_KEYS[order]
+    leads = [g.leading_term(order) for g in gens]
+    rem: dict = {}
+    work = f
+    while work:
+        lm, lc = work.leading_term(order)
+        for g, (glm, glc) in zip(gens, leads):
+            if monomial_divides(glm, lm):
+                work = work - g.mul_monomial(monomial_div(lm, glm), lc / glc)
+                break
+        else:
+            rem[lm] = lc
+            work = Polynomial(f.nvars, {m: c for m, c in work.terms.items() if key(m) < key(lm)})
+    return Polynomial(f.nvars, rem)
+
+
+def _spoly(f: Polynomial, g: Polynomial, order: str) -> Polynomial:
+    fm, fc = f.leading_term(order)
+    gm, gc = g.leading_term(order)
+    lcm = monomial_lcm(fm, gm)
+    return f.mul_monomial(monomial_div(lcm, fm), 1 / fc) - g.mul_monomial(
+        monomial_div(lcm, gm), 1 / gc
+    )
+
+
+def buchberger(gens, order: str = "grevlex") -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by gens."""
+    basis = [g.monic(order) for g in gens if not g.is_zero()]
+    if not basis:
+        raise ValueError("no nonzero generators")
+    nvars = basis[0].nvars
+    for g in basis:
+        if g.nvars != nvars:
+            raise ValueError("variable count mismatch among generators")
+
+    pairs = set(combinations(range(len(basis)), 2))
+    while pairs:
+        best = None
+        for i, j in pairs:
+            lcm = monomial_lcm(basis[i].leading_term(order)[0], basis[j].leading_term(order)[0])
+            rank = (sum(lcm), i, j)
+            if best is None or rank < best[0]:
+                best = (rank, (i, j), lcm)
+        _, (i, j), lcm = best
+        pairs.discard((i, j))
+        lm_i = basis[i].leading_term(order)[0]
+        lm_j = basis[j].leading_term(order)[0]
+        if lcm == monomial_mul(lm_i, lm_j):
+            continue  # coprime leading terms: s-polynomial reduces to zero
+        rem = reduce_poly(_spoly(basis[i], basis[j], order), basis, order)
+        if rem:
+            basis.append(rem.monic(order))
+            k = len(basis) - 1
+            pairs.update((i2, k) for i2 in range(k))
+    return GroebnerBasis(generators=_interreduce(basis, order), order=order)
+
+
+def _interreduce(basis, order: str) -> tuple[Polynomial, ...]:
+    # Minimalize (drop generators whose leading term is divisible by a
+    # smaller one; divisibility implies order, so an ascending sweep that
+    # compares against survivors only is enough), then fully tail-reduce.
+    key = ORDER_KEYS[order]
+    kept: list[Polynomial] = []
+    for g in sorted(basis, key=lambda g: key(g.leading_term(order)[0])):
+        lm = g.leading_term(order)[0]
+        if not any(monomial_divides(h.leading_term(order)[0], lm) for h in kept):
+            kept.append(g)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(kept)):
+            rest = kept[:i] + kept[i + 1 :]
+            if not rest:
+                continue
+            red = reduce_poly(kept[i], rest, order)
+            if red.is_zero():
+                kept.pop(i)
+                changed = True
+                break
+            red = red.monic(order)
+            if red != kept[i]:
+                kept[i] = red
+                changed = True
+                break
+    return tuple(sorted(kept, key=lambda g: key(g.leading_term(order)[0]), reverse=True))
+
+
+def divide_exact(f: Polynomial, den: Polynomial, order: str = "grevlex") -> Polynomial | None:
+    """``Polynomial.divide_exact`` as first written: a fresh polynomial per step."""
+    lm, lc = den.leading_term(order)
+    q: dict = {}
+    rem = f
+    while rem:
+        rm, rc = rem.leading_term(order)
+        if not monomial_divides(lm, rm):
+            return None
+        m = monomial_div(rm, lm)
+        c = rc / lc
+        q[m] = c
+        rem = rem - den.mul_monomial(m, c)
+    return Polynomial(f.nvars, q)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -14,6 +15,9 @@ from toricfol.families import (
     weighted_projective,
     wps_pairs_fixture,
 )
+from toricfol.foliation import VectorField
+from toricfol.grading import monomials_of_degree
+from toricfol.poly import Polynomial
 
 
 def test_bound_weighted_projective():
@@ -223,3 +227,41 @@ def test_theorem_holds_on_all_clean_fixtures():
         report = audit_case(fix.model, fix.field, fix.hypersurface)
         assert report.verdict == "bound-holds", fix.name
         assert all(r.slack >= 0 for r in report.rows)
+
+
+def _fermat_mod7(model, degree, seed, drop=()):
+    """Every monomial of the degree except ``drop``: pure powers get
+    1 + 7c and all others 7c, with a seeded sign c = +-1.
+
+    Modulo 7 this is a Fermat sum, whose partials vanish together only at
+    the origin; reduction mod p can only enlarge the singular cone, so
+    with every pure power kept the hypersurface is strongly quasi-smooth.
+    """
+    rng = random.Random(seed)
+    terms = {}
+    for m in monomials_of_degree(model, DegreeClass((degree,))):
+        c = 7 * rng.choice((-1, 1))
+        if m not in drop:
+            terms[m] = c + 1 if sum(map(bool, m)) == 1 else c
+    return Polynomial(model.nvars, terms)
+
+
+def _audit_dense(weights, degree, drop=()):
+    model = weighted_projective(*weights)
+    f = _fermat_mod7(model, degree, seed=1, drop=drop)
+    field = VectorField.from_components(model.nvars, {0: f.partial_derivative(1), 1: -f.partial_derivative(0)})
+    return audit_case(model, field, f)
+
+
+@pytest.mark.parametrize("weights, degree", [((1, 1, 2, 3), 6), ((1, 1, 1, 1, 1), 3)])
+def test_audit_dense_hypersurface_strongly_quasi_smooth(weights, degree):
+    report = _audit_dense(weights, degree)
+    assert report.quasi_smoothness == "strong"
+    assert report.verdict == "bound-holds"
+
+
+def test_audit_dense_sextic_without_pure_power_fails():
+    # Without z3^2 every partial vanishes at (0, 0, 0, 1): no monomial of
+    # degree 6 is z3 times another variable of weight 3.
+    report = _audit_dense((1, 1, 2, 3), 6, drop={(0, 0, 0, 2)})
+    assert report.quasi_smoothness == "fails"

@@ -102,7 +102,7 @@ def test_reduced_basis_invariants():
             # reduced: no leading term divides any term of another generator
             assert not any(monomial_divides(lmh, m) for m in g.terms)
     # every s-polynomial reduces to zero
-    from toricfol.groebner import _spoly
+    from groebner_oracle import _spoly
 
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):

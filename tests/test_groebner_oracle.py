@@ -1,0 +1,171 @@
+"""The Groebner engine against the slow reference in ``groebner_oracle``.
+
+The reduced Groebner basis of an ideal is unique for a fixed term order,
+so the engine must return exactly the oracle's generators, in the same
+order, whatever pairs it skips.  ``reduce_poly`` must return the oracle's
+remainder on any divisor list, Groebner basis or not, which pins the
+first-matching-reducer rule.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import groebner_oracle as oracle
+from toricfol.families import (
+    biproj_pairs_fixture,
+    monomial_hypersurface_fixture,
+    split_field_fixture,
+    torsion_fermat_fixture,
+    weighted_projective,
+    wps_pairs_fixture,
+)
+from toricfol.degrees import DegreeClass
+from toricfol.grading import monomials_of_degree
+from toricfol.groebner import buchberger, reduce_poly
+from toricfol.poly import Polynomial
+from toricfol.selfcheck import default_models, random_quasi_homogeneous
+
+ORDERS = ("grevlex", "lex")
+
+
+def assert_same_basis(gens) -> int:
+    """Largest oracle basis size over the orders."""
+    size = 0
+    for order in ORDERS:
+        want = oracle.buchberger(gens, order)
+        got = buchberger(gens, order)
+        assert got.generators == want.generators, (order, gens)
+        assert got.order == order
+        size = max(size, len(want.generators))
+    return size
+
+
+def random_generator_sets(count: int, seed: int):
+    rng = random.Random(seed)
+    models = default_models()
+    for t in range(count):
+        model = models[t % len(models)]
+        size = rng.randint(1, 3)
+        yield [random_quasi_homogeneous(rng, model, max_total_degree=4) for _ in range(size)]
+
+
+def test_random_quasi_homogeneous_sets_match_oracle():
+    grown = 0
+    for gens in random_generator_sets(210, seed=41):
+        grown += assert_same_basis(gens) > len(gens)
+    assert grown >= 20  # not only inputs that are already reduced bases
+
+
+FIXTURES = [
+    wps_pairs_fixture((1, 2, 1, 2), (4, 2, 4, 2)),
+    wps_pairs_fixture((1, 1, 1, 1), (2, 2, 2, 2)),
+    wps_pairs_fixture((1, 1, 1), (4, 4, 4)),
+    biproj_pairs_fixture(1, [1], [1]),
+    biproj_pairs_fixture(3, [2, 1], [1, 1]),
+    torsion_fermat_fixture(3),
+    torsion_fermat_fixture(6),
+    split_field_fixture(1, 2),
+    split_field_fixture(2, 1, (1, 2)),
+    monomial_hypersurface_fixture(2, 3),
+    monomial_hypersurface_fixture(1, 1),
+]
+
+
+@pytest.mark.parametrize("fix", FIXTURES, ids=lambda fix: fix.name)
+def test_fixture_jacobian_ideals_match_oracle(fix):
+    f = fix.hypersurface
+    partials = [f.partial_derivative(j) for j in range(f.nvars)]
+    assert_same_basis([p for p in partials if not p.is_zero()])
+
+
+def test_dense_jacobian_ideals_match_oracle():
+    # Every monomial of the degree present: many pairs, many skipped by the criteria.
+    rng = random.Random(5)
+    for model in (weighted_projective(1, 1, 1), weighted_projective(1, 1, 1, 1)):
+        monomials = monomials_of_degree(model, DegreeClass((3,)))
+        f = Polynomial(model.nvars, {m: Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for m in monomials})
+        partials = [f.partial_derivative(j) for j in range(model.nvars)]
+        assert buchberger(partials).generators == oracle.buchberger(partials).generators
+
+
+def V(nv, j, p=1, c=1):
+    return Polynomial.variable(nv, j, power=p, coeff=c)
+
+
+def test_edge_cases_match_oracle():
+    x, y, z = (V(3, j) for j in range(3))
+    one = Polynomial.constant(3, 1)
+    zero = Polynomial.zero(3)
+    f, g = x * y - z * z, y * y - x * z
+    cases = {
+        "duplicated": [f, g, f, g.scale(3)],
+        "unit ideal": [f, one.scale(5), g],
+        "zeros mixed in": [zero, f, zero, g, zero],
+        "one generator": [f.scale(Fraction(-2, 3))],
+        "coprime leads": [x * x + y, y * y * y - z, z * z * z + one],
+        "coprime monomials": [x * x, y * y, z * z * z],
+    }
+    for gens in cases.values():
+        assert_same_basis(gens)
+    assert buchberger(cases["unit ideal"]).generators == (one,)
+
+
+def test_no_nonzero_generator_still_raises():
+    with pytest.raises(ValueError):
+        buchberger([Polynomial.zero(2)])
+    with pytest.raises(ValueError):
+        oracle.buchberger([Polynomial.zero(2)])
+
+
+def _random_poly(rng, nvars, max_terms=4, max_exp=3):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        m = tuple(rng.randint(0, max_exp) for _ in range(nvars))
+        terms[m] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    return Polynomial(nvars, terms)
+
+
+def test_reduce_poly_matches_oracle_on_arbitrary_divisors():
+    # Random divisor lists are almost never Groebner bases, so the
+    # remainder depends on which reducer is tried first.
+    rng = random.Random(17)
+    order_dependent = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        divisors = [_random_poly(rng, nvars, max_terms=3, max_exp=2) for _ in range(rng.randint(1, 4))]
+        divisors = [d for d in divisors if not d.is_zero()]
+        f = _random_poly(rng, nvars, max_terms=6, max_exp=4)
+        for order in ORDERS:
+            want = oracle.reduce_poly(f, divisors, order)
+            assert reduce_poly(f, divisors, order) == want
+            if want != oracle.reduce_poly(f, divisors[::-1], order):
+                order_dependent += 1
+    assert order_dependent >= 20
+
+
+def test_reduce_poly_first_match_wins():
+    x, y = V(2, 0), V(2, 1)
+    f = x * x * y
+    one = Polynomial.constant(2, 1)
+    assert reduce_poly(f, [x * y - one, x * x - y]) == x
+    assert reduce_poly(f, [x * x - y, x * y - one]) == y * y
+    assert reduce_poly(Polynomial.zero(2), [x]).is_zero()
+
+
+def test_divide_exact_matches_oracle():
+    rng = random.Random(29)
+    divisible = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        den = _random_poly(rng, nvars, max_terms=3, max_exp=2)
+        if den.is_zero():
+            continue
+        q = _random_poly(rng, nvars, max_terms=3, max_exp=2)
+        f = q * den if rng.random() < 0.5 else q * den + _random_poly(rng, nvars, max_terms=1)
+        for order in ORDERS:
+            want = oracle.divide_exact(f, den, order)
+            assert f.divide_exact(den, order) == want
+            divisible += want is not None
+    assert divisible >= 100

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricfol.poly import Polynomial, grevlex_key, lex_key
+from toricfol.poly import HEAP_KEYS, ORDER_KEYS, Polynomial, grevlex_key, lex_key
 
 
 def P(nvars, terms):
@@ -87,6 +87,15 @@ def test_orders():
     assert grevlex_key((1, 2, 0)) > grevlex_key((2, 0, 0))
     assert grevlex_key((2, 1, 0)) > grevlex_key((1, 0, 2))
     assert lex_key((2, 0, 0)) > lex_key((1, 5, 5))
+
+
+def test_heap_keys_reverse_the_term_orders():
+    import random
+
+    rng = random.Random(8)
+    monos = {tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(60)}
+    for order, key in ORDER_KEYS.items():
+        assert sorted(monos, key=HEAP_KEYS[order]) == sorted(monos, key=key, reverse=True)
 
 
 def test_leading_term_and_monic():
