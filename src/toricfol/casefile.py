@@ -171,6 +171,9 @@ def parse_case(text: str) -> CaseFile:
     if "torsion" in entries:
         lineno, value = entries["torsion"]
         moduli = tuple(_int(x, lineno, "torsion factor") for x in value.replace(",", " ").split())
+        for t in moduli:
+            if t < 2:
+                raise CaseError([Located(f"torsion factor must be at least 2, got {t}", lineno)])
 
     degrees = None
     if "degrees" in entries:

@@ -21,11 +21,14 @@ class DegreeClass:
     def __post_init__(self):
         if len(self.residues) != len(self.moduli):
             raise ValueError("residue/modulus length mismatch")
+        moduli = tuple(int(t) for t in self.moduli)
+        if any(t < 2 for t in moduli):
+            raise ValueError(f"torsion factors must be at least 2, got {moduli}")
         object.__setattr__(self, "free", tuple(int(x) for x in self.free))
         object.__setattr__(
-            self, "residues", tuple(int(c) % t for c, t in zip(self.residues, self.moduli))
+            self, "residues", tuple(int(c) % t for c, t in zip(self.residues, moduli))
         )
-        object.__setattr__(self, "moduli", tuple(int(t) for t in self.moduli))
+        object.__setattr__(self, "moduli", moduli)
 
     def _compat(self, other: "DegreeClass"):
         if len(self.free) != len(other.free) or self.moduli != other.moduli:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, lcm
+from operator import mul
 
 from .degrees import DegreeClass
 from .model import ToricModel
@@ -16,20 +17,29 @@ def homogeneous_degree(model: ToricModel, f: Polynomial) -> DegreeClass | None:
     """Common degree of all terms of f, or None when terms disagree.
 
     The zero polynomial carries no degree at all and is rejected loudly,
-    so callers can tell "no degree" apart from "mixed degrees".
+    so callers can tell "no degree" apart from "mixed degrees".  Each term
+    costs one dot product per row of ``model.degree_rows``: free parts
+    are compared exactly, torsion parts mod t_k.
     """
     if f.nvars != model.nvars:
         raise ValueError("variable count mismatch")
     if f.is_zero():
         raise ValueError("the zero polynomial has no degree")
-    found: DegreeClass | None = None
-    for m in f.terms:
-        d = model.monomial_degree(m)
-        if found is None:
-            found = d
-        elif d != found:
-            return None
-    return found
+    rows = model.degree_rows
+    moduli = model.moduli
+    free_rows, torsion_rows = rows[: model.rank], rows[model.rank :]
+    terms = iter(f.terms)
+    first = next(terms)
+    free = [sum(map(mul, row, first)) for row in free_rows]
+    residues = [sum(map(mul, row, first)) % t for row, t in zip(torsion_rows, moduli)]
+    for m in terms:
+        for row, want in zip(free_rows, free):
+            if sum(map(mul, row, m)) != want:
+                return None
+        for row, t, want in zip(torsion_rows, moduli, residues):
+            if sum(map(mul, row, m)) % t != want:
+                return None
+    return DegreeClass(tuple(free), tuple(residues), moduli)
 
 
 def is_quasi_homogeneous(model: ToricModel, f: Polynomial) -> bool:
@@ -44,10 +54,26 @@ def monomials_of_degree(
     Termination is certified by the model's positive grading functional;
     models without one (mixed-sign degrees that span a halfline) must be
     queried with an explicit exponent cap.
+
+    The descent fixes the exponents of the variables in order and cuts a
+    branch as soon as no completion of it can have degree alpha:
+
+    - on a free coordinate where no variable still to be fixed has a
+      negative degree, the accumulated degree can only grow, so it may
+      not exceed the target; where none has a positive degree it may not
+      fall below it, so a coordinate no later variable changes must
+      already match;
+    - with a functional, a monomial of degree alpha has functional value
+      exactly the budget, so the last variable must spend what is left:
+      its exponent is forced, and there is no leaf when the division is
+      inexact.
+
+    Only branches without a monomial of degree alpha are cut, and the
+    result is sorted, so it equals that of the unpruned walk.
     """
     if len(alpha.free) != model.rank or alpha.moduli != model.moduli:
         raise ValueError("degree class belongs to a different grading group")
-    nvars = model.nvars
+    nvars, rank = model.nvars, model.rank
     functional = model.positive_functional
     if functional is None and cap is None:
         raise ValueError(
@@ -61,42 +87,53 @@ def monomials_of_degree(
         # turns the whole descent into integer arithmetic.
         scale = lcm(*(c.denominator for c in functional))
         functional = [int(c * scale) for c in functional]
-        weights = [
-            sum(c * x for c, x in zip(functional, d.free)) for d in model.degrees
-        ]
-        budget = sum(c * a for c, a in zip(functional, alpha.free))
+        weights = [sum(map(mul, functional, d.free)) for d in model.degrees]
+        budget = sum(map(mul, functional, alpha.free))
         if budget < 0:
             return ()
     else:
         weights = [0] * nvars
         budget = 0
 
-    free_target = list(alpha.free)
+    # grows[j] / shrinks[j]: free coordinates that the variables j, j+1, ...
+    # can only increase / only decrease.
+    free_rows = model.degree_rows[:rank]
+    grows = [tuple(range(rank))] * (nvars + 1)
+    shrinks = list(grows)
+    for j in reversed(range(nvars)):
+        grows[j] = tuple(k for k in grows[j + 1] if free_rows[k][j] >= 0)
+        shrinks[j] = tuple(k for k in shrinks[j + 1] if free_rows[k][j] <= 0)
+
+    target = alpha.free
+    torsion = list(zip(model.degree_rows[rank:], model.moduli, alpha.residues))
     out: list[tuple[int, ...]] = []
     exps = [0] * nvars
 
-    def descend(j: int, remaining: int, free_acc: list[int]):
+    def descend(j: int, remaining: int, acc: tuple[int, ...]):
         if j == nvars:
-            if free_acc == free_target:
-                res = [
-                    sum(e * d.residues[k] for e, d in zip(exps, model.degrees)) % t
-                    for k, t in enumerate(model.moduli)
-                ]
-                if tuple(res) == alpha.residues:
-                    out.append(tuple(exps))
+            if acc == target and all(sum(map(mul, row, exps)) % t == c for row, t, c in torsion):
+                out.append(tuple(exps))
             return
-        top = remaining // weights[j] if functional is not None else cap
-        d = model.degrees[j]
-        for e in range(top + 1):
+        if functional is None:
+            choices = range(cap + 1)
+        elif j == nvars - 1:
+            e, rest = divmod(remaining, weights[j])
+            choices = () if rest else (e,)
+        else:
+            choices = range(remaining // weights[j] + 1)
+        d = model.degrees[j].free
+        up, down = grows[j], shrinks[j]
+        for e in choices:
+            nxt = tuple(a + e * x for a, x in zip(acc, d)) if e else acc
+            # On up and down, variable j moves acc the same way as the
+            # variables after it, so a larger e cannot repair a miss.
+            if any(nxt[k] > target[k] for k in up) or any(nxt[k] < target[k] for k in down):
+                break
             exps[j] = e
-            descend(
-                j + 1,
-                remaining - e * weights[j],
-                [a + e * x for a, x in zip(free_acc, d.free)] if e else free_acc,
-            )
+            descend(j + 1, remaining - e * weights[j], nxt)
         exps[j] = 0
 
-    descend(0, budget, [0] * model.rank)
+    descend(0, budget, (0,) * rank)
     return tuple(sorted(out, key=grevlex_key, reverse=True))
 
 

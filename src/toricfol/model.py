@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd
+from operator import mul
 
-from .degrees import DegreeClass, degree_of_monomial
+from .degrees import DegreeClass
 from .halfspaces import feasible_point
 from .intlinalg import (
     AbelianGroupPresentation,
@@ -96,8 +98,28 @@ class ToricModel:
         except ValueError:
             raise KeyError(f"variable {name!r} not declared by model {self.name}") from None
 
+    @cached_property
+    def degree_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The degree matrix as integer rows, one entry per variable.
+
+        Row i < rank holds free coordinate i of every variable degree, row
+        rank + k its k-th torsion residue.  The degree of a monomial is one
+        dot product per row, the torsion ones read mod t_k.
+        """
+        free = [tuple(d.free[i] for d in self.degrees) for i in range(self.rank)]
+        torsion = [tuple(d.residues[k] for d in self.degrees) for k in range(len(self.moduli))]
+        return tuple(free + torsion)
+
     def monomial_degree(self, exponents) -> DegreeClass:
-        return degree_of_monomial(self.degrees, exponents)
+        if len(exponents) != self.nvars:
+            raise ValueError("exponent length mismatch")
+        rows = self.degree_rows
+        r = self.rank
+        return DegreeClass(
+            tuple(sum(map(mul, row, exponents)) for row in rows[:r]),
+            tuple(sum(map(mul, row, exponents)) for row in rows[r:]),
+            self.moduli,
+        )
 
     # -- radial structure --------------------------------------------------
 
@@ -119,13 +141,11 @@ class ToricModel:
         if len(alpha.free) != self.rank or alpha.moduli != self.moduli:
             raise ValueError("degree class belongs to a different grading group")
         r, m = self.rank, len(self.moduli)
-        rows = []
-        for i in range(r):
-            rows.append([d.free[i] for d in self.degrees] + [0] * m)
-        for k in range(m):
+        rows = [list(row) + [0] * m for row in self.degree_rows[:r]]
+        for k, row in enumerate(self.degree_rows[r:]):
             slack = [0] * m
             slack[k] = self.moduli[k]
-            rows.append([d.residues[k] for d in self.degrees] + slack)
+            rows.append(list(row) + slack)
         sol = solve_integer_system(
             IntMatrix.from_rows(rows), list(alpha.free) + list(alpha.residues)
         )
@@ -139,7 +159,7 @@ class ToricModel:
         coordinate ring has nonnegative degree.  0-based.
         """
         return tuple(
-            k for k in range(self.rank) if all(d.free[k] >= 0 for d in self.degrees)
+            k for k, row in enumerate(self.degree_rows[: self.rank]) if min(row) >= 0
         )
 
     def irrelevant_ideal(self) -> IrrelevantIdeal:

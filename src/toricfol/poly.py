@@ -126,6 +126,18 @@ class Polynomial:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """A polynomial that owns ``terms`` as given, without re-validation.
+
+        Only for results the class builds itself, whose keys are already
+        int tuples of length nvars and whose values are nonzero Fractions.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
 
@@ -206,10 +218,10 @@ class Polynomial:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        return Polynomial(self.nvars, terms)
+        return Polynomial._trusted(self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -225,20 +237,23 @@ class Polynomial:
                     terms[m] = s
                 else:
                     terms.pop(m, None)
-        return Polynomial(self.nvars, terms)
+        return Polynomial._trusted(self.nvars, terms)
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
         if not c:
             return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {m: c * v for m, v in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {m: c * v for m, v in self.terms.items()})
 
     def mul_monomial(self, exponents: Exponents, coeff=1) -> "Polynomial":
+        if len(exponents) != self.nvars:
+            raise ValueError(f"exponent tuple {exponents} does not have {self.nvars} entries")
+        shift = tuple(int(e) for e in exponents)
         c = Fraction(coeff)
         if not c:
             return Polynomial.zero(self.nvars)
-        return Polynomial(
-            self.nvars, {monomial_mul(m, exponents): c * v for m, v in self.terms.items()}
+        return Polynomial._trusted(
+            self.nvars, {monomial_mul(m, shift): c * v for m, v in self.terms.items()}
         )
 
     def __pow__(self, k: int) -> "Polynomial":
@@ -262,12 +277,12 @@ class Polynomial:
     def partial_derivative(self, j: int) -> "Polynomial":
         if not 0 <= j < self.nvars:
             raise IndexError(f"variable index {j} out of range")
+        # m -> m - e_j is injective, so each term is assigned exactly once.
         terms: dict[Exponents, Fraction] = {}
         for m, c in self.terms.items():
             if m[j]:
-                dm = tuple(e - 1 if i == j else e for i, e in enumerate(m))
-                terms[dm] = terms.get(dm, Fraction(0)) + c * m[j]
-        return Polynomial(self.nvars, terms)
+                terms[m[:j] + (m[j] - 1,) + m[j + 1 :]] = c * m[j]
+        return Polynomial._trusted(self.nvars, terms)
 
     def evaluate(self, point):
         """Evaluate at a point; exact for int/Fraction inputs, numeric otherwise."""
@@ -299,7 +314,7 @@ class Polynomial:
         quotient: dict[Exponents, Fraction] = {}
         for _ in divide_terms(dict(self.terms), [as_divisor(den, order)], order, [quotient]):
             return None
-        return Polynomial(self.nvars, quotient)
+        return Polynomial._trusted(self.nvars, quotient)
 
     # -- printing ----------------------------------------------------------
 

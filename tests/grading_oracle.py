@@ -1,0 +1,61 @@
+"""Unpruned monomial enumeration: the reference the pruned descent is tested against."""
+
+from __future__ import annotations
+
+from math import lcm
+
+from toricfol.poly import grevlex_key
+
+
+def monomials_of_degree_unpruned(model, alpha, cap=None) -> tuple[tuple[int, ...], ...]:
+    """Every exponent vector of degree alpha, largest first, by the plain walk.
+
+    Visits every exponent vector whose (scaled) functional weight fits the
+    budget, or every vector in the cap box, and tests the degree only at
+    the leaves.
+    """
+    if len(alpha.free) != model.rank or alpha.moduli != model.moduli:
+        raise ValueError("degree class belongs to a different grading group")
+    nvars = model.nvars
+    functional = model.positive_functional
+    if functional is None and cap is None:
+        raise ValueError("no positive grading functional; supply an exponent cap")
+
+    if functional is not None:
+        scale = lcm(*(c.denominator for c in functional))
+        functional = [int(c * scale) for c in functional]
+        weights = [sum(c * x for c, x in zip(functional, d.free)) for d in model.degrees]
+        budget = sum(c * a for c, a in zip(functional, alpha.free))
+        if budget < 0:
+            return ()
+    else:
+        weights = [0] * nvars
+        budget = 0
+
+    free_target = list(alpha.free)
+    out: list[tuple[int, ...]] = []
+    exps = [0] * nvars
+
+    def descend(j: int, remaining: int, free_acc: list[int]):
+        if j == nvars:
+            if free_acc == free_target:
+                res = [
+                    sum(e * d.residues[k] for e, d in zip(exps, model.degrees)) % t
+                    for k, t in enumerate(model.moduli)
+                ]
+                if tuple(res) == alpha.residues:
+                    out.append(tuple(exps))
+            return
+        top = remaining // weights[j] if functional is not None else cap
+        d = model.degrees[j]
+        for e in range(top + 1):
+            exps[j] = e
+            descend(
+                j + 1,
+                remaining - e * weights[j],
+                [a + e * x for a, x in zip(free_acc, d.free)] if e else free_acc,
+            )
+        exps[j] = 0
+
+    descend(0, budget, [0] * model.rank)
+    return tuple(sorted(out, key=grevlex_key, reverse=True))

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import toricfol
 from toricfol.cli import run
 
@@ -301,3 +303,18 @@ def test_closed_stdout_exits_one_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""  # in particular, no traceback
+
+
+@pytest.mark.parametrize("t", ["0", "1", "-2"])
+def test_bad_torsion_factor_located_error(tmp_path, capsys, t):
+    # a modulus below 2 is no cyclic factor; 0 once crashed in DegreeClass
+    path = tmp_path / "tor.case"
+    path.write_text(
+        "[model]\ndimension = 2\nvariables = x y z\n"
+        f"torsion = {t}\ndegrees = (1,[0]) (1,[1]) (1,[2])\n"
+        "[hypersurface]\nf = x^3 + y^3 + z^3\n"
+    )
+    code, out = invoke(capsys, "audit", "--case", str(path))
+    assert code == 1
+    assert f"line 4: torsion factor must be at least 2, got {t}" in out
+    assert "Traceback" not in out

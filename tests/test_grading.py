@@ -3,7 +3,16 @@ from itertools import product
 
 import pytest
 
-from toricfol.degrees import DegreeClass
+from grading_oracle import monomials_of_degree_unpruned
+from toricfol.degrees import DegreeClass, degree_of_monomial
+from toricfol.families import (
+    biproj_pairs_fixture,
+    monomial_hypersurface_fixture,
+    octahedron_rays,
+    split_field_fixture,
+    torsion_fermat_fixture,
+    wps_pairs_fixture,
+)
 from toricfol.grading import count_lattice_points, homogeneous_degree, monomials_of_degree
 from toricfol.model import build_from_presentation, build_from_rays
 from toricfol.poly import Polynomial
@@ -31,8 +40,10 @@ def test_homogeneous_degree_torsion_fermat(surface_z3):
 def test_homogeneous_degree_mixed_and_zero(p2):
     mixed = Polynomial(3, {(1, 0, 0): 1, (2, 0, 0): 1})
     assert homogeneous_degree(p2, mixed) is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero polynomial"):
         homogeneous_degree(p2, Polynomial.zero(3))
+    with pytest.raises(ValueError, match="variable count"):
+        homogeneous_degree(p2, Polynomial.variable(2, 0))
 
 
 def test_degree_additivity_random(family_models):
@@ -141,3 +152,138 @@ def test_count_rejects_bad_input(p2):
 
     with pytest.raises(ValueError):  # presentation model carries no rays
         count_lattice_points(rational_scroll(1), (1, 1, 1))
+
+
+# -- the integer kernel against its slow oracles ------------------------------
+
+
+def fixture_models():
+    return [
+        wps_pairs_fixture((1, 2, 1, 2), (4, 2, 4, 2)).model,
+        biproj_pairs_fixture(3, [1, 1], [1, 1]).model,
+        torsion_fermat_fixture(3).model,
+        split_field_fixture(1, 2).model,
+        monomial_hypersurface_fixture(2, 3).model,
+        build_from_rays(3, octahedron_rays()),
+    ]
+
+
+def mixed_sign_models():
+    """Models without a positive functional, enumerated through cap=."""
+    return [
+        build_from_presentation(1, [DegreeClass((1,)), DegreeClass((-1,))]),
+        build_from_presentation(
+            2, [DegreeClass((1, 0)), DegreeClass((-1, 1)), DegreeClass((0, -1)), DegreeClass((2, 1))]
+        ),
+        build_from_presentation(
+            2,
+            [DegreeClass((1,), (1,), (2,)), DegreeClass((-1,), (0,), (2,)), DegreeClass((2,), (1,), (2,))],
+        ),
+    ]
+
+
+def degree_oracle(model, f):
+    """Common degree of the terms of f by summing variable degrees, or None."""
+    found = {degree_of_monomial(model.degrees, m) for m in f.terms}
+    return found.pop() if len(found) == 1 else None
+
+
+def sample_degrees(rng, model, count, max_total):
+    """Degrees of random monomials, then random classes (often unreachable)."""
+    out = []
+    for _ in range(count):
+        exps = [0] * model.nvars
+        for _ in range(rng.randint(0, max_total)):
+            exps[rng.randrange(model.nvars)] += 1
+        out.append(degree_of_monomial(model.degrees, exps))
+    for _ in range(count):
+        out.append(
+            DegreeClass(
+                tuple(rng.randint(-2, max_total) for _ in range(model.rank)),
+                tuple(rng.randrange(t) for t in model.moduli),
+                model.moduli,
+            )
+        )
+    return out
+
+
+def test_enumeration_matches_unpruned_oracle(family_models):
+    rng = random.Random(31)
+    for model in family_models + fixture_models():
+        max_total = 3 if model.nvars > 6 else 5
+        for alpha in sample_degrees(rng, model, 8, max_total):
+            want = monomials_of_degree_unpruned(model, alpha)
+            assert monomials_of_degree(model, alpha) == want, (model.name, alpha)
+
+
+def test_enumeration_matches_oracle_through_cap(scroll11):
+    rng = random.Random(32)
+    for model in mixed_sign_models():
+        assert model.positive_functional is None
+        for cap in (0, 1, 3):
+            for alpha in sample_degrees(rng, model, 6, 4):
+                want = monomials_of_degree_unpruned(model, alpha, cap=cap)
+                assert monomials_of_degree(model, alpha, cap=cap) == want, (model.name, alpha, cap)
+    # with a functional the cap is ignored, by both
+    for alpha in sample_degrees(rng, scroll11, 6, 4):
+        want = monomials_of_degree_unpruned(scroll11, alpha)
+        assert monomials_of_degree(scroll11, alpha, cap=1) == want
+
+
+def test_enumeration_negative_and_unreachable(p2, surface_z3, scroll11):
+    for model, alpha in (
+        (p2, DegreeClass((-3,))),
+        (scroll11, DegreeClass((-1, 0))),
+        (scroll11, DegreeClass((3, -1))),
+        (surface_z3, DegreeClass((-1,), (0,), (3,))),
+        (surface_z3, DegreeClass((0,), (1,), (3,))),
+    ):
+        assert monomials_of_degree(model, alpha) == () == monomials_of_degree_unpruned(model, alpha)
+
+
+def test_homogeneous_degree_matches_summed_oracle(family_models):
+    rng = random.Random(33)
+    for model in family_models + fixture_models():
+        for _ in range(8):
+            f = random_quasi_homogeneous(rng, model, 5)
+            g = random_quasi_homogeneous(rng, model, 5)
+            for h in (f, g, f * g, f + g):
+                if not h.is_zero():
+                    assert homogeneous_degree(model, h) == degree_oracle(model, h)
+
+
+def test_homogeneous_degree_deliberately_mixed(family_models):
+    rng = random.Random(34)
+    for model in family_models:
+        for _ in range(6):
+            f = random_quasi_homogeneous(rng, model, 4)
+            x = Polynomial.variable(model.nvars, rng.randrange(model.nvars))
+            mixed = f + f * x  # deg(f) and deg(f) + deg(x) differ: no variable has degree 0
+            assert degree_oracle(model, mixed) is None
+            assert homogeneous_degree(model, mixed) is None
+
+
+def test_homogeneous_degree_torsion_residues_reduced(surface_z3):
+    # raw residue sums of z1^3, z2^3, z3^3 are 0, 6 and 3: all 0 mod 3
+    f = Polynomial(3, {(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): -1})
+    assert homogeneous_degree(surface_z3, f) == DegreeClass((3,), (0,), (3,))
+    assert degree_oracle(surface_z3, f) == DegreeClass((3,), (0,), (3,))
+    # same free degree, residues 1 and 2 mod 3
+    g = Polynomial(3, {(1, 1, 0): 1, (1, 0, 1): 1})
+    assert homogeneous_degree(surface_z3, g) is None
+
+
+def test_monomial_degree_matches_oracle(family_models):
+    rng = random.Random(35)
+    for model in family_models + fixture_models():
+        for _ in range(10):
+            exps = [rng.randint(0, 4) for _ in range(model.nvars)]
+            assert model.monomial_degree(exps) == degree_of_monomial(model.degrees, exps)
+        with pytest.raises(ValueError):
+            model.monomial_degree([0] * (model.nvars + 1))
+
+
+@pytest.mark.parametrize("t", [0, 1, -2])
+def test_degree_class_rejects_bad_modulus(t):
+    with pytest.raises(ValueError, match="at least 2"):
+        DegreeClass((1,), (0,), (t,))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,3 +127,56 @@ def test_variable_count_guard():
         Polynomial.variable(2, 0) + Polynomial.variable(3, 0)
     with pytest.raises(ValueError):
         P(2, {(1,): 1})
+
+
+def _random_poly(rng, nvars, max_terms=4, max_exp=3):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        m = tuple(rng.randint(0, max_exp) for _ in range(nvars))
+        terms[m] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Polynomial(nvars, terms)
+
+
+def _assert_well_formed(p, nvars):
+    assert p.nvars == nvars
+    for m, c in p.terms.items():
+        assert type(m) is tuple and len(m) == nvars
+        assert all(type(e) is int and e >= 0 for e in m)
+        assert type(c) is Fraction and c != 0
+    assert p == Polynomial(nvars, p.terms)
+
+
+def test_internal_results_are_well_formed_random():
+    # every result the class builds itself must look exactly like a checked one
+    rng = random.Random(41)
+    for _ in range(150):
+        nvars = rng.randint(1, 4)
+        f, g = _random_poly(rng, nvars), _random_poly(rng, nvars)
+        results = [f + g, f - g, -f, f * g, f ** rng.randint(0, 3), f + (-f)]
+        results.append(f.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
+        shift = tuple(rng.randint(0, 2) for _ in range(nvars))
+        results.append(f.mul_monomial(shift, rng.randint(-2, 2)))
+        results.extend(f.partial_derivative(j) for j in range(nvars))
+        if not g.is_zero():
+            results.append((f * g).divide_exact(g))
+            q = f.divide_exact(g)
+            if q is not None:
+                results.append(q)
+        for r in results:
+            _assert_well_formed(r, nvars)
+        if not g.is_zero():
+            assert (f * g).divide_exact(g) == f
+
+
+def test_mul_monomial_validates_the_shift():
+    f = P(2, {(1, 0): 1, (0, 1): 2})
+    assert f.mul_monomial([1, 2]).terms == {(2, 2): 1, (1, 3): 2}
+    with pytest.raises(ValueError):
+        f.mul_monomial((1,))
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError):
+        Polynomial(2, {(1, 0, 0): 1})
+    p = Polynomial(2, {(1, 0): 0, (0, 1): 2})
+    assert p.terms == {(0, 1): Fraction(2)} and type(p.terms[(0, 1)]) is Fraction
