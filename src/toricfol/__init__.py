@@ -7,7 +7,7 @@ normal forms, and audits the degree bounds those normal forms imply.
 """
 
 from .audit import AuditOptions, AuditReport, audit_case, poincare_bound
-from .degrees import DegreeClass, degree_of_monomial
+from .degrees import DegreeClass
 from .foliation import (
     DegreeInconsistencyError,
     VectorField,
@@ -99,7 +99,6 @@ __all__ = [
     "check_fixture",
     "cokernel",
     "count_lattice_points",
-    "degree_of_monomial",
     "euler_check",
     "foliation_degree",
     "homogeneous_degree",

@@ -152,15 +152,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _cmd_fixture(args) -> int:
-    name = args.name
-    if name not in FIXTURE_BUILDERS:
-        print(f"unknown fixture {name!r}; known: {' '.join(sorted(FIXTURE_BUILDERS))}")
-        return INPUT_ERROR
-    try:
-        fix = _build_fixture(name, args)
-    except (ValueError, TypeError) as exc:
-        print(f"cannot build fixture: {exc}")
-        return INPUT_ERROR
+    fix = _build_fixture(args)
     report, results = check_fixture(fix)
     doc = {
         "fixture": fix.name,
@@ -178,30 +170,39 @@ def _cmd_fixture(args) -> int:
     return FAILED if mismatch else OK
 
 
-def _build_fixture(name: str, args):
+def _build_fixture(args):
+    """The named fixture built from its flags; any bad input is one ValueError."""
+    if args.name not in FIXTURE_BUILDERS:
+        raise ValueError(f"unknown fixture {args.name!r}; known: {' '.join(sorted(FIXTURE_BUILDERS))}")
+    try:
+        return FIXTURE_BUILDERS[args.name](*_fixture_arguments(args))
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"cannot build fixture: {exc}") from None
+
+
+def _fixture_arguments(args) -> tuple:
+    name = args.name
     if name == "wps-pairs":
         if not args.omega or not args.d:
             raise ValueError("wps-pairs needs --omega and --d")
         coeffs = _parse_fraction_list(args.coeffs) if args.coeffs else None
-        return FIXTURE_BUILDERS[name](_parse_int_list(args.omega), _parse_int_list(args.d), coeffs)
+        return _parse_int_list(args.omega), _parse_int_list(args.d), coeffs
     if name == "biproj-pairs":
         if args.n is None or not args.a or not args.b:
             raise ValueError("biproj-pairs needs --n, --a and --b")
-        return FIXTURE_BUILDERS[name](args.n, _parse_fraction_list(args.a), _parse_fraction_list(args.b))
+        return args.n, _parse_fraction_list(args.a), _parse_fraction_list(args.b)
     if name == "torsion-fermat":
         if args.m is None:
             raise ValueError("torsion-fermat needs --m")
-        return FIXTURE_BUILDERS[name](args.m)
+        return (args.m,)
     if name == "split-field":
         if args.alpha1 is None or args.alpha2 is None:
             raise ValueError("split-field needs --alpha1 and --alpha2")
         c = _parse_fraction_list(args.c) if args.c else (1, 1)
-        return FIXTURE_BUILDERS[name](args.alpha1, args.alpha2, c)
-    if name == "monomial-hypersurface":
-        if args.alpha is None or args.beta is None:
-            raise ValueError("monomial-hypersurface needs --alpha and --beta")
-        return FIXTURE_BUILDERS[name](args.alpha, args.beta)
-    raise ValueError(name)
+        return args.alpha1, args.alpha2, c
+    if args.alpha is None or args.beta is None:  # monomial-hypersurface
+        raise ValueError("monomial-hypersurface needs --alpha and --beta")
+    return args.alpha, args.beta
 
 
 def _cmd_selftest(args) -> int:
@@ -219,10 +220,7 @@ def _cmd_selftest(args) -> int:
 
 def _cmd_export(args) -> int:
     """Render a fixture as a case file (round-trip aid)."""
-    if args.name not in FIXTURE_BUILDERS:
-        print(f"unknown fixture {args.name!r}")
-        return INPUT_ERROR
-    fix = _build_fixture(args.name, args)
+    fix = _build_fixture(args)
     case = CaseFile(
         model=fix.model,
         hypersurface=fix.hypersurface,

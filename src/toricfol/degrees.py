@@ -72,14 +72,3 @@ class DegreeClass:
             return str(self.free[0])
         parts = [str(a) for a in self.free] + [f"[{c}]" for c in self.residues]
         return "(" + ",".join(parts) + ")"
-
-
-def degree_of_monomial(variable_degrees, exponents) -> DegreeClass:
-    """Sum of exponent-weighted variable degrees."""
-    if len(variable_degrees) != len(exponents):
-        raise ValueError("exponent length mismatch")
-    acc = DegreeClass.zero(len(variable_degrees[0].free), variable_degrees[0].moduli)
-    for d, e in zip(variable_degrees, exponents):
-        if e:
-            acc = acc + d.scale(e)
-    return acc

@@ -194,9 +194,6 @@ class Fixture:
     radial_index: int = 0
     field_parts: tuple[VectorField, ...] = dataclass_field(default=())
 
-    def expected_map(self) -> dict[str, tuple[object, str]]:
-        return {k: (v, tag) for k, v, tag in self.expected}
-
 
 def _mono(nv: int, powers: dict[int, int], coeff=1) -> Polynomial:
     e = [0] * nv

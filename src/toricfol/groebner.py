@@ -17,10 +17,10 @@ Buchberger's two criteria:
 The result is then minimalized and each survivor's tail is reduced once
 against the others.  Leading terms cannot change after minimalization
 and the remainder of a tail modulo a Groebner basis is its unique normal
-form, so one sweep gives the reduced basis.  For a fixed term order the
-reduced Groebner basis of an ideal is unique; the criteria and the
-selection order change the work done, never the basis returned, and so
-never a downstream certificate.
+form, so one sweep gives the reduced basis.  The term order is grevlex,
+and for it the reduced Groebner basis of an ideal is unique; the criteria
+and the selection order change the work done, never the basis returned,
+and so never a downstream certificate.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from heapq import heappop, heappush
 from itertools import combinations
 
 from .poly import (
-    ORDER_KEYS,
     Divisor,
     Polynomial,
     as_divisor,
     divide_terms,
+    grevlex_key,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -49,17 +49,16 @@ INCONCLUSIVE = "inconclusive"
 @dataclass(frozen=True)
 class GroebnerBasis:
     generators: tuple[Polynomial, ...]
-    order: str = "grevlex"
 
     @property
     def nvars(self) -> int:
         return self.generators[0].nvars
 
 
-def reduce_poly(f: Polynomial, gens, order: str = "grevlex") -> Polynomial:
+def reduce_poly(f: Polynomial, gens) -> Polynomial:
     """Full remainder of f on division by gens (first matching reducer)."""
-    divisors = [as_divisor(g, order) for g in gens]
-    return Polynomial(f.nvars, dict(divide_terms(dict(f.terms), divisors, order)))
+    divisors = [as_divisor(g) for g in gens]
+    return Polynomial(f.nvars, dict(divide_terms(dict(f.terms), divisors)))
 
 
 def _spoly_terms(a: Divisor, b: Divisor, lcm) -> dict:
@@ -75,7 +74,7 @@ def _spoly_terms(a: Divisor, b: Divisor, lcm) -> dict:
     return terms
 
 
-def buchberger(gens, order: str = "grevlex") -> GroebnerBasis:
+def buchberger(gens) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens."""
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
@@ -85,7 +84,7 @@ def buchberger(gens, order: str = "grevlex") -> GroebnerBasis:
         if g.nvars != nvars:
             raise ValueError("variable count mismatch among generators")
 
-    basis = [as_divisor(g.monic(order), order) for g in polys]
+    basis = [as_divisor(g.monic()) for g in polys]
     heap: list = []
     pending: set[tuple[int, int]] = set()
 
@@ -105,12 +104,12 @@ def buchberger(gens, order: str = "grevlex") -> GroebnerBasis:
             continue  # coprime leading terms: s-polynomial reduces to zero
         if _chain_criterion(i, j, lcm, basis, pending):
             continue
-        rem = list(divide_terms(_spoly_terms(basis[i], basis[j], lcm), basis, order))
+        rem = list(divide_terms(_spoly_terms(basis[i], basis[j], lcm), basis))
         if rem:
             (lm, lc), tail = rem[0], rem[1:]
             basis.append(Divisor(lm, Fraction(1), [(m, c / lc) for m, c in tail]))
             add_pairs(len(basis) - 1)
-    return GroebnerBasis(generators=_interreduce(basis, nvars, order), order=order)
+    return GroebnerBasis(generators=_interreduce(basis, nvars))
 
 
 def _chain_criterion(i: int, j: int, lcm, basis, pending) -> bool:
@@ -122,20 +121,19 @@ def _chain_criterion(i: int, j: int, lcm, basis, pending) -> bool:
     return False
 
 
-def _interreduce(basis: list[Divisor], nvars: int, order: str) -> tuple[Polynomial, ...]:
+def _interreduce(basis: list[Divisor], nvars: int) -> tuple[Polynomial, ...]:
     # Minimalize: drop generators whose leading term is divisible by a
     # smaller one; divisibility implies order, so an ascending sweep that
     # compares against survivors only is enough.
-    key = ORDER_KEYS[order]
     kept: list[Divisor] = []
-    for d in sorted(basis, key=lambda d: key(d.lead)):
+    for d in sorted(basis, key=lambda d: grevlex_key(d.lead)):
         if not any(monomial_divides(h.lead, d.lead) for h in kept):
             kept.append(d)
     reduced = []
     for i, (lm, lc, tail) in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
         terms = {lm: lc}
-        terms.update(divide_terms(dict(tail), others, order))
+        terms.update(divide_terms(dict(tail), others))
         reduced.append(Polynomial(nvars, terms))
     return tuple(reversed(reduced))
 
@@ -146,7 +144,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise ValueError("variable count mismatch")
     if f.is_zero():
         return f
-    return reduce_poly(f, gb.generators, gb.order)
+    return reduce_poly(f, gb.generators)
 
 
 def ideal_dimension(gb: GroebnerBasis) -> int:
@@ -156,7 +154,7 @@ def ideal_dimension(gb: GroebnerBasis) -> int:
     dimension is the largest set of variables containing the support of
     no leading monomial.
     """
-    lms = [g.leading_term(gb.order)[0] for g in gb.generators]
+    lms = [g.leading_term()[0] for g in gb.generators]
     if any(sum(m) == 0 for m in lms):
         return EMPTY_VARIETY
     nvars = gb.nvars

@@ -1,13 +1,12 @@
 """Toric orbifold models in homogeneous coordinates.
 
-A model is either built from the rays of a fan (the divisor class group,
-variable multidegrees and radial vector fields are then computed by Smith
-reduction of the ray pairing matrix) or declared directly by a variable
-degree presentation (the quotient-construction route).  Either way the
-model is an immutable value: one variable per ray, graded by
-Z^r + torsion, with r canonical radial fields given by the free rows of
-the degree matrix, so that the Euler factor of a class is simply its
-k-th free coordinate.
+A model is either built from the rays of a fan (the divisor class group
+and variable multidegrees are then computed by Smith reduction of the ray
+pairing matrix) or declared directly by a variable degree presentation
+(the quotient-construction route).  Either way the model is an immutable
+value: one variable per ray, graded by Z^r + torsion.  Everything else is
+derived from the degree matrix: the r canonical radial fields are its free
+rows, so the Euler factor of a class is simply its k-th free coordinate.
 """
 
 from __future__ import annotations
@@ -67,12 +66,10 @@ class ToricModel:
     variable_names: tuple[str, ...]
     class_group: AbelianGroupPresentation
     degrees: tuple[DegreeClass, ...]
-    radial: tuple[RadialField, ...]
     rays: tuple[tuple[int, ...], ...] | None = None
     max_cones: tuple[tuple[int, ...], ...] | None = None
     irrelevant_generators: tuple[tuple[int, ...], ...] | None = None
     basis_change: BasisChange | None = None
-    positive_functional: tuple[Fraction, ...] | None = None
 
     @property
     def rank(self) -> int:
@@ -121,25 +118,47 @@ class ToricModel:
             self.moduli,
         )
 
+    @cached_property
+    def positive_functional(self) -> tuple[Fraction, ...] | None:
+        """Rational c with c . deg(z_j) > 0 for every j, when one exists.
+
+        Existence certifies that every graded piece is finite, so monomial
+        enumeration terminates without ad hoc caps.
+        """
+        if self.rank == 0:
+            return None
+        free_rows = self.degree_rows[: self.rank]
+        ineqs = [(tuple(map(Fraction, col)), Fraction(1)) for col in zip(*free_rows)]
+        return feasible_point(ineqs, self.rank)
+
     # -- radial structure --------------------------------------------------
+
+    @cached_property
+    def radial(self) -> tuple[RadialField, ...]:
+        """The canonical radial fields: field i has the free degree row i."""
+        return tuple(RadialField(row) for row in self.degree_rows[: self.rank])
 
     def theta(self, i: int, alpha: DegreeClass) -> int:
         """Euler factor of the i-th radial field on classes of degree alpha.
 
-        Computed as sum_j a_{i,j} m_j over an integer representative m of
-        alpha; with the canonical radial fields this equals alpha.free[i].
+        The field scales a monomial m by sum_j a_ij m_j, and a_ij is the
+        free degree row i, so the factor is deg(m).free[i] = alpha.free[i].
         """
         if not 0 <= i < self.rank:
             raise IndexError(f"radial index {i} out of range")
-        rep = self.degree_representative(alpha)
-        if rep is None:
-            raise ValueError(f"degree class {alpha} is not realized by any monomial")
-        return sum(a * m for a, m in zip(self.radial[i].coefficients, rep))
+        self._check_group(alpha)
+        return alpha.free[i]
 
-    def degree_representative(self, alpha: DegreeClass) -> tuple[int, ...] | None:
-        """Integer exponent vector (possibly negative) with the given class."""
+    def _check_group(self, alpha: DegreeClass):
         if len(alpha.free) != self.rank or alpha.moduli != self.moduli:
             raise ValueError("degree class belongs to a different grading group")
+
+    def degree_representative(self, alpha: DegreeClass) -> tuple[int, ...] | None:
+        """Integer exponent vector (possibly negative) with the given class.
+
+        None when no Laurent monomial has class alpha.
+        """
+        self._check_group(alpha)
         r, m = self.rank, len(self.moduli)
         rows = [list(row) + [0] * m for row in self.degree_rows[:r]]
         for k, row in enumerate(self.degree_rows[r:]):
@@ -246,10 +265,8 @@ def build_from_pairing_rows(
         variable_names=tuple(variable_names) if variable_names else _default_names(len(rows)),
         class_group=group,
         degrees=degrees,
-        radial=_radial_fields(degrees),
         rays=rows,
         max_cones=max_cones,
-        positive_functional=_positive_functional(degrees),
     )
 
 
@@ -288,41 +305,17 @@ def build_from_presentation(
         variable_names=tuple(variable_names) if variable_names else _default_names(n + r),
         class_group=group,
         degrees=degrees,
-        radial=_radial_fields(degrees),
         max_cones=max_cones,
         irrelevant_generators=(
             tuple(tuple(g) for g in irrelevant_generators)
             if irrelevant_generators is not None
             else None
         ),
-        positive_functional=_positive_functional(degrees),
     )
 
 
 def _unit(n: int, j: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(n))
-
-
-def _radial_fields(degrees) -> tuple[RadialField, ...]:
-    r = len(degrees[0].free)
-    return tuple(
-        RadialField(tuple(d.free[i] for d in degrees)) for i in range(r)
-    )
-
-
-def _positive_functional(degrees) -> tuple[Fraction, ...] | None:
-    """Rational c with c . deg(z_j) > 0 for every j, when one exists.
-
-    Existence certifies that every graded piece is finite, so monomial
-    enumeration terminates without ad hoc caps.
-    """
-    r = len(degrees[0].free)
-    if r == 0:
-        return None
-    ineqs = [
-        (tuple(Fraction(x) for x in d.free), Fraction(1)) for d in degrees
-    ]
-    return feasible_point(ineqs, r)
 
 
 def align_display_basis(model: ToricModel, target_degrees, name: str | None = None) -> ToricModel:
@@ -395,10 +388,8 @@ def align_display_basis(model: ToricModel, target_degrees, name: str | None = No
         variable_names=model.variable_names,
         class_group=group,
         degrees=target,
-        radial=_radial_fields(target),
         rays=model.rays,
         max_cones=model.max_cones,
         irrelevant_generators=model.irrelevant_generators,
         basis_change=BasisChange(free=w, torsion_units=tuple(units), torsion_shears=tuple(shears)),
-        positive_functional=_positive_functional(target),
     )

@@ -166,9 +166,10 @@ def koszul_decompose(
     # solver returns does not depend on the order of the rows.
     contributions: dict[tuple[int, tuple], dict[int, Fraction]] = {}
 
+    # Within one column the (slot, monomial) keys are distinct, so each
+    # entry is written once and never accumulated.
     def _add(slot, mono, col, val):
-        row = contributions.setdefault((slot, mono), {})
-        row[col] = row.get(col, Fraction(0)) + val
+        contributions.setdefault((slot, mono), {})[col] = val
 
     for col, ((j, k), m) in enumerate(columns):
         for mm, cc in partials[j].terms.items():

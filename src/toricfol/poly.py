@@ -20,18 +20,10 @@ def grevlex_key(m: Exponents):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def lex_key(m: Exponents):
-    return m
-
-
-ORDER_KEYS = {"grevlex": grevlex_key, "lex": lex_key}
-
-# The same orders reversed, as flat tuples: ascending in these keys is
-# descending in the term order, so a min-heap pops the leading monomial.
-HEAP_KEYS = {
-    "grevlex": lambda m: (-sum(m),) + m[::-1],
-    "lex": lambda m: tuple(-e for e in m),
-}
+def heap_key(m: Exponents):
+    """The grevlex order reversed, as a flat tuple: ascending in this key is
+    descending in the term order, so a min-heap pops the leading monomial."""
+    return (-sum(m),) + m[::-1]
 
 
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
@@ -61,7 +53,6 @@ class Divisor(NamedTuple):
 def divide_terms(
     terms: dict[Exponents, Fraction],
     divisors: list[Divisor],
-    order: str,
     quotients: list[dict[Exponents, Fraction]] | None = None,
 ) -> Iterator[tuple[Exponents, Fraction]]:
     """Divide ``terms`` by ``divisors`` in place, yielding the remainder's terms.
@@ -77,8 +68,7 @@ def divide_terms(
     ``terms`` keeps cancelled monomials at coefficient zero until they are
     popped, so each monomial in it has exactly one entry in the heap.
     """
-    hkey = HEAP_KEYS[order]
-    heap = [(hkey(m), m) for m in terms]
+    heap = [(heap_key(m), m) for m in terms]
     heapify(heap)
     while heap:
         m = heappop(heap)[1]
@@ -96,7 +86,7 @@ def divide_terms(
                     old = terms.get(t)
                     if old is None:
                         terms[t] = -q * tc
-                        heappush(heap, (hkey(t), t))
+                        heappush(heap, (heap_key(t), t))
                     else:
                         terms[t] = old - q * tc
                 break
@@ -104,8 +94,8 @@ def divide_terms(
             yield m, c
 
 
-def as_divisor(p: "Polynomial", order: str) -> Divisor:
-    lm, lc = p.leading_term(order)
+def as_divisor(p: "Polynomial") -> Divisor:
+    lm, lc = p.leading_term()
     return Divisor(lm, lc, [(m, c) for m, c in p.terms.items() if m != lm])
 
 
@@ -181,27 +171,19 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def sorted_terms(self, order: str = "grevlex") -> list[tuple[Exponents, Fraction]]:
-        key = ORDER_KEYS[order]
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
-    def leading_term(self, order: str = "grevlex") -> tuple[Exponents, Fraction]:
+    def leading_term(self) -> tuple[Exponents, Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        key = ORDER_KEYS[order]
-        m = max(self.terms, key=key)
+        m = max(self.terms, key=grevlex_key)
         return m, self.terms[m]
 
     def total_degree(self) -> int:
         if not self.terms:
             return -1
         return max(sum(m) for m in self.terms)
-
-    def support_variables(self) -> set[int]:
-        out: set[int] = set()
-        for m in self.terms:
-            out.update(j for j, e in enumerate(m) if e)
-        return out
 
     # -- arithmetic --------------------------------------------------------
 
@@ -268,10 +250,10 @@ class Polynomial:
             k >>= 1
         return out
 
-    def monic(self, order: str = "grevlex") -> "Polynomial":
+    def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        _, c = self.leading_term(order)
+        _, c = self.leading_term()
         return self.scale(Fraction(1) / c)
 
     def partial_derivative(self, j: int) -> "Polynomial":
@@ -284,14 +266,16 @@ class Polynomial:
                 terms[m[:j] + (m[j] - 1,) + m[j + 1 :]] = c * m[j]
         return Polynomial._trusted(self.nvars, terms)
 
-    def evaluate(self, point):
-        """Evaluate at a point; exact for int/Fraction inputs, numeric otherwise."""
+    def evaluate(self, point) -> Fraction:
+        """Exact value at a point of int or Fraction coordinates."""
         if len(point) != self.nvars:
             raise ValueError("point length mismatch")
-        exact = all(isinstance(v, (int, Fraction)) for v in point)
-        total = Fraction(0) if exact else 0j
+        for v in point:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"cannot evaluate exactly at {type(v).__name__} {v!r}")
+        total = Fraction(0)
         for m, c in self.terms.items():
-            factor = c if exact else complex(c)
+            factor = c
             for v, e in zip(point, m):
                 if e:
                     factor = factor * v**e
@@ -300,7 +284,7 @@ class Polynomial:
 
     # -- division ----------------------------------------------------------
 
-    def divide_exact(self, den: "Polynomial", order: str = "grevlex") -> "Polynomial | None":
+    def divide_exact(self, den: "Polynomial") -> "Polynomial | None":
         """Quotient q with self == q * den, or None when den does not divide.
 
         Leading-term division is complete here: when rem is a multiple of
@@ -312,7 +296,7 @@ class Polynomial:
         if den.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         quotient: dict[Exponents, Fraction] = {}
-        for _ in divide_terms(dict(self.terms), [as_divisor(den, order)], order, [quotient]):
+        for _ in divide_terms(dict(self.terms), [as_divisor(den)], [quotient]):
             return None
         return Polynomial._trusted(self.nvars, quotient)
 

@@ -1,10 +1,23 @@
-"""Unpruned monomial enumeration: the reference the pruned descent is tested against."""
+"""Unpruned monomial enumeration and summed variable degrees: the references
+the pruned descent and the degree-row kernel are tested against."""
 
 from __future__ import annotations
 
 from math import lcm
 
+from toricfol.degrees import DegreeClass
 from toricfol.poly import grevlex_key
+
+
+def degree_of_monomial(variable_degrees, exponents) -> DegreeClass:
+    """Sum of exponent-weighted variable degrees."""
+    if len(variable_degrees) != len(exponents):
+        raise ValueError("exponent length mismatch")
+    acc = DegreeClass.zero(len(variable_degrees[0].free), variable_degrees[0].moduli)
+    for d, e in zip(variable_degrees, exponents):
+        if e:
+            acc = acc + d.scale(e)
+    return acc
 
 
 def monomials_of_degree_unpruned(model, alpha, cap=None) -> tuple[tuple[int, ...], ...]:

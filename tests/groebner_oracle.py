@@ -14,8 +14,8 @@ from itertools import combinations
 
 from toricfol.groebner import GroebnerBasis
 from toricfol.poly import (
-    ORDER_KEYS,
     Polynomial,
+    grevlex_key,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -23,36 +23,35 @@ from toricfol.poly import (
 )
 
 
-def reduce_poly(f: Polynomial, gens, order: str = "grevlex") -> Polynomial:
+def reduce_poly(f: Polynomial, gens) -> Polynomial:
     """Full remainder of f on division by gens (first matching reducer)."""
-    key = ORDER_KEYS[order]
-    leads = [g.leading_term(order) for g in gens]
+    leads = [g.leading_term() for g in gens]
     rem: dict = {}
     work = f
     while work:
-        lm, lc = work.leading_term(order)
+        lm, lc = work.leading_term()
         for g, (glm, glc) in zip(gens, leads):
             if monomial_divides(glm, lm):
                 work = work - g.mul_monomial(monomial_div(lm, glm), lc / glc)
                 break
         else:
             rem[lm] = lc
-            work = Polynomial(f.nvars, {m: c for m, c in work.terms.items() if key(m) < key(lm)})
+            work = Polynomial(f.nvars, {m: c for m, c in work.terms.items() if grevlex_key(m) < grevlex_key(lm)})
     return Polynomial(f.nvars, rem)
 
 
-def _spoly(f: Polynomial, g: Polynomial, order: str) -> Polynomial:
-    fm, fc = f.leading_term(order)
-    gm, gc = g.leading_term(order)
+def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
+    fm, fc = f.leading_term()
+    gm, gc = g.leading_term()
     lcm = monomial_lcm(fm, gm)
     return f.mul_monomial(monomial_div(lcm, fm), 1 / fc) - g.mul_monomial(
         monomial_div(lcm, gm), 1 / gc
     )
 
 
-def buchberger(gens, order: str = "grevlex") -> GroebnerBasis:
+def buchberger(gens) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens."""
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
+    basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
         raise ValueError("no nonzero generators")
     nvars = basis[0].nvars
@@ -64,33 +63,32 @@ def buchberger(gens, order: str = "grevlex") -> GroebnerBasis:
     while pairs:
         best = None
         for i, j in pairs:
-            lcm = monomial_lcm(basis[i].leading_term(order)[0], basis[j].leading_term(order)[0])
+            lcm = monomial_lcm(basis[i].leading_term()[0], basis[j].leading_term()[0])
             rank = (sum(lcm), i, j)
             if best is None or rank < best[0]:
                 best = (rank, (i, j), lcm)
         _, (i, j), lcm = best
         pairs.discard((i, j))
-        lm_i = basis[i].leading_term(order)[0]
-        lm_j = basis[j].leading_term(order)[0]
+        lm_i = basis[i].leading_term()[0]
+        lm_j = basis[j].leading_term()[0]
         if lcm == monomial_mul(lm_i, lm_j):
             continue  # coprime leading terms: s-polynomial reduces to zero
-        rem = reduce_poly(_spoly(basis[i], basis[j], order), basis, order)
+        rem = reduce_poly(_spoly(basis[i], basis[j]), basis)
         if rem:
-            basis.append(rem.monic(order))
+            basis.append(rem.monic())
             k = len(basis) - 1
             pairs.update((i2, k) for i2 in range(k))
-    return GroebnerBasis(generators=_interreduce(basis, order), order=order)
+    return GroebnerBasis(generators=_interreduce(basis))
 
 
-def _interreduce(basis, order: str) -> tuple[Polynomial, ...]:
+def _interreduce(basis) -> tuple[Polynomial, ...]:
     # Minimalize (drop generators whose leading term is divisible by a
     # smaller one; divisibility implies order, so an ascending sweep that
     # compares against survivors only is enough), then fully tail-reduce.
-    key = ORDER_KEYS[order]
     kept: list[Polynomial] = []
-    for g in sorted(basis, key=lambda g: key(g.leading_term(order)[0])):
-        lm = g.leading_term(order)[0]
-        if not any(monomial_divides(h.leading_term(order)[0], lm) for h in kept):
+    for g in sorted(basis, key=lambda g: grevlex_key(g.leading_term()[0])):
+        lm = g.leading_term()[0]
+        if not any(monomial_divides(h.leading_term()[0], lm) for h in kept):
             kept.append(g)
     changed = True
     while changed:
@@ -99,26 +97,26 @@ def _interreduce(basis, order: str) -> tuple[Polynomial, ...]:
             rest = kept[:i] + kept[i + 1 :]
             if not rest:
                 continue
-            red = reduce_poly(kept[i], rest, order)
+            red = reduce_poly(kept[i], rest)
             if red.is_zero():
                 kept.pop(i)
                 changed = True
                 break
-            red = red.monic(order)
+            red = red.monic()
             if red != kept[i]:
                 kept[i] = red
                 changed = True
                 break
-    return tuple(sorted(kept, key=lambda g: key(g.leading_term(order)[0]), reverse=True))
+    return tuple(sorted(kept, key=lambda g: grevlex_key(g.leading_term()[0]), reverse=True))
 
 
-def divide_exact(f: Polynomial, den: Polynomial, order: str = "grevlex") -> Polynomial | None:
+def divide_exact(f: Polynomial, den: Polynomial) -> Polynomial | None:
     """``Polynomial.divide_exact`` as first written: a fresh polynomial per step."""
-    lm, lc = den.leading_term(order)
+    lm, lc = den.leading_term()
     q: dict = {}
     rem = f
     while rem:
-        rm, rc = rem.leading_term(order)
+        rm, rc = rem.leading_term()
         if not monomial_divides(lm, rm):
             return None
         m = monomial_div(rm, lm)

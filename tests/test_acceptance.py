@@ -1,15 +1,13 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-Everything here is exact arithmetic unless a tolerance is stated inline;
-stated wall-clock budgets are asserted too.
+Everything here is exact arithmetic; stated wall-clock budgets are
+asserted too.
 """
 
 import json
 import time
 from fractions import Fraction
 from itertools import product
-
-import numpy as np
 
 from toricfol import (
     DegreeClass,
@@ -36,7 +34,12 @@ from toricfol.families import (
     wps_pairs_fixture,
 )
 from toricfol.foliation import invariance_cofactor
-from toricfol.groebner import only_origin_check, regular_subsequence_check, sing_inside_irrelevant
+from toricfol.groebner import (
+    only_origin_check,
+    reduce_poly,
+    regular_subsequence_check,
+    sing_inside_irrelevant,
+)
 from toricfol.normalform import KoszulDecomposition, koszul_decompose, verify_decomposition
 from toricfol.poly import Polynomial
 from toricfol.selfcheck import check_smith, default_models, euler_suite, random_int_matrix
@@ -228,16 +231,33 @@ def test_criterion_08_counting_cross_oracle():
     _verdict("08 counting cross-oracle", ok)
 
 
+def _substitute(p: Polynomial, values) -> Polynomial:
+    """p with its variables replaced by the univariate polynomials ``values``."""
+    total = Polynomial.zero(1)
+    for m, c in p.terms.items():
+        term = Polynomial.constant(1, c)
+        for v, e in zip(values, m):
+            term = term * v**e
+        total = total + term
+    return total
+
+
 def test_criterion_09_singular_scheme_spot_check():
+    # The points (1, a, -1/a) with a^6 + a^3 - 1 = 0, in the ring
+    # Q[a]/(a^6 + a^3 - 1), where 1/a = a^5 + a^2.
     fix = torsion_fermat_fixture(3)
     minors = singular_scheme_minors(fix.model, fix.field)
-    roots = np.roots([1, 0, 0, 1, 0, 0, -1])  # a^6 + a^3 - 1
-    worst = 0.0
-    for a in roots:
-        point = (1.0 + 0j, complex(a), -1.0 / complex(a))
-        for m in minors:
-            worst = max(worst, abs(m.evaluate(point)))
-    _verdict("09 singular scheme residual", worst < 1e-9, f"max residual {worst:.2e}")
+    a = Polynomial.variable(1, 0)
+    one = Polynomial.constant(1, 1)
+    modulus = [a**6 + a**3 - one]
+
+    def residues(point):
+        return [reduce_poly(_substitute(m, point), modulus) for m in minors]
+
+    on_scheme = residues((one, a, -(a**5) - a**2))
+    off_scheme = [residues((one, a, a)), residues((one, a, -(a**5)))]
+    ok = all(r.is_zero() for r in on_scheme) and all(any(rs) for rs in off_scheme)
+    _verdict("09 singular scheme residual", ok, f"{len(on_scheme)} minors reduce to 0 exactly")
 
 
 def test_criterion_10_smith_property_suite():

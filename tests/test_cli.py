@@ -45,6 +45,23 @@ def test_fixture_unknown_name(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["wps-pairs", "--omega", "1,1,1", "--d", "2,2,2", "--coeffs", "1"],
+        ["wps-pairs", "--omega", "1,x", "--d", "2"],
+        ["torsion-fermat"],
+        ["nope"],
+    ],
+)
+def test_fixture_and_export_share_one_error_path(capsys, params):
+    fixture = invoke(capsys, "fixture", *params)
+    export = invoke(capsys, "export", *params)
+    assert fixture == export
+    code, out = fixture
+    assert code == 1 and out.startswith("error: ") and out.count("\n") == 1
+
+
 def test_audit_monomial_case_exit_two(tmp_path, capsys):
     code, out = invoke(capsys, "export", "monomial-hypersurface", "--alpha", "5", "--beta", "5")
     path = tmp_path / "mono.case"

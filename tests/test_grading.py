@@ -3,8 +3,8 @@ from itertools import product
 
 import pytest
 
-from grading_oracle import monomials_of_degree_unpruned
-from toricfol.degrees import DegreeClass, degree_of_monomial
+from grading_oracle import degree_of_monomial, monomials_of_degree_unpruned
+from toricfol.degrees import DegreeClass
 from toricfol.families import (
     biproj_pairs_fixture,
     monomial_hypersurface_fixture,

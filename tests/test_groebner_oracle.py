@@ -1,6 +1,6 @@
 """The Groebner engine against the slow reference in ``groebner_oracle``.
 
-The reduced Groebner basis of an ideal is unique for a fixed term order,
+The reduced Groebner basis of an ideal is unique for the term order,
 so the engine must return exactly the oracle's generators, in the same
 order, whatever pairs it skips.  ``reduce_poly`` must return the oracle's
 remainder on any divisor list, Groebner basis or not, which pins the
@@ -27,19 +27,11 @@ from toricfol.groebner import buchberger, reduce_poly
 from toricfol.poly import Polynomial
 from toricfol.selfcheck import default_models, random_quasi_homogeneous
 
-ORDERS = ("grevlex", "lex")
-
-
 def assert_same_basis(gens) -> int:
-    """Largest oracle basis size over the orders."""
-    size = 0
-    for order in ORDERS:
-        want = oracle.buchberger(gens, order)
-        got = buchberger(gens, order)
-        assert got.generators == want.generators, (order, gens)
-        assert got.order == order
-        size = max(size, len(want.generators))
-    return size
+    """The oracle's basis size."""
+    want = oracle.buchberger(gens)
+    assert buchberger(gens).generators == want.generators, gens
+    return len(want.generators)
 
 
 def random_generator_sets(count: int, seed: int):
@@ -137,11 +129,10 @@ def test_reduce_poly_matches_oracle_on_arbitrary_divisors():
         divisors = [_random_poly(rng, nvars, max_terms=3, max_exp=2) for _ in range(rng.randint(1, 4))]
         divisors = [d for d in divisors if not d.is_zero()]
         f = _random_poly(rng, nvars, max_terms=6, max_exp=4)
-        for order in ORDERS:
-            want = oracle.reduce_poly(f, divisors, order)
-            assert reduce_poly(f, divisors, order) == want
-            if want != oracle.reduce_poly(f, divisors[::-1], order):
-                order_dependent += 1
+        want = oracle.reduce_poly(f, divisors)
+        assert reduce_poly(f, divisors) == want
+        if want != oracle.reduce_poly(f, divisors[::-1]):
+            order_dependent += 1
     assert order_dependent >= 20
 
 
@@ -164,8 +155,7 @@ def test_divide_exact_matches_oracle():
             continue
         q = _random_poly(rng, nvars, max_terms=3, max_exp=2)
         f = q * den if rng.random() < 0.5 else q * den + _random_poly(rng, nvars, max_terms=1)
-        for order in ORDERS:
-            want = oracle.divide_exact(f, den, order)
-            assert f.divide_exact(den, order) == want
-            divisible += want is not None
+        want = oracle.divide_exact(f, den)
+        assert f.divide_exact(den) == want
+        divisible += want is not None
     assert divisible >= 100

@@ -81,10 +81,74 @@ def test_theta_torsion_only_class_is_still_realizable(surface_z3):
     assert surface_z3.theta(0, DegreeClass((0,), (1,), (3,))) == 0
 
 
-def test_theta_rejects_unrealizable():
+def test_unrealizable_class_has_no_representative():
     model = build_from_presentation(1, [DegreeClass((2,)), DegreeClass((4,))])
+    assert model.degree_representative(DegreeClass((3,))) is None
+    assert model.degree_representative(DegreeClass((6,))) is not None
+
+
+def _fixture_models():
+    from toricfol.families import (
+        biproj_pairs_fixture,
+        monomial_hypersurface_fixture,
+        octahedron_rays,
+        split_field_fixture,
+        torsion_fermat_fixture,
+        wps_pairs_fixture,
+    )
+
+    fixtures = [
+        wps_pairs_fixture((1, 2, 1, 2), (4, 2, 4, 2)),
+        wps_pairs_fixture((1, 1, 1, 1), (2, 2, 2, 2)),
+        wps_pairs_fixture((1, 1, 1), (4, 4, 4)),
+        biproj_pairs_fixture(1, [1], [1]),
+        biproj_pairs_fixture(3, [2, 1], [1, 1]),
+        torsion_fermat_fixture(3),
+        torsion_fermat_fixture(6),
+        split_field_fixture(1, 2),
+        split_field_fixture(1, 2, (1, 2)),
+        split_field_fixture(2, 1),
+        monomial_hypersurface_fixture(2, 3),
+        monomial_hypersurface_fixture(5, 5),
+        monomial_hypersurface_fixture(1, 1),
+    ]
+    return [fix.model for fix in fixtures] + [build_from_rays(3, octahedron_rays())]
+
+
+def test_radial_data_is_the_free_degree_rows(family_models):
+    # theta reads alpha.free[i]; the oracle is sum_j a_ij m_j over an
+    # integer representative m, the computation theta used to make.
+    rng = random.Random(23)
+    checked = 0
+    for model in family_models + _fixture_models():
+        for i in range(model.rank):
+            assert model.radial[i].coefficients == model.degree_rows[i]
+        for _ in range(12):
+            exps = [rng.randint(-2, 4) for _ in range(model.nvars)]
+            classes = [
+                model.monomial_degree(exps),
+                DegreeClass(
+                    tuple(rng.randint(-3, 6) for _ in range(model.rank)),
+                    tuple(rng.randrange(t) for t in model.moduli),
+                    model.moduli,
+                ),
+            ]
+            for alpha in classes:
+                rep = model.degree_representative(alpha)
+                for i in range(model.rank):
+                    assert model.theta(i, alpha) == alpha.free[i]
+                    if rep is not None:
+                        coeffs = model.radial[i].coefficients
+                        assert sum(a * m for a, m in zip(coeffs, rep)) == alpha.free[i]
+                        checked += 1
+    assert checked >= 400
+
+
+def test_theta_checks_index_and_group(surface_z3, p2):
+    with pytest.raises(IndexError):
+        surface_z3.theta(1, surface_z3.zero_degree())
     with pytest.raises(ValueError):
-        model.theta(0, DegreeClass((3,)))
+        surface_z3.theta(0, p2.zero_degree())
 
 
 def test_theta_well_defined_across_monomials(family_models):
