@@ -29,7 +29,6 @@ from .families import (
 from .grading import (
     count_lattice_points,
     homogeneous_degree,
-    is_quasi_homogeneous,
     monomials_of_degree,
 )
 from .groebner import (
@@ -53,7 +52,6 @@ from .intlinalg import (
     solve_integer_system,
 )
 from .model import (
-    BasisChange,
     IrrelevantIdeal,
     RadialField,
     ToricModel,
@@ -74,7 +72,6 @@ __all__ = [
     "AbelianGroupPresentation",
     "AuditOptions",
     "AuditReport",
-    "BasisChange",
     "DegreeClass",
     "DegreeInconsistencyError",
     "DecompositionError",
@@ -104,7 +101,6 @@ __all__ = [
     "homogeneous_degree",
     "ideal_dimension",
     "invariance_cofactor",
-    "is_quasi_homogeneous",
     "kernel_basis",
     "koszul_decompose",
     "lie_g_membership",

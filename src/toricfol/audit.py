@@ -264,15 +264,13 @@ def _check_quasi_smoothness(case: _Case):
     The evidence carries the report's quasi_smoothness label."""
     if case.evidence["deg_hypersurface"] is None:
         return "fail: hypersurface not quasi-homogeneous", {"quasi_smoothness": "fails"}
-    model, f, cap = case.model, case.f, case.options.power_cap
+    model, f = case.model, case.f
     if case.subset is None:
         partials = [f.partial_derivative(j) for j in range(model.nvars)]
         nonzero = [p for p in partials if not p.is_zero()]
-        strong = only_origin_check(model, nonzero, cap=cap) if nonzero else False
-        if strong is True:
+        strong = only_origin_check(nonzero) if nonzero else False
+        if strong:
             status, label = "pass", "strong"
-        elif strong == INCONCLUSIVE:
-            status, label = "fail: power test inconclusive", "inconclusive"
         else:
             status, label = "fail: singular cone escapes the origin", "fails"
         return status, {"quasi_smoothness": label, "strongly_quasi_smooth": strong}
@@ -283,7 +281,7 @@ def _check_quasi_smoothness(case: _Case):
     radial = model.radial[case.options.radial_index].coefficients
     if any(radial[j] for j in range(model.nvars) if j not in case.subset):
         problems.append("radial field not supported on the subset")
-    sing = sing_inside_irrelevant(model, f, cap=cap)
+    sing = sing_inside_irrelevant(model, f, cap=case.options.power_cap)
     if sing == "no":
         problems.append("singular cone escapes the removed locus")
     elif sing == INCONCLUSIVE:

@@ -198,28 +198,29 @@ def parse_case(text: str) -> CaseFile:
                 raise CaseError([Located(f"irrelevant generator {g!r} is not a plain monomial", lineno)])
             irrelevant.append(next(iter(p.terms)))
 
-    try:
-        if "rays" in entries:
-            lineno, value = entries["rays"]
-            rays = [_parse_tuple(g, lineno, "ray") for g in _split_groups(value, lineno)]
-            if len(rays) != len(names):
-                raise CaseError([Located(f"{len(rays)} rays for {len(names)} variables", lineno)])
-            model = build_from_rays(n, rays, max_cones=cones, variable_names=names, name=name)
-            if degrees is not None:
-                model = align_display_basis(model, degrees, name=name or model.name)
-        elif degrees is not None:
-            model = build_from_presentation(
-                n,
-                degrees,
-                variable_names=names,
-                irrelevant_generators=irrelevant,
-                max_cones=cones,
-                name=name,
+    if "rays" in entries:
+        lineno, value = entries["rays"]
+        rays = [_parse_tuple(g, lineno, "ray") for g in _split_groups(value, lineno)]
+        if len(rays) != len(names):
+            raise CaseError([Located(f"{len(rays)} rays for {len(names)} variables", lineno)])
+        model = _build(lineno, build_from_rays, n, rays, max_cones=cones, variable_names=names, name=name)
+        if degrees is not None:
+            model = _build(
+                entries["degrees"][0], align_display_basis, model, degrees, name=name or model.name
             )
-        else:
-            raise CaseError([Located("[model] needs either rays or degrees", 0)])
-    except (ValueError, TypeError) as exc:
-        raise CaseError([Located(f"model construction failed: {exc}", 0)]) from None
+    elif degrees is not None:
+        model = _build(
+            entries["degrees"][0],
+            build_from_presentation,
+            n,
+            degrees,
+            variable_names=names,
+            irrelevant_generators=irrelevant,
+            max_cones=cones,
+            name=name,
+        )
+    else:
+        raise CaseError([Located("[model] needs either rays or degrees", 0)])
 
     hypersurface = None
     problems: list = []
@@ -256,6 +257,14 @@ def parse_case(text: str) -> CaseFile:
     if problems:
         raise CaseError(problems)
     return CaseFile(model=model, hypersurface=hypersurface, field=field, **options)
+
+
+def _build(line: int, builder, *args, **kwargs) -> ToricModel:
+    """The model the builder returns; its rejection becomes an error at line."""
+    try:
+        return builder(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise CaseError([Located(f"model construction failed: {exc}", line)]) from None
 
 
 def _radial_index(model: ToricModel, text: str) -> int:

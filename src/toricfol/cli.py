@@ -26,7 +26,8 @@ from .selfcheck import run_all
 OK, INPUT_ERROR, FAILED = 0, 1, 2
 
 
-def _load_case(args) -> CaseFile:
+def _load_case(args, *sections: str) -> CaseFile:
+    """The parsed case file; CaseError when it lacks a section the command needs."""
     path = args.case
     if not path:
         raise CaseError([f"no case file given; use --case FILE"])
@@ -35,7 +36,11 @@ def _load_case(args) -> CaseFile:
             text = fh.read()
     except OSError as exc:
         raise CaseError([f"cannot read {path}: {exc}"]) from None
-    return parse_case(text)
+    case = parse_case(text)
+    missing = [f"{args.command} needs a [{s}] section" for s in sections if getattr(case, s) is None]
+    if missing:
+        raise CaseError(missing)
+    return case
 
 
 def _emit(doc: dict, text_lines: list[str], fmt: str):
@@ -67,10 +72,7 @@ def _cmd_classgroup(args) -> int:
 
 
 def _cmd_degree(args) -> int:
-    case = _load_case(args)
-    if case.hypersurface is None:
-        print("case file declares no hypersurface")
-        return INPUT_ERROR
+    case = _load_case(args, "hypersurface")
     deg = homogeneous_degree(case.model, case.hypersurface)
     if deg is None:
         _emit({"deg_v": "mixed"}, ["deg_v: mixed degrees"], args.format)
@@ -80,10 +82,7 @@ def _cmd_degree(args) -> int:
 
 
 def _cmd_invariance(args) -> int:
-    case = _load_case(args)
-    if case.hypersurface is None or case.field is None:
-        print("invariance needs both a hypersurface and a field section")
-        return INPUT_ERROR
+    case = _load_case(args, "hypersurface", "field")
     field = case.field if case.subset is None else case.field.restrict(case.subset)
     g = invariance_cofactor(case.model, field, case.hypersurface)
     if g is None:
@@ -105,10 +104,7 @@ def _audit_options(case: CaseFile, args) -> AuditOptions:
 
 
 def _cmd_decompose(args) -> int:
-    case = _load_case(args)
-    if case.hypersurface is None or case.field is None:
-        print("decompose needs both a hypersurface and a field section")
-        return INPUT_ERROR
+    case = _load_case(args, "hypersurface", "field")
     opts = _audit_options(case, args)
     field = case.field if opts.subset is None else case.field.restrict(opts.subset)
     names = case.model.variable_names
@@ -130,10 +126,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    case = _load_case(args)
-    if case.hypersurface is None or case.field is None:
-        print("audit needs both a hypersurface and a field section")
-        return INPUT_ERROR
+    case = _load_case(args, "hypersurface", "field")
     opts = _audit_options(case, args)
     report = audit_case(case.model, case.field, case.hypersurface, opts)
     if args.format == "machine":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 
 @dataclass(frozen=True)
@@ -21,12 +22,12 @@ class DegreeClass:
     def __post_init__(self):
         if len(self.residues) != len(self.moduli):
             raise ValueError("residue/modulus length mismatch")
-        moduli = tuple(int(t) for t in self.moduli)
+        moduli = tuple(map(index, self.moduli))
         if any(t < 2 for t in moduli):
             raise ValueError(f"torsion factors must be at least 2, got {moduli}")
-        object.__setattr__(self, "free", tuple(int(x) for x in self.free))
+        object.__setattr__(self, "free", tuple(map(index, self.free)))
         object.__setattr__(
-            self, "residues", tuple(int(c) % t for c, t in zip(self.residues, moduli))
+            self, "residues", tuple(index(c) % t for c, t in zip(self.residues, moduli))
         )
         object.__setattr__(self, "moduli", moduli)
 

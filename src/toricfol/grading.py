@@ -42,18 +42,11 @@ def homogeneous_degree(model: ToricModel, f: Polynomial) -> DegreeClass | None:
     return DegreeClass(tuple(free), tuple(residues), moduli)
 
 
-def is_quasi_homogeneous(model: ToricModel, f: Polynomial) -> bool:
-    return (not f.is_zero()) and homogeneous_degree(model, f) is not None
-
-
-def monomials_of_degree(
-    model: ToricModel, alpha: DegreeClass, cap: int | None = None
-) -> tuple[tuple[int, ...], ...]:
+def monomials_of_degree(model: ToricModel, alpha: DegreeClass) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors of the given degree class, largest first.
 
-    Termination is certified by the model's positive grading functional;
-    models without one (mixed-sign degrees that span a halfline) must be
-    queried with an explicit exponent cap.
+    Termination is certified by the model's positive grading functional,
+    which every model carries.
 
     The descent fixes the exponents of the variables in order and cuts a
     branch as soon as no completion of it can have degree alpha:
@@ -63,10 +56,9 @@ def monomials_of_degree(
       not exceed the target; where none has a positive degree it may not
       fall below it, so a coordinate no later variable changes must
       already match;
-    - with a functional, a monomial of degree alpha has functional value
-      exactly the budget, so the last variable must spend what is left:
-      its exponent is forced, and there is no leaf when the division is
-      inexact.
+    - a monomial of degree alpha has functional value exactly the
+      budget, so the last variable must spend what is left: its exponent
+      is forced, and there is no leaf when the division is inexact.
 
     Only branches without a monomial of degree alpha are cut, and the
     result is sorted, so it equals that of the unpruned walk.
@@ -74,26 +66,16 @@ def monomials_of_degree(
     if len(alpha.free) != model.rank or alpha.moduli != model.moduli:
         raise ValueError("degree class belongs to a different grading group")
     nvars, rank = model.nvars, model.rank
+    # Scaling the functional by a positive integer keeps every weight
+    # positive and every quotient remaining // weight unchanged, and turns
+    # the whole descent into integer arithmetic.
     functional = model.positive_functional
-    if functional is None and cap is None:
-        raise ValueError(
-            f"model {model.name} has no positive grading functional; "
-            "supply an exponent cap explicitly"
-        )
-
-    if functional is not None:
-        # Scaling the functional by a positive integer keeps every weight
-        # positive and every quotient remaining // weight unchanged, and
-        # turns the whole descent into integer arithmetic.
-        scale = lcm(*(c.denominator for c in functional))
-        functional = [int(c * scale) for c in functional]
-        weights = [sum(map(mul, functional, d.free)) for d in model.degrees]
-        budget = sum(map(mul, functional, alpha.free))
-        if budget < 0:
-            return ()
-    else:
-        weights = [0] * nvars
-        budget = 0
+    scale = lcm(*(c.denominator for c in functional))
+    functional = [int(c * scale) for c in functional]
+    weights = [sum(map(mul, functional, d.free)) for d in model.degrees]
+    budget = sum(map(mul, functional, alpha.free))
+    if budget < 0:
+        return ()
 
     # grows[j] / shrinks[j]: free coordinates that the variables j, j+1, ...
     # can only increase / only decrease.
@@ -114,9 +96,7 @@ def monomials_of_degree(
             if acc == target and all(sum(map(mul, row, exps)) % t == c for row, t, c in torsion):
                 out.append(tuple(exps))
             return
-        if functional is None:
-            choices = range(cap + 1)
-        elif j == nvars - 1:
+        if j == nvars - 1:
             e, rest = divmod(remaining, weights[j])
             choices = () if rest else (e,)
         else:

@@ -179,6 +179,16 @@ def regular_subsequence_check(f: Polynomial, indices) -> bool:
     return dim == f.nvars - len(indices)
 
 
+def only_origin_check(gens) -> bool:
+    """Whether the common zero set of gens is contained in {0}.
+
+    Precondition: the gens are quasi-homogeneous for a grading with a
+    positive functional, as every model's is.  Their zero set is then a
+    cone, and a cone of dimension at most zero is the origin or empty.
+    """
+    return ideal_dimension(buchberger(gens)) <= 0
+
+
 def _power_cap(gens, cap):
     if cap is not None:
         return cap
@@ -193,33 +203,6 @@ def _power_in_ideal(gb: GroebnerBasis, exponents, cap: int) -> bool:
         if normal_form(power, gb).is_zero():
             return True
     return False
-
-
-def only_origin_check(model, gens, cap: int | None = None):
-    """Whether the common zero set of gens is contained in {0}.
-
-    For models with a strictly positive grading functional a
-    zero-dimensional cone must be the origin; otherwise fall back to
-    bounded per-variable power membership.  Returns True, False, or
-    INCONCLUSIVE when the power cap runs out undecided.
-    """
-    gens = [g for g in gens]
-    if any(g.is_zero() for g in gens):
-        raise ValueError("zero generator")
-    gb = buchberger(gens)
-    dim = ideal_dimension(gb)
-    if dim == EMPTY_VARIETY:
-        return True  # empty zero set, vacuously inside the origin
-    if dim > 0:
-        return False
-    if model.positive_functional is not None:
-        return True
-    cap = _power_cap(gens, cap)
-    for j in range(model.nvars):
-        e = tuple(1 if i == j else 0 for i in range(model.nvars))
-        if not _power_in_ideal(gb, e, cap):
-            return INCONCLUSIVE
-    return True
 
 
 def sing_inside_irrelevant(model, f: Polynomial, cap: int | None = None) -> str:

@@ -38,20 +38,6 @@ class RadialField:
 
 
 @dataclass(frozen=True)
-class BasisChange:
-    """Recorded map from the Smith-canonical grading basis to the display basis.
-
-    free            unimodular r x r matrix acting on free coordinates
-    torsion_units   multiplier u_k on the k-th torsion residue (a unit mod t_k)
-    torsion_shears  per-factor vector s with residue' = u*residue + s . free'
-    """
-
-    free: IntMatrix
-    torsion_units: tuple[int, ...] = ()
-    torsion_shears: tuple[tuple[int, ...], ...] = ()
-
-
-@dataclass(frozen=True)
 class IrrelevantIdeal:
     """Squarefree monomial generators cutting out the removed locus."""
 
@@ -61,19 +47,33 @@ class IrrelevantIdeal:
 
 @dataclass(frozen=True)
 class ToricModel:
+    """A complete toric orbifold, stored as its degree matrix.
+
+    Construction fails unless the degrees admit a positive grading
+    functional: the rays of a complete fan positively span N_R, so the
+    degrees of a compact model always admit one.
+    """
+
     name: str
     n: int
     variable_names: tuple[str, ...]
-    class_group: AbelianGroupPresentation
     degrees: tuple[DegreeClass, ...]
     rays: tuple[tuple[int, ...], ...] | None = None
     max_cones: tuple[tuple[int, ...], ...] | None = None
     irrelevant_generators: tuple[tuple[int, ...], ...] | None = None
-    basis_change: BasisChange | None = None
+
+    def __post_init__(self):
+        if not self.degrees:
+            raise ValueError(f"model {self.name} has no variables")
+        if self.positive_functional is None:
+            raise ValueError(
+                f"model {self.name}: the degrees admit no positive grading "
+                "functional, so the variety is not complete"
+            )
 
     @property
     def rank(self) -> int:
-        return self.class_group.rank
+        return len(self.degrees[0].free)
 
     @property
     def nvars(self) -> int:
@@ -81,7 +81,14 @@ class ToricModel:
 
     @property
     def moduli(self) -> tuple[int, ...]:
-        return self.class_group.torsion
+        return self.degrees[0].moduli
+
+    @cached_property
+    def class_group(self) -> AbelianGroupPresentation:
+        """The grading group, with the degree matrix as its projector."""
+        return AbelianGroupPresentation(
+            rank=self.rank, torsion=self.moduli, projector=IntMatrix.from_rows(self.degree_rows)
+        )
 
     def zero_degree(self) -> DegreeClass:
         return DegreeClass.zero(self.rank, self.moduli)
@@ -123,7 +130,7 @@ class ToricModel:
         """Rational c with c . deg(z_j) > 0 for every j, when one exists.
 
         Existence certifies that every graded piece is finite, so monomial
-        enumeration terminates without ad hoc caps.
+        enumeration terminates; a model without one is not constructed.
         """
         if self.rank == 0:
             return None
@@ -209,8 +216,10 @@ def build_from_rays(
 ) -> ToricModel:
     """Model of the quotient presented by fan rays.
 
-    Rays must be primitive, pairwise distinct and span R^n.  Fan
-    completeness and simpliciality are trusted, not verified.
+    Rays must be primitive, pairwise distinct and span R^n.  Positivity
+    is checked: the degrees must admit a positive grading functional, as
+    those of a complete fan do.  The cones are still trusted: their
+    completeness and simpliciality are not verified.
     """
     rays = tuple(tuple(int(x) for x in ray) for ray in rays)
     for ray in rays:
@@ -263,7 +272,6 @@ def build_from_pairing_rows(
         name=name or f"toric(n={n},rays={len(rows)})",
         n=n,
         variable_names=tuple(variable_names) if variable_names else _default_names(len(rows)),
-        class_group=group,
         degrees=degrees,
         rays=rows,
         max_cones=max_cones,
@@ -293,17 +301,10 @@ def build_from_presentation(
     nonzero = sum(1 for f in smith_normal_form(free).invariant_factors() if f)
     if nonzero != r:
         raise ValueError("free-part degree matrix is rank deficient")
-    projector_rows = [[d.free[i] for d in degrees] for i in range(r)] + [
-        [d.residues[k] for d in degrees] for k in range(len(moduli))
-    ]
-    group = AbelianGroupPresentation(
-        rank=r, torsion=moduli, projector=IntMatrix.from_rows(projector_rows)
-    )
     return ToricModel(
         name=name or f"toric(n={n},r={r})",
         n=n,
         variable_names=tuple(variable_names) if variable_names else _default_names(n + r),
-        class_group=group,
         degrees=degrees,
         max_cones=max_cones,
         irrelevant_generators=(
@@ -323,7 +324,9 @@ def align_display_basis(model: ToricModel, target_degrees, name: str | None = No
 
     Searches for a grading-group automorphism (unimodular map on the free
     part, a unit and a free-part shear on each torsion factor) carrying
-    the computed degrees onto the target ones, and records it.
+    the computed degrees onto the target ones.  The search is the check
+    that the target degrees are the computed grading in another basis;
+    the automorphism itself is not kept.
     """
     target = tuple(target_degrees)
     r, moduli = model.rank, model.moduli
@@ -346,50 +349,26 @@ def align_display_basis(model: ToricModel, target_degrees, name: str | None = No
         raise ValueError("change of basis is not unimodular")
 
     new_free = [w.apply([d.free[i] for i in range(r)]) for d in model.degrees]
-    units, shears = [], []
     for k, t in enumerate(moduli):
         cur = [d.residues[k] for d in model.degrees]
         want = [target[j].residues[k] for j in range(model.nvars)]
-        found = None
-        for u in range(1, t):
-            if gcd(u, t) != 1:
-                continue
-            for s in product(range(t), repeat=r):
-                if all(
-                    (u * c + sum(si * fi for si, fi in zip(s, nf))) % t == wv
-                    for c, nf, wv in zip(cur, new_free, want)
-                ):
-                    found = (u, s)
-                    break
-            if found:
-                break
-        if found is None:
+        if not any(
+            all(
+                (u * c + sum(si * fi for si, fi in zip(s, nf))) % t == wv
+                for c, nf, wv in zip(cur, new_free, want)
+            )
+            for u in range(1, t)
+            if gcd(u, t) == 1
+            for s in product(range(t), repeat=r)
+        ):
             raise ValueError(f"no automorphism of Z/{t} matches the target residues")
-        units.append(found[0])
-        shears.append(found[1])
 
-    old = model.class_group.projector.entries
-    proj_free = [w.apply([old[i][j] for i in range(r)]) for j in range(model.nvars)]
-    proj_rows = [[proj_free[j][i] for j in range(model.nvars)] for i in range(r)]
-    for k in range(len(moduli)):
-        u, s = units[k], shears[k]
-        proj_rows.append(
-            [
-                u * old[r + k][j] + sum(si * proj_rows[i][j] for i, si in enumerate(s))
-                for j in range(model.nvars)
-            ]
-        )
-    group = AbelianGroupPresentation(
-        rank=r, torsion=moduli, projector=IntMatrix.from_rows(proj_rows)
-    )
     return ToricModel(
         name=name or model.name,
         n=model.n,
         variable_names=model.variable_names,
-        class_group=group,
         degrees=target,
         rays=model.rays,
         max_cones=model.max_cones,
         irrelevant_generators=model.irrelevant_generators,
-        basis_change=BasisChange(free=w, torsion_units=tuple(units), torsion_shears=tuple(shears)),
     )

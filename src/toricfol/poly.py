@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
+from operator import add, index, le, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Exponents = tuple[int, ...]
@@ -24,6 +24,13 @@ def heap_key(m: Exponents):
     """The grevlex order reversed, as a flat tuple: ascending in this key is
     descending in the term order, so a min-heap pops the leading monomial."""
     return (-sum(m),) + m[::-1]
+
+
+def _exact_coefficient(c) -> Fraction:
+    """c as a Fraction; a float or complex is refused, not rounded."""
+    if isinstance(c, (float, complex)):
+        raise TypeError(f"inexact coefficient {c!r}; use an int or a Fraction")
+    return Fraction(c)
 
 
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
@@ -110,9 +117,9 @@ class Polynomial:
             for m, c in terms.items():
                 if len(m) != nvars:
                     raise ValueError(f"exponent tuple {m} does not have {nvars} entries")
-                c = Fraction(c)
+                c = _exact_coefficient(c)
                 if c:
-                    clean[tuple(int(e) for e in m)] = c
+                    clean[tuple(map(index, m))] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
@@ -139,19 +146,19 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, j: int, power: int = 1, coeff=1) -> "Polynomial":
         if not 0 <= j < nvars:
             raise IndexError(f"variable index {j} out of range")
         m = tuple(power if i == j else 0 for i in range(nvars))
-        return cls(nvars, {m: Fraction(coeff)})
+        return cls(nvars, {m: coeff})
 
     @classmethod
     def monomial(cls, exponents: Iterable[int], coeff=1) -> "Polynomial":
-        m = tuple(int(e) for e in exponents)
-        return cls(len(m), {m: Fraction(coeff)})
+        m = tuple(exponents)
+        return cls(len(m), {m: coeff})
 
     # -- structure ---------------------------------------------------------
 
@@ -222,7 +229,7 @@ class Polynomial:
         return Polynomial._trusted(self.nvars, terms)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _exact_coefficient(c)
         if not c:
             return Polynomial.zero(self.nvars)
         return Polynomial._trusted(self.nvars, {m: c * v for m, v in self.terms.items()})
@@ -230,8 +237,8 @@ class Polynomial:
     def mul_monomial(self, exponents: Exponents, coeff=1) -> "Polynomial":
         if len(exponents) != self.nvars:
             raise ValueError(f"exponent tuple {exponents} does not have {self.nvars} entries")
-        shift = tuple(int(e) for e in exponents)
-        c = Fraction(coeff)
+        shift = tuple(map(index, exponents))
+        c = _exact_coefficient(coeff)
         if not c:
             return Polynomial.zero(self.nvars)
         return Polynomial._trusted(

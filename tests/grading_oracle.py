@@ -20,30 +20,21 @@ def degree_of_monomial(variable_degrees, exponents) -> DegreeClass:
     return acc
 
 
-def monomials_of_degree_unpruned(model, alpha, cap=None) -> tuple[tuple[int, ...], ...]:
+def monomials_of_degree_unpruned(model, alpha) -> tuple[tuple[int, ...], ...]:
     """Every exponent vector of degree alpha, largest first, by the plain walk.
 
     Visits every exponent vector whose (scaled) functional weight fits the
-    budget, or every vector in the cap box, and tests the degree only at
-    the leaves.
+    budget and tests the degree only at the leaves.
     """
     if len(alpha.free) != model.rank or alpha.moduli != model.moduli:
         raise ValueError("degree class belongs to a different grading group")
     nvars = model.nvars
-    functional = model.positive_functional
-    if functional is None and cap is None:
-        raise ValueError("no positive grading functional; supply an exponent cap")
-
-    if functional is not None:
-        scale = lcm(*(c.denominator for c in functional))
-        functional = [int(c * scale) for c in functional]
-        weights = [sum(c * x for c, x in zip(functional, d.free)) for d in model.degrees]
-        budget = sum(c * a for c, a in zip(functional, alpha.free))
-        if budget < 0:
-            return ()
-    else:
-        weights = [0] * nvars
-        budget = 0
+    scale = lcm(*(c.denominator for c in model.positive_functional))
+    functional = [int(c * scale) for c in model.positive_functional]
+    weights = [sum(c * x for c, x in zip(functional, d.free)) for d in model.degrees]
+    budget = sum(c * a for c, a in zip(functional, alpha.free))
+    if budget < 0:
+        return ()
 
     free_target = list(alpha.free)
     out: list[tuple[int, ...]] = []
@@ -59,7 +50,7 @@ def monomials_of_degree_unpruned(model, alpha, cap=None) -> tuple[tuple[int, ...
                 if tuple(res) == alpha.residues:
                     out.append(tuple(exps))
             return
-        top = remaining // weights[j] if functional is not None else cap
+        top = remaining // weights[j]
         d = model.degrees[j]
         for e in range(top + 1):
             exps[j] = e

@@ -174,10 +174,10 @@ def test_criterion_06_quasi_smoothness_certificates():
     ok = True
     for fix in (biproj_pairs_fixture(1, [1], [1]), torsion_fermat_fixture(3), torsion_fermat_fixture(6)):
         partials = [fix.hypersurface.partial_derivative(j) for j in range(fix.model.nvars)]
-        ok = ok and only_origin_check(fix.model, [p for p in partials if not p.is_zero()]) is True
+        ok = ok and only_origin_check([p for p in partials if not p.is_zero()]) is True
     bad = monomial_hypersurface_fixture(2, 3)
     partials = [p for p in (bad.hypersurface.partial_derivative(j) for j in range(4)) if not p.is_zero()]
-    ok = ok and only_origin_check(bad.model, partials) is False
+    ok = ok and only_origin_check(partials) is False
     split = split_field_fixture(1, 2)
     ok = ok and regular_subsequence_check(split.hypersurface, split.subset) is True
     ok = ok and sing_inside_irrelevant(split.model, split.hypersurface) == "yes"

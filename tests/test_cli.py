@@ -335,3 +335,90 @@ def test_bad_torsion_factor_located_error(tmp_path, capsys, t):
     assert code == 1
     assert f"line 4: torsion factor must be at least 2, got {t}" in out
     assert "Traceback" not in out
+
+
+def test_model_errors_located(tmp_path, capsys):
+    cases = [
+        # a presentation without a positive functional: not complete
+        ("dimension = 1\nvariables = x y\ndegrees = (1) (-1)\n", 4, "not complete"),
+        # rays that do not positively span the plane, located at the rays
+        ("dimension = 2\nvariables = x y z\nrays = (1,0) (0,1) (1,2)\n", 4, "not complete"),
+        # rays that build, display degrees that no automorphism reaches
+        ("dimension = 1\nvariables = x y\nrays = (1) (-1)\ndegrees = (1) (2)\n", 5, "no integral change"),
+        # no variables at all
+        ("dimension = 0\nvariables =\nrays =\n", 4, "has no variables"),
+    ]
+    path = tmp_path / "bad.case"
+    for body, line, reason in cases:
+        path.write_text("[model]\n" + body)
+        code, out = invoke(capsys, "classgroup", "--case", str(path))
+        assert code == 1
+        assert f"line {line}: model construction failed: " in out and reason in out, out
+        assert "Traceback" not in out
+
+
+@pytest.mark.parametrize("command", ["degree", "invariance", "decompose", "audit"])
+def test_missing_sections_are_input_errors(tmp_path, capsys, command):
+    model = "[model]\ndimension = 2\nvariables = x y z\nrays = (1,0) (0,1) (-1,-1)\n"
+    path = tmp_path / "part.case"
+    path.write_text(model)
+    code, out = invoke(capsys, command, "--case", str(path))
+    assert code == 1
+    assert out.startswith("input error:\n")
+    assert f"{command} needs a [hypersurface] section" in out
+    path.write_text(model + "[hypersurface]\nf = x^3 + y^3 + z^3\n")
+    code, out = invoke(capsys, command, "--case", str(path))
+    if command == "degree":
+        assert code == 0
+    else:
+        assert code == 1
+        assert out == f"input error:\n{command} needs a [field] section\n"
+
+
+def _split_case(tmp_path, capsys, subset):
+    _, text = invoke(capsys, "export", "split-field", "--alpha1", "1", "--alpha2", "2")
+    path = tmp_path / "split.case"
+    path.write_text(text.replace("subset = z1_0 z1_1", f"subset = {subset}"))
+    return path
+
+
+def test_subset_quasi_smoothness_power_cap(tmp_path, capsys):
+    path = _split_case(tmp_path, capsys, "z1_0 z1_1")
+    code, out = invoke(capsys, "audit", "--case", str(path), "--subset", "z1_0,z1_1", "--power-cap", "2")
+    assert code == 2
+    assert "quasi_smoothness: inconclusive" in out
+    assert "hypothesis quasi_smoothness: fail: membership test inconclusive" in out
+    assert "verdict: bound-not-asserted" in out
+    code, out = invoke(capsys, "audit", "--case", str(path), "--subset", "z1_0,z1_1", "--power-cap", "3")
+    assert code == 0
+    assert "quasi_smoothness: quasi-sing-in-irrelevant" in out
+    assert "verdict: bound-holds" in out
+
+
+def test_subset_quasi_smoothness_failures(tmp_path, capsys):
+    path = _split_case(tmp_path, capsys, "z1_1 z2_1")
+    code, out = invoke(capsys, "audit", "--case", str(path))
+    assert code == 2
+    assert "quasi_smoothness: fails" in out
+    assert (
+        "fail: selected partials are not a regular subsequence; "
+        "radial field not supported on the subset"
+    ) in out
+
+    _, text = invoke(capsys, "export", "monomial-hypersurface", "--alpha", "2", "--beta", "3")
+    path.write_text(text)
+    code, out = invoke(capsys, "audit", "--case", str(path), "--subset", "z1_0,z1_1")
+    assert code == 2
+    assert "quasi_smoothness: fails" in out
+    assert "; singular cone escapes the removed locus" in out
+
+
+def test_quasi_smoothness_needs_quasi_homogeneous(tmp_path, capsys):
+    path = _split_case(tmp_path, capsys, "z1_0 z1_1")
+    text = path.read_text()
+    f_line = next(line for line in text.splitlines() if line.startswith("f = "))
+    path.write_text(text.replace(f_line, f_line + " + z1_0"))
+    code, out = invoke(capsys, "audit", "--case", str(path))
+    assert code == 2
+    assert "quasi_smoothness: fails" in out
+    assert "hypothesis quasi_smoothness: fail: hypersurface not quasi-homogeneous" in out

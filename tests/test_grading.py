@@ -111,13 +111,12 @@ def test_monomials_respect_torsion(surface_z3):
                 assert surface_z3.monomial_degree(m) == alpha
 
 
-def test_enumeration_needs_certificate_or_cap():
-    model = build_from_presentation(1, [DegreeClass((1,)), DegreeClass((-1,))])
-    assert model.positive_functional is None
-    with pytest.raises(ValueError):
-        monomials_of_degree(model, DegreeClass((0,)))
-    capped = monomials_of_degree(model, DegreeClass((0,)), cap=3)
-    assert (1, 1) in capped and (3, 3) in capped
+def test_degree_class_entries_must_be_integers():
+    # int() would truncate 1.7 to the class 1
+    for args in (((1.7,),), ((1,), (1.0,), (2,)), ((1,), (1,), (2.0,))):
+        with pytest.raises(TypeError):
+            DegreeClass(*args)
+    assert DegreeClass((1,), (5,), (3,)) == DegreeClass((1,), (2,), (3,))
 
 
 def test_scroll_enumeration_terminates(scroll11):
@@ -145,9 +144,8 @@ def test_count_matches_enumeration_cross_oracle(p2, p1p1, surface_z3):
 def test_count_rejects_bad_input(p2):
     with pytest.raises(ValueError):
         count_lattice_points(p2, (-1, 0, 0))
-    incomplete = build_from_rays(2, [(1, 0), (0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        count_lattice_points(incomplete, (1, 1, 1))
+    with pytest.raises(ValueError, match="not complete"):  # no fan on these rays is complete
+        build_from_rays(2, [(1, 0), (0, 1), (1, 2)])
     from toricfol import rational_scroll
 
     with pytest.raises(ValueError):  # presentation model carries no rays
@@ -169,16 +167,12 @@ def fixture_models():
 
 
 def mixed_sign_models():
-    """Models without a positive functional, enumerated through cap=."""
+    """Degree presentations with no positive functional, as (n, degrees)."""
     return [
-        build_from_presentation(1, [DegreeClass((1,)), DegreeClass((-1,))]),
-        build_from_presentation(
-            2, [DegreeClass((1, 0)), DegreeClass((-1, 1)), DegreeClass((0, -1)), DegreeClass((2, 1))]
-        ),
-        build_from_presentation(
-            2,
-            [DegreeClass((1,), (1,), (2,)), DegreeClass((-1,), (0,), (2,)), DegreeClass((2,), (1,), (2,))],
-        ),
+        (1, [DegreeClass((), (1,), (2,))]),  # rank 0: no free grading at all
+        (1, [DegreeClass((1,)), DegreeClass((-1,))]),
+        (2, [DegreeClass((1, 0)), DegreeClass((-1, 1)), DegreeClass((0, -1)), DegreeClass((2, 1))]),
+        (2, [DegreeClass((1,), (1,), (2,)), DegreeClass((-1,), (0,), (2,)), DegreeClass((2,), (1,), (2,))]),
     ]
 
 
@@ -216,18 +210,11 @@ def test_enumeration_matches_unpruned_oracle(family_models):
             assert monomials_of_degree(model, alpha) == want, (model.name, alpha)
 
 
-def test_enumeration_matches_oracle_through_cap(scroll11):
-    rng = random.Random(32)
-    for model in mixed_sign_models():
-        assert model.positive_functional is None
-        for cap in (0, 1, 3):
-            for alpha in sample_degrees(rng, model, 6, 4):
-                want = monomials_of_degree_unpruned(model, alpha, cap=cap)
-                assert monomials_of_degree(model, alpha, cap=cap) == want, (model.name, alpha, cap)
-    # with a functional the cap is ignored, by both
-    for alpha in sample_degrees(rng, scroll11, 6, 4):
-        want = monomials_of_degree_unpruned(scroll11, alpha)
-        assert monomials_of_degree(scroll11, alpha, cap=1) == want
+def test_mixed_sign_models_rejected_at_construction():
+    # Their graded pieces are infinite, so no enumeration could terminate.
+    for n, degrees in mixed_sign_models():
+        with pytest.raises(ValueError, match="no positive grading functional"):
+            build_from_presentation(n, degrees)
 
 
 def test_enumeration_negative_and_unreachable(p2, surface_z3, scroll11):

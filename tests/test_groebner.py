@@ -180,13 +180,13 @@ def test_only_origin_biproj_pairs():
 
     fix = biproj_pairs_fixture(1, [1], [1])
     partials = [fix.hypersurface.partial_derivative(j) for j in range(4)]
-    assert only_origin_check(fix.model, partials) is True
+    assert only_origin_check(partials) is True
 
 
-def test_only_origin_fermat_surface(surface_z3):
+def test_only_origin_fermat_surface():
     f = Polynomial(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
     partials = [f.partial_derivative(j) for j in range(3)]
-    assert only_origin_check(surface_z3, partials) is True
+    assert only_origin_check(partials) is True
 
 
 def test_only_origin_monomial_case_fails():
@@ -198,7 +198,7 @@ def test_only_origin_monomial_case_fails():
         for p in (fix.hypersurface.partial_derivative(j) for j in range(4))
         if not p.is_zero()
     ]
-    assert only_origin_check(fix.model, partials) is False
+    assert only_origin_check(partials) is False
 
 
 def test_zero_dim_plus_positive_grading_forces_pure_powers(p2):

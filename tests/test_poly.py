@@ -180,3 +180,26 @@ def test_public_constructor_still_validates():
         Polynomial(2, {(1, 0, 0): 1})
     p = Polynomial(2, {(1, 0): 0, (0, 1): 2})
     assert p.terms == {(0, 1): Fraction(2)} and type(p.terms[(0, 1)]) is Fraction
+
+
+def test_inexact_coefficients_and_exponents_refused():
+    # A float would be stored as its binary fraction, 0.1 as
+    # 3602879701896397/36028797018963968; an exponent 1.9 would become 1.
+    for bad in (0.1, 1.0, 2j):
+        with pytest.raises(TypeError):
+            Polynomial(1, {(1,): bad})
+        with pytest.raises(TypeError):
+            Polynomial.constant(2, bad)
+        with pytest.raises(TypeError):
+            P(1, {(1,): 1}).scale(bad)
+        with pytest.raises(TypeError):
+            P(1, {(1,): 1}).mul_monomial((1,), bad)
+    for exps in ((1.9, 2), (1.0, 2)):
+        with pytest.raises(TypeError):
+            Polynomial.monomial(exps)
+        with pytest.raises(TypeError):
+            Polynomial(2, {exps: 1})
+        with pytest.raises(TypeError):
+            P(2, {(0, 1): 1}).mul_monomial(exps)
+    assert Polynomial(1, {(1,): Fraction(1, 10)}).terms == {(1,): Fraction(1, 10)}
+    assert P(1, {(1,): 3}).scale(Fraction(1, 3)) == P(1, {(1,): 1})
