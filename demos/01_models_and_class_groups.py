@@ -23,9 +23,9 @@ def show(model):
     for name, deg in zip(model.variable_names, model.degrees):
         print(f"   deg {name:6s} = {deg}")
     for i, radial in enumerate(model.radial):
-        print(f"   radial field {i + 1}: {radial.coefficients}")
+        print(f"   radial field {i + 1}: {radial}")
     try:
-        gens = model.irrelevant_ideal().generators
+        gens = model.irrelevant_ideal()
         from toricfol import Polynomial
 
         pretty = [Polynomial.monomial(g).to_string(model.variable_names) for g in gens]

@@ -51,14 +51,7 @@ from .intlinalg import (
     smith_normal_form,
     solve_integer_system,
 )
-from .model import (
-    IrrelevantIdeal,
-    RadialField,
-    ToricModel,
-    align_display_basis,
-    build_from_presentation,
-    build_from_rays,
-)
+from .model import ModelInputError, ToricModel, build_from_presentation, build_from_rays
 from .normalform import (
     DecompositionError,
     KoszulDecomposition,
@@ -81,14 +74,12 @@ __all__ = [
     "GroebnerBasis",
     "INCONCLUSIVE",
     "IntMatrix",
-    "IrrelevantIdeal",
     "KoszulDecomposition",
+    "ModelInputError",
     "Polynomial",
-    "RadialField",
     "SmithDecomposition",
     "ToricModel",
     "VectorField",
-    "align_display_basis",
     "audit_case",
     "buchberger",
     "build_from_presentation",

@@ -278,7 +278,7 @@ def _check_quasi_smoothness(case: _Case):
     regular = regular_subsequence_check(f, case.subset)
     if not regular:
         problems.append("selected partials are not a regular subsequence")
-    radial = model.radial[case.options.radial_index].coefficients
+    radial = model.radial[case.options.radial_index]
     if any(radial[j] for j in range(model.nvars) if j not in case.subset):
         problems.append("radial field not supported on the subset")
     sing = sing_inside_irrelevant(model, f, cap=case.options.power_cap)

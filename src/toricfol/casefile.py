@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .degrees import DegreeClass
 from .foliation import VectorField
-from .model import ToricModel, align_display_basis, build_from_presentation, build_from_rays
+from .model import ModelInputError, ToricModel, build_from_presentation, build_from_rays
 from .parsing import ParseError, parse_polynomial
 from .poly import Polynomial
 
@@ -203,24 +204,20 @@ def parse_case(text: str) -> CaseFile:
         rays = [_parse_tuple(g, lineno, "ray") for g in _split_groups(value, lineno)]
         if len(rays) != len(names):
             raise CaseError([Located(f"{len(rays)} rays for {len(names)} variables", lineno)])
-        model = _build(lineno, build_from_rays, n, rays, max_cones=cones, variable_names=names, name=name)
-        if degrees is not None:
-            model = _build(
-                entries["degrees"][0], align_display_basis, model, degrees, name=name or model.name
-            )
+        build = partial(build_from_rays, n, rays, degrees=degrees)
     elif degrees is not None:
-        model = _build(
-            entries["degrees"][0],
-            build_from_presentation,
-            n,
-            degrees,
-            variable_names=names,
-            irrelevant_generators=irrelevant,
-            max_cones=cones,
-            name=name,
-        )
+        lineno = entries["degrees"][0]
+        build = partial(build_from_presentation, n, degrees, irrelevant_generators=irrelevant)
     else:
         raise CaseError([Located("[model] needs either rays or degrees", 0)])
+    try:
+        model = build(max_cones=cones, variable_names=names, name=name)
+    except (ValueError, TypeError) as exc:
+        # Stated degrees the rays do not reach, or a malformed cone, are
+        # located at their own line.
+        if isinstance(exc, ModelInputError):
+            lineno = entries[exc.entry][0]
+        raise CaseError([Located(f"model construction failed: {exc}", lineno)]) from None
 
     hypersurface = None
     problems: list = []
@@ -257,14 +254,6 @@ def parse_case(text: str) -> CaseFile:
     if problems:
         raise CaseError(problems)
     return CaseFile(model=model, hypersurface=hypersurface, field=field, **options)
-
-
-def _build(line: int, builder, *args, **kwargs) -> ToricModel:
-    """The model the builder returns; its rejection becomes an error at line."""
-    try:
-        return builder(*args, **kwargs)
-    except (ValueError, TypeError) as exc:
-        raise CaseError([Located(f"model construction failed: {exc}", line)]) from None
 
 
 def _radial_index(model: ToricModel, text: str) -> int:

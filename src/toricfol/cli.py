@@ -60,12 +60,12 @@ def _cmd_classgroup(args) -> int:
         "rank": model.rank,
         "torsion": list(model.moduli),
         "degrees": {name: str(d) for name, d in zip(model.variable_names, model.degrees)},
-        "radial": [list(r.coefficients) for r in model.radial],
+        "radial": [list(r) for r in model.radial],
         "eligible_k": [k + 1 for k in model.nonnegative_coordinates()],
     }
     lines = [f"model: {model.name}", f"class_group: {model.class_group.describe()}"]
     lines += [f"deg {n} = {d}" for n, d in zip(model.variable_names, model.degrees)]
-    lines += [f"radial {i + 1}: {' '.join(map(str, r.coefficients))}" for i, r in enumerate(model.radial)]
+    lines += [f"radial {i + 1}: {' '.join(map(str, r))}" for i, r in enumerate(model.radial)]
     lines.append("eligible_k: " + (" ".join(str(k + 1) for k in model.nonnegative_coordinates()) or "-"))
     _emit(doc, lines, args.format)
     return OK

@@ -2,12 +2,13 @@
 
 Each family constructor returns a model whose displayed degrees follow
 the usual conventions (weights on weighted projective space, one unit
-vector per factor on products, action weights on scrolls), with the
-change of basis away from the Smith-canonical presentation recorded on
-the model.  Fixtures bundle a model, a vector field and a hypersurface
-with externally known expected values, each tagged with its provenance:
-"published" (stated in the source material), "derived" (worked out by
-hand ahead of time), or "trivial".
+vector per factor on products, action weights on scrolls).  On the ray
+route the builder checks that they are the Smith-computed grading in
+another basis and keeps only the displayed degrees.  Fixtures bundle a
+model, a vector field and a hypersurface with externally known expected
+values, each tagged with its provenance: "published" (stated in the
+source material), "derived" (worked out by hand ahead of time), or
+"trivial".
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from .degrees import DegreeClass
 from .foliation import VectorField, invariance_cofactor
 from .groebner import only_origin_check, regular_subsequence_check, sing_inside_irrelevant
 from .intlinalg import IntMatrix, smith_normal_form
-from .model import (
-    ToricModel,
-    align_display_basis,
-    build_from_pairing_rows,
-    build_from_presentation,
-    build_from_rays,
-)
+from .model import ToricModel, build_from_pairing_rows, build_from_presentation, build_from_rays
 from .normalform import KoszulDecomposition, koszul_decompose, verify_decomposition
 from .poly import Polynomial
 
@@ -56,15 +51,14 @@ def weighted_projective(*weights: int, name: str | None = None) -> ToricModel:
     # Quotient coordinates are the Smith basis rows beyond the pivot.
     rays = [tuple(snf.u.entries[i][j] for i in range(1, count)) for j in range(count)]
     cones = [tuple(j for j in range(count) if j != skip) for skip in range(count)]
-    model = build_from_pairing_rows(
+    return build_from_pairing_rows(
         count - 1,
         rays,
         max_cones=cones,
         variable_names=[f"z{j}" for j in range(count)],
         name=name or "P(" + ",".join(map(str, w)) + ")",
+        degrees=[DegreeClass((x,)) for x in w],
     )
-    target = [DegreeClass((x,)) for x in w]
-    return align_display_basis(model, target, name=model.name)
 
 
 def multiprojective(*dims: int, name: str | None = None) -> ToricModel:
@@ -99,18 +93,18 @@ def multiprojective(*dims: int, name: str | None = None) -> ToricModel:
         )
     for combo in product(*per_factor):
         cones.append(tuple(sorted(sum(combo, ()))))
-    model = build_from_rays(
+    degrees = []
+    for k, d in enumerate(dims):
+        unit = tuple(1 if i == k else 0 for i in range(len(dims)))
+        degrees.extend([DegreeClass(unit)] * (d + 1))
+    return build_from_rays(
         n,
         rays,
         max_cones=cones,
         variable_names=names,
         name=name or "x".join(f"P{d}" for d in dims),
+        degrees=degrees,
     )
-    target = []
-    for k, d in enumerate(dims):
-        unit = tuple(1 if i == k else 0 for i in range(len(dims)))
-        target.extend([DegreeClass(unit)] * (d + 1))
-    return align_display_basis(model, target, name=model.name)
 
 
 def rational_scroll(*twists: int, name: str | None = None) -> ToricModel:
@@ -151,19 +145,18 @@ def torsion_surface(name: str = "S_Z3") -> ToricModel:
     Fan rays (2,-1), (-1,2), (-1,-1); displayed degrees (1,[0]),
     (1,[2]), (1,[1]).
     """
-    model = build_from_rays(
+    return build_from_rays(
         2,
         [(2, -1), (-1, 2), (-1, -1)],
         max_cones=[(0, 1), (1, 2), (0, 2)],
         variable_names=["z1", "z2", "z3"],
         name=name,
+        degrees=[
+            DegreeClass((1,), (0,), (3,)),
+            DegreeClass((1,), (2,), (3,)),
+            DegreeClass((1,), (1,), (3,)),
+        ],
     )
-    target = [
-        DegreeClass((1,), (0,), (3,)),
-        DegreeClass((1,), (2,), (3,)),
-        DegreeClass((1,), (1,), (3,)),
-    ]
-    return align_display_basis(model, target, name=name)
 
 
 def octahedron_rays() -> list[tuple[int, int, int]]:

@@ -57,7 +57,7 @@ class VectorField:
 
     @classmethod
     def radial(cls, model: ToricModel, i: int) -> "VectorField":
-        coeffs = model.radial[i].coefficients
+        coeffs = model.radial[i]
         return cls(
             tuple(
                 Polynomial.variable(model.nvars, j, coeff=coeffs[j])
@@ -110,7 +110,7 @@ def component_degree_candidates(
         dj = homogeneous_degree(model, field.components[j])
         if dj is None:
             raise ValueError(f"component {j} is not quasi-homogeneous")
-        out.append((j, dj - model.variable_degree(j)))
+        out.append((j, dj - model.degrees[j]))
     return out
 
 
@@ -163,7 +163,7 @@ def lie_g_membership(
         quotients.append(q)
     monomials = sorted({m for q in quotients for m in q.terms}, reverse=True)
     coeff_rows = [
-        {i: Fraction(model.radial[i].coefficients[j]) for i in range(r)} for j in range(nv)
+        {i: Fraction(model.radial[i][j]) for i in range(r)} for j in range(nv)
     ]
     witness_terms: list[dict] = [dict() for _ in range(r)]
     for m in monomials:
@@ -179,7 +179,7 @@ def lie_g_membership(
     for i, g in enumerate(witness):
         rebuilt = rebuilt + VectorField(
             tuple(
-                g * Polynomial.variable(nv, j, coeff=model.radial[i].coefficients[j])
+                g * Polynomial.variable(nv, j, coeff=model.radial[i][j])
                 for j in range(nv)
             )
         )
@@ -196,7 +196,7 @@ def singular_scheme_minors(model: ToricModel, field: VectorField) -> list[Polyno
     """
     nv, r = model.nvars, model.rank
     rows: list[list[Polynomial]] = [
-        [Polynomial.variable(nv, j, coeff=model.radial[i].coefficients[j]) for j in range(nv)]
+        [Polynomial.variable(nv, j, coeff=model.radial[i][j]) for j in range(nv)]
         for i in range(r)
     ]
     rows.append(list(field.components))

@@ -63,8 +63,7 @@ def monomials_of_degree(model: ToricModel, alpha: DegreeClass) -> tuple[tuple[in
     Only branches without a monomial of degree alpha are cut, and the
     result is sorted, so it equals that of the unpruned walk.
     """
-    if len(alpha.free) != model.rank or alpha.moduli != model.moduli:
-        raise ValueError("degree class belongs to a different grading group")
+    model._check_group(alpha)
     nvars, rank = model.nvars, model.rank
     # Scaling the functional by a positive integer keeps every weight
     # positive and every quotient remaining // weight unchanged, and turns

@@ -216,7 +216,7 @@ def sing_inside_irrelevant(model, f: Polynomial, cap: int | None = None) -> str:
     nonzero = [p for p in partials if not p.is_zero()]
     if not nonzero:
         raise ValueError("all partial derivatives vanish identically")
-    irr = model.irrelevant_ideal().generators
+    irr = model.irrelevant_ideal()
 
     # Witness search on indicator points of coordinate subspaces.
     for bits in _indicator_points(f.nvars):

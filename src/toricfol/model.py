@@ -4,9 +4,11 @@ A model is either built from the rays of a fan (the divisor class group
 and variable multidegrees are then computed by Smith reduction of the ray
 pairing matrix) or declared directly by a variable degree presentation
 (the quotient-construction route).  Either way the model is an immutable
-value: one variable per ray, graded by Z^r + torsion.  Everything else is
-derived from the degree matrix: the r canonical radial fields are its free
-rows, so the Euler factor of a class is simply its k-th free coordinate.
+value: one variable per ray, graded by Z^r + torsion, whose invariants
+are checked once, when it is constructed; a builder checks only what is
+specific to its own input.  Everything else is derived from the degree
+matrix: the r canonical radial fields are its free rows, so the Euler
+factor of a class is simply its k-th free coordinate.
 """
 
 from __future__ import annotations
@@ -24,34 +26,35 @@ from .intlinalg import (
     AbelianGroupPresentation,
     IntMatrix,
     cokernel,
-    smith_normal_form,
     solve_integer_system,
 )
 from .ratlinalg import solve_sparse
 
 
-@dataclass(frozen=True)
-class RadialField:
-    """Diagonal vector field with component a_j * z_j at the j-th slot."""
+class ModelInputError(ValueError):
+    """A rejected model input other than the rays: entry is "degrees" for
+    stated degrees no basis change reaches, "cones" for a malformed cone."""
 
-    coefficients: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class IrrelevantIdeal:
-    """Squarefree monomial generators cutting out the removed locus."""
-
-    generators: tuple[tuple[int, ...], ...]
-    cones: tuple[tuple[int, ...], ...] | None = None
+    def __init__(self, entry: str, message: str):
+        super().__init__(message)
+        self.entry = entry
 
 
 @dataclass(frozen=True)
 class ToricModel:
     """A complete toric orbifold, stored as its degree matrix.
 
-    Construction fails unless the degrees admit a positive grading
-    functional: the rays of a complete fan positively span N_R, so the
-    degrees of a compact model always admit one.
+    Construction checks, whichever builder made the model:
+
+    - at least one variable, one name (and on the ray route one ray) per
+      degree;
+    - all degrees in one grading group Z^r + torsion, with a free part of
+      rank r and n + r variables;
+    - every maximal cone: n distinct indices in range, listed once, and
+      on the ray route n linearly independent rays;
+    - a positive grading functional: the rays of a complete fan
+      positively span N_R, so the degrees of a compact model always
+      admit one.
     """
 
     name: str
@@ -63,13 +66,51 @@ class ToricModel:
     irrelevant_generators: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        if not self.degrees:
+        nvars = len(self.degrees)
+        if not nvars:
             raise ValueError(f"model {self.name} has no variables")
+        if len(self.variable_names) != nvars:
+            self._reject(f"{len(self.variable_names)} variable names for {nvars} degrees")
+        if self.rays is not None and len(self.rays) != nvars:
+            self._reject(f"{len(self.rays)} rays for {nvars} degrees")
+        r = self.rank
+        if any(len(d.free) != r or d.moduli != self.moduli for d in self.degrees):
+            self._reject("the degrees live in different grading groups")
+        if nvars != self.n + r:
+            self._reject(f"{nvars} degrees for n={self.n}, rank={r}; expected {self.n + r}")
+        # The free rows F have full rank r exactly when det(F F^T) != 0.
+        free = self.degree_rows[:r]
+        if not IntMatrix(tuple(tuple(sum(map(mul, a, b)) for b in free) for a in free)).det():
+            self._reject("the free part of the degree matrix is rank deficient")
+        if self.max_cones is not None:
+            self._check_cones()
         if self.positive_functional is None:
-            raise ValueError(
-                f"model {self.name}: the degrees admit no positive grading "
-                "functional, so the variety is not complete"
+            self._reject(
+                "the degrees admit no positive grading functional, so the variety is not complete"
             )
+
+    def _reject(self, problem: str, entry: str | None = None):
+        message = f"model {self.name}: {problem}"
+        raise ValueError(message) if entry is None else ModelInputError(entry, message)
+
+    def _check_cones(self):
+        seen = set()
+        for cone in self.max_cones:
+            indices = frozenset(cone)
+            if not all(0 <= i < self.nvars for i in cone):
+                problem = "references an unknown ray"
+            elif len(cone) != self.n or len(indices) != self.n:
+                problem = f"does not have {self.n} distinct rays"
+            elif indices in seen:
+                problem = "is listed twice"
+            elif self.rays is not None and not IntMatrix(tuple(self.rays[i] for i in cone)).det():
+                problem = "has linearly dependent rays"
+            else:
+                seen.add(indices)
+                continue
+            names = (self.variable_names[i] if 0 <= i < self.nvars else "?" for i in cone)
+            label = "{" + ",".join(names) + "}"
+            self._reject(f"cone {label} {problem}", "cones")
 
     @property
     def rank(self) -> int:
@@ -92,9 +133,6 @@ class ToricModel:
 
     def zero_degree(self) -> DegreeClass:
         return DegreeClass.zero(self.rank, self.moduli)
-
-    def variable_degree(self, j: int) -> DegreeClass:
-        return self.degrees[j]
 
     def variable_index(self, name: str) -> int:
         try:
@@ -141,9 +179,10 @@ class ToricModel:
     # -- radial structure --------------------------------------------------
 
     @cached_property
-    def radial(self) -> tuple[RadialField, ...]:
-        """The canonical radial fields: field i has the free degree row i."""
-        return tuple(RadialField(row) for row in self.degree_rows[: self.rank])
+    def radial(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical radial fields: field i scales z_j by the free
+        degree row i, entry j."""
+        return self.degree_rows[: self.rank]
 
     def theta(self, i: int, alpha: DegreeClass) -> int:
         """Euler factor of the i-th radial field on classes of degree alpha.
@@ -188,16 +227,17 @@ class ToricModel:
             k for k, row in enumerate(self.degree_rows[: self.rank]) if min(row) >= 0
         )
 
-    def irrelevant_ideal(self) -> IrrelevantIdeal:
+    def irrelevant_ideal(self) -> tuple[tuple[int, ...], ...]:
+        """Squarefree monomial generators cutting out the removed locus."""
         if self.irrelevant_generators is not None:
-            return IrrelevantIdeal(self.irrelevant_generators, self.max_cones)
+            return self.irrelevant_generators
         if self.max_cones is None:
             raise ValueError(f"model {self.name} carries no maximal cone data")
         gens = []
         for cone in self.max_cones:
             inside = set(cone)
             gens.append(tuple(0 if j in inside else 1 for j in range(self.nvars)))
-        return IrrelevantIdeal(tuple(gens), self.max_cones)
+        return tuple(gens)
 
     def __str__(self) -> str:
         return f"{self.name}: {self.class_group.describe()}"
@@ -213,13 +253,18 @@ def build_from_rays(
     max_cones=None,
     variable_names=None,
     name: str | None = None,
+    degrees=None,
 ) -> ToricModel:
     """Model of the quotient presented by fan rays.
 
-    Rays must be primitive, pairwise distinct and span R^n.  Positivity
-    is checked: the degrees must admit a positive grading functional, as
-    those of a complete fan do.  The cones are still trusted: their
-    completeness and simpliciality are not verified.
+    Rays must be primitive, pairwise distinct and span R^n.  The model
+    checks the degrees and cones (see ToricModel): each maximal cone is
+    n linearly independent rays listed once, and the degrees admit a
+    positive grading functional, as those of a complete fan do.  Whether
+    the cones cover R^n and meet along common faces is not checked.
+
+    degrees, when given, are the variable degrees to display; they must
+    be the computed grading in another basis (ModelInputError if not).
     """
     rays = tuple(tuple(int(x) for x in ray) for ray in rays)
     for ray in rays:
@@ -228,7 +273,7 @@ def build_from_rays(
     if len(set(rays)) != len(rays):
         raise ValueError("duplicate ray")
     return build_from_pairing_rows(
-        n, rays, max_cones=max_cones, variable_names=variable_names, name=name
+        n, rays, max_cones=max_cones, variable_names=variable_names, name=name, degrees=degrees
     )
 
 
@@ -238,6 +283,7 @@ def build_from_pairing_rows(
     max_cones=None,
     variable_names=None,
     name: str | None = None,
+    degrees=None,
 ) -> ToricModel:
     """Model from raw lattice pairing rows, one per variable.
 
@@ -247,34 +293,30 @@ def build_from_pairing_rows(
     primitive when the weights are not well-formed.
     """
     rows = tuple(tuple(int(x) for x in row) for row in rows)
-    if len(rows) < n:
-        raise ValueError("need at least n rays")
     for row in rows:
         if len(row) != n:
             raise ValueError(f"ray {row} does not have {n} coordinates")
-    pairing = IntMatrix.from_rows(rows)
-    group = cokernel(pairing)
+    group = cokernel(IntMatrix.from_rows(rows))
     if group.rank != len(rows) - n:
         raise ValueError("rays do not span R^n")
-    degrees = tuple(
+    computed = tuple(
         DegreeClass(*group.reduce(_unit(len(rows), j)), moduli=group.torsion)
         for j in range(len(rows))
     )
-    for j, d in enumerate(degrees):
-        if d.is_zero():
-            raise ValueError(f"variable {j} has degree zero (principal ray divisor)")
-    if max_cones is not None:
-        max_cones = tuple(tuple(sorted(int(i) for i in cone)) for cone in max_cones)
-        for cone in max_cones:
-            if cone and not (0 <= cone[0] and cone[-1] < len(rows)):
-                raise ValueError(f"cone {cone} references an unknown ray")
+    if degrees is not None:
+        degrees = tuple(degrees)
+        _check_stated_degrees(group, computed, degrees)
     return ToricModel(
         name=name or f"toric(n={n},rays={len(rows)})",
         n=n,
         variable_names=tuple(variable_names) if variable_names else _default_names(len(rows)),
-        degrees=degrees,
+        degrees=computed if degrees is None else degrees,
         rays=rows,
-        max_cones=max_cones,
+        max_cones=(
+            tuple(tuple(sorted(int(i) for i in cone)) for cone in max_cones)
+            if max_cones is not None
+            else None
+        ),
     )
 
 
@@ -288,23 +330,10 @@ def build_from_presentation(
 ) -> ToricModel:
     """Model declared by variable multidegrees (torus action weights)."""
     degrees = tuple(degrees)
-    if not degrees:
-        raise ValueError("no degrees")
-    r = len(degrees[0].free)
-    moduli = degrees[0].moduli
-    if len(degrees) != n + r:
-        raise ValueError(f"{len(degrees)} degrees for n={n}, rank={r}; expected {n + r}")
-    for d in degrees:
-        if len(d.free) != r or d.moduli != moduli:
-            raise ValueError("inconsistent degree ranks")
-    free = IntMatrix.from_rows([[d.free[i] for d in degrees] for i in range(r)])
-    nonzero = sum(1 for f in smith_normal_form(free).invariant_factors() if f)
-    if nonzero != r:
-        raise ValueError("free-part degree matrix is rank deficient")
     return ToricModel(
-        name=name or f"toric(n={n},r={r})",
+        name=name or f"toric(n={n},r={len(degrees) - n})",
         n=n,
-        variable_names=tuple(variable_names) if variable_names else _default_names(n + r),
+        variable_names=tuple(variable_names) if variable_names else _default_names(len(degrees)),
         degrees=degrees,
         max_cones=max_cones,
         irrelevant_generators=(
@@ -319,39 +348,37 @@ def _unit(n: int, j: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(n))
 
 
-def align_display_basis(model: ToricModel, target_degrees, name: str | None = None) -> ToricModel:
-    """Re-express a model so its variable degrees match a stated convention.
+def _check_stated_degrees(group: AbelianGroupPresentation, computed, stated):
+    """Raise ModelInputError unless stated is computed in another basis.
 
     Searches for a grading-group automorphism (unimodular map on the free
     part, a unit and a free-part shear on each torsion factor) carrying
-    the computed degrees onto the target ones.  The search is the check
-    that the target degrees are the computed grading in another basis;
+    the computed degrees onto the stated ones.  The search is the check;
     the automorphism itself is not kept.
     """
-    target = tuple(target_degrees)
-    r, moduli = model.rank, model.moduli
-    if len(target) != model.nvars:
-        raise ValueError("target degree count mismatch")
-    for d in target:
+    r, moduli, nvars = group.rank, group.torsion, len(computed)
+    if len(stated) != nvars:
+        raise ModelInputError("degrees", "stated degree count mismatch")
+    for d in stated:
         if len(d.free) != r or d.moduli != moduli:
-            raise ValueError("target degrees live in a different group")
+            raise ModelInputError("degrees", "stated degrees live in a different group")
 
-    cur_free = [[d.free[i] for d in model.degrees] for i in range(r)]
+    # Row i of W solves W_i . computed_j = stated_j[i], one equation per j.
+    equations = [dict(enumerate(d.free)) for d in computed]
     w_rows = []
     for i in range(r):
-        cols = [{k: cur_free[k][j] for k in range(r)} for j in range(model.nvars)]
-        sol = solve_sparse(cols, [Fraction(target[j].free[i]) for j in range(model.nvars)], r)
+        sol = solve_sparse(equations, [Fraction(stated[j].free[i]) for j in range(nvars)], r)
         if sol is None or any(x.denominator != 1 for x in sol):
-            raise ValueError("no integral change of basis reaches the target degrees")
+            raise ModelInputError("degrees", "no integral change of basis reaches the stated degrees")
         w_rows.append([int(x) for x in sol])
     w = IntMatrix.from_rows(w_rows)
     if not w.is_unimodular():
-        raise ValueError("change of basis is not unimodular")
+        raise ModelInputError("degrees", "change of basis is not unimodular")
 
-    new_free = [w.apply([d.free[i] for i in range(r)]) for d in model.degrees]
+    new_free = [w.apply(d.free) for d in computed]
     for k, t in enumerate(moduli):
-        cur = [d.residues[k] for d in model.degrees]
-        want = [target[j].residues[k] for j in range(model.nvars)]
+        cur = [d.residues[k] for d in computed]
+        want = [d.residues[k] for d in stated]
         if not any(
             all(
                 (u * c + sum(si * fi for si, fi in zip(s, nf))) % t == wv
@@ -361,14 +388,4 @@ def align_display_basis(model: ToricModel, target_degrees, name: str | None = No
             if gcd(u, t) == 1
             for s in product(range(t), repeat=r)
         ):
-            raise ValueError(f"no automorphism of Z/{t} matches the target residues")
-
-    return ToricModel(
-        name=name or model.name,
-        n=model.n,
-        variable_names=model.variable_names,
-        degrees=target,
-        rays=model.rays,
-        max_cones=model.max_cones,
-        irrelevant_generators=model.irrelevant_generators,
-    )
+            raise ModelInputError("degrees", f"no automorphism of Z/{t} matches the stated residues")

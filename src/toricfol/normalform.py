@@ -91,7 +91,7 @@ def reconstruct(
         comps[j] = comps[j] - p * partials[k]
     if not dec.cofactor.is_zero():
         scale = Fraction(1, dec.theta_value)
-        coeffs = model.radial[dec.radial_index].coefficients
+        coeffs = model.radial[dec.radial_index]
         for j in dec.index_set:
             comps[j] = comps[j] + dec.cofactor.scale(scale) * Polynomial.variable(
                 nv, j, coeff=coeffs[j]
@@ -103,7 +103,7 @@ def pair_degree(
     model: ToricModel, deg_field: DegreeClass, deg_hyp: DegreeClass, j: int, k: int
 ) -> DegreeClass:
     """Forced degree of the (j, k) pair coefficient."""
-    return deg_field + model.variable_degree(j) + model.variable_degree(k) - deg_hyp
+    return deg_field + model.degrees[j] + model.degrees[k] - deg_hyp
 
 
 def koszul_decompose(
@@ -126,7 +126,7 @@ def koszul_decompose(
     outside = [j for j in field.support() if j not in indices]
     if outside:
         raise ValueError(f"field has components outside the index set: {outside}")
-    coeffs = model.radial[radial_index].coefficients
+    coeffs = model.radial[radial_index]
     if any(coeffs[j] for j in range(nv) if j not in indices):
         raise ValueError(
             f"radial field {radial_index} is not supported on the index set"

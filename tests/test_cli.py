@@ -357,6 +357,26 @@ def test_model_errors_located(tmp_path, capsys):
         assert "Traceback" not in out
 
 
+@pytest.mark.parametrize(
+    "cones, reason",
+    [
+        ("{1,2} {1,2}", "is listed twice"),  # the P^2 rays with one cone repeated
+        ("{1,2,3}", "does not have 2 distinct rays"),  # a 3-ray cone in dimension 2
+        ("{1,2} {2,4}", "references an unknown ray"),
+    ],
+)
+def test_malformed_fans_located_at_cones(tmp_path, capsys, cones, reason):
+    path = tmp_path / "fan.case"
+    path.write_text(
+        "[model]\ndimension = 2\nvariables = x y z\nrays = (1,0) (0,1) (-1,-1)\n"
+        f"cones = {cones}\n"
+    )
+    code, out = invoke(capsys, "classgroup", "--case", str(path))
+    assert code == 1
+    assert "line 5: model construction failed: " in out and reason in out, out
+    assert "Traceback" not in out
+
+
 @pytest.mark.parametrize("command", ["degree", "invariance", "decompose", "audit"])
 def test_missing_sections_are_input_errors(tmp_path, capsys, command):
     model = "[model]\ndimension = 2\nvariables = x y z\nrays = (1,0) (0,1) (-1,-1)\n"

@@ -156,7 +156,7 @@ def test_degree_invariant_under_radial_shift(family_models):
         assert foliation_degree(model, base) == d
         radial_shift = VectorField(
             tuple(
-                g * Polynomial.variable(nv, j, coeff=model.radial[0].coefficients[j])
+                g * Polynomial.variable(nv, j, coeff=model.radial[0][j])
                 for j in range(nv)
             )
         )

@@ -1,9 +1,10 @@
 """Byte-identical CLI output for every fixture family and its exported case file.
 
 The files under tests/golden/ pin, per fixture: ``fixture --format machine``,
-the text report of ``fixture``, the ``export``ed case file, and
+the text report of ``fixture``, the ``export``ed case file,
 ``audit --format machine`` on that file with and without ``--decompose``,
-each with its exit code.  After an intended output change, rewrite them with
+and ``classgroup --format machine`` on that file, each with its exit
+code.  After an intended output change, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -55,6 +56,7 @@ def outputs(fixture_argv, workdir: Path) -> dict:
         "export": exported,
         "audit_machine": _cli(audit),
         "audit_decompose_machine": _cli([*audit, "--decompose"]),
+        "classgroup_machine": _cli(["classgroup", "--case", str(path), "--format", "machine"]),
     }
 
 

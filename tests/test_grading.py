@@ -67,7 +67,7 @@ def test_derivative_degree_law(family_models):
             for j in range(model.nvars):
                 df = f.partial_derivative(j)
                 if not df.is_zero():
-                    assert homogeneous_degree(model, df) == alpha - model.variable_degree(j)
+                    assert homogeneous_degree(model, df) == alpha - model.degrees[j]
 
 
 def test_nonnegative_coordinate_law(family_models):

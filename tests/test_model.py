@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -12,14 +13,14 @@ from toricfol.selfcheck import random_quasi_homogeneous
 def test_projective_plane_from_rays(p2):
     assert p2.class_group.describe() == "Z"
     assert [d.free for d in p2.degrees] == [(1,), (1,), (1,)]
-    assert p2.radial[0].coefficients == (1, 1, 1)
+    assert p2.radial[0] == (1, 1, 1)
 
 
 def test_torsion_surface_from_rays(surface_z3):
     assert surface_z3.class_group.rank == 1
     assert surface_z3.moduli == (3,)
     assert [str(d) for d in surface_z3.degrees] == ["(1,[0])", "(1,[2])", "(1,[1])"]
-    assert surface_z3.radial[0].coefficients == (1, 1, 1)
+    assert surface_z3.radial[0] == (1, 1, 1)
 
 
 def test_product_line_from_rays(p1p1):
@@ -29,13 +30,13 @@ def test_product_line_from_rays(p1p1):
 
 def test_scroll_presentation(scroll11):
     assert [d.free for d in scroll11.degrees] == [(1, 0), (1, 0), (-1, 1), (-1, 1)]
-    assert scroll11.radial[0].coefficients == (1, 1, -1, -1)
-    assert scroll11.radial[1].coefficients == (0, 0, 1, 1)
+    assert scroll11.radial[0] == (1, 1, -1, -1)
+    assert scroll11.radial[1] == (0, 0, 1, 1)
 
 
 def test_presentation_weights_give_radial():
     model = build_from_presentation(2, [DegreeClass((w,)) for w in (1, 1, 2)])
-    assert model.radial[0].coefficients == (1, 1, 2)
+    assert model.radial[0] == (1, 1, 2)
 
 
 def test_presentation_rank_deficiency_rejected():
@@ -60,7 +61,7 @@ def test_radial_fields_are_ray_relations(family_models):
             continue
         for field in model.radial:
             for coord in range(model.n):
-                assert sum(a * ray[coord] for a, ray in zip(field.coefficients, model.rays)) == 0
+                assert sum(a * ray[coord] for a, ray in zip(field, model.rays)) == 0
 
 
 def test_theta_on_weighted_space():
@@ -123,7 +124,7 @@ def test_radial_data_is_the_free_degree_rows(family_models):
     checked = 0
     for model in family_models + _fixture_models():
         for i in range(model.rank):
-            assert model.radial[i].coefficients == model.degree_rows[i]
+            assert model.radial[i] == model.degree_rows[i]
         for _ in range(12):
             exps = [rng.randint(-2, 4) for _ in range(model.nvars)]
             classes = [
@@ -139,7 +140,7 @@ def test_radial_data_is_the_free_degree_rows(family_models):
                 for i in range(model.rank):
                     assert model.theta(i, alpha) == alpha.free[i]
                     if rep is not None:
-                        coeffs = model.radial[i].coefficients
+                        coeffs = model.radial[i]
                         assert sum(a * m for a, m in zip(coeffs, rep)) == alpha.free[i]
                         checked += 1
     assert checked >= 400
@@ -163,7 +164,7 @@ def test_theta_well_defined_across_monomials(family_models):
                 continue
             for i in range(model.rank):
                 vals = {
-                    sum(a * e for a, e in zip(model.radial[i].coefficients, m))
+                    sum(a * e for a, e in zip(model.radial[i], m))
                     for m in monos
                 }
                 assert len(vals) == 1
@@ -171,22 +172,21 @@ def test_theta_well_defined_across_monomials(family_models):
 
 
 def test_irrelevant_ideal_projective(p2):
-    ideal = p2.irrelevant_ideal()
-    assert sorted(ideal.generators) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert sorted(p2.irrelevant_ideal()) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_irrelevant_ideal_rank_one_is_origin(surface_z3, p2):
     from toricfol import weighted_projective
 
     for model in (surface_z3, p2, weighted_projective(1, 2, 3)):
-        gens = model.irrelevant_ideal().generators
+        gens = model.irrelevant_ideal()
         hit = {j for g in gens for j, e in enumerate(g) if e}
         singles = all(sum(1 for e in g if e) == 1 for g in gens)
         assert singles and hit == set(range(model.nvars))
 
 
 def test_irrelevant_ideal_product(p1p1):
-    gens = set(p1p1.irrelevant_ideal().generators)
+    gens = set(p1p1.irrelevant_ideal())
     assert gens == {
         (1, 0, 1, 0),
         (1, 0, 0, 1),
@@ -243,7 +243,7 @@ def test_random_ray_models_self_consistent():
         built += 1
         for field in model.radial:
             for coord in range(2):
-                assert sum(a * r[coord] for a, r in zip(field.coefficients, rays)) == 0
+                assert sum(a * r[coord] for a, r in zip(field, rays)) == 0
         group = cokernel(IntMatrix.from_rows(rays))
         for j in range(model.nvars):
             free, residues = group.reduce(tuple(1 if i == j else 0 for i in range(model.nvars)))
@@ -265,24 +265,29 @@ def test_random_ray_models_self_consistent():
 
 
 def test_alignment_rejects_unreachable_targets(surface_z3):
-    from toricfol.model import align_display_basis
+    from toricfol.model import ModelInputError
+
+    def build(degrees):
+        return build_from_rays(
+            2, surface_z3.rays, max_cones=surface_z3.max_cones, degrees=degrees
+        )
 
     bad = [
         DegreeClass((1,), (0,), (3,)),
         DegreeClass((1,), (0,), (3,)),
         DegreeClass((1,), (1,), (3,)),
     ]
-    with pytest.raises(ValueError):
-        align_display_basis(surface_z3, bad)
-    with pytest.raises(ValueError):  # non-unimodular free part
-        align_display_basis(
-            surface_z3,
+    with pytest.raises(ModelInputError):
+        build(bad)
+    with pytest.raises(ModelInputError):  # non-unimodular free part
+        build(
             [
                 DegreeClass((2,), (0,), (3,)),
                 DegreeClass((2,), (2,), (3,)),
                 DegreeClass((2,), (1,), (3,)),
-            ],
+            ]
         )
+    assert build(surface_z3.degrees).degrees == surface_z3.degrees
 
 
 def test_variable_lookup(p2):
@@ -290,3 +295,89 @@ def test_variable_lookup(p2):
     assert p2.variable_index("z1") == 1
     with pytest.raises(KeyError):
         p2.variable_index("w")
+
+
+def _direct(**changes):
+    from toricfol.model import ToricModel
+
+    fields = dict(
+        name="P2",
+        n=2,
+        variable_names=("x", "y", "z"),
+        degrees=(DegreeClass((1,)),) * 3,
+        rays=((1, 0), (0, 1), (-1, -1)),
+        max_cones=((0, 1), (1, 2), (0, 2)),
+    )
+    fields.update(changes)
+    return ToricModel(**fields)
+
+
+def test_direct_construction_checks_every_invariant():
+    assert _direct().class_group.describe() == "Z"
+    one = DegreeClass((1,))
+    bad = [
+        (dict(variable_names=(), degrees=(), rays=None, max_cones=None), "has no variables"),
+        (dict(variable_names=("x", "y")), "2 variable names for 3 degrees"),
+        (dict(rays=((1, 0), (0, 1))), "2 rays for 3 degrees"),
+        (dict(degrees=(one, one, DegreeClass((1,), (1,), (2,)))), "different grading groups"),
+        (
+            dict(n=1, degrees=(DegreeClass((1, 1)),) * 3, rays=None, max_cones=None),
+            "rank deficient",
+        ),
+        (dict(n=1, rays=None, max_cones=None), "3 degrees for n=1, rank=1; expected 2"),
+        (dict(max_cones=((0, 1), (1, 3), (0, 2))), "cone {y,?} references an unknown ray"),
+        (dict(max_cones=((0, 1, 2),)), "does not have 2 distinct rays"),
+        (dict(max_cones=((0, 0), (1, 2), (0, 2))), "does not have 2 distinct rays"),
+        (dict(max_cones=((0, 1), (1, 0), (1, 2), (0, 2))), "{y,x} is listed twice"),
+        (dict(degrees=(one, one, DegreeClass((-1,)))), "not complete"),
+    ]
+    for changes, reason in bad:
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            _direct(**changes)
+    with pytest.raises(ValueError, match=re.escape("cone {x,w} has linearly dependent rays")):
+        _direct(
+            variable_names=("x", "y", "z", "w"),
+            degrees=(DegreeClass((1, 0)), DegreeClass((0, 1)), DegreeClass((0, 1)), DegreeClass((1, 1))),
+            rays=((1, 0), (0, 1), (0, -1), (-1, 0)),
+            max_cones=((0, 3), (0, 1)),
+        )
+
+
+def test_malformed_cones_are_tagged_on_both_routes():
+    from toricfol.model import ModelInputError
+
+    with pytest.raises(ModelInputError, match="listed twice") as err:
+        build_from_rays(2, [(1, 0), (0, 1), (-1, -1)], max_cones=[(0, 1), (1, 0)])
+    assert err.value.entry == "cones"
+    with pytest.raises(ModelInputError, match="linearly dependent rays"):
+        build_from_rays(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], max_cones=[(0, 2)])
+    with pytest.raises(ModelInputError, match="distinct rays"):
+        build_from_presentation(2, [DegreeClass((1,))] * 3, max_cones=[(0, 1, 2)])
+
+
+@pytest.mark.parametrize("route", ["parse_case", "weighted_projective", "multiprojective", "torsion_surface"])
+def test_models_with_display_degrees_solve_positivity_once(monkeypatch, route):
+    import toricfol.model
+    from toricfol import families
+    from toricfol.casefile import parse_case
+
+    calls = []
+    solve = toricfol.model.feasible_point
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(toricfol.model, "feasible_point", counted)
+    build = {
+        "parse_case": lambda: parse_case(
+            "[model]\ndimension = 2\nvariables = x y z\nrays = (2,-1) (-1,2) (-1,-1)\n"
+            "torsion = 3\ndegrees = (1,[0]) (1,[2]) (1,[1])\ncones = {1,2} {2,3} {1,3}\n"
+        ).model,
+        "weighted_projective": lambda: families.weighted_projective(1, 2, 3),
+        "multiprojective": lambda: families.multiprojective(1, 1),
+        "torsion_surface": families.torsion_surface,
+    }[route]
+    model = build()
+    assert model.positive_functional is not None
+    assert len(calls) == 1

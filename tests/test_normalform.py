@@ -176,7 +176,7 @@ def test_solver_round_trip_on_constructed_fields(family_models):
             used = False
             for j in range(nv):
                 for k in range(j + 1, nv):
-                    delta = alpha + model.variable_degree(j) + model.variable_degree(k) - alpha
+                    delta = alpha + model.degrees[j] + model.degrees[k] - alpha
                     basis = monomials_of_degree(model, delta)
                     if not basis or rng.random() < 0.4:
                         continue
@@ -190,7 +190,7 @@ def test_solver_round_trip_on_constructed_fields(family_models):
             h = Polynomial(nv, {rng.choice(h_basis): Fraction(rng.randint(1, 3))})
             for j in range(nv):
                 comps[j] = comps[j] + h * Polynomial.variable(
-                    nv, j, coeff=model.radial[0].coefficients[j]
+                    nv, j, coeff=model.radial[0][j]
                 )
             x = VectorField(tuple(comps))
             if x.is_zero():
