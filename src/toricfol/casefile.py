@@ -194,7 +194,10 @@ def parse_case(text: str) -> CaseFile:
         lineno, value = entries["irrelevant"]
         irrelevant = []
         for g in _split_groups(value, lineno):
-            p = parse_polynomial(g, names, line=lineno)
+            try:
+                p = parse_polynomial(g, names, line=lineno)
+            except ParseError as exc:
+                raise CaseError([Located(f"irrelevant generator {g!r}: {exc.message}", lineno)]) from None
             if len(p.terms) != 1 or next(iter(p.terms.values())) != 1:
                 raise CaseError([Located(f"irrelevant generator {g!r} is not a plain monomial", lineno)])
             irrelevant.append(next(iter(p.terms)))
@@ -213,8 +216,8 @@ def parse_case(text: str) -> CaseFile:
     try:
         model = build(max_cones=cones, variable_names=names, name=name)
     except (ValueError, TypeError) as exc:
-        # Stated degrees the rays do not reach, or a malformed cone, are
-        # located at their own line.
+        # Stated degrees the rays do not reach, a malformed cone or a
+        # malformed irrelevant generator is located at its own line.
         if isinstance(exc, ModelInputError):
             lineno = entries[exc.entry][0]
         raise CaseError([Located(f"model construction failed: {exc}", lineno)]) from None

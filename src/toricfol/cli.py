@@ -4,6 +4,10 @@ Exit codes: 0 computed and verified, 1 unusable input, 2 a hypothesis
 failed, an expected value mismatched, or an audited inequality broke.
 Reports go to stdout in deterministic order; --format machine switches
 to JSON with sorted keys.
+
+run(argv) may be called any number of times in one process: the
+argparse tree is built on the first call and reused, and each call
+gets a fresh namespace from it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 
 from .audit import AuditOptions, audit_case
 from .casefile import OPTIONS, CaseError, CaseFile, parse_case, parse_option, render_case
@@ -251,7 +256,12 @@ def _add_fixture_params(sub):
     sub.add_argument("--alpha2", type=int)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use.
+
+    Every caller gets the same parser, so none may add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="toricfol",
         description="Exact toolkit for foliations on compact toric orbifolds.",

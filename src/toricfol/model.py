@@ -33,7 +33,8 @@ from .ratlinalg import solve_sparse
 
 class ModelInputError(ValueError):
     """A rejected model input other than the rays: entry is "degrees" for
-    stated degrees no basis change reaches, "cones" for a malformed cone."""
+    stated degrees no basis change reaches, "cones" for a malformed cone,
+    "irrelevant" for a malformed irrelevant generator."""
 
     def __init__(self, entry: str, message: str):
         super().__init__(message)
@@ -52,6 +53,8 @@ class ToricModel:
       rank r and n + r variables;
     - every maximal cone: n distinct indices in range, listed once, and
       on the ray route n linearly independent rays;
+    - every stated irrelevant generator: a squarefree, nonconstant
+      exponent vector with one entry per variable, listed once;
     - a positive grading functional: the rays of a complete fan
       positively span N_R, so the degrees of a compact model always
       admit one.
@@ -84,6 +87,8 @@ class ToricModel:
             self._reject("the free part of the degree matrix is rank deficient")
         if self.max_cones is not None:
             self._check_cones()
+        if self.irrelevant_generators is not None:
+            self._check_irrelevant()
         if self.positive_functional is None:
             self._reject(
                 "the degrees admit no positive grading functional, so the variety is not complete"
@@ -111,6 +116,23 @@ class ToricModel:
             names = (self.variable_names[i] if 0 <= i < self.nvars else "?" for i in cone)
             label = "{" + ",".join(names) + "}"
             self._reject(f"cone {label} {problem}", "cones")
+
+    def _check_irrelevant(self):
+        seen = set()
+        for gen in self.irrelevant_generators:
+            gen = tuple(gen)
+            if len(gen) != self.nvars:
+                problem = f"does not have {self.nvars} entries"
+            elif not all(e in (0, 1) for e in gen):
+                problem = "is not squarefree: every exponent must be 0 or 1"
+            elif not any(gen):
+                problem = "is the constant monomial"
+            elif gen in seen:
+                problem = "is listed twice"
+            else:
+                seen.add(gen)
+                continue
+            self._reject(f"irrelevant generator {gen} {problem}", "irrelevant")
 
     @property
     def rank(self) -> int:

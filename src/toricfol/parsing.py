@@ -31,97 +31,85 @@ _TOKEN = re.compile(
 )
 
 
-def _tokenize(text: str, line: int):
+def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
+    """(kind, text, column) of every token, then an end token; one regex pass.
+
+    A decimal literal or a stray character anywhere in the text is reported
+    before any grammar error, wherever it sits.
+    """
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            break
-        col = m.start(m.lastgroup) + 1
-        if m.group("float"):
-            raise ParseError("rational literals must be p/q", line, col)
-        if m.group("bad"):
-            raise ParseError(f"unexpected character {m.group('bad')!r}", line, col)
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
+        col = m.start(kind) + 1
+        if kind == "float":
+            raise ParseError("rational literals must be p/q", line, col)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", line, col)
         tokens.append((kind, m.group(kind), col))
-        pos = m.end()
     tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
 def parse_polynomial(text: str, names, line: int = 1) -> Polynomial:
-    """Parse an expression in the declared variables; exact failures carry positions."""
+    """Parse an expression in the declared variables; exact failures carry positions.
+
+    Terms are summed into one dict as they are read: a monomial keeps the
+    place where it first appeared and is dropped when its coefficients
+    cancel, as Polynomial.__add__ does.
+    """
     index = {name: j for j, name in enumerate(names)}
-    nvars = len(names)
     tokens = _tokenize(text, line)
-    pos = 0
+    terms: dict[tuple[int, ...], Fraction] = {}
 
-    def peek():
-        return tokens[pos]
+    def integer(pos: int) -> int:
+        kind, value, col = tokens[pos]
+        if kind != "int":
+            raise ParseError(f"expected int, found {value!r}", line, col)
+        return int(value)
 
-    def take(kind=None):
-        nonlocal pos
-        tok = tokens[pos]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", line, tok[2])
-        pos += 1
-        return tok
-
-    def parse_number() -> Fraction:
-        tok = take("int")
-        value = Fraction(int(tok[1]))
-        if peek()[0] == "op" and peek()[1] == "/":
-            take()
-            den = take("int")
-            if int(den[1]) == 0:
-                raise ParseError("zero denominator", line, den[2])
-            value /= int(den[1])
-        return value
-
-    def parse_term() -> Polynomial:
-        coeff = Fraction(1)
-        exponents = [0] * nvars
-        saw_factor = False
-        while True:
-            kind, value, col = peek()
+    pos, sign = 0, 1
+    # Only an op token can read "+", "-", "*", "/" or "^".
+    if tokens[0][1] in ("+", "-"):
+        pos, sign = 1, -1 if tokens[0][1] == "-" else 1
+    while True:
+        num, den = sign, 1
+        exponents = [0] * len(names)
+        while True:  # factors joined by *
+            kind, value, col = tokens[pos]
+            pos += 1
             if kind == "int":
-                coeff *= parse_number()
-                saw_factor = True
+                num *= int(value)
+                if tokens[pos][1] == "/":
+                    d = integer(pos + 1)
+                    if not d:
+                        raise ParseError("zero denominator", line, tokens[pos + 1][2])
+                    den *= d
+                    pos += 2
             elif kind == "name":
-                take()
-                if value not in index:
+                j = index.get(value)
+                if j is None:
                     raise ParseError(f"undeclared variable {value!r}", line, col)
-                power = 1
-                if peek()[0] == "op" and peek()[1] == "^":
-                    take()
-                    power = int(take("int")[1])
-                exponents[index[value]] += power
-                saw_factor = True
+                if tokens[pos][1] == "^":
+                    exponents[j] += integer(pos + 1)
+                    pos += 2
+                else:
+                    exponents[j] += 1
             else:
                 raise ParseError(f"expected a coefficient or variable, found {value!r}", line, col)
-            if peek()[0] == "op" and peek()[1] == "*":
-                take()
-                continue
-            break
-        if not saw_factor:
-            raise ParseError("empty term", line, peek()[2])
-        return Polynomial(nvars, {tuple(exponents): coeff})
-
-    total = Polynomial.zero(nvars)
-    sign = 1
-    kind, value, col = peek()
-    if kind == "op" and value in "+-":
-        take()
-        sign = -1 if value == "-" else 1
-    while True:
-        term = parse_term()
-        total = total + (term if sign == 1 else -term)
-        kind, value, col = peek()
+            if tokens[pos][1] != "*":
+                break
+            pos += 1
+        if num:
+            key = tuple(exponents)
+            old = terms.get(key)
+            total = Fraction(num, den) if old is None else old + Fraction(num, den)
+            if total:
+                terms[key] = total
+            else:
+                del terms[key]
+        kind, value, col = tokens[pos]
         if kind == "end":
-            return total
-        if kind == "op" and value in "+-":
-            take()
-            sign = -1 if value == "-" else 1
-            continue
-        raise ParseError(f"expected + or -, found {value!r}", line, col)
+            return Polynomial._trusted(len(names), terms)
+        if value not in ("+", "-"):
+            raise ParseError(f"expected + or -, found {value!r}", line, col)
+        pos, sign = pos + 1, -1 if value == "-" else 1

@@ -31,3 +31,12 @@ def test_every_case_passes_its_check(workload, tmp_path):
         if problem is not None:
             problems.append(f"{case.name}: {problem}")
     assert not problems
+
+
+def test_casefile_batch_repeats_identically(tmp_path):
+    # The benchmark runs its case list pass after pass in one process and
+    # fails when a later pass prints anything the first did not, as state
+    # left behind by one in-process CLI call would make it.
+    cases = workloads.build("casefile-batch", seed=1, smoke=False, workdir=str(tmp_path))
+    first = [case.run() for case in cases]
+    assert [case.run() for case in cases] == first

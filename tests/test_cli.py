@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import toricfol
-from toricfol.cli import run
+from toricfol.cli import build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -442,3 +442,71 @@ def test_quasi_smoothness_needs_quasi_homogeneous(tmp_path, capsys):
     assert code == 2
     assert "quasi_smoothness: fails" in out
     assert "hypothesis quasi_smoothness: fail: hypersurface not quasi-homogeneous" in out
+
+
+@pytest.mark.parametrize(
+    "irrelevant, reason",
+    [
+        # a parse error inside a generator once escaped as a traceback
+        ("x^2*y z w", "irrelevant generator 'w': undeclared variable 'w'"),
+        ("x*y 1.5*z", "irrelevant generator '1.5*z': rational literals must be p/q"),
+        ("x^2*y z", "model construction failed: model toric(n=2,r=1): irrelevant generator (2, 1, 0) is not squarefree"),
+        ("x*y y*z x*y", "irrelevant generator (1, 1, 0) is listed twice"),
+        ("1 x", "irrelevant generator (0, 0, 0) is the constant monomial"),
+    ],
+)
+def test_irrelevant_generator_errors_located(tmp_path, capsys, irrelevant, reason):
+    path = tmp_path / "irr.case"
+    path.write_text(
+        f"[model]\ndimension = 2\nvariables = x y z\ndegrees = 1 1 1\nirrelevant = {irrelevant}\n"
+    )
+    code, out = invoke(capsys, "classgroup", "--case", str(path))
+    assert code == 1
+    assert out.startswith("input error:\nline 5: ") and reason in out, out
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    build_parser.cache_clear()
+    try:
+        invoke(capsys, "fixture", "torsion-fermat", "--m", "3")
+        # the first call builds one top-level parser and one per subcommand
+        assert built.count("toricfol") == 1 and len(built) > 1
+        first = len(built)
+        for argv in [("fixture", "torsion-fermat", "--m", "3"), ("fixture", "nope"), ("classgroup", "--bad")] * 4:
+            invoke(capsys, *argv)
+        assert len(built) == first
+    finally:
+        build_parser.cache_clear()
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    case = str(_split_case(tmp_path, capsys, "z1_0 z1_1"))
+    split = ("split-field", "--alpha1", "1", "--alpha2", "2")
+    sequences = [
+        [("audit", "--case", case, "--decompose"), ("audit", "--case", case)],
+        [
+            ("audit", "--case", case, "--format", "machine", "--power-cap", "2"),
+            ("audit", "--case", case, "--format", "machine"),
+        ],
+        # the field coefficients show in the exported case, not in the fixture report
+        [("fixture", *split, "--c=3,5"), ("fixture", *split), ("export", *split, "--c=3,5"), ("export", *split)],
+    ]
+    for sequence in sequences:
+        shared = [invoke(capsys, *argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            fresh.append(invoke(capsys, *argv))
+        assert shared == fresh, sequence
+        # the flag changes the result, so a flag that stuck would show
+        assert shared[-2] != shared[-1], sequence

@@ -1,0 +1,90 @@
+"""Seeded mutation fuzzing of case files through ``cli.run``.
+
+Every call runs in this one process, so the parser that ``cli.run``
+builds once is shared by all of them.  Whatever the mutation does to a
+case file, the command must end with exit 0, 1 or 2; an exception
+escaping ``run`` would reach the user as a traceback.
+"""
+
+import contextlib
+import io
+import random
+import re
+
+from toricfol.cli import run
+
+EXPORTS = [
+    ("wps-pairs", "--omega=1,2,1,2", "--d=4,2,4,2"),
+    ("biproj-pairs", "--n=1", "--a=1", "--b=2"),
+    ("torsion-fermat", "--m=3"),
+    ("split-field", "--alpha1=1", "--alpha2=2"),
+    ("monomial-hypersurface", "--alpha=2", "--beta=3"),
+]
+
+COMMANDS = ["audit", "audit", "classgroup", "degree", "invariance", "decompose"]
+
+NAME = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*\b")
+INTEGER = re.compile(r"\d+")
+
+
+def _run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(list(argv))
+    return code, out.getvalue()
+
+
+def _seed_files():
+    texts = [_run("export", *params)[1] for params in EXPORTS]
+    # the biproj-pairs case on the presentation route, with its irrelevant ideal
+    lines = [ln for ln in texts[1].splitlines() if not ln.startswith(("rays", "cones"))]
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("degrees"))
+    lines.insert(at + 1, "irrelevant = z1_0*z2_0 z1_0*z2_1 z1_1*z2_0 z1_1*z2_1")
+    texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+def _mutate(rng, text):
+    lines = text.split("\n")
+    kind = rng.choice(["drop", "duplicate", "integer", "name", "truncate"])
+    i = rng.randrange(len(lines))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif kind == "truncate":
+        lines[i] = lines[i][: rng.randrange(len(lines[i]) + 1)]
+    else:
+        pattern = INTEGER if kind == "integer" else NAME
+        hits = [(j, m) for j, ln in enumerate(lines) for m in pattern.finditer(ln)]
+        j, m = rng.choice(hits)
+        if kind == "integer":
+            new = str(rng.randint(0, 9))
+        else:
+            new = rng.choice([h.group() for _, h in hits] + ["q", "z9"])
+        lines[j] = lines[j][: m.start()] + new + lines[j][m.end() :]
+    return "\n".join(lines)
+
+
+def test_mutated_case_files_never_escape(tmp_path):
+    seeds = _seed_files()
+    path = tmp_path / "fuzz.case"
+    for text in seeds:
+        path.write_text(text)
+        assert _run("audit", "--case", str(path))[0] in (0, 2)
+    rng = random.Random(1)
+    codes = set()
+    for trial in range(600):
+        text = rng.choice(seeds)
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate(rng, text)
+        path.write_text(text)
+        argv = [rng.choice(COMMANDS), "--case", str(path)] + rng.choice([[], ["--format", "machine"]])
+        try:
+            code, out = _run(*argv)
+        except Exception as exc:  # name the input that escaped
+            raise AssertionError(f"trial {trial}: {' '.join(argv)} raised {exc!r} on\n{text}") from exc
+        assert code in (0, 1, 2), (trial, text)
+        assert "Traceback" not in out
+        codes.add(code)
+    assert codes == {0, 1, 2}

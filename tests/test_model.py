@@ -343,6 +343,32 @@ def test_direct_construction_checks_every_invariant():
         )
 
 
+def test_direct_construction_checks_irrelevant_generators():
+    from toricfol.families import rational_scroll
+    from toricfol.model import ModelInputError
+
+    gens = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert _direct(irrelevant_generators=gens).irrelevant_ideal() == gens
+    bad = [
+        (((1, 1),), "(1, 1) does not have 3 entries"),
+        (((2, 1, 0),), "(2, 1, 0) is not squarefree"),
+        (((1, -1, 0),), "(1, -1, 0) is not squarefree"),
+        (((0, 0, 0),), "(0, 0, 0) is the constant monomial"),
+        (((1, 1, 0), (0, 1, 1), (1, 1, 0)), "(1, 1, 0) is listed twice"),
+        # the two generators once accepted on a model with three variables
+        (((2, 0), (7, 7, 7, 7)), "(2, 0) does not have 3 entries"),
+    ]
+    for generators, reason in bad:
+        with pytest.raises(ModelInputError, match=re.escape(f"irrelevant generator {reason}")) as err:
+            _direct(irrelevant_generators=generators)
+        assert err.value.entry == "irrelevant"
+        with pytest.raises(ModelInputError, match=re.escape(reason)):
+            build_from_presentation(2, [DegreeClass((1,))] * 3, irrelevant_generators=generators)
+    # every Hirzebruch presentation still builds
+    for twists in [(0,), (1,), (1, 1), (2, 3, 1), (-1, -3)]:
+        assert len(rational_scroll(*twists).irrelevant_ideal()) == 2 * len(twists)
+
+
 def test_malformed_cones_are_tagged_on_both_routes():
     from toricfol.model import ModelInputError
 
