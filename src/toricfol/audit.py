@@ -98,7 +98,9 @@ class AuditReport:
     witnesses: tuple[PairwiseWitness, ...] = ()
     # Raw values behind the hypothesis statuses, by name (deg_hypersurface,
     # deg_field, cofactor, lie_g_member, strongly_quasi_smooth, ...); not
-    # serialized.
+    # serialized.  quasi_smoothness_path is "modular" when a basis mod a
+    # prime certified the Groebner dimension check of quasi_smoothness, and
+    # "exact" otherwise.
     evidence: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     def violations(self) -> tuple[str, ...]:
@@ -261,21 +263,30 @@ def _check_radial_span(case: _Case):
 def _check_quasi_smoothness(case: _Case):
     """Strong quasi-smoothness on the full variable set; on an index subset,
     a regular subsequence plus a singular cone inside the removed locus.
-    The evidence carries the report's quasi_smoothness label."""
+    The evidence carries the report's quasi_smoothness label and the path
+    that decided its Groebner dimension check."""
     if case.evidence["deg_hypersurface"] is None:
-        return "fail: hypersurface not quasi-homogeneous", {"quasi_smoothness": "fails"}
+        return "fail: hypersurface not quasi-homogeneous", {
+            "quasi_smoothness": "fails",
+            "quasi_smoothness_path": "exact",
+        }
     model, f = case.model, case.f
+    record = {"path": "exact"}
     if case.subset is None:
         partials = [f.partial_derivative(j) for j in range(model.nvars)]
         nonzero = [p for p in partials if not p.is_zero()]
-        strong = only_origin_check(nonzero) if nonzero else False
+        strong = only_origin_check(nonzero, record=record) if nonzero else False
         if strong:
             status, label = "pass", "strong"
         else:
             status, label = "fail: singular cone escapes the origin", "fails"
-        return status, {"quasi_smoothness": label, "strongly_quasi_smooth": strong}
+        return status, {
+            "quasi_smoothness": label,
+            "strongly_quasi_smooth": strong,
+            "quasi_smoothness_path": record["path"],
+        }
     problems = []
-    regular = regular_subsequence_check(f, case.subset)
+    regular = regular_subsequence_check(f, case.subset, record=record)
     if not regular:
         problems.append("selected partials are not a regular subsequence")
     radial = model.radial[case.options.radial_index]
@@ -291,7 +302,12 @@ def _check_quasi_smoothness(case: _Case):
     else:
         status = "fail: " + "; ".join(problems)
         label = "inconclusive" if sing == INCONCLUSIVE else "fails"
-    return status, {"quasi_smoothness": label, "regular_subset": regular, "sing_in_irrelevant": sing}
+    return status, {
+        "quasi_smoothness": label,
+        "regular_subset": regular,
+        "sing_in_irrelevant": sing,
+        "quasi_smoothness_path": record["path"],
+    }
 
 
 def _check_eligible(case: _Case):

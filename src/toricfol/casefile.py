@@ -192,6 +192,8 @@ def parse_case(text: str) -> CaseFile:
     irrelevant = None
     if "irrelevant" in entries:
         lineno, value = entries["irrelevant"]
+        if "rays" in entries:
+            raise CaseError([Located("irrelevant is not read with rays: the cones give the irrelevant ideal", lineno)])
         irrelevant = []
         for g in _split_groups(value, lineno):
             try:

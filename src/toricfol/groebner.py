@@ -21,10 +21,30 @@ form, so one sweep gives the reduced basis.  The term order is grevlex,
 and for it the reduced Groebner basis of an ideal is unique; the criteria
 and the selection order change the work done, never the basis returned,
 and so never a downstream certificate.
+
+The dimension checks ``only_origin_check`` and
+``regular_subsequence_check`` try the same pair loop modulo the fixed
+prime ``P = 2**31 - 1`` first (Arnold, "Modular algorithms for computing
+Groebner bases", J. Symb. Comput. 35, 2003).  Each generator's
+denominators are cleared and its integer coefficients reduced mod P.
+The generators are quasi-homogeneous for a grading with a positive
+functional, so every graded piece of the ideal is spanned by finitely
+many integer vectors, whose rank can only drop mod P.  The Hilbert
+function of the quotient can therefore only grow, and the dimension
+read from the leading monomials of the mod-P basis bounds the rational
+one from above.  That certifies ``dimension <= 0`` and, with Krull's
+bound ``dimension >= n - k`` for k homogeneous generators of a proper
+ideal, ``dimension == n - k``.  Any other outcome, including a generator
+that vanishes mod P, falls back to the exact computation, so a verdict
+never depends on the prime.  Mod P every divisor is monic and the kernel
+never computes ``c / lc``, which on two ints would give a float.
+Membership mod P proves nothing over Q, so ``sing_inside_irrelevant``
+stays exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -44,6 +64,7 @@ from .poly import (
 
 EMPTY_VARIETY = -1
 INCONCLUSIVE = "inconclusive"
+P = 2**31 - 1  # the prime of the modular first step
 
 
 @dataclass(frozen=True)
@@ -74,17 +95,33 @@ def _spoly_terms(a: Divisor, b: Divisor, lcm) -> dict:
     return terms
 
 
-def buchberger(gens) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens."""
+def _nonzero_generators(gens) -> list[Polynomial]:
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
         raise ValueError("no nonzero generators")
-    nvars = polys[0].nvars
     for g in polys:
-        if g.nvars != nvars:
+        if g.nvars != polys[0].nvars:
             raise ValueError("variable count mismatch among generators")
+    return polys
 
-    basis = [as_divisor(g.monic()) for g in polys]
+
+def _monic(lm, lc, tail, modulus) -> Divisor:
+    if modulus is None:
+        return Divisor(lm, Fraction(1), [(m, c / lc) for m, c in tail])
+    inv = pow(lc, -1, modulus)
+    return Divisor(lm, 1, [(m, c * inv % modulus) for m, c in tail])
+
+
+def buchberger(gens) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by gens."""
+    polys = _nonzero_generators(gens)
+    basis = _pair_loop([as_divisor(g.monic()) for g in polys], None)
+    return GroebnerBasis(generators=_interreduce(basis, polys[0].nvars))
+
+
+def _pair_loop(basis: list[Divisor], modulus: int | None) -> list[Divisor]:
+    """Extend the monic divisors in ``basis`` to a Groebner basis, with
+    Fraction coefficients or, given a prime ``modulus``, ints mod it."""
     heap: list = []
     pending: set[tuple[int, int]] = set()
 
@@ -104,12 +141,28 @@ def buchberger(gens) -> GroebnerBasis:
             continue  # coprime leading terms: s-polynomial reduces to zero
         if _chain_criterion(i, j, lcm, basis, pending):
             continue
-        rem = list(divide_terms(_spoly_terms(basis[i], basis[j], lcm), basis))
+        rem = list(divide_terms(_spoly_terms(basis[i], basis[j], lcm), basis, modulus=modulus))
         if rem:
             (lm, lc), tail = rem[0], rem[1:]
-            basis.append(Divisor(lm, Fraction(1), [(m, c / lc) for m, c in tail]))
+            basis.append(_monic(lm, lc, tail, modulus))
             add_pairs(len(basis) - 1)
-    return GroebnerBasis(generators=_interreduce(basis, nvars))
+    return basis
+
+
+def _modular_leads(polys: list[Polynomial]) -> list | None:
+    """Leading monomials of a Groebner basis of the polys mod P, or None
+    when some poly vanishes mod P once its denominators are cleared."""
+    basis = []
+    for g in polys:
+        den = math.lcm(*(c.denominator for c in g.terms.values()))
+        terms = {m: c.numerator * (den // c.denominator) % P for m, c in g.terms.items()}
+        terms = {m: c for m, c in terms.items() if c}
+        if not terms:
+            return None
+        lm = max(terms, key=grevlex_key)
+        lc = terms.pop(lm)
+        basis.append(_monic(lm, lc, terms.items(), P))
+    return [d.lead for d in _pair_loop(basis, P)]
 
 
 def _chain_criterion(i: int, j: int, lcm, basis, pending) -> bool:
@@ -148,16 +201,16 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 
 def ideal_dimension(gb: GroebnerBasis) -> int:
-    """Affine Krull dimension of the quotient; EMPTY_VARIETY when 1 is inside.
+    """Affine Krull dimension of the quotient; EMPTY_VARIETY when 1 is inside."""
+    return _lead_dimension([g.leading_term()[0] for g in gb.generators], gb.nvars)
 
-    Uses the standard combinatorial rule on the leading-term ideal: the
-    dimension is the largest set of variables containing the support of
-    no leading monomial.
-    """
-    lms = [g.leading_term()[0] for g in gb.generators]
+
+def _lead_dimension(lms, nvars: int) -> int:
+    """The dimension read from the leading monomials of a Groebner basis by
+    the standard combinatorial rule: the largest set of variables
+    containing the support of no leading monomial."""
     if any(sum(m) == 0 for m in lms):
         return EMPTY_VARIETY
-    nvars = gb.nvars
     supports = [frozenset(j for j, e in enumerate(m) if e) for m in lms]
     for size in range(nvars, -1, -1):
         for subset in combinations(range(nvars), size):
@@ -167,26 +220,45 @@ def ideal_dimension(gb: GroebnerBasis) -> int:
     return 0
 
 
-def regular_subsequence_check(f: Polynomial, indices) -> bool:
-    """Whether the selected partials cut a variety of codimension len(indices)."""
+def _modular_first(gens, accept, record) -> bool:
+    """accept(dimension), decided by the mod-P basis when it says yes and by
+    the exact basis otherwise; record["path"] names the one that decided."""
+    polys = _nonzero_generators(gens)
+    leads = _modular_leads(polys)
+    if leads is not None and accept(_lead_dimension(leads, polys[0].nvars)):
+        path, answer = "modular", True
+    else:
+        path, answer = "exact", accept(ideal_dimension(buchberger(polys)))
+    if record is not None:
+        record["path"] = path
+    return answer
+
+
+def regular_subsequence_check(f: Polynomial, indices, *, record: dict | None = None) -> bool:
+    """Whether the selected partials cut a variety of codimension len(indices).
+
+    Precondition: f is quasi-homogeneous for a grading with a positive
+    functional.  When ``record`` is given, record["path"] is "modular" or
+    "exact", the computation that decided.
+    """
     indices = sorted(set(indices))
     partials = [f.partial_derivative(j) for j in indices]
     if any(p.is_zero() for p in partials):
         return False
-    dim = ideal_dimension(buchberger(partials))
-    if dim == EMPTY_VARIETY:
-        return False
-    return dim == f.nvars - len(indices)
+    wanted = f.nvars - len(indices)
+    return _modular_first(partials, lambda dim: dim == wanted, record)
 
 
-def only_origin_check(gens) -> bool:
+def only_origin_check(gens, *, record: dict | None = None) -> bool:
     """Whether the common zero set of gens is contained in {0}.
 
     Precondition: the gens are quasi-homogeneous for a grading with a
     positive functional, as every model's is.  Their zero set is then a
     cone, and a cone of dimension at most zero is the origin or empty.
+    When ``record`` is given, record["path"] is "modular" or "exact", the
+    computation that decided.
     """
-    return ideal_dimension(buchberger(gens)) <= 0
+    return _modular_first(gens, lambda dim: dim <= 0, record)
 
 
 def _power_cap(gens, cap):

@@ -61,6 +61,7 @@ def divide_terms(
     terms: dict[Exponents, Fraction],
     divisors: list[Divisor],
     quotients: list[dict[Exponents, Fraction]] | None = None,
+    modulus: int | None = None,
 ) -> Iterator[tuple[Exponents, Fraction]]:
     """Divide ``terms`` by ``divisors`` in place, yielding the remainder's terms.
 
@@ -74,18 +75,26 @@ def divide_terms(
 
     ``terms`` keeps cancelled monomials at coefficient zero until they are
     popped, so each monomial in it has exactly one entry in the heap.
+
+    With ``modulus`` None the coefficients are Fractions.  Otherwise they
+    are ints modulo that prime: each coefficient is reduced once, when its
+    term is popped, and every divisor must be monic with its tail already
+    reduced, so the quotient coefficient is the popped coefficient itself
+    and no int is ever divided by an int.
     """
     heap = [(heap_key(m), m) for m in terms]
     heapify(heap)
     while heap:
         m = heappop(heap)[1]
         c = terms.pop(m)
+        if modulus:
+            c %= modulus
         if not c:
             continue
         for i, (lm, lc, tail) in enumerate(divisors):
             if monomial_divides(lm, m):
                 shift = monomial_div(m, lm)
-                q = c / lc
+                q = c if modulus else c / lc
                 if quotients is not None:
                     quotients[i][shift] = q
                 for tm, tc in tail:

@@ -280,25 +280,28 @@ def test_selftest_machine_prints_json_only(capsys):
 def test_fixture_computes_each_groebner_basis_once(capsys, monkeypatch):
     from toricfol import groebner
 
+    # Every basis, mod P or exact, is one run of the shared pair loop.
     calls = []
-    original = groebner.buchberger
+    original = groebner._pair_loop
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(basis, modulus):
+        calls.append("exact" if modulus is None else "modular")
+        return original(basis, modulus)
 
-    monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(groebner, "_pair_loop", counting)
     expected = [
-        (("torsion-fermat", "--m", "3"), 1),
-        (("monomial-hypersurface", "--alpha", "2", "--beta", "3"), 1),
-        # the subset audit's two tests plus the fixture's strong check
-        (("split-field", "--alpha1", "1", "--alpha2", "2"), 3),
+        (("torsion-fermat", "--m", "3"), ["modular"]),
+        # the strong check is not certified mod P, so one exact basis decides
+        (("monomial-hypersurface", "--alpha", "2", "--beta", "3"), ["modular", "exact"]),
+        # the subset audit's regular-subsequence test (certified mod P) and
+        # its exact membership test, then the fixture's strong check
+        (("split-field", "--alpha1", "1", "--alpha2", "2"), ["modular", "exact", "modular", "exact"]),
     ]
     for params, want in expected:
         calls.clear()
         code, _ = invoke(capsys, "fixture", *params)
         assert code == 0
-        assert len(calls) == want, params
+        assert calls == want, params
 
 
 def test_closed_stdout_exits_one_without_traceback():
@@ -463,6 +466,21 @@ def test_irrelevant_generator_errors_located(tmp_path, capsys, irrelevant, reaso
     code, out = invoke(capsys, "classgroup", "--case", str(path))
     assert code == 1
     assert out.startswith("input error:\nline 5: ") and reason in out, out
+
+
+def test_irrelevant_line_rejected_beside_rays(tmp_path, capsys):
+    # once read and then handed to no builder, so the line was silently dropped
+    path = tmp_path / "rays_irr.case"
+    path.write_text(
+        "[model]\ndimension = 2\nvariables = x y z\nrays = (1,0) (0,1) (-1,-1)\n"
+        "cones = {1,2} {2,3} {1,3}\nirrelevant = x^2*y x*y x*y\n"
+    )
+    code, out = invoke(capsys, "classgroup", "--case", str(path))
+    assert code == 1
+    assert out.startswith("input error:\nline 6: irrelevant is not read with rays"), out
+    path.write_text(path.read_text().replace("irrelevant = x^2*y x*y x*y\n", ""))
+    code, _ = invoke(capsys, "classgroup", "--case", str(path))
+    assert code == 0
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

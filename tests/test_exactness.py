@@ -3,6 +3,11 @@
 Each module is parsed with ``ast``.  A float or complex literal, a call
 to ``float(`` or ``complex(``, or an import of ``numpy`` fails the test
 with its file and line.
+
+No probabilistic verdicts either: an import of ``random`` or ``secrets``
+fails the test too, so no verdict can come to depend on a randomly chosen
+prime.  ``selfcheck.py`` is exempt from that rule alone: its suites draw
+their test inputs from a seeded ``random.Random``.
 """
 
 import ast
@@ -33,6 +38,21 @@ def inexact_spots(tree: ast.AST) -> list[str]:
     return spots
 
 
+RANDOM_SOURCES = ("random", "secrets")
+SEEDED_INPUT_MODULES = ("selfcheck.py",)
+
+
+def random_imports(tree: ast.AST) -> list[str]:
+    spots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.split(".")[0] in RANDOM_SOURCES]
+            spots += [f"line {node.lineno}: import {name}" for name in names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in RANDOM_SOURCES:
+            spots.append(f"line {node.lineno}: from {node.module} import")
+    return spots
+
+
 def test_core_modules_found():
     assert len(MODULES) >= 10
     assert CORE / "poly.py" in MODULES
@@ -50,3 +70,20 @@ def test_detector_sees_each_kind():
     )
     assert len(inexact_spots(ast.parse(source))) == 6
     assert inexact_spots(ast.parse("from fractions import Fraction\nx = Fraction(3, 2)\n")) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in SEEDED_INPUT_MODULES], ids=lambda p: p.name
+)
+def test_no_random_sources_in_core(path):
+    spots = random_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert not spots, f"{path.name}: " + "; ".join(spots)
+
+
+def test_random_detector_sees_each_kind():
+    source = "import random\nimport secrets as s\nfrom random import Random\nfrom secrets import randbelow"
+    assert len(random_imports(ast.parse(source))) == 4
+    assert random_imports(ast.parse("import math\nfrom fractions import Fraction\n")) == []
+    # the exemption is not stale: the exempt module does draw random inputs
+    for name in SEEDED_INPUT_MODULES:
+        assert random_imports(ast.parse((CORE / name).read_text(encoding="utf-8")))
