@@ -26,7 +26,7 @@ from .foliation import (
 from .grading import homogeneous_degree
 from .groebner import INCONCLUSIVE, only_origin_check, regular_subsequence_check, sing_inside_irrelevant
 from .model import ToricModel
-from .normalform import KoszulDecomposition, koszul_decompose
+from .normalform import KoszulDecomposition, _decompose
 from .poly import Polynomial
 
 
@@ -378,13 +378,12 @@ def audit_case(
     witnesses: list[PairwiseWitness] = []
     if options.attach_decomposition:
         if all_pass and deg_v is not None:
+            # The evidence was computed on the audited field, and a
+            # restriction of a consistent field keeps its degree.
+            indices = tuple(range(model.nvars)) if subset is None else subset
             try:
-                decomposition = koszul_decompose(
-                    model,
-                    f,
-                    audited,
-                    radial_index=options.radial_index,
-                    index_set=subset,
+                decomposition = _decompose(
+                    model, f, audited, options.radial_index, indices, deg_v, ev["cofactor"], deg_field
                 )
             except Exception as exc:  # noqa: BLE001 - recorded, not raised
                 note = f"decomposition failed: {exc}"

@@ -6,6 +6,14 @@ of a radial field.  The pair coefficients are found by one exact linear
 solve over the monomial supports their degrees force; a failure of that
 solve under valid hypotheses would falsify the normal form, so it is
 raised loudly with the residual system attached.
+
+``koszul_decompose`` is the public entry: it checks its inputs, computes
+deg(f), the invariance cofactor g and the field's degree, and hands them
+to the private ``_decompose``.  ``audit_case`` calls ``_decompose``
+directly with the values its hypothesis checks already hold, so an
+audit with a decomposition attached computes each of them once.  Within
+one solve, pairs of the same forced degree share one monomial
+enumeration.
 """
 
 from __future__ import annotations
@@ -122,7 +130,12 @@ def koszul_decompose(
     pinned to zero), not a canonical representative.
     """
     nv = model.nvars
+    if not 0 <= radial_index < model.rank:
+        raise ValueError(f"radial_index {radial_index} outside range({model.rank})")
     indices = tuple(sorted(set(range(nv) if index_set is None else index_set)))
+    bad = [j for j in indices if not 0 <= j < nv]
+    if bad:
+        raise ValueError(f"index_set entries outside range({nv}): {bad}")
     outside = [j for j in field.support() if j not in indices]
     if outside:
         raise ValueError(f"field has components outside the index set: {outside}")
@@ -134,21 +147,42 @@ def koszul_decompose(
     alpha = homogeneous_degree(model, f)
     if alpha is None:
         raise ValueError("hypersurface is not quasi-homogeneous")
+    g = invariance_cofactor(model, field, f)
+    if g is None:
+        raise ValueError("field does not leave the hypersurface invariant")
+    deg_field = foliation_degree(model, field)
+    return _decompose(model, f, field, radial_index, indices, alpha, g, deg_field)
+
+
+def _decompose(
+    model: ToricModel,
+    f: Polynomial,
+    field: VectorField,
+    radial_index: int,
+    indices: tuple[int, ...],
+    alpha: DegreeClass,
+    g: Polynomial,
+    deg_field: DegreeClass,
+) -> KoszulDecomposition:
+    """The solve behind ``koszul_decompose``, on checked inputs.
+
+    ``indices`` is sorted and holds the field's support and the radial
+    field's; ``alpha`` = deg(f), ``g`` the invariance cofactor and
+    ``deg_field`` the field's degree, as the caller has already computed
+    them (``audit_case`` passes its evidence).
+    """
+    nv = model.nvars
     theta = model.theta(radial_index, alpha)
     if theta == 0:
         raise ValueError(
             f"radial field {radial_index} has zero Euler factor on {alpha}; try another index"
         )
-    g = invariance_cofactor(model, field, f)
-    if g is None:
-        raise ValueError("field does not leave the hypersurface invariant")
-    deg_field = foliation_degree(model, field)
+    coeffs = model.radial[radial_index]
 
-    partials = {j: f.partial_derivative(j) for j in indices}
+    unit = [(0,) * j + (1,) + (0,) * (nv - j - 1) for j in range(nv)]
     residual = VectorField(
         tuple(
-            field.components[j]
-            - g.scale(Fraction(coeffs[j], theta)) * Polynomial.variable(nv, j)
+            field.components[j] - g.mul_monomial(unit[j], Fraction(coeffs[j], theta))
             if j in indices
             else Polynomial.zero(nv)
             for j in range(nv)
@@ -157,9 +191,12 @@ def koszul_decompose(
 
     pair_list = [(j, k) for a, j in enumerate(indices) for k in indices[a + 1 :]]
     columns = []  # (pair, monomial) in deterministic order
+    bases: dict[DegreeClass, tuple] = {}  # pairs often share a degree
     for j, k in pair_list:
-        basis = monomials_of_degree(model, pair_degree(model, deg_field, alpha, j, k))
-        columns.extend(((j, k), m) for m in basis)
+        delta = pair_degree(model, deg_field, alpha, j, k)
+        if delta not in bases:
+            bases[delta] = monomials_of_degree(model, delta)
+        columns.extend(((j, k), m) for m in bases[delta])
 
     # Equations: per slot c in the index set, match every monomial coefficient.
     # Each row is a sparse {column: coefficient} dict; the solution the
@@ -171,18 +208,21 @@ def koszul_decompose(
     def _add(slot, mono, col, val):
         contributions.setdefault((slot, mono), {})[col] = val
 
+    # The pair (j, k) puts +df/dz_j on slot k and -df/dz_k on slot j.
+    plus = {j: tuple(f.partial_derivative(j).terms.items()) for j in indices}
+    minus = {j: tuple((mm, -cc) for mm, cc in plus[j]) for j in indices}
     for col, ((j, k), m) in enumerate(columns):
-        for mm, cc in partials[j].terms.items():
+        for mm, cc in plus[j]:
             _add(k, monomial_mul(mm, m), col, cc)
-        for mm, cc in partials[k].terms.items():
-            _add(j, monomial_mul(mm, m), col, -cc)
+        for mm, cc in minus[k]:
+            _add(j, monomial_mul(mm, m), col, cc)
     for c in indices:
         for m in residual.components[c].terms:
             contributions.setdefault((c, m), {})
 
     solution = solve_sparse(
         list(contributions.values()),
-        [residual.components[c].terms.get(m, Fraction(0)) for c, m in contributions],
+        [residual.components[c].terms.get(m, 0) for c, m in contributions],
         len(columns),
     )
     if solution is None:

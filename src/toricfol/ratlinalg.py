@@ -12,11 +12,27 @@ independent ones, whichever row supplies each pivot.  The particular
 solution with every other unknown at zero is therefore the same vector
 a dense Gauss-Jordan in column order returns; the dense version is kept
 as the test oracle in ``tests/linalg_oracle.py``.
+
+The elimination is fraction-free.  Each row and its right-hand side are
+scaled to integers by the lcm of their denominators; eliminating column
+c from row i by the pivot row replaces row_i with
+(p/g) row_i - (a/g) prow, where a and p are the entries of the two rows
+in c and g = gcd(a, p), and then divides row i and its right-hand side
+by their content.  Every such row is a nonzero multiple of the row a
+``Fraction`` elimination would hold at the same step, so the pattern of
+zeros is the same, and with it the sparsest-row pivot, its tie-break and
+the pivot columns; the particular solution is unique, so it is the same
+vector too.  Only the back-substitution divides, in ``Fraction``.  Its
+pivots are ints, and so is the right-hand side less the known terms
+when no later unknown is nonzero; ``int / int`` would then be a float,
+so each unknown is built as ``Fraction(numerator, denominator * pivot)``
+and never by ``/``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def solve_sparse(
@@ -25,28 +41,35 @@ def solve_sparse(
     """A particular solution of rows . x = rhs with free unknowns at zero.
 
     ``rows[i]`` maps a column in ``range(ncols)`` to its coefficient;
-    absent columns and explicit zeros are zero.  The caller's dicts are
-    not modified.  Returns None when the system is inconsistent.
+    absent columns and explicit zeros are zero.  Every coefficient and
+    right-hand side must be an ``int`` or a ``Fraction`` (``TypeError``
+    otherwise), and every entry returned is a ``Fraction``.  The caller's
+    dicts are not modified.  Returns None when the system is inconsistent.
     """
     if len(rows) != len(rhs):
         raise ValueError("rhs length mismatch")
-    live: dict[int, dict[int, Fraction]] = {}
-    b: list[Fraction] = []
+    live: dict[int, dict[int, int]] = {}
+    b: list[int] = []
     hits: list[set[int]] = [set() for _ in range(ncols)]  # column -> live rows reaching it
     for i, (row, value) in enumerate(zip(rows, rhs)):
         entries = {}
         for c, v in row.items():
             if not 0 <= c < ncols:
                 raise ValueError(f"column {c} outside range({ncols})")
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"coefficient {v!r} is neither an int nor a Fraction")
             if v:
-                entries[c] = Fraction(v)
+                entries[c] = v
                 hits[c].add(i)
-        live[i] = entries
-        b.append(Fraction(value))
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"right-hand side {value!r} is neither an int nor a Fraction")
+        den = lcm(value.denominator, *(v.denominator for v in entries.values()))
+        live[i] = {c: v.numerator * (den // v.denominator) for c, v in entries.items()}
+        b.append(value.numerator * (den // value.denominator))
 
     # A live row never reaches a column already eliminated, so a pivot
     # row only has entries in its own column and later ones.
-    pivots: list[tuple[int, Fraction, dict[int, Fraction], Fraction]] = []
+    pivots: list[tuple[int, int, dict[int, int], int]] = []
     for c in range(ncols):
         if not hits[c]:
             continue
@@ -58,9 +81,15 @@ def solve_sparse(
         bp = b[p]
         for i in hits[c]:
             row = live[i]
-            factor = row.pop(c) / pivot
+            a = row.pop(c)
+            g = gcd(a, pivot)
+            s, t = pivot // g, a // g  # row_i <- s * row_i - t * prow
+            if s != 1:
+                for cc in row:
+                    row[cc] *= s
+                b[i] *= s
             for cc, v in prow.items():
-                new = row.get(cc, 0) - factor * v
+                new = row.get(cc, 0) - t * v
                 if new:
                     if cc not in row:
                         hits[cc].add(i)
@@ -69,7 +98,12 @@ def solve_sparse(
                     del row[cc]
                     hits[cc].discard(i)
             if bp:
-                b[i] -= factor * bp
+                b[i] -= t * bp
+            content = gcd(b[i], *row.values())
+            if content > 1:
+                for cc in row:
+                    row[cc] //= content
+                b[i] //= content
         pivots.append((c, pivot, prow, bp))
 
     # Every live row is now empty, so its right-hand side must vanish.
@@ -77,5 +111,6 @@ def solve_sparse(
         return None
     x = [Fraction(0)] * ncols
     for c, pivot, prow, bp in reversed(pivots):
-        x[c] = (bp - sum(v * x[cc] for cc, v in prow.items() if x[cc])) / pivot
+        num = bp - sum(v * x[cc] for cc, v in prow.items() if x[cc])
+        x[c] = Fraction(num.numerator, num.denominator * pivot)
     return x

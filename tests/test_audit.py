@@ -1,9 +1,11 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from toricfol.audit import AuditOptions, audit_case, poincare_bound
+from toricfol.casefile import parse_case
 from toricfol.degrees import DegreeClass
 from toricfol.families import (
     biproj_pairs_fixture,
@@ -17,6 +19,7 @@ from toricfol.families import (
 )
 from toricfol.foliation import VectorField
 from toricfol.grading import monomials_of_degree
+from toricfol.normalform import koszul_decompose
 from toricfol.poly import Polynomial
 
 
@@ -141,6 +144,33 @@ def test_audit_attaches_decomposition():
     assert report.decomposition is not None
     entries = report.decomposition.to_strings(fix.model.variable_names)
     assert entries["P[z1,z2]"] == "-1/3*z2"
+
+
+def test_attached_decomposition_equals_public_solve_on_golden_cases():
+    # The audit hands its own degrees and cofactor to the Koszul solve; on
+    # every golden case file, subset audits included, the attached result
+    # is the one koszul_decompose computes from scratch.
+    attached = 0
+    for path in sorted((Path(__file__).resolve().parent / "golden").glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        case = parse_case(doc["outputs"]["export"]["stdout"])
+        opts = AuditOptions(
+            radial_index=case.radial_index,
+            subset=case.subset,
+            power_cap=case.power_cap,
+            attach_decomposition=True,
+        )
+        report = audit_case(case.model, case.field, case.hypersurface, opts)
+        if report.decomposition is None:
+            assert report.decomposition_note.startswith("decomposition skipped"), path.name
+            continue
+        field = case.field if case.subset is None else case.field.restrict(case.subset)
+        want = koszul_decompose(
+            case.model, case.hypersurface, field, radial_index=case.radial_index, index_set=case.subset
+        )
+        assert report.decomposition == want, path.name
+        attached += 1
+    assert attached >= 10
 
 
 def test_audit_pairwise_witnesses():

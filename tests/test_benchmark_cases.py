@@ -17,6 +17,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 
+from toricfol import audit, foliation, normalform  # noqa: E402
+
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
@@ -40,3 +42,44 @@ def test_casefile_batch_repeats_identically(tmp_path):
     cases = workloads.build("casefile-batch", seed=1, smoke=False, workdir=str(tmp_path))
     first = [case.run() for case in cases]
     assert [case.run() for case in cases] == first
+
+
+@pytest.mark.parametrize("seed", [1, 97])
+def test_roundtrip_audit_attaches_the_public_decomposition(seed, tmp_path, monkeypatch):
+    # Each koszul-roundtrip case audits with a decomposition attached; it
+    # must equal what koszul_decompose computes on the same inputs.
+    audits = []
+    audit_case = audit.audit_case
+
+    def capture(model, field, f, options):
+        report = audit_case(model, field, f, options)
+        audits.append((model, field, f, options, report))
+        return report
+
+    monkeypatch.setattr(audit, "audit_case", capture)
+    cases = workloads.build("koszul-roundtrip", seed=seed, smoke=False, workdir=str(tmp_path))
+    for case in cases:
+        case.run()
+    assert len(audits) == len(cases) == 20
+    for model, field, f, options, report in audits:
+        assert options.attach_decomposition and options.subset is None
+        want = normalform.koszul_decompose(model, f, field, radial_index=options.radial_index)
+        assert report.decomposition == want
+
+
+def test_roundtrip_audit_computes_the_cofactor_once(tmp_path, monkeypatch):
+    calls = []
+    cofactor = foliation.invariance_cofactor
+
+    def counting(model, field, f):
+        calls.append(field)
+        return cofactor(model, field, f)
+
+    for module in (foliation, audit, normalform):
+        monkeypatch.setattr(module, "invariance_cofactor", counting)
+    cases = workloads.build("koszul-roundtrip", seed=1, smoke=False, workdir=str(tmp_path))
+    for case in cases:
+        calls.clear()
+        out, report = case.run()
+        assert report.decomposition is not None
+        assert len(calls) == 1, case.name

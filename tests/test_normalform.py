@@ -238,3 +238,39 @@ def test_decompose_without_pair_columns_raises(p1p1):
     field = VectorField.from_components(4, {0: Polynomial(4, {(1, 0, 0, 2): 1})})
     with pytest.raises(DecompositionError):
         koszul_decompose(p1p1, f, field)
+
+
+@pytest.mark.parametrize(
+    "kwargs,named",
+    [
+        ({"index_set": [0, 1, 2, 3, 7]}, "7"),
+        ({"index_set": [0, 7]}, "7"),
+        ({"radial_index": 5}, "5"),
+    ],
+    ids=["index-past-the-variables", "index-set-with-stray-entry", "radial-index-past-the-rank"],
+)
+def test_decompose_rejects_out_of_range_indices(kwargs, named):
+    from toricfol.families import biproj_pairs_fixture
+
+    fix = biproj_pairs_fixture(1, [1], [1])
+    with pytest.raises(ValueError, match=rf"\b{named}\b.*outside range|outside range.*\b{named}\b"):
+        koszul_decompose(fix.model, fix.hypersurface, fix.field, **kwargs)
+
+
+def test_decompose_enumerates_each_pair_degree_once(monkeypatch):
+    # On P^1 x P^1 the four mixed pairs share one degree: six pairs, three degrees.
+    from toricfol import normalform
+    from toricfol.families import biproj_pairs_fixture
+
+    calls = []
+    enumerate_monomials = normalform.monomials_of_degree
+
+    def counting(model, alpha):
+        calls.append(alpha)
+        return enumerate_monomials(model, alpha)
+
+    monkeypatch.setattr(normalform, "monomials_of_degree", counting)
+    fix = biproj_pairs_fixture(1, [1], [1])
+    dec = koszul_decompose(fix.model, fix.hypersurface, fix.field)
+    assert len(dec.pairs) == 6
+    assert len(calls) == len(set(calls)) == 3

@@ -52,6 +52,32 @@ def _random_system(rng):
     return rows, rhs, ncols
 
 
+def _wide_system(rng):
+    """A sparse system of 20-40 columns with 6-digit coefficients over
+    small denominators; a quarter of its rows are combinations of earlier
+    ones, so that eliminated rows share large common factors."""
+    ncols = rng.randint(20, 40)
+    nrows = rng.randint(8, 24)
+
+    def value():
+        return Fraction(rng.randint(-999_999, 999_999), rng.choice((1, 1, 2, 3, 7, 10, 12)))
+
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and rng.random() < 0.25:
+            a, b = rng.sample(rows, 2)
+            s, t = value(), value()
+            rows.append({c: s * a.get(c, 0) + t * b.get(c, 0) for c in set(a) | set(b)})
+        else:
+            rows.append({c: value() for c in range(ncols) if rng.random() < 0.15})
+    if rng.random() < 0.7:  # consistent by construction
+        x0 = [value() if rng.random() < 0.6 else Fraction(0) for _ in range(ncols)]
+        rhs = [sum((v * x0[c] for c, v in row.items()), Fraction(0)) for row in rows]
+    else:
+        rhs = [value() for _ in rows]
+    return rows, rhs, ncols
+
+
 def test_sparse_matches_dense_oracle_on_random_systems():
     rng = random.Random(20240607)
     seen = {"inconsistent": 0, "free unknowns": 0, "zero row": 0, "no columns": 0, "no rows": 0}
@@ -65,6 +91,42 @@ def test_sparse_matches_dense_oracle_on_random_systems():
         seen["no columns"] += ncols == 0 and bool(rows)
         seen["no rows"] += not rows
     assert min(seen.values()) >= 10, seen
+
+    # Wide systems with large coefficients: rows reach the content division.
+    rng = random.Random(20261018)
+    seen = {"systems": 0, "solved": 0, "inconsistent": 0, "rank deficient": 0}
+    for _ in range(60):
+        rows, rhs, ncols = _wide_system(rng)
+        want = _oracle(rows, rhs, ncols)
+        assert solve_sparse(rows, rhs, ncols) == want, (rows, rhs, ncols)
+        seen["systems"] += 1
+        seen["solved"] += want is not None
+        seen["inconsistent"] += want is None
+        seen["rank deficient"] += want is not None and any(v == 0 for v in want)
+    assert seen["systems"] >= 50 and min(seen.values()) >= 5, seen
+
+
+def test_sparse_returns_fractions_on_int_systems():
+    # Pivot rows with no later nonzero unknown leave an int over an int
+    # pivot; the result must still be a Fraction, not a float.
+    for rows, rhs, ncols, want in (
+        ([{0: 2}], [3], 1, [Fraction(3, 2)]),
+        ([{0: 4, 1: 6}, {1: 3}], [1, 2], 2, [Fraction(-3, 4), Fraction(2, 3)]),
+        ([{0: 1}, {0: 3, 2: 5}], [7, 1], 3, [Fraction(7), Fraction(0), Fraction(-4)]),
+        ([{1: -3}], [0], 2, [Fraction(0), Fraction(0)]),
+    ):
+        got = solve_sparse(rows, rhs, ncols)
+        assert got == want
+        assert all(type(v) is Fraction for v in got), got
+
+
+def test_sparse_refuses_inexact_entries():
+    with pytest.raises(TypeError, match="0.5"):
+        solve_sparse([{0: 0.5}], [1], 1)
+    with pytest.raises(TypeError, match="0.25"):
+        solve_sparse([{0: 1}], [0.25], 1)
+    with pytest.raises(TypeError):
+        solve_sparse([{0: Fraction(1)}], [complex(1, 0)], 1)
 
 
 def test_sparse_edge_cases():
