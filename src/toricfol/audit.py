@@ -248,9 +248,12 @@ def _check_invariance(case: _Case):
 
 def _check_radial_span(case: _Case):
     member = None
-    if case.evidence["deg_field"] is not None or case.subset is not None:
+    # Restricting a consistent field to a subset keeps its degree, and the
+    # audited field is never zero, so a measured degree is reused as is.
+    deg_field = case.evidence["deg_field"]
+    if deg_field is not None or case.subset is not None:
         try:
-            member, _ = lie_g_membership(case.model, case.audited)
+            member, _ = lie_g_membership(case.model, case.audited, deg_field)
         except (DegreeInconsistencyError, ValueError):
             pass
     if member is None:

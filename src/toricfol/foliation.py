@@ -9,7 +9,7 @@ from itertools import combinations
 from .degrees import DegreeClass
 from .grading import homogeneous_degree
 from .model import ToricModel
-from .poly import Polynomial
+from .poly import Polynomial, add_product
 from .ratlinalg import solve_sparse
 
 
@@ -84,14 +84,15 @@ class VectorField:
         return tuple(j for j, p in enumerate(self.components) if not p.is_zero())
 
     def apply_to(self, f: Polynomial) -> Polynomial:
-        """Directional derivative sum_j components[j] * df/dz_j."""
+        """Directional derivative sum_j components[j] * df/dz_j, summed in
+        one term dict."""
         if f.nvars != self.nvars:
             raise ValueError("variable count mismatch")
-        out = Polynomial.zero(self.nvars)
+        sums: dict = {}
         for j, p in enumerate(self.components):
             if p:
-                out = out + p * f.partial_derivative(j)
-        return out
+                add_product(sums, p, f.partial_derivative(j))
+        return Polynomial._from_sums(self.nvars, sums)
 
     def to_strings(self, names) -> dict[str, str]:
         return {
@@ -140,7 +141,7 @@ def invariance_cofactor(
 
 
 def lie_g_membership(
-    model: ToricModel, field: VectorField
+    model: ToricModel, field: VectorField, degree: DegreeClass | None = None
 ) -> tuple[bool, list[Polynomial] | None]:
     """Whether the field is an S-linear combination of the radial fields.
 
@@ -149,8 +150,13 @@ def lie_g_membership(
     sum_i a_{i,j} g_i, and matching coefficients decouples into one
     exact r-unknown solve per monomial.  Returns (True, [g_i]) with a
     verified witness, or (False, None).
+
+    ``degree`` is the field's foliation degree when the caller has already
+    computed it, which validated the field; when it is None the degree is
+    computed here, which raises on a zero or inconsistent field.
     """
-    foliation_degree(model, field)  # validates quasi-homogeneity
+    if degree is None:
+        foliation_degree(model, field)  # validates quasi-homogeneity
     nv, r = model.nvars, model.rank
     quotients = []
     for j, p in enumerate(field.components):

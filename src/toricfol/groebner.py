@@ -36,17 +36,20 @@ one from above.  That certifies ``dimension <= 0`` and, with Krull's
 bound ``dimension >= n - k`` for k homogeneous generators of a proper
 ideal, ``dimension == n - k``.  Any other outcome, including a generator
 that vanishes mod P, falls back to the exact computation, so a verdict
-never depends on the prime.  Mod P every divisor is monic and the kernel
-never computes ``c / lc``, which on two ints would give a float.
-Membership mod P proves nothing over Q, so ``sing_inside_irrelevant``
-stays exact.
+never depends on the prime.  Membership mod P proves nothing over Q, so
+``sing_inside_irrelevant`` stays exact.
+
+Exact coefficients are ints wherever they are integral, and ``c / lc``
+on two ints would give a float, so every exact coefficient division
+goes through ``poly.exact_div``.  Mod P every divisor is monic and the
+kernel divides nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations
 
@@ -55,6 +58,7 @@ from .poly import (
     Polynomial,
     as_divisor,
     divide_terms,
+    exact_div,
     grevlex_key,
     monomial_div,
     monomial_divides,
@@ -75,10 +79,22 @@ class GroebnerBasis:
     def nvars(self) -> int:
         return self.generators[0].nvars
 
+    @cached_property
+    def divisors(self) -> list[Divisor]:
+        """The generators split at their leading terms, built once per basis."""
+        return [as_divisor(g) for g in self.generators]
+
 
 def reduce_poly(f: Polynomial, gens) -> Polynomial:
-    """Full remainder of f on division by gens (first matching reducer)."""
-    divisors = [as_divisor(g) for g in gens]
+    """Full remainder of f on division by gens (first matching reducer).
+
+    ``gens`` is a sequence of polynomials or a ``GroebnerBasis``, whose
+    divisors are then reused from one call to the next.
+    """
+    if isinstance(gens, GroebnerBasis):
+        divisors = gens.divisors
+    else:
+        divisors = [as_divisor(g) for g in gens]
     return Polynomial(f.nvars, dict(divide_terms(dict(f.terms), divisors)))
 
 
@@ -107,7 +123,7 @@ def _nonzero_generators(gens) -> list[Polynomial]:
 
 def _monic(lm, lc, tail, modulus) -> Divisor:
     if modulus is None:
-        return Divisor(lm, Fraction(1), [(m, c / lc) for m, c in tail])
+        return Divisor(lm, 1, [(m, exact_div(c, lc)) for m, c in tail])
     inv = pow(lc, -1, modulus)
     return Divisor(lm, 1, [(m, c * inv % modulus) for m, c in tail])
 
@@ -121,7 +137,7 @@ def buchberger(gens) -> GroebnerBasis:
 
 def _pair_loop(basis: list[Divisor], modulus: int | None) -> list[Divisor]:
     """Extend the monic divisors in ``basis`` to a Groebner basis, with
-    Fraction coefficients or, given a prime ``modulus``, ints mod it."""
+    exact rational coefficients or, given a prime ``modulus``, ints mod it."""
     heap: list = []
     pending: set[tuple[int, int]] = set()
 
@@ -197,7 +213,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise ValueError("variable count mismatch")
     if f.is_zero():
         return f
-    return reduce_poly(f, gb.generators)
+    return reduce_poly(f, gb)
 
 
 def ideal_dimension(gb: GroebnerBasis) -> int:

@@ -59,7 +59,7 @@ def parse_polynomial(text: str, names, line: int = 1) -> Polynomial:
     """
     index = {name: j for j, name in enumerate(names)}
     tokens = _tokenize(text, line)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int | Fraction] = {}
 
     def integer(pos: int) -> int:
         kind, value, col = tokens[pos]
@@ -101,15 +101,16 @@ def parse_polynomial(text: str, names, line: int = 1) -> Polynomial:
             pos += 1
         if num:
             key = tuple(exponents)
+            c = num if den == 1 else Fraction(num, den)
             old = terms.get(key)
-            total = Fraction(num, den) if old is None else old + Fraction(num, den)
+            total = c if old is None else old + c
             if total:
                 terms[key] = total
             else:
                 del terms[key]
         kind, value, col = tokens[pos]
         if kind == "end":
-            return Polynomial._trusted(len(names), terms)
+            return Polynomial._from_sums(len(names), terms)
         if value not in ("+", "-"):
             raise ParseError(f"expected + or -, found {value!r}", line, col)
         pos, sign = pos + 1, -1 if value == "-" else 1

@@ -1,9 +1,13 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A monomial is an exponent tuple; a polynomial maps exponent tuples to
-nonzero Fraction coefficients.  The canonical term order (for printing,
-leading terms and division) is graded reverse lexicographic on the raw
-exponents, independent of any toric grading.
+nonzero exact rational coefficients in canonical form: an ``int`` when
+the coefficient is integral, a ``Fraction`` only when its denominator is
+not 1.  Integer inputs thus never pay for ``Fraction`` arithmetic, and
+``exact_div`` is the one place where a coefficient is divided.  The
+canonical term order (for printing, leading terms and division) is
+graded reverse lexicographic on the raw exponents, independent of any
+toric grading.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from operator import add, index, le, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Exponents = tuple[int, ...]
+Coefficient = int | Fraction  # canonical: a Fraction never has denominator 1
 
 
 def grevlex_key(m: Exponents):
@@ -26,11 +31,28 @@ def heap_key(m: Exponents):
     return (-sum(m),) + m[::-1]
 
 
-def _exact_coefficient(c) -> Fraction:
-    """c as a Fraction; a float or complex is refused, not rounded."""
+def _exact_coefficient(c) -> Coefficient:
+    """c as a canonical exact coefficient; a float or complex is refused, not rounded."""
+    if type(c) is int:
+        return c
     if isinstance(c, (float, complex)):
         raise TypeError(f"inexact coefficient {c!r}; use an int or a Fraction")
-    return Fraction(c)
+    return _canonical(Fraction(c))
+
+
+def _canonical(c: Coefficient) -> Coefficient:
+    """An exact rational as an int when it is integral, else as the Fraction."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def exact_div(a: Coefficient, b: Coefficient) -> Coefficient:
+    """a / b in canonical form.  On two ints ``/`` would give a float, so
+    their quotient comes from ``divmod`` and is a Fraction only when the
+    remainder is not zero."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _canonical(a / b)
 
 
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
@@ -53,16 +75,16 @@ class Divisor(NamedTuple):
     """A polynomial as the division kernel reads it, split at its leading term."""
 
     lead: Exponents
-    coeff: Fraction
-    tail: list[tuple[Exponents, Fraction]]
+    coeff: Coefficient
+    tail: list[tuple[Exponents, Coefficient]]
 
 
 def divide_terms(
-    terms: dict[Exponents, Fraction],
+    terms: dict[Exponents, Coefficient],
     divisors: list[Divisor],
-    quotients: list[dict[Exponents, Fraction]] | None = None,
+    quotients: list[dict[Exponents, Coefficient]] | None = None,
     modulus: int | None = None,
-) -> Iterator[tuple[Exponents, Fraction]]:
+) -> Iterator[tuple[Exponents, Coefficient]]:
     """Divide ``terms`` by ``divisors`` in place, yielding the remainder's terms.
 
     The one division kernel.  At each step the leading term of what is
@@ -76,11 +98,13 @@ def divide_terms(
     ``terms`` keeps cancelled monomials at coefficient zero until they are
     popped, so each monomial in it has exactly one entry in the heap.
 
-    With ``modulus`` None the coefficients are Fractions.  Otherwise they
-    are ints modulo that prime: each coefficient is reduced once, when its
-    term is popped, and every divisor must be monic with its tail already
-    reduced, so the quotient coefficient is the popped coefficient itself
-    and no int is ever divided by an int.
+    With ``modulus`` None the coefficients are exact rationals: each is
+    put in canonical form when its term is popped, so the remainder and
+    the quotients are canonical, and every quotient coefficient comes from
+    ``exact_div``.  Otherwise they are ints modulo that prime: each
+    coefficient is reduced once, when its term is popped, and every
+    divisor must be monic with its tail already reduced, so the quotient
+    coefficient is the popped coefficient itself.
     """
     heap = [(heap_key(m), m) for m in terms]
     heapify(heap)
@@ -89,12 +113,14 @@ def divide_terms(
         c = terms.pop(m)
         if modulus:
             c %= modulus
+        elif type(c) is not int and c.denominator == 1:
+            c = c.numerator
         if not c:
             continue
         for i, (lm, lc, tail) in enumerate(divisors):
             if monomial_divides(lm, m):
                 shift = monomial_div(m, lm)
-                q = c if modulus else c / lc
+                q = c if modulus else exact_div(c, lc)
                 if quotients is not None:
                     quotients[i][shift] = q
                 for tm, tc in tail:
@@ -110,18 +136,30 @@ def divide_terms(
             yield m, c
 
 
+def add_product(sums: dict[Exponents, Coefficient], a: "Polynomial", b: "Polynomial") -> None:
+    """Add the terms of a * b into ``sums``, a dict of exact sums that may
+    hold zeros and integral Fractions until ``Polynomial._from_sums``."""
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = monomial_mul(m1, m2)
+            old = sums.get(m)
+            sums[m] = c1 * c2 if old is None else old + c1 * c2
+
+
 def as_divisor(p: "Polynomial") -> Divisor:
     lm, lc = p.leading_term()
     return Divisor(lm, lc, [(m, c) for m, c in p.terms.items() if m != lm])
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with canonical exact coefficients: an
+    int when integral, else a Fraction.  The constructor accepts any int,
+    Fraction or other exact rational and refuses floats."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction] | None = None):
-        clean: dict[Exponents, Fraction] = {}
+    def __init__(self, nvars: int, terms: Mapping[Exponents, Coefficient] | None = None):
+        clean: dict[Exponents, Coefficient] = {}
         if terms:
             for m, c in terms.items():
                 if len(m) != nvars:
@@ -133,16 +171,23 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
+    def _trusted(cls, nvars: int, terms: dict[Exponents, Coefficient]) -> "Polynomial":
         """A polynomial that owns ``terms`` as given, without re-validation.
 
         Only for results the class builds itself, whose keys are already
-        int tuples of length nvars and whose values are nonzero Fractions.
+        int tuples of length nvars and whose values are nonzero and
+        canonical.
         """
         p = object.__new__(cls)
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "terms", terms)
         return p
+
+    @classmethod
+    def _from_sums(cls, nvars: int, sums: dict[Exponents, Coefficient]) -> "Polynomial":
+        """A polynomial from exact sums the caller accumulated on trusted
+        keys: zeros are dropped and each coefficient is made canonical once."""
+        return cls._trusted(nvars, {m: _canonical(c) for m, c in sums.items() if c})
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -187,10 +232,10 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, Coefficient]]:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
-    def leading_term(self) -> tuple[Exponents, Fraction]:
+    def leading_term(self) -> tuple[Exponents, Coefficient]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=grevlex_key)
@@ -211,11 +256,15 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
+            old = terms.get(m)
+            if old is None:
+                terms[m] = c
+                continue
+            s = old + c
             if s:
-                terms[m] = s
+                terms[m] = _canonical(s)
             else:
-                terms.pop(m, None)
+                del terms[m]
         return Polynomial._trusted(self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
@@ -226,22 +275,17 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        terms: dict[Exponents, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return Polynomial._trusted(self.nvars, terms)
+        sums: dict[Exponents, Coefficient] = {}
+        add_product(sums, self, other)
+        return Polynomial._from_sums(self.nvars, sums)
 
     def scale(self, c) -> "Polynomial":
         c = _exact_coefficient(c)
         if not c:
             return Polynomial.zero(self.nvars)
-        return Polynomial._trusted(self.nvars, {m: c * v for m, v in self.terms.items()})
+        return Polynomial._trusted(
+            self.nvars, {m: _canonical(c * v) for m, v in self.terms.items()}
+        )
 
     def mul_monomial(self, exponents: Exponents, coeff=1) -> "Polynomial":
         if len(exponents) != self.nvars:
@@ -251,7 +295,7 @@ class Polynomial:
         if not c:
             return Polynomial.zero(self.nvars)
         return Polynomial._trusted(
-            self.nvars, {monomial_mul(m, shift): c * v for m, v in self.terms.items()}
+            self.nvars, {monomial_mul(m, shift): _canonical(c * v) for m, v in self.terms.items()}
         )
 
     def __pow__(self, k: int) -> "Polynomial":
@@ -270,16 +314,16 @@ class Polynomial:
         if not self.terms:
             return self
         _, c = self.leading_term()
-        return self.scale(Fraction(1) / c)
+        return self.scale(exact_div(1, c))
 
     def partial_derivative(self, j: int) -> "Polynomial":
         if not 0 <= j < self.nvars:
             raise IndexError(f"variable index {j} out of range")
         # m -> m - e_j is injective, so each term is assigned exactly once.
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Coefficient] = {}
         for m, c in self.terms.items():
             if m[j]:
-                terms[m[:j] + (m[j] - 1,) + m[j + 1 :]] = c * m[j]
+                terms[m[:j] + (m[j] - 1,) + m[j + 1 :]] = _canonical(c * m[j])
         return Polynomial._trusted(self.nvars, terms)
 
     def evaluate(self, point) -> Fraction:
@@ -311,7 +355,7 @@ class Polynomial:
         self._check(den)
         if den.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        quotient: dict[Exponents, Fraction] = {}
+        quotient: dict[Exponents, Coefficient] = {}
         for _ in divide_terms(dict(self.terms), [as_divisor(den)], [quotient]):
             return None
         return Polynomial._trusted(self.nvars, quotient)
@@ -330,11 +374,11 @@ class Polynomial:
             ]
             mag = abs(c)
             if not factors:
-                body = _coeff_str(mag)
+                body = str(mag)
             elif mag == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([_coeff_str(mag)] + factors)
+                body = "*".join([str(mag)] + factors)
             if not chunks:
                 chunks.append(body if c > 0 else f"-{body}")
             else:
@@ -344,7 +388,3 @@ class Polynomial:
     def __repr__(self) -> str:
         generic = [f"x{i}" for i in range(self.nvars)]
         return f"Polynomial({self.to_string(generic)})"
-
-
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"

@@ -10,6 +10,7 @@ reduced bases, remainders and quotients.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from toricfol.groebner import GroebnerBasis
@@ -32,7 +33,7 @@ def reduce_poly(f: Polynomial, gens) -> Polynomial:
         lm, lc = work.leading_term()
         for g, (glm, glc) in zip(gens, leads):
             if monomial_divides(glm, lm):
-                work = work - g.mul_monomial(monomial_div(lm, glm), lc / glc)
+                work = work - g.mul_monomial(monomial_div(lm, glm), Fraction(lc) / glc)
                 break
         else:
             rem[lm] = lc
@@ -44,8 +45,8 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     fm, fc = f.leading_term()
     gm, gc = g.leading_term()
     lcm = monomial_lcm(fm, gm)
-    return f.mul_monomial(monomial_div(lcm, fm), 1 / fc) - g.mul_monomial(
-        monomial_div(lcm, gm), 1 / gc
+    return f.mul_monomial(monomial_div(lcm, fm), Fraction(1) / fc) - g.mul_monomial(
+        monomial_div(lcm, gm), Fraction(1) / gc
     )
 
 
@@ -120,7 +121,7 @@ def divide_exact(f: Polynomial, den: Polynomial) -> Polynomial | None:
         if not monomial_divides(lm, rm):
             return None
         m = monomial_div(rm, lm)
-        c = rc / lc
+        c = Fraction(rc) / lc
         q[m] = c
         rem = rem - den.mul_monomial(m, c)
     return Polynomial(f.nvars, q)

@@ -83,3 +83,22 @@ def test_roundtrip_audit_computes_the_cofactor_once(tmp_path, monkeypatch):
         out, report = case.run()
         assert report.decomposition is not None
         assert len(calls) == 1, case.name
+
+
+def test_roundtrip_audit_computes_the_field_degree_once(tmp_path, monkeypatch):
+    # the radial-span check reuses the degree the field-degree check measured
+    calls = []
+    degree = foliation.foliation_degree
+
+    def counting(model, field):
+        calls.append(field)
+        return degree(model, field)
+
+    for module in (foliation, audit):
+        monkeypatch.setattr(module, "foliation_degree", counting)
+    cases = workloads.build("koszul-roundtrip", seed=1, smoke=False, workdir=str(tmp_path))
+    for case in cases:
+        calls.clear()
+        out, report = case.run()
+        assert report.evidence["lie_g_member"] is False, case.name
+        assert len(calls) == 1, case.name

@@ -8,6 +8,12 @@ No probabilistic verdicts either: an import of ``random`` or ``secrets``
 fails the test too, so no verdict can come to depend on a randomly chosen
 prime.  ``selfcheck.py`` is exempt from that rule alone: its suites draw
 their test inputs from a seeded ``random.Random``.
+
+No true division either, since ``/`` on two ints is a float and
+coefficients are ints wherever they are integral: a ``/`` or ``/=`` fails
+the test unless it sits inside ``poly.exact_div``, the one coefficient
+division, or in ``halfspaces.py``, whose entry points ``feasible_point``
+and ``coordinate_interval`` turn every input into a ``Fraction``.
 """
 
 import ast
@@ -87,3 +93,45 @@ def test_random_detector_sees_each_kind():
     # the exemption is not stale: the exempt module does draw random inputs
     for name in SEEDED_INPUT_MODULES:
         assert random_imports(ast.parse((CORE / name).read_text(encoding="utf-8")))
+
+
+DIVISION_EXEMPT_MODULES = ("halfspaces.py",)
+DIVISION_EXEMPT_FUNCTIONS = {"poly.py": ("exact_div",)}
+
+
+def true_divisions(tree: ast.AST, exempt_functions=()) -> list[str]:
+    """Each ``a / b`` and ``a /= b`` outside the named top-level functions."""
+    skip: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in exempt_functions:
+            skip.update(id(n) for n in ast.walk(node))
+    spots = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            spots.append((node.lineno, f"line {node.lineno}: true division"))
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            spots.append((node.lineno, f"line {node.lineno}: /="))
+    return [text for _, text in sorted(spots)]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in DIVISION_EXEMPT_MODULES], ids=lambda p: p.name
+)
+def test_no_true_division_in_core(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    spots = true_divisions(tree, DIVISION_EXEMPT_FUNCTIONS.get(path.name, ()))
+    assert not spots, f"{path.name}: " + "; ".join(spots)
+
+
+def test_division_detector_sees_each_kind():
+    source = "a = b / c\nx /= 2\ny = b // c\ndef exact_div(a, b):\n    return a / b\n"
+    assert true_divisions(ast.parse(source)) == ["line 1: true division", "line 2: /=", "line 5: true division"]
+    assert true_divisions(ast.parse(source), ("exact_div",)) == ["line 1: true division", "line 2: /="]
+    # the exemptions are not stale: each exempt place does divide
+    for name in DIVISION_EXEMPT_MODULES:
+        assert true_divisions(ast.parse((CORE / name).read_text(encoding="utf-8")))
+    for name, functions in DIVISION_EXEMPT_FUNCTIONS.items():
+        tree = ast.parse((CORE / name).read_text(encoding="utf-8"))
+        assert len(true_divisions(tree)) > len(true_divisions(tree, functions))

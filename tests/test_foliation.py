@@ -179,3 +179,17 @@ def test_minor_count_matches_combinations(scroll11):
     x = VectorField.from_components(4, {0: Polynomial.variable(4, 2)})
     minors = singular_scheme_minors(scroll11, x)
     assert len(minors) == 4  # C(4, 3)
+
+
+def test_lie_membership_reuses_a_given_degree():
+    from toricfol.families import biproj_pairs_fixture, monomial_hypersurface_fixture, torsion_fermat_fixture
+
+    for fix in (biproj_pairs_fixture(3, [1, 2], [1, 1]), torsion_fermat_fixture(3)):
+        d = foliation_degree(fix.model, fix.field)
+        assert lie_g_membership(fix.model, fix.field, d) == lie_g_membership(fix.model, fix.field)
+    # a direct call without a degree still validates the field
+    bad = monomial_hypersurface_fixture(1, 1)
+    with pytest.raises(DegreeInconsistencyError):
+        lie_g_membership(bad.model, bad.field)
+    with pytest.raises(ValueError):
+        lie_g_membership(bad.model, VectorField.zero(bad.model.nvars))

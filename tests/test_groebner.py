@@ -75,6 +75,22 @@ def test_membership_matches_bounded_combination_oracle():
         assert normal_form(f, gb).is_zero() == oracle(f)
 
 
+def test_basis_divisors_are_built_once(monkeypatch):
+    import toricfol.groebner as groebner
+
+    z = [V(3, j) for j in range(3)]
+    gb = buchberger([z[0] * z[1] - z[2] * z[2], z[1] * z[1] - z[0] * z[2]])
+    built = []
+    as_divisor = groebner.as_divisor
+    monkeypatch.setattr(groebner, "as_divisor", lambda g: built.append(g) or as_divisor(g))
+    power = Polynomial.constant(3, 1)
+    for _ in range(6):
+        power = power * (z[0] + z[1].scale(Fraction(1, 2)) - z[2])
+        assert normal_form(power, gb) == groebner.reduce_poly(power, gb.generators)
+    # once for the basis, then once per generator for each explicit list
+    assert len(built) == 7 * len(gb.generators)
+
+
 def test_reduced_basis_invariants():
     from toricfol.poly import monomial_divides
 

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from toricfol.poly import Polynomial, grevlex_key, heap_key
+import groebner_oracle as oracle
+from toricfol.groebner import buchberger, reduce_poly
+from toricfol.poly import Polynomial, as_divisor, divide_terms, exact_div, grevlex_key, heap_key
 
 
 def P(nvars, terms):
@@ -137,12 +139,17 @@ def _random_poly(rng, nvars, max_terms=4, max_exp=3):
     return Polynomial(nvars, terms)
 
 
+def _is_canonical(c) -> bool:
+    """A nonzero int that is not a bool, or a Fraction that is not integral."""
+    return (type(c) is int or (type(c) is Fraction and c.denominator != 1)) and c != 0
+
+
 def _assert_well_formed(p, nvars):
     assert p.nvars == nvars
     for m, c in p.terms.items():
         assert type(m) is tuple and len(m) == nvars
         assert all(type(e) is int and e >= 0 for e in m)
-        assert type(c) is Fraction and c != 0
+        assert _is_canonical(c), (m, c)
     assert p == Polynomial(nvars, p.terms)
 
 
@@ -179,7 +186,113 @@ def test_public_constructor_still_validates():
     with pytest.raises(ValueError):
         Polynomial(2, {(1, 0, 0): 1})
     p = Polynomial(2, {(1, 0): 0, (0, 1): 2})
-    assert p.terms == {(0, 1): Fraction(2)} and type(p.terms[(0, 1)]) is Fraction
+    assert p.terms == {(0, 1): 2} and type(p.terms[(0, 1)]) is int
+    # integral Fractions and bools are stored as ints, other Fractions as given
+    p = Polynomial(3, {(1, 0, 0): Fraction(4, 2), (0, 1, 0): True, (0, 0, 1): Fraction(-3, 6)})
+    assert p.terms == {(1, 0, 0): 2, (0, 1, 0): 1, (0, 0, 1): Fraction(-1, 2)}
+    assert [type(c) for c in p.terms.values()] == [int, int, Fraction]
+
+
+def test_exact_div_is_canonical_and_never_a_float():
+    cases = [
+        (6, 3, 2), (6, -3, -2), (-7, 2, Fraction(-7, 2)), (7, -2, Fraction(-7, 2)),
+        (0, 5, 0), (1, -1, -1), (Fraction(3, 2), Fraction(3, 4), 2),
+        (Fraction(1, 2), 3, Fraction(1, 6)), (4, Fraction(2, 3), 6), (5, Fraction(2, 3), Fraction(15, 2)),
+    ]
+    for a, b, want in cases:
+        got = exact_div(a, b)
+        assert got == want and type(got) is type(want), (a, b, got)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, 0)
+
+
+# An all-Fraction reference for the ring operations, on plain term dicts.
+def _ref(p):
+    return {m: Fraction(c) for m, c in p.terms.items()}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _as_fractions(p):
+    """p with every coefficient held as a Fraction, integral or not."""
+    return Polynomial._trusted(p.nvars, _ref(p))
+
+
+def _mixed_poly(rng, nvars, degree=None, max_terms=4):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        if degree is None:
+            m = tuple(rng.randint(0, 2) for _ in range(nvars))
+        else:
+            cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+            m = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+        den = rng.choice([1, 1, 2, 3, 4])
+        terms[m] = Fraction(rng.choice([-6, -3, -2, -1, 1, 2, 3, 4]), den)
+    return Polynomial(nvars, terms)
+
+
+def test_canonical_coefficients_match_fraction_arithmetic():
+    # Mixed integral and non-integral inputs; every result must equal the
+    # same computation done on Fractions throughout, and be canonical.
+    rng = random.Random(2024)
+    kinds = {int: 0, Fraction: 0}
+    for _ in range(120):
+        nvars = rng.randint(1, 3)
+        f, g, h = (_mixed_poly(rng, nvars) for _ in range(3))
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        shift = tuple(rng.randint(0, 2) for _ in range(nvars))
+        checks = [
+            (f + g, _ref_add(_ref(f), _ref(g))),
+            (f - g, _ref_add(_ref(f), {m: -v for m, v in _ref(g).items()})),
+            (f * g, _ref_mul(_ref(f), _ref(g))),
+            (f.scale(c), {m: c * v for m, v in _ref(f).items() if c}),
+            (
+                f.mul_monomial(shift, c),
+                {tuple(x + y for x, y in zip(m, shift)): c * v for m, v in _ref(f).items() if c},
+            ),
+        ]
+        for j in range(nvars):
+            want = {m[:j] + (m[j] - 1,) + m[j + 1 :]: v * m[j] for m, v in _ref(f).items() if m[j]}
+            checks.append((f.partial_derivative(j), want))
+        product = f * g
+        checks.append((product.divide_exact(g), _ref(f)))
+        assert product.divide_exact(g).terms == oracle.divide_exact(_as_fractions(product), _as_fractions(g)).terms
+        rem = reduce_poly(product + h, [g, h])
+        # the kernel itself yields canonical remainder terms
+        kernel = list(divide_terms(dict((product + h).terms), [as_divisor(g), as_divisor(h)]))
+        assert dict(kernel) == rem.terms and all(_is_canonical(c) for _, c in kernel)
+        want = oracle.reduce_poly(_as_fractions(product + h), [_as_fractions(g), _as_fractions(h)])
+        checks.append((rem, _ref(want)))
+        for got, want in checks:
+            assert got.terms == want
+            _assert_well_formed(got, nvars)
+            for v in got.terms.values():
+                kinds[type(v)] += 1
+    for _ in range(40):
+        gens = [_mixed_poly(rng, 3, degree=2, max_terms=3) for _ in range(rng.randint(2, 3))]
+        got = buchberger(gens).generators
+        want = oracle.buchberger([_as_fractions(g) for g in gens]).generators
+        assert [g.terms for g in got] == [_ref(w) for w in want]
+        for g in got:
+            _assert_well_formed(g, 3)
+            for v in g.terms.values():
+                kinds[type(v)] += 1
+    # both kinds of coefficient are exercised, not integers alone
+    assert kinds[Fraction] >= 800 and kinds[int] >= 800, kinds
 
 
 def test_inexact_coefficients_and_exponents_refused():
