@@ -100,7 +100,8 @@ class AuditReport:
     # deg_field, cofactor, lie_g_member, strongly_quasi_smooth, ...); not
     # serialized.  quasi_smoothness_path is "modular" when a basis mod a
     # prime certified the Groebner dimension check of quasi_smoothness, and
-    # "exact" otherwise.
+    # "exact" otherwise; quasi_smoothness_modular holds that mod-P loop's
+    # pairs_reduced, basis_size and stopped_early, or None when none ran.
     evidence: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     def violations(self) -> tuple[str, ...]:
@@ -266,15 +267,16 @@ def _check_radial_span(case: _Case):
 def _check_quasi_smoothness(case: _Case):
     """Strong quasi-smoothness on the full variable set; on an index subset,
     a regular subsequence plus a singular cone inside the removed locus.
-    The evidence carries the report's quasi_smoothness label and the path
-    that decided its Groebner dimension check."""
+    The evidence carries the report's quasi_smoothness label, the path
+    that decided its Groebner dimension check and the mod-P loop's stats."""
     if case.evidence["deg_hypersurface"] is None:
         return "fail: hypersurface not quasi-homogeneous", {
             "quasi_smoothness": "fails",
             "quasi_smoothness_path": "exact",
+            "quasi_smoothness_modular": None,
         }
     model, f = case.model, case.f
-    record = {"path": "exact"}
+    record = {"path": "exact", "modular": None}
     if case.subset is None:
         partials = [f.partial_derivative(j) for j in range(model.nvars)]
         nonzero = [p for p in partials if not p.is_zero()]
@@ -287,6 +289,7 @@ def _check_quasi_smoothness(case: _Case):
             "quasi_smoothness": label,
             "strongly_quasi_smooth": strong,
             "quasi_smoothness_path": record["path"],
+            "quasi_smoothness_modular": record["modular"],
         }
     problems = []
     regular = regular_subsequence_check(f, case.subset, record=record)
@@ -310,6 +313,7 @@ def _check_quasi_smoothness(case: _Case):
         "regular_subset": regular,
         "sing_in_irrelevant": sing,
         "quasi_smoothness_path": record["path"],
+        "quasi_smoothness_modular": record["modular"],
     }
 
 

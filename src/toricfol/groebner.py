@@ -12,7 +12,12 @@ Buchberger's two criteria:
   chain criterion: some other element k has a leading monomial dividing
   the pair's lcm and neither (i, k) nor (j, k) is still pending;
 - every division, here and in ``reduce_poly``, runs the one kernel
-  ``poly.divide_terms``: first matching reducer, on a mutable term dict.
+  ``poly.divide_terms``: first matching reducer, on a mutable term dict;
+- the pair loop only appends to its basis, so one memo serves all of its
+  divisions: the first matching reducer of a monomial and that reducer's
+  tail multiplied up to it are found once, not once per s-polynomial,
+  as F4 reuses its multiplied reducer rows (Faugere, "A new efficient
+  algorithm for computing Groebner bases (F4)", JPAA 139, 1999).
 
 The result is then minimalized and each survivor's tail is reduced once
 against the others.  Leading terms cannot change after minimalization
@@ -38,6 +43,16 @@ ideal, ``dimension == n - k``.  Any other outcome, including a generator
 that vanishes mod P, falls back to the exact computation, so a verdict
 never depends on the prime.  Membership mod P proves nothing over Q, so
 ``sing_inside_irrelevant`` stays exact.
+
+``only_origin_check`` needs only ``dimension <= 0``, so its mod-P loop
+stops as soon as the leading monomials include a constant or a pure
+power of every variable.  Each element the loop has made lies in the
+ideal mod P, so its lead lies in the initial ideal, and a monomial ideal
+holding a pure power of every variable has dimension at most zero.  A
+partial basis thus already bounds the dimension mod P by zero, and the
+Hilbert-function argument carries that to Q.  ``buchberger`` and the
+exact fallback always run to the end, since normal forms need the whole
+basis.
 
 Exact coefficients are ints wherever they are integral, and ``c / lc``
 on two ints would give a float, so every exact coefficient division
@@ -95,17 +110,17 @@ def reduce_poly(f: Polynomial, gens) -> Polynomial:
         divisors = gens.divisors
     else:
         divisors = [as_divisor(g) for g in gens]
-    return Polynomial(f.nvars, dict(divide_terms(dict(f.terms), divisors)))
+    return Polynomial._trusted(f.nvars, dict(divide_terms(dict(f.terms), divisors)))
 
 
 def _spoly_terms(a: Divisor, b: Divisor, lcm) -> dict:
     # Both leads are monic and cancel; only the tails are combined.
     terms: dict = {}
     shift = monomial_div(lcm, a.lead)
-    for m, c in a.tail:
+    for m, c in zip(a.tail_monos, a.tail_coeffs):
         terms[monomial_mul(m, shift)] = c
     shift = monomial_div(lcm, b.lead)
-    for m, c in b.tail:
+    for m, c in zip(b.tail_monos, b.tail_coeffs):
         t = monomial_mul(m, shift)
         terms[t] = terms.get(t, 0) - c
     return terms
@@ -121,11 +136,13 @@ def _nonzero_generators(gens) -> list[Polynomial]:
     return polys
 
 
-def _monic(lm, lc, tail, modulus) -> Divisor:
+def _monic(lm, lc, tail: dict, modulus) -> Divisor:
     if modulus is None:
-        return Divisor(lm, 1, [(m, exact_div(c, lc)) for m, c in tail])
-    inv = pow(lc, -1, modulus)
-    return Divisor(lm, 1, [(m, c * inv % modulus) for m, c in tail])
+        coeffs = [exact_div(c, lc) for c in tail.values()]
+    else:
+        inv = pow(lc, -1, modulus)
+        coeffs = [c * inv % modulus for c in tail.values()]
+    return Divisor(lm, 1, list(tail), coeffs)
 
 
 def buchberger(gens) -> GroebnerBasis:
@@ -135,39 +152,60 @@ def buchberger(gens) -> GroebnerBasis:
     return GroebnerBasis(generators=_interreduce(basis, polys[0].nvars))
 
 
-def _pair_loop(basis: list[Divisor], modulus: int | None) -> list[Divisor]:
+def _pair_loop(
+    basis: list[Divisor], modulus: int | None, stats: dict | None = None, stop_at_dimension_zero: bool = False
+) -> list[Divisor]:
     """Extend the monic divisors in ``basis`` to a Groebner basis, with
-    exact rational coefficients or, given a prime ``modulus``, ints mod it."""
+    exact rational coefficients or, given a prime ``modulus``, ints mod it.
+
+    With ``stop_at_dimension_zero`` the loop returns as soon as the leading
+    monomials include a constant or a pure power of every variable, which
+    is exactly when the dimension they give is at most zero; the basis
+    returned is then a partial one.  When ``stats`` is given it receives
+    pairs_reduced, basis_size and stopped_early.
+    """
     heap: list = []
     pending: set[tuple[int, int]] = set()
+    memo: dict = {}  # one per loop: ``basis`` only grows
+    unbounded = set(range(len(basis[0].lead)))  # variables with no pure-power lead
+    reduced = 0
 
-    def add_pairs(k):
+    def admit(k):
         lm_k = basis[k].lead
+        support = [j for j, e in enumerate(lm_k) if e]
+        if not support:
+            unbounded.clear()
+        elif len(support) == 1:
+            unbounded.discard(support[0])
         for i in range(k):
             lcm = monomial_lcm(basis[i].lead, lm_k)
             heappush(heap, (sum(lcm), i, k, lcm))
             pending.add((i, k))
 
-    for k in range(1, len(basis)):
-        add_pairs(k)
-    while heap:
+    for k in range(len(basis)):
+        admit(k)
+    while heap and not (stop_at_dimension_zero and not unbounded):
         _, i, j, lcm = heappop(heap)
         pending.discard((i, j))
         if lcm == monomial_mul(basis[i].lead, basis[j].lead):
             continue  # coprime leading terms: s-polynomial reduces to zero
         if _chain_criterion(i, j, lcm, basis, pending):
             continue
-        rem = list(divide_terms(_spoly_terms(basis[i], basis[j], lcm), basis, modulus=modulus))
+        reduced += 1
+        rem = dict(divide_terms(_spoly_terms(basis[i], basis[j], lcm), basis, modulus=modulus, memo=memo))
         if rem:
-            (lm, lc), tail = rem[0], rem[1:]
-            basis.append(_monic(lm, lc, tail, modulus))
-            add_pairs(len(basis) - 1)
+            lm = next(iter(rem))  # the remainder comes out in descending order
+            basis.append(_monic(lm, rem.pop(lm), rem, modulus))
+            admit(len(basis) - 1)
+    if stats is not None:
+        stats.update(pairs_reduced=reduced, basis_size=len(basis), stopped_early=bool(heap))
     return basis
 
 
-def _modular_leads(polys: list[Polynomial]) -> list | None:
-    """Leading monomials of a Groebner basis of the polys mod P, or None
-    when some poly vanishes mod P once its denominators are cleared."""
+def _modular_leads(polys: list[Polynomial], stats: dict, stop_at_dimension_zero: bool) -> list | None:
+    """Leading monomials of a Groebner basis of the polys mod P, partial
+    when ``_pair_loop`` stops early, or None when some poly vanishes mod P
+    once its denominators are cleared.  ``stats`` receives the loop's."""
     basis = []
     for g in polys:
         den = math.lcm(*(c.denominator for c in g.terms.values()))
@@ -176,9 +214,8 @@ def _modular_leads(polys: list[Polynomial]) -> list | None:
         if not terms:
             return None
         lm = max(terms, key=grevlex_key)
-        lc = terms.pop(lm)
-        basis.append(_monic(lm, lc, terms.items(), P))
-    return [d.lead for d in _pair_loop(basis, P)]
+        basis.append(_monic(lm, terms.pop(lm), terms, P))
+    return [d.lead for d in _pair_loop(basis, P, stats, stop_at_dimension_zero)]
 
 
 def _chain_criterion(i: int, j: int, lcm, basis, pending) -> bool:
@@ -199,11 +236,11 @@ def _interreduce(basis: list[Divisor], nvars: int) -> tuple[Polynomial, ...]:
         if not any(monomial_divides(h.lead, d.lead) for h in kept):
             kept.append(d)
     reduced = []
-    for i, (lm, lc, tail) in enumerate(kept):
+    for i, d in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
-        terms = {lm: lc}
-        terms.update(divide_terms(dict(tail), others))
-        reduced.append(Polynomial(nvars, terms))
+        terms = {d.lead: d.coeff}
+        terms.update(divide_terms(dict(zip(d.tail_monos, d.tail_coeffs)), others))
+        reduced.append(Polynomial._trusted(nvars, terms))
     return tuple(reversed(reduced))
 
 
@@ -236,17 +273,21 @@ def _lead_dimension(lms, nvars: int) -> int:
     return 0
 
 
-def _modular_first(gens, accept, record) -> bool:
+def _modular_first(gens, accept, record, *, stop_at_dimension_zero: bool) -> bool:
     """accept(dimension), decided by the mod-P basis when it says yes and by
-    the exact basis otherwise; record["path"] names the one that decided."""
+    the exact basis otherwise; record["path"] names the one that decided,
+    and record["modular"] holds the mod-P loop's stats, None when no loop
+    ran because a generator vanishes mod P."""
     polys = _nonzero_generators(gens)
-    leads = _modular_leads(polys)
+    stats: dict = {}
+    leads = _modular_leads(polys, stats, stop_at_dimension_zero)
     if leads is not None and accept(_lead_dimension(leads, polys[0].nvars)):
         path, answer = "modular", True
     else:
         path, answer = "exact", accept(ideal_dimension(buchberger(polys)))
     if record is not None:
         record["path"] = path
+        record["modular"] = stats or None
     return answer
 
 
@@ -255,14 +296,16 @@ def regular_subsequence_check(f: Polynomial, indices, *, record: dict | None = N
 
     Precondition: f is quasi-homogeneous for a grading with a positive
     functional.  When ``record`` is given, record["path"] is "modular" or
-    "exact", the computation that decided.
+    "exact", the computation that decided, and record["modular"] holds the
+    mod-P loop's pairs_reduced, basis_size and stopped_early, always False
+    here: this check runs the loop to the end.
     """
     indices = sorted(set(indices))
     partials = [f.partial_derivative(j) for j in indices]
     if any(p.is_zero() for p in partials):
         return False
     wanted = f.nvars - len(indices)
-    return _modular_first(partials, lambda dim: dim == wanted, record)
+    return _modular_first(partials, lambda dim: dim == wanted, record, stop_at_dimension_zero=False)
 
 
 def only_origin_check(gens, *, record: dict | None = None) -> bool:
@@ -272,9 +315,11 @@ def only_origin_check(gens, *, record: dict | None = None) -> bool:
     positive functional, as every model's is.  Their zero set is then a
     cone, and a cone of dimension at most zero is the origin or empty.
     When ``record`` is given, record["path"] is "modular" or "exact", the
-    computation that decided.
+    computation that decided, and record["modular"] holds the mod-P loop's
+    pairs_reduced, basis_size and stopped_early.  The mod-P loop stops as
+    soon as its leads certify ``dimension <= 0``.
     """
-    return _modular_first(gens, lambda dim: dim <= 0, record)
+    return _modular_first(gens, lambda dim: dim <= 0, record, stop_at_dimension_zero=True)
 
 
 def _power_cap(gens, cap):

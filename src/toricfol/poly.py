@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from operator import add, index, le, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -72,11 +73,13 @@ def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
 
 
 class Divisor(NamedTuple):
-    """A polynomial as the division kernel reads it, split at its leading term."""
+    """A polynomial as the division kernel reads it, split at its leading
+    term; the tail's monomials and coefficients are parallel lists."""
 
     lead: Exponents
     coeff: Coefficient
-    tail: list[tuple[Exponents, Coefficient]]
+    tail_monos: list[Exponents]
+    tail_coeffs: list[Coefficient]
 
 
 def divide_terms(
@@ -84,6 +87,7 @@ def divide_terms(
     divisors: list[Divisor],
     quotients: list[dict[Exponents, Coefficient]] | None = None,
     modulus: int | None = None,
+    memo: dict | None = None,
 ) -> Iterator[tuple[Exponents, Coefficient]]:
     """Divide ``terms`` by ``divisors`` in place, yielding the remainder's terms.
 
@@ -105,6 +109,18 @@ def divide_terms(
     coefficient is reduced once, when its term is popped, and every
     divisor must be monic with its tail already reduced, so the quotient
     coefficient is the popped coefficient itself.
+
+    ``memo`` serves a caller that divides many times by one list of
+    divisors.  It maps a popped monomial m either to ``(i, shifted)``,
+    the first divisor whose leading monomial divides m together with that
+    divisor's tail monomials multiplied by m / lead, or to the number k
+    such that the first k divisors are known not to divide m.  The search
+    and the monomial products are then done once per monomial rather than
+    once per division.  A memo is valid only while ``divisors`` is
+    append-only: no entry may change, move or be removed while it lives,
+    so the first matching divisor of a monomial never changes.  Within a
+    single division no monomial is popped twice, so one-off divisions
+    pass no memo.
     """
     heap = [(heap_key(m), m) for m in terms]
     heapify(heap)
@@ -117,23 +133,36 @@ def divide_terms(
             c = c.numerator
         if not c:
             continue
-        for i, (lm, lc, tail) in enumerate(divisors):
-            if monomial_divides(lm, m):
-                shift = monomial_div(m, lm)
-                q = c if modulus else exact_div(c, lc)
-                if quotients is not None:
-                    quotients[i][shift] = q
-                for tm, tc in tail:
-                    t = monomial_mul(tm, shift)
-                    old = terms.get(t)
-                    if old is None:
-                        terms[t] = -q * tc
-                        heappush(heap, (heap_key(t), t))
-                    else:
-                        terms[t] = old - q * tc
-                break
+        hit = 0 if memo is None else memo.get(m, 0)
+        if type(hit) is tuple:
+            i, shifted = hit
+            d = divisors[i]
+            shift = None if quotients is None else monomial_div(m, d.lead)
         else:
-            yield m, c
+            for i in range(hit, len(divisors)):
+                d = divisors[i]
+                if monomial_divides(d.lead, m):
+                    break
+            else:
+                if memo is not None:
+                    memo[m] = len(divisors)
+                yield m, c
+                continue
+            shift = monomial_div(m, d.lead)
+            shifted = map(monomial_mul, d.tail_monos, repeat(shift))
+            if memo is not None:
+                shifted = list(shifted)
+                memo[m] = i, shifted
+        q = c if modulus else exact_div(c, d.coeff)
+        if quotients is not None:
+            quotients[i][shift] = q
+        for t, tc in zip(shifted, d.tail_coeffs):
+            old = terms.get(t)
+            if old is None:
+                terms[t] = -q * tc
+                heappush(heap, (heap_key(t), t))
+            else:
+                terms[t] = old - q * tc
 
 
 def add_product(sums: dict[Exponents, Coefficient], a: "Polynomial", b: "Polynomial") -> None:
@@ -148,7 +177,9 @@ def add_product(sums: dict[Exponents, Coefficient], a: "Polynomial", b: "Polynom
 
 def as_divisor(p: "Polynomial") -> Divisor:
     lm, lc = p.leading_term()
-    return Divisor(lm, lc, [(m, c) for m, c in p.terms.items() if m != lm])
+    tail = dict(p.terms)
+    del tail[lm]
+    return Divisor(lm, lc, list(tail), list(tail.values()))
 
 
 class Polynomial:

@@ -290,6 +290,23 @@ def test_audit_dense_hypersurface_strongly_quasi_smooth(weights, degree):
     assert report.verdict == "bound-holds"
 
 
+def test_audit_evidence_carries_the_modular_loop():
+    # The strong check's mod-P loop stops at its certificate; a subset
+    # audit's regular-subsequence loop runs to the end.  Neither shows in
+    # the serialized report.
+    report = _audit_dense((1, 1, 1), 3)
+    assert report.evidence["quasi_smoothness_path"] == "modular"
+    assert report.evidence["quasi_smoothness_modular"] == {
+        "pairs_reduced": 5,
+        "basis_size": 8,
+        "stopped_early": True,
+    }
+    fix = split_field_fixture(1, 2, (1, 1))
+    report = audit_case(fix.model, fix.field, fix.hypersurface, AuditOptions(radial_index=0, subset=fix.subset))
+    assert report.evidence["quasi_smoothness_modular"]["stopped_early"] is False
+    assert "modular" not in report.to_json()
+
+
 def test_audit_dense_sextic_without_pure_power_fails():
     # Without z3^2 every partial vanishes at (0, 0, 0, 1): no monomial of
     # degree 6 is z3 times another variable of weight 3.

@@ -284,9 +284,9 @@ def test_fixture_computes_each_groebner_basis_once(capsys, monkeypatch):
     calls = []
     original = groebner._pair_loop
 
-    def counting(basis, modulus):
+    def counting(basis, modulus, *args, **kwargs):
         calls.append("exact" if modulus is None else "modular")
-        return original(basis, modulus)
+        return original(basis, modulus, *args, **kwargs)
 
     monkeypatch.setattr(groebner, "_pair_loop", counting)
     expected = [

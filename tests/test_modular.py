@@ -4,7 +4,9 @@
 Groebner basis mod P = 2^31 - 1.  Each answer here is compared with the
 exact one, ``ideal_dimension(buchberger(gens))``, and the recorded path
 is checked: the dense quasi-smooth ladder must be certified mod P, and a
-singular hypersurface must be handed over to the exact path.
+singular hypersurface must be handed over to the exact path.  The mod-P
+loop of ``only_origin_check`` stops once its leads bound the dimension by
+zero; the recorded pair counts show where.
 """
 
 import random
@@ -20,7 +22,14 @@ from toricfol.families import (
     torsion_fermat_fixture,
     wps_pairs_fixture,
 )
-from toricfol.groebner import P, buchberger, ideal_dimension, only_origin_check, regular_subsequence_check
+from toricfol.groebner import (
+    P,
+    _modular_leads,
+    buchberger,
+    ideal_dimension,
+    only_origin_check,
+    regular_subsequence_check,
+)
 from toricfol.poly import Polynomial
 
 
@@ -28,8 +37,8 @@ def nonzero_partials(f):
     return [p for p in (f.partial_derivative(j) for j in range(f.nvars)) if not p.is_zero()]
 
 
-def origin_check(gens):
-    record = {}
+def origin_check(gens, record=None):
+    record = {} if record is None else record
     answer = only_origin_check(gens, record=record)
     assert answer is (ideal_dimension(buchberger(gens)) <= 0)
     return answer, record["path"]
@@ -140,6 +149,7 @@ def test_regular_subsequences_agree_with_exact(weights, degree):
             partials = [f.partial_derivative(j) for j in indices]
             assert answer is (ideal_dimension(buchberger(partials)) == f.nvars - k)
             assert record["path"] == "modular"
+            assert record["modular"]["stopped_early"] is False
 
 
 @pytest.mark.parametrize(
@@ -151,7 +161,35 @@ def test_nodal_hypersurfaces_hand_over_to_exact(weights, degree, seed):
     f, point = nodal_poly(random.Random(seed), weights, degree)
     assert f.evaluate(point) == 0
     assert all(p.evaluate(point) == 0 for p in nonzero_partials(f))
-    assert origin_check(nonzero_partials(f)) == (False, "exact")
+    record = {}
+    assert origin_check(nonzero_partials(f), record) == (False, "exact")
+    # a singular point outside the origin keeps some variable free of a pure-power lead
+    assert record["modular"]["stopped_early"] is False
+
+
+def test_p2_cubic_certified_after_five_reductions():
+    gens = nonzero_partials(dense_poly(random.Random(1), (1, 1, 1), 3))
+    record = {}
+    assert origin_check(gens, record) == (True, "modular")
+    assert record["modular"] == {"pairs_reduced": 5, "basis_size": 8, "stopped_early": True}
+    # run to the end, the same loop reduces twice as many pairs for no new lead
+    full = {}
+    stopped = _modular_leads(gens, {}, True)
+    assert _modular_leads(gens, full, False) == stopped
+    assert full == {"pairs_reduced": 10, "basis_size": 8, "stopped_early": False}
+
+
+@pytest.mark.parametrize("weights, degree", LADDER)
+def test_early_stop_leads_are_a_prefix_of_the_full_run(weights, degree):
+    # The stop only cuts the same loop short: its leads are the first ones
+    # of the full run, and it never reduces more pairs.
+    gens = nonzero_partials(dense_poly(random.Random(f"{weights}:{degree}"), weights, degree))
+    early, full = {}, {}
+    stopped = _modular_leads(gens, early, True)
+    leads = _modular_leads(gens, full, False)
+    assert early["stopped_early"] and not full["stopped_early"]
+    assert stopped == leads[: len(stopped)]
+    assert early["pairs_reduced"] <= full["pairs_reduced"]
 
 
 def V(j, c=1, p=2):
@@ -159,8 +197,10 @@ def V(j, c=1, p=2):
 
 
 def test_generator_vanishing_mod_p_falls_back():
-    # P * x^2 has every coefficient divisible by P
-    assert origin_check([V(0, P), V(1), V(2)]) == (True, "exact")
+    # P * x^2 has every coefficient divisible by P, so no mod-P loop runs
+    record = {}
+    assert origin_check([V(0, P), V(1), V(2)], record) == (True, "exact")
+    assert record["modular"] is None
     assert origin_check([V(0, 3 * P) + V(1, -P), V(1), V(2)]) == (True, "exact")
 
 
@@ -190,7 +230,7 @@ def test_zero_generators_are_skipped_and_errors_kept():
 
 
 def test_dense_p4_quartic_certified():
-    # no exact basis is within reach here; mod P it takes about a second
+    # no exact basis is within reach here; mod P it takes about 0.3 s
     f = dense_poly(random.Random(4), (1, 1, 1, 1, 1), 4)
     record = {}
     assert only_origin_check(nonzero_partials(f), record=record) is True
