@@ -44,15 +44,18 @@ that vanishes mod P, falls back to the exact computation, so a verdict
 never depends on the prime.  Membership mod P proves nothing over Q, so
 ``sing_inside_irrelevant`` stays exact.
 
-``only_origin_check`` needs only ``dimension <= 0``, so its mod-P loop
-stops as soon as the leading monomials include a constant or a pure
-power of every variable.  Each element the loop has made lies in the
-ideal mod P, so its lead lies in the initial ideal, and a monomial ideal
-holding a pure power of every variable has dimension at most zero.  A
-partial basis thus already bounds the dimension mod P by zero, and the
-Hilbert-function argument carries that to Q.  ``buchberger`` and the
-exact fallback always run to the end, since normal forms need the whole
-basis.
+Only a dimension is read from the mod-P basis, so the mod-P loop stops
+as soon as the leading monomials include a constant or a pure power of
+every variable.  Each element the loop has made lies in the ideal mod P,
+so its lead lies in the initial ideal, and a monomial ideal holding a
+pure power of every variable has dimension at most zero.  A partial
+basis thus already bounds the dimension mod P by zero, and the
+Hilbert-function argument carries that to Q.  It also gives the same
+dimension as the full run: the leads only grow, and a constant lead can
+come only from a constant generator, already in the basis, since every
+element made from quasi-homogeneous generators is quasi-homogeneous of
+positive degree.  ``buchberger`` and the exact fallback always run to
+the end, since normal forms need the whole basis.
 
 Exact coefficients are ints wherever they are integral, and ``c / lc``
 on two ints would give a float, so every exact coefficient division
@@ -152,17 +155,16 @@ def buchberger(gens) -> GroebnerBasis:
     return GroebnerBasis(generators=_interreduce(basis, polys[0].nvars))
 
 
-def _pair_loop(
-    basis: list[Divisor], modulus: int | None, stats: dict | None = None, stop_at_dimension_zero: bool = False
-) -> list[Divisor]:
+def _pair_loop(basis: list[Divisor], modulus: int | None, stats: dict | None = None) -> list[Divisor]:
     """Extend the monic divisors in ``basis`` to a Groebner basis, with
     exact rational coefficients or, given a prime ``modulus``, ints mod it.
 
-    With ``stop_at_dimension_zero`` the loop returns as soon as the leading
-    monomials include a constant or a pure power of every variable, which
-    is exactly when the dimension they give is at most zero; the basis
-    returned is then a partial one.  When ``stats`` is given it receives
-    pairs_reduced, basis_size and stopped_early.
+    Mod P, where only a dimension is read off, the loop returns as soon as
+    the leading monomials include a constant or a pure power of every
+    variable, which is exactly when the dimension they give is at most
+    zero; the basis returned is then a partial one.  The exact loop always
+    runs to the end.  When ``stats`` is given it receives pairs_reduced,
+    basis_size and stopped_early.
     """
     heap: list = []
     pending: set[tuple[int, int]] = set()
@@ -184,7 +186,7 @@ def _pair_loop(
 
     for k in range(len(basis)):
         admit(k)
-    while heap and not (stop_at_dimension_zero and not unbounded):
+    while heap and (modulus is None or unbounded):
         _, i, j, lcm = heappop(heap)
         pending.discard((i, j))
         if lcm == monomial_mul(basis[i].lead, basis[j].lead):
@@ -202,7 +204,7 @@ def _pair_loop(
     return basis
 
 
-def _modular_leads(polys: list[Polynomial], stats: dict, stop_at_dimension_zero: bool) -> list | None:
+def _modular_leads(polys: list[Polynomial], stats: dict) -> list | None:
     """Leading monomials of a Groebner basis of the polys mod P, partial
     when ``_pair_loop`` stops early, or None when some poly vanishes mod P
     once its denominators are cleared.  ``stats`` receives the loop's."""
@@ -215,7 +217,7 @@ def _modular_leads(polys: list[Polynomial], stats: dict, stop_at_dimension_zero:
             return None
         lm = max(terms, key=grevlex_key)
         basis.append(_monic(lm, terms.pop(lm), terms, P))
-    return [d.lead for d in _pair_loop(basis, P, stats, stop_at_dimension_zero)]
+    return [d.lead for d in _pair_loop(basis, P, stats)]
 
 
 def _chain_criterion(i: int, j: int, lcm, basis, pending) -> bool:
@@ -273,14 +275,14 @@ def _lead_dimension(lms, nvars: int) -> int:
     return 0
 
 
-def _modular_first(gens, accept, record, *, stop_at_dimension_zero: bool) -> bool:
+def _modular_first(gens, accept, record) -> bool:
     """accept(dimension), decided by the mod-P basis when it says yes and by
     the exact basis otherwise; record["path"] names the one that decided,
     and record["modular"] holds the mod-P loop's stats, None when no loop
     ran because a generator vanishes mod P."""
     polys = _nonzero_generators(gens)
     stats: dict = {}
-    leads = _modular_leads(polys, stats, stop_at_dimension_zero)
+    leads = _modular_leads(polys, stats)
     if leads is not None and accept(_lead_dimension(leads, polys[0].nvars)):
         path, answer = "modular", True
     else:
@@ -297,15 +299,14 @@ def regular_subsequence_check(f: Polynomial, indices, *, record: dict | None = N
     Precondition: f is quasi-homogeneous for a grading with a positive
     functional.  When ``record`` is given, record["path"] is "modular" or
     "exact", the computation that decided, and record["modular"] holds the
-    mod-P loop's pairs_reduced, basis_size and stopped_early, always False
-    here: this check runs the loop to the end.
+    mod-P loop's pairs_reduced, basis_size and stopped_early.
     """
     indices = sorted(set(indices))
     partials = [f.partial_derivative(j) for j in indices]
     if any(p.is_zero() for p in partials):
         return False
     wanted = f.nvars - len(indices)
-    return _modular_first(partials, lambda dim: dim == wanted, record, stop_at_dimension_zero=False)
+    return _modular_first(partials, lambda dim: dim == wanted, record)
 
 
 def only_origin_check(gens, *, record: dict | None = None) -> bool:
@@ -319,7 +320,7 @@ def only_origin_check(gens, *, record: dict | None = None) -> bool:
     pairs_reduced, basis_size and stopped_early.  The mod-P loop stops as
     soon as its leads certify ``dimension <= 0``.
     """
-    return _modular_first(gens, lambda dim: dim <= 0, record, stop_at_dimension_zero=True)
+    return _modular_first(gens, lambda dim: dim <= 0, record)
 
 
 def _power_cap(gens, cap):

@@ -291,9 +291,9 @@ def test_audit_dense_hypersurface_strongly_quasi_smooth(weights, degree):
 
 
 def test_audit_evidence_carries_the_modular_loop():
-    # The strong check's mod-P loop stops at its certificate; a subset
-    # audit's regular-subsequence loop runs to the end.  Neither shows in
-    # the serialized report.
+    # The strong check's mod-P loop stops at its certificate.  Neither it
+    # nor a subset audit's regular-subsequence loop shows in the
+    # serialized report.
     report = _audit_dense((1, 1, 1), 3)
     assert report.evidence["quasi_smoothness_path"] == "modular"
     assert report.evidence["quasi_smoothness_modular"] == {
@@ -303,7 +303,12 @@ def test_audit_evidence_carries_the_modular_loop():
     }
     fix = split_field_fixture(1, 2, (1, 1))
     report = audit_case(fix.model, fix.field, fix.hypersurface, AuditOptions(radial_index=0, subset=fix.subset))
-    assert report.evidence["quasi_smoothness_modular"]["stopped_early"] is False
+    assert report.evidence["quasi_smoothness_path"] == "modular"
+    assert report.evidence["quasi_smoothness_modular"] == {
+        "pairs_reduced": 0,
+        "basis_size": 2,
+        "stopped_early": False,
+    }
     assert "modular" not in report.to_json()
 
 

@@ -24,13 +24,14 @@ from toricfol.families import (
 )
 from toricfol.groebner import (
     P,
+    _lead_dimension,
     _modular_leads,
     buchberger,
     ideal_dimension,
     only_origin_check,
     regular_subsequence_check,
 )
-from toricfol.poly import Polynomial
+from toricfol.poly import Polynomial, monomial_divides
 
 
 def nonzero_partials(f):
@@ -149,7 +150,8 @@ def test_regular_subsequences_agree_with_exact(weights, degree):
             partials = [f.partial_derivative(j) for j in indices]
             assert answer is (ideal_dimension(buchberger(partials)) == f.nvars - k)
             assert record["path"] == "modular"
-            assert record["modular"]["stopped_early"] is False
+            # the loop stops only at leads of dimension <= 0; here all partials reach them
+            assert record["modular"]["stopped_early"] is (k == f.nvars)
 
 
 @pytest.mark.parametrize(
@@ -172,24 +174,19 @@ def test_p2_cubic_certified_after_five_reductions():
     record = {}
     assert origin_check(gens, record) == (True, "modular")
     assert record["modular"] == {"pairs_reduced": 5, "basis_size": 8, "stopped_early": True}
-    # run to the end, the same loop reduces twice as many pairs for no new lead
-    full = {}
-    stopped = _modular_leads(gens, {}, True)
-    assert _modular_leads(gens, full, False) == stopped
-    assert full == {"pairs_reduced": 10, "basis_size": 8, "stopped_early": False}
 
 
 @pytest.mark.parametrize("weights, degree", LADDER)
-def test_early_stop_leads_are_a_prefix_of_the_full_run(weights, degree):
-    # The stop only cuts the same loop short: its leads are the first ones
-    # of the full run, and it never reduces more pairs.
+def test_early_stop_leads_give_the_exact_dimension(weights, degree):
+    # The stopped loop's leads lie in the exact initial ideal and read off
+    # the dimension of the exact reduced basis.
     gens = nonzero_partials(dense_poly(random.Random(f"{weights}:{degree}"), weights, degree))
-    early, full = {}, {}
-    stopped = _modular_leads(gens, early, True)
-    leads = _modular_leads(gens, full, False)
-    assert early["stopped_early"] and not full["stopped_early"]
-    assert stopped == leads[: len(stopped)]
-    assert early["pairs_reduced"] <= full["pairs_reduced"]
+    stats = {}
+    leads = _modular_leads(gens, stats)
+    assert stats["stopped_early"]
+    exact = [g.leading_term()[0] for g in buchberger(gens).generators]
+    assert all(any(monomial_divides(e, m) for e in exact) for m in leads)
+    assert _lead_dimension(leads, len(weights)) == _lead_dimension(exact, len(weights)) == 0
 
 
 def V(j, c=1, p=2):
