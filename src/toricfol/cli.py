@@ -112,6 +112,12 @@ def _cmd_decompose(args) -> int:
     case = _load_case(args, "hypersurface", "field")
     opts = _audit_options(case, args)
     field = case.field if opts.subset is None else case.field.restrict(opts.subset)
+    if field.is_zero():  # unusable input, refused as audit refuses it
+        raise ValueError(
+            "vector field unusable: the zero vector field has no degree"
+            if opts.subset is None
+            else "field restricted to the index subset is zero"
+        )
     names = case.model.variable_names
     try:
         dec = koszul_decompose(

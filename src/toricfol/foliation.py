@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .degrees import DegreeClass
@@ -168,12 +167,10 @@ def lie_g_membership(
             return False, None
         quotients.append(q)
     monomials = sorted({m for q in quotients for m in q.terms}, reverse=True)
-    coeff_rows = [
-        {i: Fraction(model.radial[i][j]) for i in range(r)} for j in range(nv)
-    ]
+    coeff_rows = [{i: model.radial[i][j] for i in range(r)} for j in range(nv)]
     witness_terms: list[dict] = [dict() for _ in range(r)]
     for m in monomials:
-        rhs = [quotients[j].terms.get(m, Fraction(0)) for j in range(nv)]
+        rhs = [quotients[j].terms.get(m, 0) for j in range(nv)]
         sol = solve_sparse(coeff_rows, rhs, r)
         if sol is None:
             return False, None

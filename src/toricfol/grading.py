@@ -62,8 +62,23 @@ def monomials_of_degree(model: ToricModel, alpha: DegreeClass) -> tuple[tuple[in
 
     Only branches without a monomial of degree alpha are cut, and the
     result is sorted, so it equals that of the unpruned walk.
+
+    A graded piece is fixed by the model alone, so each model keeps a
+    memo from degree class to basis: the descent runs on the first query
+    of a class and later queries return the same tuple.  A tuple is
+    immutable, so callers may share it; the memo lives as long as its
+    model.  A class from another grading group is refused on every call.
     """
     model._check_group(alpha)
+    memo = model._monomial_bases
+    basis = memo.get(alpha)
+    if basis is None:
+        basis = memo[alpha] = _enumerate_monomials(model, alpha)
+    return basis
+
+
+def _enumerate_monomials(model: ToricModel, alpha: DegreeClass) -> tuple[tuple[int, ...], ...]:
+    """The pruned descent behind ``monomials_of_degree``, on a checked class."""
     nvars, rank = model.nvars, model.rank
     # Scaling the functional by a positive integer keeps every weight
     # positive and every quotient remaining // weight unchanged, and turns

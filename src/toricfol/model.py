@@ -174,6 +174,11 @@ class ToricModel:
         torsion = [tuple(d.residues[k] for d in self.degrees) for k in range(len(self.moduli))]
         return tuple(free + torsion)
 
+    @cached_property
+    def _monomial_bases(self) -> dict[DegreeClass, tuple[tuple[int, ...], ...]]:
+        """Memo of ``grading.monomials_of_degree``: degree class -> basis."""
+        return {}
+
     def monomial_degree(self, exponents) -> DegreeClass:
         if len(exponents) != self.nvars:
             raise ValueError("exponent length mismatch")
@@ -389,7 +394,7 @@ def _check_stated_degrees(group: AbelianGroupPresentation, computed, stated):
     equations = [dict(enumerate(d.free)) for d in computed]
     w_rows = []
     for i in range(r):
-        sol = solve_sparse(equations, [Fraction(stated[j].free[i]) for j in range(nvars)], r)
+        sol = solve_sparse(equations, [stated[j].free[i] for j in range(nvars)], r)
         if sol is None or any(x.denominator != 1 for x in sol):
             raise ModelInputError("degrees", "no integral change of basis reaches the stated degrees")
         w_rows.append([int(x) for x in sol])

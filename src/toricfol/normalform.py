@@ -12,8 +12,11 @@ deg(f), the invariance cofactor g and the field's degree, and hands them
 to the private ``_decompose``.  ``audit_case`` calls ``_decompose``
 directly with the values its hypothesis checks already hold, so an
 audit with a decomposition attached computes each of them once.  Within
-one solve, pairs of the same forced degree share one monomial
-enumeration.
+one solve, the forced degree is computed once per distinct pair of
+variable degrees.  The monomial bases themselves are shared per model,
+not per solve: ``monomials_of_degree`` keeps each basis it enumerates on
+the model, so repeated solves on one model, and pairs of the same forced
+degree, enumerate each basis once.
 """
 
 from __future__ import annotations
@@ -191,9 +194,17 @@ def _decompose(
 
     pair_list = [(j, k) for a, j in enumerate(indices) for k in indices[a + 1 :]]
     columns = []  # (pair, monomial) in deterministic order
-    bases: dict[DegreeClass, tuple] = {}  # pairs often share a degree
+    # The (j, k) degree is shift + deg z_j + deg z_k: it is computed once
+    # per distinct pair of variable degrees, and its basis fetched once.
+    shift = deg_field - alpha
+    degrees = model.degrees
+    forced: dict[tuple[DegreeClass, DegreeClass], DegreeClass] = {}
+    bases: dict[DegreeClass, tuple] = {}
     for j, k in pair_list:
-        delta = pair_degree(model, deg_field, alpha, j, k)
+        key = (degrees[j], degrees[k])
+        if key not in forced:
+            forced[key] = shift + degrees[j] + degrees[k]
+        delta = forced[key]
         if delta not in bases:
             bases[delta] = monomials_of_degree(model, delta)
         columns.extend(((j, k), m) for m in bases[delta])

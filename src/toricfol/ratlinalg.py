@@ -27,6 +27,13 @@ pivots are ints, and so is the right-hand side less the known terms
 when no later unknown is nonzero; ``int / int`` would then be a float,
 so each unknown is built as ``Fraction(numerator, denominator * pivot)``
 and never by ``/``.
+
+A row whose entries and right-hand side are all ``int`` is already its
+own integer scaling, so it is stored as read, with its zeros dropped,
+and skips the lcm of the denominators.  The Koszul rows are such rows,
+since the polynomial kernel keeps integral coefficients as ints.  Every
+entry is still checked for its column range and its type, and the row
+is copied, never aliased.
 """
 
 from __future__ import annotations
@@ -35,16 +42,22 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+def _exact(v) -> bool:
+    """An int or a Fraction; a bool is refused, though Python counts it an int."""
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+
+
 def solve_sparse(
-    rows: list[dict[int, Fraction]], rhs: list[Fraction], ncols: int
+    rows: list[dict[int, int | Fraction]], rhs: list[int | Fraction], ncols: int
 ) -> list[Fraction] | None:
     """A particular solution of rows . x = rhs with free unknowns at zero.
 
     ``rows[i]`` maps a column in ``range(ncols)`` to its coefficient;
     absent columns and explicit zeros are zero.  Every coefficient and
-    right-hand side must be an ``int`` or a ``Fraction`` (``TypeError``
-    otherwise), and every entry returned is a ``Fraction``.  The caller's
-    dicts are not modified.  Returns None when the system is inconsistent.
+    right-hand side must be an ``int`` or a ``Fraction``, not a ``bool``
+    (``TypeError`` otherwise), and every entry returned is a ``Fraction``.
+    The caller's dicts are not modified.  Returns None when the system is
+    inconsistent.
     """
     if len(rows) != len(rhs):
         raise ValueError("rhs length mismatch")
@@ -53,16 +66,23 @@ def solve_sparse(
     hits: list[set[int]] = [set() for _ in range(ncols)]  # column -> live rows reaching it
     for i, (row, value) in enumerate(zip(rows, rhs)):
         entries = {}
+        integral = type(value) is int
         for c, v in row.items():
             if not 0 <= c < ncols:
                 raise ValueError(f"column {c} outside range({ncols})")
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(f"coefficient {v!r} is neither an int nor a Fraction")
+            if type(v) is not int:
+                if not _exact(v):
+                    raise TypeError(f"coefficient {v!r} is neither an int nor a Fraction")
+                integral = False
             if v:
                 entries[c] = v
                 hits[c].add(i)
-        if not isinstance(value, (int, Fraction)):
+        if not _exact(value):
             raise TypeError(f"right-hand side {value!r} is neither an int nor a Fraction")
+        if integral:  # already the integer row: entries is a fresh dict
+            live[i] = entries
+            b.append(value)
+            continue
         den = lcm(value.denominator, *(v.denominator for v in entries.values()))
         live[i] = {c: v.numerator * (den // v.denominator) for c, v in entries.items()}
         b.append(value.numerator * (den // value.denominator))

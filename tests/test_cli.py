@@ -152,6 +152,33 @@ def test_decompose_subset_via_flags(tmp_path, capsys):
     assert "P[z1_0,z1_1]" in out
 
 
+P2_MODEL = "[model]\ndimension = 2\nvariables = x y z\nrays = (1,0) (0,1) (-1,-1)\n"
+
+
+@pytest.mark.parametrize(
+    "case,flags,message",
+    [
+        (
+            "[hypersurface]\nf = x^3 + y^3 + z^3\n[field]\nx = 0\n",
+            (),
+            "error: vector field unusable: the zero vector field has no degree",
+        ),
+        (
+            "[hypersurface]\nf = y\n[field]\ny = y^2\n",
+            ("--subset", "x,z"),
+            "error: field restricted to the index subset is zero",
+        ),
+    ],
+    ids=["all-zero-field", "zero-after-restriction"],
+)
+def test_decompose_zero_field_exits_one_like_audit(tmp_path, capsys, case, flags, message):
+    path = tmp_path / "zero.case"
+    path.write_text(P2_MODEL + case)
+    for command in ("decompose", "audit"):
+        code, out = invoke(capsys, command, "--case", str(path), *flags)
+        assert (code, out.strip()) == (1, message), command
+
+
 def test_audit_subset_flag_overrides(tmp_path, capsys):
     # strip the [options] section and pass the subset on the command line
     _, text = invoke(capsys, "export", "split-field", "--alpha1", "1", "--alpha2", "2")

@@ -8,6 +8,7 @@ from toricfol.degrees import DegreeClass
 from toricfol.families import (
     biproj_pairs_fixture,
     monomial_hypersurface_fixture,
+    multiprojective,
     octahedron_rays,
     split_field_fixture,
     torsion_fermat_fixture,
@@ -16,7 +17,7 @@ from toricfol.families import (
 from toricfol.grading import count_lattice_points, homogeneous_degree, monomials_of_degree
 from toricfol.model import build_from_presentation, build_from_rays
 from toricfol.poly import Polynomial
-from toricfol.selfcheck import random_quasi_homogeneous
+from toricfol.selfcheck import default_models, random_quasi_homogeneous
 
 
 def test_homogeneous_degree_product_quadric(p1p1):
@@ -208,6 +209,45 @@ def test_enumeration_matches_unpruned_oracle(family_models):
         for alpha in sample_degrees(rng, model, 8, max_total):
             want = monomials_of_degree_unpruned(model, alpha)
             assert monomials_of_degree(model, alpha) == want, (model.name, alpha)
+
+
+def test_enumeration_memo_matches_unpruned_oracle():
+    # Every model is built twice; the two instances are equal but each
+    # keeps its own memo.  Each degree is asked twice of each instance,
+    # interleaved, so first queries and repeated ones both meet the oracle.
+    rng = random.Random(37)
+    builds = zip(default_models() + fixture_models(), default_models() + fixture_models())
+    queries = 0
+    for a, b in builds:
+        assert a == b and a is not b
+        max_total = 3 if a.nvars > 6 else 5
+        for alpha in sample_degrees(rng, a, 6, max_total):
+            want = monomials_of_degree_unpruned(a, alpha)
+            for model in (a, b, a, b):
+                assert monomials_of_degree(model, alpha) == want, (model.name, alpha)
+                queries += 1
+    assert queries >= 4 * 12 * 13, queries
+
+
+def test_repeated_query_returns_the_same_basis():
+    model = multiprojective(1, 1)
+    alpha = DegreeClass((4, 2))
+    first = monomials_of_degree(model, alpha)
+    assert len(first) == 15
+    assert monomials_of_degree(model, alpha) is first
+    assert monomials_of_degree(model, DegreeClass((4, 2))) is first
+
+
+def test_degree_from_another_group_refused_on_every_call():
+    model = multiprojective(1, 1)
+    alpha = DegreeClass((2, 1))
+    basis = monomials_of_degree(model, alpha)
+    assert monomials_of_degree(model, alpha) is basis  # the memo has had a hit
+    for foreign in (DegreeClass((2,)), DegreeClass((2, 1), (0,), (3,)), DegreeClass((2, 1, 0))):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="different grading group"):
+                monomials_of_degree(model, foreign)
+    assert monomials_of_degree(model, alpha) is basis
 
 
 def test_mixed_sign_models_rejected_at_construction():

@@ -258,9 +258,11 @@ def test_decompose_rejects_out_of_range_indices(kwargs, named):
 
 
 def test_decompose_enumerates_each_pair_degree_once(monkeypatch):
-    # On P^1 x P^1 the four mixed pairs share one degree: six pairs, three degrees.
+    # On P^1 x P^1 the four mixed pairs share one degree: six pairs, three
+    # degrees.  On P(1,2,1,2) the pairs (z1,z2) and (z2,z3) reach the same
+    # degree from the variable degrees (1,2) and (2,1): again three.
     from toricfol import normalform
-    from toricfol.families import biproj_pairs_fixture
+    from toricfol.families import biproj_pairs_fixture, wps_pairs_fixture
 
     calls = []
     enumerate_monomials = normalform.monomials_of_degree
@@ -270,7 +272,8 @@ def test_decompose_enumerates_each_pair_degree_once(monkeypatch):
         return enumerate_monomials(model, alpha)
 
     monkeypatch.setattr(normalform, "monomials_of_degree", counting)
-    fix = biproj_pairs_fixture(1, [1], [1])
-    dec = koszul_decompose(fix.model, fix.hypersurface, fix.field)
-    assert len(dec.pairs) == 6
-    assert len(calls) == len(set(calls)) == 3
+    for fix in (biproj_pairs_fixture(1, [1], [1]), wps_pairs_fixture((1, 2, 1, 2), (4, 2, 4, 2))):
+        calls.clear()
+        dec = koszul_decompose(fix.model, fix.hypersurface, fix.field)
+        assert len(dec.pairs) == 6
+        assert len(calls) == len(set(calls)) == 3, fix.name

@@ -20,14 +20,23 @@ def _oracle(rows, rhs, ncols):
     return solve_dense([[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows], rhs)
 
 
-def _random_system(rng):
+def _canonical(v):
+    """An integral value as an int, as the polynomial kernel keeps it."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _random_system(rng, integral=False):
     """A small sparse system; some rows are combinations of earlier ones,
-    some are empty, some carry explicit zeros, and some columns are unused."""
+    some are empty, some carry explicit zeros, and some columns are unused.
+    Integral values are ints, so rows of ints only, rows mixing ints and
+    Fractions and int right-hand sides all occur; with ``integral`` every
+    value is an int."""
     nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
     density = rng.choice((0.2, 0.4, 0.7))
 
     def value():
-        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+        num, den = rng.randint(-4, 4), rng.choice((1, 1, 2, 3))
+        return _canonical(Fraction(num, 1 if integral else den))
 
     rows = []
     for _ in range(nrows):
@@ -37,7 +46,7 @@ def _random_system(rng):
         elif kind < 0.3 and len(rows) >= 2:
             a, b = rng.sample(rows, 2)
             s, t = value(), value()
-            rows.append({c: s * a.get(c, 0) + t * b.get(c, 0) for c in set(a) | set(b)})
+            rows.append({c: _canonical(s * a.get(c, 0) + t * b.get(c, 0)) for c in set(a) | set(b)})
         else:
             rows.append({c: value() for c in range(ncols) if rng.random() < density})
     if ncols and rng.random() < 0.3:
@@ -46,10 +55,22 @@ def _random_system(rng):
             row.pop(dead, None)
     if rng.random() < 0.5:  # consistent by construction
         x0 = [value() for _ in range(ncols)]
-        rhs = [sum((v * x0[c] for c, v in row.items()), Fraction(0)) for row in rows]
+        rhs = [_canonical(sum((v * x0[c] for c, v in row.items()), Fraction(0))) for row in rows]
     else:
         rhs = [value() for _ in rows]
     return rows, rhs, ncols
+
+
+def _int_shares(rows, rhs):
+    """Per kind, how many rows of the system are of it: rows of ints only
+    (right-hand side included), rows mixing ints and Fractions, int
+    right-hand sides."""
+    kinds = [{type(v) for v in row.values()} for row in rows]
+    return {
+        "int rows": sum(k == {int} and type(b) is int for k, b in zip(kinds, rhs)),
+        "mixed rows": sum(k == {int, Fraction} for k in kinds),
+        "int rhs": sum(type(b) is int for b in rhs),
+    }
 
 
 def _wide_system(rng):
@@ -60,19 +81,19 @@ def _wide_system(rng):
     nrows = rng.randint(8, 24)
 
     def value():
-        return Fraction(rng.randint(-999_999, 999_999), rng.choice((1, 1, 2, 3, 7, 10, 12)))
+        return _canonical(Fraction(rng.randint(-999_999, 999_999), rng.choice((1, 1, 2, 3, 7, 10, 12))))
 
     rows = []
     for _ in range(nrows):
         if len(rows) >= 2 and rng.random() < 0.25:
             a, b = rng.sample(rows, 2)
             s, t = value(), value()
-            rows.append({c: s * a.get(c, 0) + t * b.get(c, 0) for c in set(a) | set(b)})
+            rows.append({c: _canonical(s * a.get(c, 0) + t * b.get(c, 0)) for c in set(a) | set(b)})
         else:
             rows.append({c: value() for c in range(ncols) if rng.random() < 0.15})
     if rng.random() < 0.7:  # consistent by construction
-        x0 = [value() if rng.random() < 0.6 else Fraction(0) for _ in range(ncols)]
-        rhs = [sum((v * x0[c] for c, v in row.items()), Fraction(0)) for row in rows]
+        x0 = [value() if rng.random() < 0.6 else 0 for _ in range(ncols)]
+        rhs = [_canonical(sum((v * x0[c] for c, v in row.items()), Fraction(0))) for row in rows]
     else:
         rhs = [value() for _ in rows]
     return rows, rhs, ncols
@@ -81,6 +102,7 @@ def _wide_system(rng):
 def test_sparse_matches_dense_oracle_on_random_systems():
     rng = random.Random(20240607)
     seen = {"inconsistent": 0, "free unknowns": 0, "zero row": 0, "no columns": 0, "no rows": 0}
+    shares = dict.fromkeys(("int rows", "mixed rows", "int rhs"), 0)
     for _ in range(400):
         rows, rhs, ncols = _random_system(rng)
         want = _oracle(rows, rhs, ncols)
@@ -90,11 +112,15 @@ def test_sparse_matches_dense_oracle_on_random_systems():
         seen["zero row"] += any(not any(row.values()) for row in rows)
         seen["no columns"] += ncols == 0 and bool(rows)
         seen["no rows"] += not rows
+        for kind, count in _int_shares(rows, rhs).items():
+            shares[kind] += count
     assert min(seen.values()) >= 10, seen
+    assert min(shares.values()) >= 100, shares
 
     # Wide systems with large coefficients: rows reach the content division.
     rng = random.Random(20261018)
     seen = {"systems": 0, "solved": 0, "inconsistent": 0, "rank deficient": 0}
+    shares = dict.fromkeys(("int rows", "mixed rows", "int rhs"), 0)
     for _ in range(60):
         rows, rhs, ncols = _wide_system(rng)
         want = _oracle(rows, rhs, ncols)
@@ -103,7 +129,10 @@ def test_sparse_matches_dense_oracle_on_random_systems():
         seen["solved"] += want is not None
         seen["inconsistent"] += want is None
         seen["rank deficient"] += want is not None and any(v == 0 for v in want)
+        for kind, count in _int_shares(rows, rhs).items():
+            shares[kind] += count
     assert seen["systems"] >= 50 and min(seen.values()) >= 5, seen
+    assert min(shares.values()) >= 20, shares
 
 
 def test_sparse_returns_fractions_on_int_systems():
@@ -127,6 +156,12 @@ def test_sparse_refuses_inexact_entries():
         solve_sparse([{0: 1}], [0.25], 1)
     with pytest.raises(TypeError):
         solve_sparse([{0: Fraction(1)}], [complex(1, 0)], 1)
+    with pytest.raises(TypeError, match="1.5"):  # a float after ints in one row
+        solve_sparse([{0: 1, 1: 2, 2: 1.5}], [1], 3)
+    with pytest.raises(TypeError, match="2.0"):  # a float right-hand side beside int rows
+        solve_sparse([{0: 1}, {1: 2}], [1, 2.0], 2)
+    with pytest.raises(TypeError, match="True"):  # Python counts a bool an int
+        solve_sparse([{0: 1, 1: True}], [1], 2)
 
 
 def test_sparse_edge_cases():
@@ -145,11 +180,12 @@ def test_sparse_edge_cases():
 
 def test_sparse_leaves_caller_rows_untouched():
     rng = random.Random(5)
-    for _ in range(50):
-        rows, rhs, ncols = _random_system(rng)
-        before = copy.deepcopy((rows, rhs))
-        solve_sparse(rows, rhs, ncols)
-        assert (rows, rhs) == before
+    for integral in (False, True):
+        for _ in range(50):
+            rows, rhs, ncols = _random_system(rng, integral)
+            before = copy.deepcopy((rows, rhs))
+            solve_sparse(rows, rhs, ncols)
+            assert (rows, rhs) == before
 
 
 KOSZUL_FIXTURES = [
