@@ -12,7 +12,7 @@ hypotheses is itself informative.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field
 
 from .degrees import DegreeClass
 from .foliation import (
@@ -47,7 +47,7 @@ class BoundRow:
     sharp: bool
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "k": self.k + 1}
+        return dict(k=self.k + 1, bound=self.bound, actual=self.actual, slack=self.slack, sharp=self.sharp)
 
     def to_text(self) -> str:
         return (

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 
@@ -160,7 +159,10 @@ def _cmd_fixture(args) -> int:
     report, results = check_fixture(fix)
     doc = {
         "fixture": fix.name,
-        "checks": [asdict(r) for r in results],
+        "checks": [
+            dict(name=r.name, passed=r.passed, expected=r.expected, actual=r.actual, provenance=r.provenance)
+            for r in results
+        ],
         "audit": report.to_dict(),
     }
     lines = [f"fixture: {fix.name}"]

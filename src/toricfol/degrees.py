@@ -31,13 +31,21 @@ class DegreeClass:
         )
         object.__setattr__(self, "moduli", moduli)
 
+    @classmethod
+    def _trusted(cls, free, residues, moduli) -> "DegreeClass":
+        """The class of these tuples as given, without re-validation: only for
+        tuples of ints built from checked classes, each residue reduced."""
+        d = object.__new__(cls)
+        d.__dict__.update(free=free, residues=residues, moduli=moduli)
+        return d
+
     def _compat(self, other: "DegreeClass"):
         if len(self.free) != len(other.free) or self.moduli != other.moduli:
             raise ValueError(f"degree groups differ: {self} vs {other}")
 
     def __add__(self, other: "DegreeClass") -> "DegreeClass":
         self._compat(other)
-        return DegreeClass(
+        return DegreeClass._trusted(
             tuple(a + b for a, b in zip(self.free, other.free)),
             tuple((a + b) % t for a, b, t in zip(self.residues, other.residues, self.moduli)),
             self.moduli,
@@ -45,7 +53,7 @@ class DegreeClass:
 
     def __sub__(self, other: "DegreeClass") -> "DegreeClass":
         self._compat(other)
-        return DegreeClass(
+        return DegreeClass._trusted(
             tuple(a - b for a, b in zip(self.free, other.free)),
             tuple((a - b) % t for a, b, t in zip(self.residues, other.residues, self.moduli)),
             self.moduli,

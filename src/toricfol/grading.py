@@ -19,7 +19,8 @@ def homogeneous_degree(model: ToricModel, f: Polynomial) -> DegreeClass | None:
     The zero polynomial carries no degree at all and is rejected loudly,
     so callers can tell "no degree" apart from "mixed degrees".  Each term
     costs one dot product per row of ``model.degree_rows``: free parts
-    are compared exactly, torsion parts mod t_k.
+    are compared exactly, torsion parts mod t_k.  Those sums are ints and
+    the residues are reduced, so the class is built without re-validation.
     """
     if f.nvars != model.nvars:
         raise ValueError("variable count mismatch")
@@ -39,7 +40,7 @@ def homogeneous_degree(model: ToricModel, f: Polynomial) -> DegreeClass | None:
         for row, t, want in zip(torsion_rows, moduli, residues):
             if sum(map(mul, row, m)) % t != want:
                 return None
-    return DegreeClass(tuple(free), tuple(residues), moduli)
+    return DegreeClass._trusted(tuple(free), tuple(residues), moduli)
 
 
 def monomials_of_degree(model: ToricModel, alpha: DegreeClass) -> tuple[tuple[int, ...], ...]:

@@ -397,7 +397,7 @@ def _check_stated_degrees(group: AbelianGroupPresentation, computed, stated):
         sol = solve_sparse(equations, [stated[j].free[i] for j in range(nvars)], r)
         if sol is None or any(x.denominator != 1 for x in sol):
             raise ModelInputError("degrees", "no integral change of basis reaches the stated degrees")
-        w_rows.append([int(x) for x in sol])
+        w_rows.append(sol)
     w = IntMatrix.from_rows(w_rows)
     if not w.is_unimodular():
         raise ModelInputError("degrees", "change of basis is not unimodular")

@@ -13,10 +13,11 @@ to the private ``_decompose``.  ``audit_case`` calls ``_decompose``
 directly with the values its hypothesis checks already hold, so an
 audit with a decomposition attached computes each of them once.  Within
 one solve, the forced degree is computed once per distinct pair of
-variable degrees.  The monomial bases themselves are shared per model,
-not per solve: ``monomials_of_degree`` keeps each basis it enumerates on
-the model, so repeated solves on one model, and pairs of the same forced
-degree, enumerate each basis once.
+variable degrees, and each basis comes from the model's memo in
+``monomials_of_degree``.  The system is built from term dicts: the
+right-hand side is, per slot, the field's terms less the radial part
+(g / theta) R, and the solver's values are already canonical, so no
+intermediate field or polynomial is built or re-validated.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .foliation import (
 )
 from .grading import homogeneous_degree, monomials_of_degree
 from .model import ToricModel
-from .poly import Polynomial, monomial_mul
+from .poly import Polynomial, exact_div, monomial_mul
 from .ratlinalg import solve_sparse
 
 
@@ -182,15 +183,20 @@ def _decompose(
         )
     coeffs = model.radial[radial_index]
 
-    unit = [(0,) * j + (1,) + (0,) * (nv - j - 1) for j in range(nv)]
-    residual = VectorField(
-        tuple(
-            field.components[j] - g.mul_monomial(unit[j], Fraction(coeffs[j], theta))
-            if j in indices
-            else Polynomial.zero(nv)
-            for j in range(nv)
-        )
-    )
+    # Right-hand side, per slot c: the field's terms less those of
+    # (coeffs[c] / theta) g z_c, which is the radial part of X.
+    residual: dict[int, dict] = {}
+    for c in indices:
+        terms = residual[c] = dict(field.components[c].terms)
+        if not coeffs[c]:
+            continue
+        for m, v in g.terms.items():
+            mc = m[:c] + (m[c] + 1,) + m[c + 1 :]
+            new = terms.get(mc, 0) - exact_div(coeffs[c] * v, theta)
+            if new:
+                terms[mc] = new
+            else:
+                del terms[mc]
 
     pair_list = [(j, k) for a, j in enumerate(indices) for k in indices[a + 1 :]]
     columns = []  # (pair, monomial) in deterministic order
@@ -211,35 +217,31 @@ def _decompose(
 
     # Equations: per slot c in the index set, match every monomial coefficient.
     # Each row is a sparse {column: coefficient} dict; the solution the
-    # solver returns does not depend on the order of the rows.
-    contributions: dict[tuple[int, tuple], dict[int, Fraction]] = {}
-
-    # Within one column the (slot, monomial) keys are distinct, so each
-    # entry is written once and never accumulated.
-    def _add(slot, mono, col, val):
-        contributions.setdefault((slot, mono), {})[col] = val
+    # solver returns does not depend on the order of the rows.  Within one
+    # column the (slot, monomial) keys are distinct, so each entry is
+    # written once and never accumulated.
+    rows: dict[tuple[int, tuple], dict[int, int | Fraction]] = {}
 
     # The pair (j, k) puts +df/dz_j on slot k and -df/dz_k on slot j.
     plus = {j: tuple(f.partial_derivative(j).terms.items()) for j in indices}
     minus = {j: tuple((mm, -cc) for mm, cc in plus[j]) for j in indices}
     for col, ((j, k), m) in enumerate(columns):
         for mm, cc in plus[j]:
-            _add(k, monomial_mul(mm, m), col, cc)
+            rows.setdefault((k, monomial_mul(mm, m)), {})[col] = cc
         for mm, cc in minus[k]:
-            _add(j, monomial_mul(mm, m), col, cc)
+            rows.setdefault((j, monomial_mul(mm, m)), {})[col] = cc
     for c in indices:
-        for m in residual.components[c].terms:
-            contributions.setdefault((c, m), {})
+        for m in residual[c]:
+            rows.setdefault((c, m), {})
 
     solution = solve_sparse(
-        list(contributions.values()),
-        [residual.components[c].terms.get(m, 0) for c, m in contributions],
-        len(columns),
+        list(rows.values()), [residual[c].get(m, 0) for c, m in rows], len(columns)
     )
     if solution is None:
+        names = model.variable_names
         raise DecompositionError(
             "pair-coefficient system is infeasible; the normal form fails here",
-            residual=residual.to_strings(model.variable_names),
+            residual={names[c]: Polynomial(nv, t).to_string(names) for c, t in residual.items() if t},
         )
 
     terms: dict[tuple[int, int], dict] = {jk: {} for jk in pair_list}
@@ -248,7 +250,7 @@ def _decompose(
             terms[jk][m] = value
     return KoszulDecomposition(
         index_set=indices,
-        pairs=tuple((jk, Polynomial(nv, terms[jk])) for jk in pair_list),
+        pairs=tuple((jk, Polynomial._trusted(nv, terms[jk])) for jk in pair_list),
         cofactor=g,
         radial_index=radial_index,
         theta_value=theta,

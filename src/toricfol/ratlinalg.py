@@ -22,11 +22,11 @@ by their content.  Every such row is a nonzero multiple of the row a
 ``Fraction`` elimination would hold at the same step, so the pattern of
 zeros is the same, and with it the sparsest-row pivot, its tie-break and
 the pivot columns; the particular solution is unique, so it is the same
-vector too.  Only the back-substitution divides, in ``Fraction``.  Its
-pivots are ints, and so is the right-hand side less the known terms
-when no later unknown is nonzero; ``int / int`` would then be a float,
-so each unknown is built as ``Fraction(numerator, denominator * pivot)``
-and never by ``/``.
+vector too.  Only the back-substitution divides, with ``poly.exact_div``:
+its pivots are ints, and so is the right-hand side less the known terms
+when no later unknown is nonzero, where ``/`` would give a float.  Each
+unknown is canonical, as the polynomial kernel keeps coefficients: an
+``int`` when it is integral, else a ``Fraction``.
 
 A row whose entries and right-hand side are all ``int`` is already its
 own integer scaling, so it is stored as read, with its zeros dropped,
@@ -41,6 +41,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .poly import Coefficient, exact_div
+
 
 def _exact(v) -> bool:
     """An int or a Fraction; a bool is refused, though Python counts it an int."""
@@ -49,13 +51,14 @@ def _exact(v) -> bool:
 
 def solve_sparse(
     rows: list[dict[int, int | Fraction]], rhs: list[int | Fraction], ncols: int
-) -> list[Fraction] | None:
+) -> list[Coefficient] | None:
     """A particular solution of rows . x = rhs with free unknowns at zero.
 
     ``rows[i]`` maps a column in ``range(ncols)`` to its coefficient;
     absent columns and explicit zeros are zero.  Every coefficient and
     right-hand side must be an ``int`` or a ``Fraction``, not a ``bool``
-    (``TypeError`` otherwise), and every entry returned is a ``Fraction``.
+    (``TypeError`` otherwise).  Every entry returned is canonical: an
+    ``int`` when it is integral, else a ``Fraction``, never a float.
     The caller's dicts are not modified.  Returns None when the system is
     inconsistent.
     """
@@ -77,7 +80,7 @@ def solve_sparse(
             if v:
                 entries[c] = v
                 hits[c].add(i)
-        if not _exact(value):
+        if type(value) is not int and not _exact(value):
             raise TypeError(f"right-hand side {value!r} is neither an int nor a Fraction")
         if integral:  # already the integer row: entries is a fresh dict
             live[i] = entries
@@ -129,8 +132,7 @@ def solve_sparse(
     # Every live row is now empty, so its right-hand side must vanish.
     if any(b[i] for i in live):
         return None
-    x = [Fraction(0)] * ncols
+    x: list[Coefficient] = [0] * ncols
     for c, pivot, prow, bp in reversed(pivots):
-        num = bp - sum(v * x[cc] for cc, v in prow.items() if x[cc])
-        x[c] = Fraction(num.numerator, num.denominator * pivot)
+        x[c] = exact_div(bp - sum(v * x[cc] for cc, v in prow.items() if x[cc]), pivot)
     return x

@@ -314,3 +314,53 @@ def test_monomial_degree_matches_oracle(family_models):
 def test_degree_class_rejects_bad_modulus(t):
     with pytest.raises(ValueError, match="at least 2"):
         DegreeClass((1,), (0,), (t,))
+
+
+def _assert_exact_class(d):
+    """Every field a tuple of exact ints, as the checked constructor leaves it."""
+    for part in (d.free, d.residues, d.moduli):
+        assert type(part) is tuple and all(type(x) is int for x in part), d
+
+
+def test_degree_arithmetic_equals_the_checked_constructor(family_models):
+    # a + b, a - b and homogeneous_degree build their classes without
+    # re-validation; each must equal, and hash like, the class the checked
+    # constructor makes of the unreduced sums, and reach the same memo entry.
+    rng = random.Random(39)
+    built = {"sum": 0, "difference": 0, "polynomial": 0, "negative": 0, "torsion": 0}
+    for model in family_models + fixture_models():
+        degrees = sample_degrees(rng, model, 3, 2 if model.nvars > 6 else 3)
+        cases = []
+        for a in degrees:
+            for b in degrees:
+                for kind, got, sign in (("sum", a + b, 1), ("difference", a - b, -1)):
+                    want = DegreeClass(
+                        tuple(x + sign * y for x, y in zip(a.free, b.free)),
+                        tuple(x + sign * y for x, y in zip(a.residues, b.residues)),
+                        model.moduli,
+                    )
+                    cases.append((kind, got, want))
+        for _ in range(4):
+            f = random_quasi_homogeneous(rng, model, 4)
+            if f.is_zero():
+                continue
+            m = next(iter(f.terms))
+            want = DegreeClass(
+                tuple(sum(e * d.free[i] for e, d in zip(m, model.degrees)) for i in range(model.rank)),
+                tuple(sum(e * d.residues[k] for e, d in zip(m, model.degrees)) for k in range(len(model.moduli))),
+                model.moduli,
+            )
+            cases.append(("polynomial", homogeneous_degree(model, f), want))
+        for n, (kind, got, want) in enumerate(cases):
+            _assert_exact_class(got)
+            assert got == want and hash(got) == hash(want), (model.name, kind, got, want)
+            built[kind] += 1
+            built["negative"] += any(x < 0 for x in got.free)
+            built["torsion"] += bool(got.moduli)
+            if kind != "polynomial" and sum(got.free) > 6:
+                continue  # keep the enumerations small
+            # Alternate which class is asked first, so the memo entry is
+            # made by each kind of class and found by the other.
+            first, second = (want, got) if n % 2 else (got, want)
+            assert monomials_of_degree(model, second) is monomials_of_degree(model, first)
+    assert min(built.values()) >= 20, built

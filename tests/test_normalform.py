@@ -236,8 +236,40 @@ def test_decompose_without_pair_columns_raises(p1p1):
     # columns, while its residual -z1 z3^2 d/dz1 is nonzero.
     f = Polynomial(4, {(2, 0, 3, 0): 1})
     field = VectorField.from_components(4, {0: Polynomial(4, {(1, 0, 0, 2): 1})})
-    with pytest.raises(DecompositionError):
+    with pytest.raises(DecompositionError) as info:
         koszul_decompose(p1p1, f, field)
+    assert info.value.residual == {"z1_1": "-z1_1*z2_1^2"}
+
+
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        ("wps-pairs", ((1, 2, 1, 2), (4, 2, 4, 2))),
+        ("wps-pairs", ((1, 1, 1), (4, 4, 4))),
+        ("biproj-pairs", (1, [2], [Fraction(1, 3)])),
+        ("biproj-pairs", (3, [2, 1], [1, 1])),
+        ("torsion-fermat", (3,)),
+        ("torsion-fermat", (6,)),
+        ("split-field", (2, 1, (1, 2))),
+    ],
+    ids=str,
+)
+def test_pair_coefficients_are_canonical(name, args):
+    # The pairs are built without re-validation from the solver's values,
+    # so a float or an integral Fraction would pass into them unnoticed.
+    # The monomial-hypersurface family breaks the hypotheses and has no
+    # decomposition to check.
+    from toricfol.families import FIXTURE_BUILDERS
+
+    fix = FIXTURE_BUILDERS[name](*args)
+    field = fix.field if fix.subset is None else fix.field.restrict(fix.subset)
+    dec = koszul_decompose(
+        fix.model, fix.hypersurface, field, radial_index=fix.radial_index, index_set=fix.subset
+    )
+    assert verify_decomposition(fix.model, fix.hypersurface, field, dec)
+    for _, p in dec.pairs:
+        for c in p.terms.values():
+            assert c and (type(c) is int or (type(c) is Fraction and c.denominator > 1)), (name, c)
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,13 @@ def _canonical(v):
     return v.numerator if v.denominator == 1 else v
 
 
+def _assert_canonical(values):
+    """Each value as the polynomial kernel keeps it: an int when integral,
+    else a Fraction with a denominator above 1; never a float or a bool."""
+    for v in values:
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), values
+
+
 def _random_system(rng, integral=False):
     """A small sparse system; some rows are combinations of earlier ones,
     some are empty, some carry explicit zeros, and some columns are unused.
@@ -106,7 +113,10 @@ def test_sparse_matches_dense_oracle_on_random_systems():
     for _ in range(400):
         rows, rhs, ncols = _random_system(rng)
         want = _oracle(rows, rhs, ncols)
-        assert solve_sparse(rows, rhs, ncols) == want, (rows, rhs, ncols)
+        got = solve_sparse(rows, rhs, ncols)
+        assert got == want, (rows, rhs, ncols)
+        if got is not None:
+            _assert_canonical(got)
         seen["inconsistent"] += want is None
         seen["free unknowns"] += want is not None and ncols > len(rows)
         seen["zero row"] += any(not any(row.values()) for row in rows)
@@ -124,7 +134,10 @@ def test_sparse_matches_dense_oracle_on_random_systems():
     for _ in range(60):
         rows, rhs, ncols = _wide_system(rng)
         want = _oracle(rows, rhs, ncols)
-        assert solve_sparse(rows, rhs, ncols) == want, (rows, rhs, ncols)
+        got = solve_sparse(rows, rhs, ncols)
+        assert got == want, (rows, rhs, ncols)
+        if got is not None:
+            _assert_canonical(got)
         seen["systems"] += 1
         seen["solved"] += want is not None
         seen["inconsistent"] += want is None
@@ -135,18 +148,20 @@ def test_sparse_matches_dense_oracle_on_random_systems():
     assert min(shares.values()) >= 20, shares
 
 
-def test_sparse_returns_fractions_on_int_systems():
+def test_sparse_returns_canonical_coefficients():
     # Pivot rows with no later nonzero unknown leave an int over an int
-    # pivot; the result must still be a Fraction, not a float.
+    # pivot, where / would give a float; each unknown must come back an
+    # int when it is integral and a Fraction only when it is not.
     for rows, rhs, ncols, want in (
         ([{0: 2}], [3], 1, [Fraction(3, 2)]),
         ([{0: 4, 1: 6}, {1: 3}], [1, 2], 2, [Fraction(-3, 4), Fraction(2, 3)]),
-        ([{0: 1}, {0: 3, 2: 5}], [7, 1], 3, [Fraction(7), Fraction(0), Fraction(-4)]),
-        ([{1: -3}], [0], 2, [Fraction(0), Fraction(0)]),
+        ([{0: 1}, {0: 3, 2: 5}], [7, 1], 3, [7, 0, -4]),
+        ([{1: -3}], [0], 2, [0, 0]),
+        ([{0: 2, 1: 1}, {1: 3}], [2, 3], 2, [Fraction(1, 2), 1]),
     ):
         got = solve_sparse(rows, rhs, ncols)
         assert got == want
-        assert all(type(v) is Fraction for v in got), got
+        _assert_canonical(got)
 
 
 def test_sparse_refuses_inexact_entries():
@@ -234,3 +249,5 @@ def test_sparse_matches_dense_oracle_on_koszul_systems(name, args, monkeypatch):
     assert len(systems) == len(fields)
     for got, want in systems:
         assert got == want
+        if got is not None:
+            _assert_canonical(got)
