@@ -47,9 +47,7 @@ from .intlinalg import (
     IntMatrix,
     SmithDecomposition,
     cokernel,
-    kernel_basis,
     smith_normal_form,
-    solve_integer_system,
 )
 from .model import ModelInputError, ToricModel, build_from_presentation, build_from_rays
 from .normalform import (
@@ -92,7 +90,6 @@ __all__ = [
     "homogeneous_degree",
     "ideal_dimension",
     "invariance_cofactor",
-    "kernel_basis",
     "koszul_decompose",
     "lie_g_membership",
     "monomials_of_degree",
@@ -106,7 +103,6 @@ __all__ = [
     "sing_inside_irrelevant",
     "singular_scheme_minors",
     "smith_normal_form",
-    "solve_integer_system",
     "torsion_surface",
     "verify_decomposition",
     "weighted_projective",

@@ -104,9 +104,6 @@ class AuditReport:
     # pairs_reduced, basis_size and stopped_early, or None when none ran.
     evidence: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
-    def violations(self) -> tuple[str, ...]:
-        return tuple(f"{n}: {v}" for n, v in self.hypotheses if v != "pass")
-
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -34,7 +34,7 @@ class DegreeClass:
     @classmethod
     def _trusted(cls, free, residues, moduli) -> "DegreeClass":
         """The class of these tuples as given, without re-validation: only for
-        tuples of ints built from checked classes, each residue reduced."""
+        tuples of ints, each residue reduced and each modulus at least 2."""
         d = object.__new__(cls)
         d.__dict__.update(free=free, residues=residues, moduli=moduli)
         return d

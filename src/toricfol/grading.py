@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import ceil, floor, lcm
 from operator import mul
@@ -146,10 +145,7 @@ def count_lattice_points(model: ToricModel, coefficients) -> int:
         raise ValueError("divisor coefficient count mismatch")
     if any(a < 0 for a in coefficients):
         raise ValueError("divisor is not effective")
-    ineqs = [
-        (tuple(Fraction(x) for x in ray), Fraction(-a))
-        for ray, a in zip(model.rays, coefficients)
-    ]
+    ineqs = [(ray, -a) for ray, a in zip(model.rays, coefficients)]
     ranges = []
     for i in range(model.n):
         feasible, lo, hi = coordinate_interval(ineqs, model.n, i)

@@ -1,22 +1,23 @@
-"""Exact Fourier-Motzkin elimination for small rational halfspace systems.
+"""Exact Fourier-Motzkin elimination for small integer halfspace systems.
 
-An inequality is a pair (coeffs, rhs) meaning coeffs . x >= rhs.  Used to
-certify strictly positive grading functionals and to box lattice polytopes;
-system sizes here are tiny, so the quadratic blowup of elimination is
-irrelevant.
+An inequality is a pair (coeffs, rhs) of ints meaning coeffs . x >= rhs.
+Used to certify strictly positive grading functionals and to box lattice
+polytopes; system sizes here are tiny, so the quadratic blowup of
+elimination is irrelevant.
+
+Elimination stays in the integers: each combined inequality is divided
+by the gcd of its coefficients and right-hand side, the one primitive
+representative of its class of positive multiples, which is also what
+deduplication compares.  Only the bounds read off during back
+substitution are Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-Inequality = tuple[tuple[Fraction, ...], Fraction]
-
-
-def _normalize(ineq: Inequality) -> Inequality:
-    coeffs, rhs = ineq
-    scale = sum(abs(c) for c in coeffs) or abs(rhs) or Fraction(1)
-    return tuple(c / scale for c in coeffs), rhs / scale
+Inequality = tuple[tuple[int, ...], int]
 
 
 def _eliminate_last(ineqs: list[Inequality]) -> list[Inequality]:
@@ -30,16 +31,22 @@ def _eliminate_last(ineqs: list[Inequality]) -> list[Inequality]:
         else:
             keep.append((coeffs[:-1], rhs))
     for pc, pr in pos:
+        cp = pc[-1]
         for nc, nr in neg:
-            cp, cn = pc[-1], nc[-1]
-            coeffs = tuple(-cn * a + cp * b for a, b in zip(pc[:-1], nc[:-1]))
-            keep.append((coeffs, -cn * pr + cp * nr))
-    return list(dict.fromkeys(_normalize(q) for q in keep))
+            cn = -nc[-1]
+            keep.append((tuple(cn * a + cp * b for a, b in zip(pc[:-1], nc[:-1])), cn * pr + cp * nr))
+    out = {}
+    for coeffs, rhs in keep:
+        g = gcd(*coeffs, rhs)
+        if g > 1:
+            coeffs, rhs = tuple(a // g for a in coeffs), rhs // g
+        out.setdefault((coeffs, rhs))
+    return list(out)
 
 
 def feasible_point(ineqs: list[Inequality], nvars: int) -> tuple[Fraction, ...] | None:
     """Some rational x with coeffs . x >= rhs for all inequalities, else None."""
-    stages = [[(tuple(Fraction(c) for c in coeffs), Fraction(rhs)) for coeffs, rhs in ineqs]]
+    stages = [list(ineqs)]
     for _ in range(nvars):
         stages.append(_eliminate_last(stages[-1]))
     if any(rhs > 0 for _, rhs in stages[-1]):
@@ -51,7 +58,7 @@ def feasible_point(ineqs: list[Inequality], nvars: int) -> tuple[Fraction, ...] 
             c = coeffs[k - 1]
             if c == 0:
                 continue
-            bound = (rhs - sum(a * v for a, v in zip(coeffs, point))) / c
+            bound = Fraction(rhs - sum(a * v for a, v in zip(coeffs, point)), c)
             if c > 0:
                 lo = bound if lo is None else max(lo, bound)
             else:
@@ -74,9 +81,7 @@ def coordinate_interval(
     """
     # Move the tracked coordinate to the front, then eliminate the rest.
     perm = [coord] + [j for j in range(nvars) if j != coord]
-    system = [
-        (tuple(Fraction(coeffs[j]) for j in perm), Fraction(rhs)) for coeffs, rhs in ineqs
-    ]
+    system = [(tuple(coeffs[j] for j in perm), rhs) for coeffs, rhs in ineqs]
     for _ in range(nvars - 1):
         system = _eliminate_last(system)
     lo, hi = None, None
@@ -85,11 +90,11 @@ def coordinate_interval(
         if c == 0:
             if rhs > 0:
                 return False, None, None
-        elif c > 0:
-            b = rhs / c
+            continue
+        b = Fraction(rhs, c)
+        if c > 0:
             lo = b if lo is None else max(lo, b)
         else:
-            b = rhs / c
             hi = b if hi is None else min(hi, b)
     if lo is not None and hi is not None and lo > hi:
         return False, None, None

@@ -1,10 +1,8 @@
-"""Exact integer linear algebra: Smith normal form, kernels, cokernels.
+"""Exact integer linear algebra: determinants, Smith normal form, cokernels.
 
 Everything here runs on arbitrary-precision Python ints; no floats are
 ever produced.  The Smith normal form is the workhorse behind divisor
-class groups (cokernels of ray pairing matrices), radial-field relations
-(integer kernels) and monomial representatives of degree classes
-(integer linear systems).
+class groups (cokernels of ray pairing matrices).
 """
 
 from __future__ import annotations
@@ -36,6 +34,14 @@ class IntMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
+
+    @classmethod
+    def _trusted(cls, entries) -> "IntMatrix":
+        """The matrix of these rows as given, without re-validation: only for
+        a tuple of equally long tuples of ints."""
+        m = object.__new__(cls)
+        m.__dict__["entries"] = entries
+        return m
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -79,31 +85,36 @@ class IntMatrix:
         """Exact determinant by fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if swap is None:
-                    return 0
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return _bareiss(self.entries)
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
+
+
+def _bareiss(rows) -> int:
+    """Determinant of a square matrix given as rows of ints, fraction-free."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -214,7 +225,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         t += 1
 
     return SmithDecomposition(
-        u=IntMatrix.from_rows(u), d=IntMatrix.from_rows(m), v=IntMatrix.from_rows(v)
+        u=IntMatrix._trusted(tuple(map(tuple, u))),
+        d=IntMatrix._trusted(tuple(map(tuple, m))),
+        v=IntMatrix._trusted(tuple(map(tuple, v))),
     )
 
 
@@ -226,8 +239,7 @@ def minor_gcds(a: IntMatrix) -> list[int]:
         g = 0
         for ri in combinations(range(a.rows), k):
             for ci in combinations(range(a.cols), k):
-                sub = IntMatrix.from_rows([[a.entries[i][j] for j in ci] for i in ri])
-                g = gcd(g, sub.det())
+                g = gcd(g, _bareiss([[a.entries[i][j] for j in ci] for i in ri]))
         out.append(g)
     return out
 
@@ -295,56 +307,18 @@ def cokernel(a: IntMatrix) -> AbelianGroupPresentation:
     """Presentation of Z^rows / image(A), A acting on column vectors.
 
     For a ray pairing matrix (one row per ray, one column per lattice
-    basis vector) this is the Weil divisor class group, and the projector
-    applied to a unit vector e_j is the multidegree of the j-th variable.
+    basis vector) this is the Weil divisor class group, and column j of the
+    projector, its torsion entries read mod t_k, is the multidegree of the
+    j-th variable.
     """
     n = a.rows
     snf = smith_normal_form(a)
     factors = snf.invariant_factors()
     tors_rows = [i for i, d in enumerate(factors) if d >= 2]
     free_rows = [i for i, d in enumerate(factors) if d == 0] + list(range(len(factors), n))
-    proj = [list(snf.u.entries[i]) for i in free_rows] + [list(snf.u.entries[i]) for i in tors_rows]
+    proj = tuple(snf.u.entries[i] for i in free_rows + tors_rows)
     return AbelianGroupPresentation(
         rank=len(free_rows),
         torsion=tuple(factors[i] for i in tors_rows),
-        projector=IntMatrix.from_rows(proj) if proj else IntMatrix.zero(0, n),
+        projector=IntMatrix._trusted(proj) if proj else IntMatrix.zero(0, n),
     )
-
-
-def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x : A x = 0}; each vector primitive.
-
-    Basis vectors are columns of the SNF column transform, so they extend
-    to a basis of Z^cols; the sign is normalized so the first nonzero
-    entry is positive.
-    """
-    snf = smith_normal_form(a)
-    factors = snf.invariant_factors()
-    cols = []
-    for j in range(a.cols):
-        if j >= len(factors) or factors[j] == 0:
-            col = snf.v.col(j)
-            lead = next((x for x in col if x), 1)
-            cols.append(tuple(x if lead > 0 else -x for x in col))
-    return cols
-
-
-def solve_integer_system(a: IntMatrix, b) -> tuple[int, ...] | None:
-    """Some integer x with A x = b, or None when no solution exists."""
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length mismatch")
-    snf = smith_normal_form(a)
-    c = snf.u.apply(b)
-    factors = snf.invariant_factors()
-    y = [0] * a.cols
-    for i in range(a.rows):
-        d = factors[i] if i < len(factors) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d:
-                return None
-            if i < a.cols:
-                y[i] = c[i] // d
-    return snf.v.apply(y)

@@ -22,12 +22,7 @@ from operator import mul
 
 from .degrees import DegreeClass
 from .halfspaces import feasible_point
-from .intlinalg import (
-    AbelianGroupPresentation,
-    IntMatrix,
-    cokernel,
-    solve_integer_system,
-)
+from .intlinalg import AbelianGroupPresentation, IntMatrix, _bareiss, cokernel
 from .ratlinalg import solve_sparse
 
 
@@ -47,8 +42,8 @@ class ToricModel:
 
     Construction checks, whichever builder made the model:
 
-    - at least one variable, one name (and on the ray route one ray) per
-      degree;
+    - at least one variable, one name (and on the ray route one ray of n
+      coordinates) per degree;
     - all degrees in one grading group Z^r + torsion, with a free part of
       rank r and n + r variables;
     - every maximal cone: n distinct indices in range, listed once, and
@@ -76,6 +71,8 @@ class ToricModel:
             self._reject(f"{len(self.variable_names)} variable names for {nvars} degrees")
         if self.rays is not None and len(self.rays) != nvars:
             self._reject(f"{len(self.rays)} rays for {nvars} degrees")
+        if self.rays is not None and any(len(ray) != self.n for ray in self.rays):
+            self._reject(f"a ray does not have n={self.n} coordinates")
         r = self.rank
         if any(len(d.free) != r or d.moduli != self.moduli for d in self.degrees):
             self._reject("the degrees live in different grading groups")
@@ -83,7 +80,7 @@ class ToricModel:
             self._reject(f"{nvars} degrees for n={self.n}, rank={r}; expected {self.n + r}")
         # The free rows F have full rank r exactly when det(F F^T) != 0.
         free = self.degree_rows[:r]
-        if not IntMatrix(tuple(tuple(sum(map(mul, a, b)) for b in free) for a in free)).det():
+        if not _bareiss([[sum(map(mul, a, b)) for b in free] for a in free]):
             self._reject("the free part of the degree matrix is rank deficient")
         if self.max_cones is not None:
             self._check_cones()
@@ -108,7 +105,7 @@ class ToricModel:
                 problem = f"does not have {self.n} distinct rays"
             elif indices in seen:
                 problem = "is listed twice"
-            elif self.rays is not None and not IntMatrix(tuple(self.rays[i] for i in cone)).det():
+            elif self.rays is not None and not _bareiss([self.rays[i] for i in cone]):
                 problem = "has linearly dependent rays"
             else:
                 seen.add(indices)
@@ -150,17 +147,8 @@ class ToricModel:
     def class_group(self) -> AbelianGroupPresentation:
         """The grading group, with the degree matrix as its projector."""
         return AbelianGroupPresentation(
-            rank=self.rank, torsion=self.moduli, projector=IntMatrix.from_rows(self.degree_rows)
+            rank=self.rank, torsion=self.moduli, projector=IntMatrix._trusted(self.degree_rows)
         )
-
-    def zero_degree(self) -> DegreeClass:
-        return DegreeClass.zero(self.rank, self.moduli)
-
-    def variable_index(self, name: str) -> int:
-        try:
-            return self.variable_names.index(name)
-        except ValueError:
-            raise KeyError(f"variable {name!r} not declared by model {self.name}") from None
 
     @cached_property
     def degree_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -200,7 +188,7 @@ class ToricModel:
         if self.rank == 0:
             return None
         free_rows = self.degree_rows[: self.rank]
-        ineqs = [(tuple(map(Fraction, col)), Fraction(1)) for col in zip(*free_rows)]
+        ineqs = [(col, 1) for col in zip(*free_rows)]
         return feasible_point(ineqs, self.rank)
 
     # -- radial structure --------------------------------------------------
@@ -225,23 +213,6 @@ class ToricModel:
     def _check_group(self, alpha: DegreeClass):
         if len(alpha.free) != self.rank or alpha.moduli != self.moduli:
             raise ValueError("degree class belongs to a different grading group")
-
-    def degree_representative(self, alpha: DegreeClass) -> tuple[int, ...] | None:
-        """Integer exponent vector (possibly negative) with the given class.
-
-        None when no Laurent monomial has class alpha.
-        """
-        self._check_group(alpha)
-        r, m = self.rank, len(self.moduli)
-        rows = [list(row) + [0] * m for row in self.degree_rows[:r]]
-        for k, row in enumerate(self.degree_rows[r:]):
-            slack = [0] * m
-            slack[k] = self.moduli[k]
-            rows.append(list(row) + slack)
-        sol = solve_integer_system(
-            IntMatrix.from_rows(rows), list(alpha.free) + list(alpha.residues)
-        )
-        return sol[: self.nvars] if sol is not None else None
 
     def nonnegative_coordinates(self) -> tuple[int, ...]:
         """Free coordinates k where every variable degree is >= 0.
@@ -323,11 +294,18 @@ def build_from_pairing_rows(
     for row in rows:
         if len(row) != n:
             raise ValueError(f"ray {row} does not have {n} coordinates")
-    group = cokernel(IntMatrix.from_rows(rows))
-    if group.rank != len(rows) - n:
+    group = cokernel(IntMatrix._trusted(rows))
+    r, torsion = group.rank, group.torsion
+    if r != len(rows) - n:
         raise ValueError("rays do not span R^n")
+    # Variable j's degree is the class of e_j: column j of the projector.
+    proj = group.projector.entries
     computed = tuple(
-        DegreeClass(*group.reduce(_unit(len(rows), j)), moduli=group.torsion)
+        DegreeClass._trusted(
+            tuple(row[j] for row in proj[:r]),
+            tuple(row[j] % t for row, t in zip(proj[r:], torsion)),
+            torsion,
+        )
         for j in range(len(rows))
     )
     if degrees is not None:
@@ -371,18 +349,18 @@ def build_from_presentation(
     )
 
 
-def _unit(n: int, j: int) -> tuple[int, ...]:
-    return tuple(1 if i == j else 0 for i in range(n))
-
-
 def _check_stated_degrees(group: AbelianGroupPresentation, computed, stated):
     """Raise ModelInputError unless stated is computed in another basis.
 
     Searches for a grading-group automorphism (unimodular map on the free
     part, a unit and a free-part shear on each torsion factor) carrying
     the computed degrees onto the stated ones.  The search is the check;
-    the automorphism itself is not kept.
+    the automorphism itself is not kept.  Stated degrees equal to the
+    computed ones need no search: the identity (W = 1, u = 1, s = 0)
+    carries them.
     """
+    if stated == computed:
+        return
     r, moduli, nvars = group.rank, group.torsion, len(computed)
     if len(stated) != nvars:
         raise ModelInputError("degrees", "stated degree count mismatch")
@@ -398,11 +376,10 @@ def _check_stated_degrees(group: AbelianGroupPresentation, computed, stated):
         if sol is None or any(x.denominator != 1 for x in sol):
             raise ModelInputError("degrees", "no integral change of basis reaches the stated degrees")
         w_rows.append(sol)
-    w = IntMatrix.from_rows(w_rows)
-    if not w.is_unimodular():
+    if abs(_bareiss(w_rows)) != 1:
         raise ModelInputError("degrees", "change of basis is not unimodular")
 
-    new_free = [w.apply(d.free) for d in computed]
+    new_free = [tuple(sum(map(mul, row, d.free)) for row in w_rows) for d in computed]
     for k, t in enumerate(moduli):
         cur = [d.residues[k] for d in computed]
         want = [d.residues[k] for d in stated]

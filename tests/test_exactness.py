@@ -12,8 +12,8 @@ their test inputs from a seeded ``random.Random``.
 No true division either, since ``/`` on two ints is a float and
 coefficients are ints wherever they are integral: a ``/`` or ``/=`` fails
 the test unless it sits inside ``poly.exact_div``, the one coefficient
-division, or in ``halfspaces.py``, whose entry points ``feasible_point``
-and ``coordinate_interval`` turn every input into a ``Fraction``.
+division.  Elsewhere a quotient that may be a fraction is built as
+``Fraction(num, den)``, as ``halfspaces.py`` builds its bounds.
 """
 
 import ast
@@ -95,7 +95,6 @@ def test_random_detector_sees_each_kind():
         assert random_imports(ast.parse((CORE / name).read_text(encoding="utf-8")))
 
 
-DIVISION_EXEMPT_MODULES = ("halfspaces.py",)
 DIVISION_EXEMPT_FUNCTIONS = {"poly.py": ("exact_div",)}
 
 
@@ -116,9 +115,7 @@ def true_divisions(tree: ast.AST, exempt_functions=()) -> list[str]:
     return [text for _, text in sorted(spots)]
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name not in DIVISION_EXEMPT_MODULES], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_true_division_in_core(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     spots = true_divisions(tree, DIVISION_EXEMPT_FUNCTIONS.get(path.name, ()))
@@ -130,8 +127,6 @@ def test_division_detector_sees_each_kind():
     assert true_divisions(ast.parse(source)) == ["line 1: true division", "line 2: /=", "line 5: true division"]
     assert true_divisions(ast.parse(source), ("exact_div",)) == ["line 1: true division", "line 2: /="]
     # the exemptions are not stale: each exempt place does divide
-    for name in DIVISION_EXEMPT_MODULES:
-        assert true_divisions(ast.parse((CORE / name).read_text(encoding="utf-8")))
     for name, functions in DIVISION_EXEMPT_FUNCTIONS.items():
         tree = ast.parse((CORE / name).read_text(encoding="utf-8"))
         assert len(true_divisions(tree)) > len(true_divisions(tree, functions))

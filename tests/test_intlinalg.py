@@ -5,10 +5,8 @@ import pytest
 from toricfol.intlinalg import (
     IntMatrix,
     cokernel,
-    kernel_basis,
     minor_gcds,
     smith_normal_form,
-    solve_integer_system,
 )
 from toricfol.selfcheck import check_smith, random_int_matrix
 
@@ -87,67 +85,22 @@ def test_cokernel_rank_counts_rays():
         assert group.rank == len(rays) - n
 
 
-def test_kernel_basis_weighted_projective():
-    # columns are the quotient images for weights (1, 2, 3)
-    from toricfol import weighted_projective
-
-    model = weighted_projective(1, 2, 3)
-    a = IntMatrix.from_rows(model.rays).transpose()
-    basis = kernel_basis(a)
-    assert basis == [(1, 2, 3)]
-
-
-def test_kernel_basis_product_line():
-    a = IntMatrix.from_rows([(1, -1, 0, 0), (0, 0, 1, -1)])
-    basis = kernel_basis(a)
-    assert len(basis) == 2
-    for vec in basis:
-        assert all(sum(r * x for r, x in zip(row, vec)) == 0 for row in a.entries)
-    # basis spans the full rank-2 kernel
-    span = IntMatrix.from_rows(basis)
-    assert sum(1 for f in smith_normal_form(span).invariant_factors() if f) == 2
-
-
-def test_kernel_basis_injective_matrix():
-    assert kernel_basis(IntMatrix.from_rows([(2, 1), (1, 1)])) == []
-
-
 def test_kernel_vectors_primitive_and_exact(family_models):
-    from math import gcd
-
+    # The radial fields are free rows of a unimodular transform: exact
+    # relations among the rays that extend to a basis of Z^nvars.
     for model in family_models:
         if model.rays is None:
             continue
         a = IntMatrix.from_rows(model.rays).transpose()
-        basis = kernel_basis(a)
-        assert len(basis) == model.rank
-        for vec in basis:
-            assert gcd(*vec) == 1
+        assert len(model.radial) == model.rank
+        for vec in model.radial:
             assert all(sum(r * x for r, x in zip(row, vec)) == 0 for row in a.entries)
+        factors = smith_normal_form(IntMatrix.from_rows(model.radial)).invariant_factors()
+        assert factors == (1,) * model.rank
+    # The ray relation of P(1,2,3) is its weight vector.
+    from toricfol import weighted_projective
 
-
-def test_solve_identity():
-    a = IntMatrix.identity(3)
-    assert solve_integer_system(a, (4, -1, 7)) == (4, -1, 7)
-
-
-def test_solve_parity_obstruction():
-    assert solve_integer_system(IntMatrix.from_rows([(2,)]), (3,)) is None
-    assert solve_integer_system(IntMatrix.from_rows([(2,)]), (6,)) == (3,)
-
-
-def test_solve_weighted_degree_matrix_vs_enumeration():
-    a = IntMatrix.from_rows([(1, 2)])
-    found = solve_integer_system(a, (4,))
-    assert found is not None and found[0] + 2 * found[1] == 4
-    # brute-force oracle over the nonnegative box
-    oracle = {
-        (x, y) for x in range(5) for y in range(5) if x + 2 * y == 4
-    }
-    assert oracle == {(4, 0), (2, 1), (0, 2)}
-    for b in range(-3, 9):
-        has = solve_integer_system(a, (b,)) is not None
-        assert has  # gcd(1,2)=1 solves everything over Z
+    assert weighted_projective(1, 2, 3).radial == ((1, 2, 3),)
 
 
 def test_snf_random_properties():

@@ -1,16 +1,20 @@
 import random
 import re
+from itertools import product
+from math import ceil, floor
+from operator import mul
 
 import pytest
 
 from toricfol.degrees import DegreeClass
 from toricfol.grading import homogeneous_degree, monomials_of_degree
 from toricfol.intlinalg import IntMatrix, cokernel
-from toricfol.model import build_from_presentation, build_from_rays
+from toricfol.model import build_from_pairing_rows, build_from_presentation, build_from_rays
 from toricfol.selfcheck import random_quasi_homogeneous
 
 
 def test_projective_plane_from_rays(p2):
+    assert p2.variable_names == ("z0", "z1", "z2")
     assert p2.class_group.describe() == "Z"
     assert [d.free for d in p2.degrees] == [(1,), (1,), (1,)]
     assert p2.radial[0] == (1, 1, 1)
@@ -74,19 +78,13 @@ def test_theta_on_weighted_space():
 
 def test_theta_on_torsion_surface(surface_z3):
     assert surface_z3.theta(0, DegreeClass((6,), (0,), (3,))) == 6
-    assert surface_z3.theta(0, surface_z3.zero_degree()) == 0
+    assert surface_z3.theta(0, DegreeClass.zero(1, (3,))) == 0
 
 
 def test_theta_torsion_only_class_is_still_realizable(surface_z3):
     # (0,[1]) is hit by the Laurent monomial z1/z2: representatives may
     # have negative entries, the Euler factor is well defined regardless.
     assert surface_z3.theta(0, DegreeClass((0,), (1,), (3,))) == 0
-
-
-def test_unrealizable_class_has_no_representative():
-    model = build_from_presentation(1, [DegreeClass((2,)), DegreeClass((4,))])
-    assert model.degree_representative(DegreeClass((3,))) is None
-    assert model.degree_representative(DegreeClass((6,))) is not None
 
 
 def _fixture_models():
@@ -119,7 +117,7 @@ def _fixture_models():
 
 def test_radial_data_is_the_free_degree_rows(family_models):
     # theta reads alpha.free[i]; the oracle is sum_j a_ij m_j over an
-    # integer representative m, the computation theta used to make.
+    # integer representative m, here a random Laurent exponent vector.
     rng = random.Random(23)
     checked = 0
     for model in family_models + _fixture_models():
@@ -127,30 +125,25 @@ def test_radial_data_is_the_free_degree_rows(family_models):
             assert model.radial[i] == model.degree_rows[i]
         for _ in range(12):
             exps = [rng.randint(-2, 4) for _ in range(model.nvars)]
-            classes = [
-                model.monomial_degree(exps),
-                DegreeClass(
-                    tuple(rng.randint(-3, 6) for _ in range(model.rank)),
-                    tuple(rng.randrange(t) for t in model.moduli),
-                    model.moduli,
-                ),
-            ]
-            for alpha in classes:
-                rep = model.degree_representative(alpha)
-                for i in range(model.rank):
-                    assert model.theta(i, alpha) == alpha.free[i]
-                    if rep is not None:
-                        coeffs = model.radial[i]
-                        assert sum(a * m for a, m in zip(coeffs, rep)) == alpha.free[i]
-                        checked += 1
+            other = DegreeClass(
+                tuple(rng.randint(-3, 6) for _ in range(model.rank)),
+                tuple(rng.randrange(t) for t in model.moduli),
+                model.moduli,
+            )
+            alpha = model.monomial_degree(exps)
+            for i in range(model.rank):
+                assert model.theta(i, other) == other.free[i]
+                assert model.theta(i, alpha) == alpha.free[i]
+                assert sum(a * m for a, m in zip(model.radial[i], exps)) == alpha.free[i]
+                checked += 1
     assert checked >= 400
 
 
 def test_theta_checks_index_and_group(surface_z3, p2):
     with pytest.raises(IndexError):
-        surface_z3.theta(1, surface_z3.zero_degree())
+        surface_z3.theta(1, DegreeClass.zero(1, (3,)))
     with pytest.raises(ValueError):
-        surface_z3.theta(0, p2.zero_degree())
+        surface_z3.theta(0, DegreeClass.zero(1))
 
 
 def test_theta_well_defined_across_monomials(family_models):
@@ -290,13 +283,6 @@ def test_alignment_rejects_unreachable_targets(surface_z3):
     assert build(surface_z3.degrees).degrees == surface_z3.degrees
 
 
-def test_variable_lookup(p2):
-    assert p2.variable_names == ("z0", "z1", "z2")
-    assert p2.variable_index("z1") == 1
-    with pytest.raises(KeyError):
-        p2.variable_index("w")
-
-
 def _direct(**changes):
     from toricfol.model import ToricModel
 
@@ -319,6 +305,7 @@ def test_direct_construction_checks_every_invariant():
         (dict(variable_names=(), degrees=(), rays=None, max_cones=None), "has no variables"),
         (dict(variable_names=("x", "y")), "2 variable names for 3 degrees"),
         (dict(rays=((1, 0), (0, 1))), "2 rays for 3 degrees"),
+        (dict(rays=((1, 0, 0), (0, 1, 0), (-1, -1, 0))), "a ray does not have n=2 coordinates"),
         (dict(degrees=(one, one, DegreeClass((1,), (1,), (2,)))), "different grading groups"),
         (
             dict(n=1, degrees=(DegreeClass((1, 1)),) * 3, rays=None, max_cones=None),
@@ -407,3 +394,101 @@ def test_models_with_display_degrees_solve_positivity_once(monkeypatch, route):
     model = build()
     assert model.positive_functional is not None
     assert len(calls) == 1
+
+
+def _ray_models_with_computed_degrees(family_models):
+    """Each ray model beside the same fan built with no stated degrees."""
+    for model in family_models + _fixture_models():
+        if model.rays is not None:
+            yield model, build_from_pairing_rows(model.n, model.rays, max_cones=model.max_cones)
+
+
+def test_computed_degrees_are_the_classes_of_unit_vectors(family_models):
+    # Oracle: reduce e_j through the cokernel, the computation the builder
+    # replaced by reading column j of the projector.
+    checked = 0
+    for model, computed in _ray_models_with_computed_degrees(family_models):
+        group = cokernel(IntMatrix.from_rows(model.rays))
+        for j, degree in enumerate(computed.degrees):
+            free, residues = group.reduce(tuple(1 if i == j else 0 for i in range(model.nvars)))
+            assert degree == DegreeClass(free, residues, group.torsion)
+            assert all(type(x) is int for x in degree.free + degree.residues + degree.moduli)
+            checked += 1
+    assert checked >= 30
+
+
+S_Z3_CASE = (
+    "[model]\ndimension = 2\nvariables = x y z\nrays = (2,-1) (-1,2) (-1,-1)\n"
+    "torsion = 3\ndegrees = {}\ncones = {{1,2}} {{2,3}} {{1,3}}\n"
+)
+
+
+def test_stated_degrees_equal_to_computed_skip_the_search(monkeypatch, family_models):
+    import toricfol.model
+    from toricfol import families
+    from toricfol.casefile import parse_case
+
+    # Built before counting: these builds state no degrees.
+    pairs = list(_ray_models_with_computed_degrees(family_models))
+    calls = []
+    solve = toricfol.model.solve_sparse
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(toricfol.model, "solve_sparse", counted)
+    for _, computed in pairs:
+        again = build_from_pairing_rows(
+            computed.n, computed.rays, max_cones=computed.max_cones, degrees=computed.degrees
+        )
+        assert again.degrees == computed.degrees
+    assert families.weighted_projective(1, 2, 3).degrees == tuple(DegreeClass((w,)) for w in (1, 2, 3))
+    assert parse_case(S_Z3_CASE.format("(1,[2]) (1,[1]) (1,[0])")).model.degrees[0] == DegreeClass((1,), (2,), (3,))
+    assert calls == []
+    # Stated degrees in another basis still go through the search.
+    surface = families.torsion_surface()
+    assert [str(d) for d in surface.degrees] == ["(1,[0])", "(1,[2])", "(1,[1])"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("degrees", ["(1,[2]) (1,[1]) (1,[1])", "(1,[0]) (1,[2]) (1,[2])"])
+def test_one_changed_residue_is_a_located_degrees_error(degrees):
+    from toricfol.casefile import CaseError, parse_case
+
+    with pytest.raises(CaseError) as err:
+        parse_case(S_Z3_CASE.format(degrees))
+    (problem,) = err.value.problems
+    assert problem.line == 6
+    assert problem.message.startswith("model construction failed: ")
+    assert "no automorphism of Z/3 matches the stated residues" in problem.message
+
+
+def test_positive_functional_matches_the_fraction_oracle(family_models):
+    from linalg_oracle import fm_coordinate_interval, fm_feasible_point
+
+    from toricfol.grading import count_lattice_points
+    from toricfol.halfspaces import coordinate_interval
+
+    rng = random.Random(5)
+    counted = 0
+    for model in family_models + _fixture_models():
+        free_rows = model.degree_rows[: model.rank]
+        assert model.positive_functional == fm_feasible_point(
+            [(col, 1) for col in zip(*free_rows)], model.rank
+        )
+        if model.rays is None:
+            continue
+        for _ in range(3):
+            coeffs = tuple(rng.randint(0, 2) for _ in range(model.nvars))
+            ineqs = [(ray, -a) for ray, a in zip(model.rays, coeffs)]
+            box = [fm_coordinate_interval(ineqs, model.n, i) for i in range(model.n)]
+            assert [coordinate_interval(ineqs, model.n, i) for i in range(model.n)] == box
+            # Brute force over the oracle's box.
+            want = sum(
+                all(sum(map(mul, ray, point)) >= -a for ray, a in zip(model.rays, coeffs))
+                for point in product(*(range(ceil(lo), floor(hi) + 1) for _, lo, hi in box))
+            )
+            assert count_lattice_points(model, coeffs) == want
+            counted += 1
+    assert counted >= 30
