@@ -33,7 +33,6 @@ from .grading import (
 )
 from .groebner import (
     EMPTY_VARIETY,
-    INCONCLUSIVE,
     GroebnerBasis,
     buchberger,
     ideal_dimension,
@@ -70,7 +69,6 @@ __all__ = [
     "FIXTURE_BUILDERS",
     "Fixture",
     "GroebnerBasis",
-    "INCONCLUSIVE",
     "IntMatrix",
     "KoszulDecomposition",
     "ModelInputError",

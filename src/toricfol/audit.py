@@ -24,7 +24,7 @@ from .foliation import (
     lie_g_membership,
 )
 from .grading import homogeneous_degree
-from .groebner import INCONCLUSIVE, only_origin_check, regular_subsequence_check, sing_inside_irrelevant
+from .groebner import only_origin_check, regular_subsequence_check, sing_inside_irrelevant
 from .model import ToricModel
 from .normalform import KoszulDecomposition, _decompose
 from .poly import Polynomial
@@ -34,7 +34,6 @@ from .poly import Polynomial
 class AuditOptions:
     radial_index: int = 0
     subset: tuple[int, ...] | None = None
-    power_cap: int | None = None
     attach_decomposition: bool = False
 
 
@@ -84,7 +83,7 @@ class AuditReport:
     deg_field: str
     deg_hypersurface: str
     eligible: tuple[int, ...]
-    quasi_smoothness: str  # strong | quasi-sing-in-irrelevant | fails | inconclusive
+    quasi_smoothness: str  # strong | quasi-sing-in-irrelevant | fails
     lie_g: str  # member | not-member | not-evaluated
     cofactor: str
     hypotheses: tuple[tuple[str, str], ...]  # (name, "pass" | "fail: reason")
@@ -102,6 +101,8 @@ class AuditReport:
     # prime certified the Groebner dimension check of quasi_smoothness, and
     # "exact" otherwise; quasi_smoothness_modular holds that mod-P loop's
     # pairs_reduced, basis_size and stopped_early, or None when none ran.
+    # On a subset, sing_in_irrelevant_chart is the irrelevant generator
+    # whose chart meets the singular cone, or None.
     evidence: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     # -- serialization ----------------------------------------------------
@@ -295,20 +296,18 @@ def _check_quasi_smoothness(case: _Case):
     radial = model.radial[case.options.radial_index]
     if any(radial[j] for j in range(model.nvars) if j not in case.subset):
         problems.append("radial field not supported on the subset")
-    sing = sing_inside_irrelevant(model, f, cap=case.options.power_cap)
+    sing = sing_inside_irrelevant(model, f, record=record)
     if sing == "no":
         problems.append("singular cone escapes the removed locus")
-    elif sing == INCONCLUSIVE:
-        problems.append("membership test inconclusive")
     if not problems:
         status, label = "pass", "quasi-sing-in-irrelevant"
     else:
-        status = "fail: " + "; ".join(problems)
-        label = "inconclusive" if sing == INCONCLUSIVE else "fails"
+        status, label = "fail: " + "; ".join(problems), "fails"
     return status, {
         "quasi_smoothness": label,
         "regular_subset": regular,
         "sing_in_irrelevant": sing,
+        "sing_in_irrelevant_chart": record["chart"],
         "quasi_smoothness_path": record["path"],
         "quasi_smoothness_modular": record["modular"],
     }

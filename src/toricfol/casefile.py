@@ -42,7 +42,6 @@ class CaseFile:
     field: VectorField | None = None
     radial_index: int = 0
     subset: tuple[int, ...] | None = None
-    power_cap: int | None = None
 
 
 _INT = re.compile(r"^[+-]?\d+$")
@@ -279,15 +278,8 @@ def _subset(model: ToricModel, text: str) -> tuple[int, ...]:
     return tuple(sorted(names.index(v) for v in items))
 
 
-def _power_cap(model: ToricModel, text: str) -> int:
-    cap = _exact_int(text, "power_cap")
-    if cap < 1:
-        raise ValueError(f"power_cap must be at least 1, got {cap}")
-    return cap
-
-
 # One validator per option, shared by the [options] section and the CLI flags.
-OPTIONS = {"radial_index": _radial_index, "subset": _subset, "power_cap": _power_cap}
+OPTIONS = {"radial_index": _radial_index, "subset": _subset}
 
 
 def parse_option(model: ToricModel, key: str, text: str):
@@ -331,8 +323,6 @@ def render_case(case: CaseFile) -> str:
         opts.append(f"radial_index = {case.radial_index + 1}")
     if case.subset is not None:
         opts.append("subset = " + " ".join(names[j] for j in case.subset))
-    if case.power_cap is not None:
-        opts.append(f"power_cap = {case.power_cap}")
     if opts:
         lines.append("")
         lines.append("[options]")

@@ -246,7 +246,6 @@ def _add_common(sub):
 def _add_option_flags(sub):
     sub.add_argument("--radial-index", dest="radial_index", help="1-based radial field")
     sub.add_argument("--subset", help="comma or space separated variable names")
-    sub.add_argument("--power-cap", dest="power_cap", help="power bound of the membership tests")
 
 
 def _add_fixture_params(sub):

@@ -41,8 +41,8 @@ one from above.  That certifies ``dimension <= 0`` and, with Krull's
 bound ``dimension >= n - k`` for k homogeneous generators of a proper
 ideal, ``dimension == n - k``.  Any other outcome, including a generator
 that vanishes mod P, falls back to the exact computation, so a verdict
-never depends on the prime.  Membership mod P proves nothing over Q, so
-``sing_inside_irrelevant`` stays exact.
+never depends on the prime.  ``sing_inside_irrelevant`` stays exact: a
+chart ideal is not homogeneous, so a unit ideal mod P proves nothing.
 
 Only a dimension is read from the mod-P basis, so the mod-P loop stops
 as soon as the leading monomials include a constant or a pure power of
@@ -85,7 +85,6 @@ from .poly import (
 )
 
 EMPTY_VARIETY = -1
-INCONCLUSIVE = "inconclusive"
 P = 2**31 - 1  # the prime of the modular first step
 
 
@@ -323,52 +322,34 @@ def only_origin_check(gens, *, record: dict | None = None) -> bool:
     return _modular_first(gens, lambda dim: dim <= 0, record)
 
 
-def _power_cap(gens, cap):
-    if cap is not None:
-        return cap
-    return 2 * (1 + max(g.total_degree() for g in gens))
-
-
-def _power_in_ideal(gb: GroebnerBasis, exponents, cap: int) -> bool:
-    base = Polynomial.monomial(exponents)
-    power = Polynomial.constant(len(exponents), 1)
-    for _ in range(cap):
-        power = power * base
-        if normal_form(power, gb).is_zero():
-            return True
-    return False
-
-
-def sing_inside_irrelevant(model, f: Polynomial, cap: int | None = None) -> str:
+def sing_inside_irrelevant(model, f: Polynomial, *, record: dict | None = None) -> str:
     """Whether the singular cone of {f = 0} sits inside the removed locus.
 
-    "yes": every irrelevant generator has a bounded power inside the
-    Jacobian ideal.  "no": a coordinate indicator point witnesses a
-    singular point outside the removed locus.  Otherwise "inconclusive".
+    Precondition: f is quasi-homogeneous, so f lies in its Jacobian ideal.
+    A model checks that for each irrelevant generator z^S the degrees of
+    the variables in S are a basis of Cl (x) Q, so every orbit in
+    {z^S != 0} meets the chart {z_S = 1}.  "yes" when the partials
+    restricted to every chart generate the unit ideal, "no" otherwise;
+    record["chart"], when given, is the first failing generator or None.
     """
     partials = [f.partial_derivative(j) for j in range(f.nvars)]
-    nonzero = [p for p in partials if not p.is_zero()]
-    if not nonzero:
+    if all(p.is_zero() for p in partials):
         raise ValueError("all partial derivatives vanish identically")
-    irr = model.irrelevant_ideal()
-
-    # Witness search on indicator points of coordinate subspaces.
-    for bits in _indicator_points(f.nvars):
-        if all(p.evaluate(bits) == 0 for p in partials) and f.evaluate(bits) == 0:
-            if any(_monomial_value(g, bits) for g in irr):
-                return "no"
-
-    gb = buchberger(nonzero)
-    cap = _power_cap(nonzero, cap)
-    if all(_power_in_ideal(gb, g, cap) for g in irr):
-        return "yes"
-    return INCONCLUSIVE
+    failing = None
+    for gen in model.irrelevant_ideal():
+        chart = [p for p in (_set_to_one(p, gen) for p in partials) if not p.is_zero()]
+        if not chart or ideal_dimension(buchberger(chart)) != EMPTY_VARIETY:
+            failing = gen
+            break
+    if record is not None:
+        record["chart"] = failing
+    return "yes" if failing is None else "no"
 
 
-def _indicator_points(nvars: int):
-    for mask in range(1, 2**nvars):
-        yield tuple((mask >> j) & 1 for j in range(nvars))
-
-
-def _monomial_value(exponents, bits) -> int:
-    return all(bits[j] for j, e in enumerate(exponents) if e)
+def _set_to_one(p: Polynomial, support) -> Polynomial:
+    """p with every variable in the support set to 1."""
+    sums: dict = {}
+    for m, c in p.terms.items():
+        key = tuple(0 if s else e for e, s in zip(m, support))
+        sums[key] = sums.get(key, 0) + c
+    return Polynomial._from_sums(p.nvars, sums)

@@ -50,6 +50,8 @@ class ToricModel:
       on the ray route n linearly independent rays;
     - every stated irrelevant generator: a squarefree, nonconstant
       exponent vector with one entry per variable, listed once;
+    - every irrelevant generator z^S, stated or from a cone: r variables
+      with independent free degrees, so its chart {z_S = 1} is simplicial;
     - a positive grading functional: the rays of a complete fan
       positively span N_R, so the degrees of a compact model always
       admit one.
@@ -86,6 +88,8 @@ class ToricModel:
             self._check_cones()
         if self.irrelevant_generators is not None:
             self._check_irrelevant()
+        if self.rays is None and (self.max_cones is not None or self.irrelevant_generators is not None):
+            self._check_charts()
         if self.positive_functional is None:
             self._reject(
                 "the degrees admit no positive grading functional, so the variety is not complete"
@@ -130,6 +134,20 @@ class ToricModel:
                 seen.add(gen)
                 continue
             self._reject(f"irrelevant generator {gen} {problem}", "irrelevant")
+
+    def _check_charts(self):
+        # A cone's complement has r variables, and on the ray route
+        # _check_cones has already proved every cone independent.
+        r, stated = self.rank, self.irrelevant_generators is not None
+        for gen in self.irrelevant_ideal():
+            support = [j for j, e in enumerate(gen) if e]
+            if len(support) == r and _bareiss([[row[j] for j in support] for row in self.degree_rows[:r]]):
+                continue
+            label = "*".join(self.variable_names[j] for j in support)
+            if not stated:
+                label += " of cone {" + ",".join(n for n, e in zip(self.variable_names, gen) if not e) + "}"
+            problem = f"needs {r} variables with independent free degrees for a simplicial chart"
+            self._reject(f"irrelevant generator {label} {problem}", "irrelevant" if stated else "cones")
 
     @property
     def rank(self) -> int:

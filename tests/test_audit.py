@@ -157,7 +157,6 @@ def test_attached_decomposition_equals_public_solve_on_golden_cases():
         opts = AuditOptions(
             radial_index=case.radial_index,
             subset=case.subset,
-            power_cap=case.power_cap,
             attach_decomposition=True,
         )
         report = audit_case(case.model, case.field, case.hypersurface, opts)

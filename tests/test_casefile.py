@@ -76,11 +76,10 @@ def test_presentation_round_trip():
 
 
 def test_case_with_options():
-    text = P2_FERMAT + "\n[options]\nradial_index = 1\nsubset = z1 z2\npower_cap = 9\n"
+    text = P2_FERMAT + "\n[options]\nradial_index = 1\nsubset = z1 z2\n"
     case = parse_case(text)
     assert case.radial_index == 0
     assert case.subset == (0, 1)
-    assert case.power_cap == 9
 
 
 def test_case_errors_located():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -250,14 +251,14 @@ def test_radial_index_flag_zero_rejected(tmp_path, capsys):
         assert "radial_index 0 out of range 1..1" in out
 
 
-def test_power_cap_flag_below_one_rejected(tmp_path, capsys):
+def test_power_cap_flag_is_a_usage_error(tmp_path, capsys):
+    # the subset route is decided exactly, so no power bound is taken
     path = _torsion_case(tmp_path, capsys)
-    for cap in ("0", "-2"):
-        code, out = invoke(capsys, "audit", "--case", str(path), f"--power-cap={cap}")
-        assert code == 1
-        assert f"power_cap must be at least 1, got {cap}" in out
-    code, out = invoke(capsys, "audit", "--case", str(path), "--power-cap", "5")
-    assert code == 0
+    for command in ("audit", "decompose"):
+        assert run([command, "--case", str(path), "--power-cap", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --power-cap" in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
 
 def test_subset_flag_undeclared_name_rejected(tmp_path, capsys):
@@ -267,13 +268,12 @@ def test_subset_flag_undeclared_name_rejected(tmp_path, capsys):
     assert "subset names not declared: nope" in out
 
 
-def test_power_cap_in_case_file_located_error(tmp_path, capsys):
-    for cap in ("0", "-3"):
-        path = _torsion_case(tmp_path, capsys, f"\n[options]\npower_cap = {cap}\n")
-        lineno = path.read_text().splitlines().index(f"power_cap = {cap}") + 1
-        code, out = invoke(capsys, "audit", "--case", str(path))
-        assert code == 1
-        assert f"line {lineno}: power_cap must be at least 1, got {cap}" in out
+def test_power_cap_in_case_file_is_an_unknown_option(tmp_path, capsys):
+    path = _torsion_case(tmp_path, capsys, "\n[options]\npower_cap = 3\n")
+    lineno = path.read_text().splitlines().index("power_cap = 3") + 1
+    code, out = invoke(capsys, "audit", "--case", str(path))
+    assert code == 1
+    assert f"line {lineno}: unknown option 'power_cap'" in out
 
 
 def test_model_alias_removed(tmp_path, capsys):
@@ -287,9 +287,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run(["audit", "--no-such-flag"]) == 1
     assert run(["audit", "--format", "yaml"]) == 1
     path = _torsion_case(tmp_path, capsys)
-    code, out = invoke(capsys, "audit", "--case", str(path), "--power-cap", "x")
+    code, out = invoke(capsys, "audit", "--case", str(path), "--radial-index", "x")
     assert code == 1
-    assert "power_cap: exact integer required, got 'x'" in out
+    assert "radial_index: exact integer required, got 'x'" in out
     capsys.readouterr()
     assert run(["--help"]) == 0
     assert run(["audit", "--help"]) == 0
@@ -318,11 +318,12 @@ def test_fixture_computes_each_groebner_basis_once(capsys, monkeypatch):
     monkeypatch.setattr(groebner, "_pair_loop", counting)
     expected = [
         (("torsion-fermat", "--m", "3"), ["modular"]),
-        # the strong check is not certified mod P, so one exact basis decides
-        (("monomial-hypersurface", "--alpha", "2", "--beta", "3"), ["modular", "exact"]),
-        # the subset audit's regular-subsequence test (certified mod P) and
-        # its exact membership test, then the fixture's strong check
-        (("split-field", "--alpha1", "1", "--alpha2", "2"), ["modular", "exact", "modular", "exact"]),
+        # the strong check is not certified mod P, so one exact basis decides;
+        # then the fixture's subset check: a unit chart, then a failing one
+        (("monomial-hypersurface", "--alpha", "2", "--beta", "3"), ["modular", "exact", "exact", "exact"]),
+        # the subset audit's regular-subsequence test (certified mod P), one
+        # exact basis per chart of its four cones, then the fixture's strong check
+        (("split-field", "--alpha1", "1", "--alpha2", "2"), ["modular"] + ["exact"] * 4 + ["modular", "exact"]),
     ]
     for params, want in expected:
         calls.clear()
@@ -432,15 +433,11 @@ def _split_case(tmp_path, capsys, subset):
     return path
 
 
-def test_subset_quasi_smoothness_power_cap(tmp_path, capsys):
+def test_subset_quasi_smoothness_decided_without_a_cap(tmp_path, capsys):
     path = _split_case(tmp_path, capsys, "z1_0 z1_1")
-    code, out = invoke(capsys, "audit", "--case", str(path), "--subset", "z1_0,z1_1", "--power-cap", "2")
-    assert code == 2
-    assert "quasi_smoothness: inconclusive" in out
-    assert "hypothesis quasi_smoothness: fail: membership test inconclusive" in out
-    assert "verdict: bound-not-asserted" in out
-    code, out = invoke(capsys, "audit", "--case", str(path), "--subset", "z1_0,z1_1", "--power-cap", "3")
+    code, out = invoke(capsys, "audit", "--case", str(path))
     assert code == 0
+    assert "hypothesis quasi_smoothness: pass" in out
     assert "quasi_smoothness: quasi-sing-in-irrelevant" in out
     assert "verdict: bound-holds" in out
 
@@ -495,6 +492,23 @@ def test_irrelevant_generator_errors_located(tmp_path, capsys, irrelevant, reaso
     assert out.startswith("input error:\nline 5: ") and reason in out, out
 
 
+@pytest.mark.parametrize(
+    "entry, lineno",
+    [("irrelevant = z1*z2", 5), ("cones = {1,2}", 5)],
+)
+def test_non_simplicial_chart_located(tmp_path, capsys, entry, lineno):
+    # P^1 x P^1 by its degrees: z1*z2, the complement of {z3,z4}, has the
+    # degrees of one factor, so its chart misses orbits of {z1*z2 != 0}
+    path = tmp_path / "p1p1.case"
+    path.write_text(
+        f"[model]\ndimension = 2\nvariables = z1 z2 z3 z4\ndegrees = (1,0) (1,0) (0,1) (0,1)\n{entry}\n"
+    )
+    code, out = invoke(capsys, "classgroup", "--case", str(path))
+    assert code == 1
+    assert out.startswith(f"input error:\nline {lineno}: model construction failed: "), out
+    assert "for a simplicial chart" in out
+
+
 def test_irrelevant_line_rejected_beside_rays(tmp_path, capsys):
     # once read and then handed to no builder, so the line was silently dropped
     path = tmp_path / "rays_irr.case"
@@ -508,6 +522,23 @@ def test_irrelevant_line_rejected_beside_rays(tmp_path, capsys):
     path.write_text(path.read_text().replace("irrelevant = x^2*y x*y x*y\n", ""))
     code, _ = invoke(capsys, "classgroup", "--case", str(path))
     assert code == 0
+
+
+def test_readme_flags_are_accepted():
+    # every flag the README's command block shows must parse for its command
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    checked = 0
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        if len(words) < 2 or words[0] != "toricfol":
+            continue
+        accepted = subparsers.choices[words[1]]._option_string_actions
+        for flag in re.findall(r"--[a-z][a-z-]*", " ".join(words[2:])):
+            assert flag in accepted, f"README shows {flag} for {words[1]}"
+            checked += 1
+    assert checked >= 10
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
@@ -540,7 +571,7 @@ def test_parser_reuse_leaks_no_state(tmp_path, capsys):
     sequences = [
         [("audit", "--case", case, "--decompose"), ("audit", "--case", case)],
         [
-            ("audit", "--case", case, "--format", "machine", "--power-cap", "2"),
+            ("audit", "--case", case, "--format", "machine", "--subset", "z1_1,z2_1"),
             ("audit", "--case", case, "--format", "machine"),
         ],
         # the field coefficients show in the exported case, not in the fixture report

@@ -368,6 +368,25 @@ def test_malformed_cones_are_tagged_on_both_routes():
         build_from_presentation(2, [DegreeClass((1,))] * 3, max_cones=[(0, 1, 2)])
 
 
+def test_presentation_charts_must_be_simplicial():
+    from toricfol.model import ModelInputError
+
+    # P^1 x P^1 by its degrees: z1*z2 leaves two variables of one factor
+    degrees = [DegreeClass((1, 0)), DegreeClass((1, 0)), DegreeClass((0, 1)), DegreeClass((0, 1))]
+    good = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
+    assert build_from_presentation(2, degrees, irrelevant_generators=good).irrelevant_ideal() == tuple(good)
+    with pytest.raises(ModelInputError, match=re.escape("irrelevant generator z1*z2 needs 2 variables with independent")) as err:
+        build_from_presentation(2, degrees, irrelevant_generators=[(1, 1, 0, 0)])
+    assert err.value.entry == "irrelevant"
+    with pytest.raises(ModelInputError, match=re.escape("irrelevant generator z1 needs 2 variables")):
+        build_from_presentation(2, degrees, irrelevant_generators=[(1, 0, 0, 0)])
+    # the cone {z1,z2} leaves z3*z4, again one factor
+    with pytest.raises(ModelInputError, match=re.escape("irrelevant generator z3*z4 of cone {z1,z2} needs")) as err:
+        build_from_presentation(2, degrees, max_cones=[(0, 1)])
+    assert err.value.entry == "cones"
+    assert len(build_from_presentation(2, degrees, max_cones=[(1, 3), (0, 2)]).irrelevant_ideal()) == 2
+
+
 @pytest.mark.parametrize("route", ["parse_case", "weighted_projective", "multiprojective", "torsion_surface"])
 def test_models_with_display_degrees_solve_positivity_once(monkeypatch, route):
     import toricfol.model
