@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 
 from .audit import AuditOptions, audit_case
-from .casefile import OPTIONS, CaseError, CaseFile, parse_case, parse_option, render_case
+from .casefile import OPTIONS, CaseError, CaseFile, _exact_int, parse_case, parse_option, render_case
 from .families import FIXTURE_BUILDERS, check_fixture
 from .foliation import invariance_cofactor
 from .grading import homogeneous_degree
@@ -146,12 +146,20 @@ def _cmd_audit(args) -> int:
     return OK if report.verdict == "bound-holds" else FAILED
 
 
-def _parse_fraction_list(text: str) -> list[Fraction]:
-    return [Fraction(x) for x in text.replace(",", " ").split()]
+def _parse_fraction_list(text: str, flag: str) -> list[Fraction]:
+    """Integers or p/q with q != 0, as a case file writes coefficients."""
+    out = []
+    for item in text.replace(",", " ").split():
+        num, slash, den = item.partition("/")
+        q = _exact_int(den, flag) if slash else 1
+        if not q:
+            raise ValueError(f"{flag}: zero denominator in {item!r}")
+        out.append(Fraction(_exact_int(num, flag), q))
+    return out
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.replace(",", " ").split()]
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    return [_exact_int(x, flag) for x in text.replace(",", " ").split()]
 
 
 def _cmd_fixture(args) -> int:
@@ -191,24 +199,25 @@ def _fixture_arguments(args) -> tuple:
     if name == "wps-pairs":
         if not args.omega or not args.d:
             raise ValueError("wps-pairs needs --omega and --d")
-        coeffs = _parse_fraction_list(args.coeffs) if args.coeffs else None
-        return _parse_int_list(args.omega), _parse_int_list(args.d), coeffs
+        coeffs = _parse_fraction_list(args.coeffs, "--coeffs") if args.coeffs else None
+        return _parse_int_list(args.omega, "--omega"), _parse_int_list(args.d, "--d"), coeffs
     if name == "biproj-pairs":
         if args.n is None or not args.a or not args.b:
             raise ValueError("biproj-pairs needs --n, --a and --b")
-        return args.n, _parse_fraction_list(args.a), _parse_fraction_list(args.b)
+        a, b = _parse_fraction_list(args.a, "--a"), _parse_fraction_list(args.b, "--b")
+        return _exact_int(args.n, "--n"), a, b
     if name == "torsion-fermat":
         if args.m is None:
             raise ValueError("torsion-fermat needs --m")
-        return (args.m,)
+        return (_exact_int(args.m, "--m"),)
     if name == "split-field":
         if args.alpha1 is None or args.alpha2 is None:
             raise ValueError("split-field needs --alpha1 and --alpha2")
-        c = _parse_fraction_list(args.c) if args.c else (1, 1)
-        return args.alpha1, args.alpha2, c
+        c = _parse_fraction_list(args.c, "--c") if args.c else (1, 1)
+        return _exact_int(args.alpha1, "--alpha1"), _exact_int(args.alpha2, "--alpha2"), c
     if args.alpha is None or args.beta is None:  # monomial-hypersurface
         raise ValueError("monomial-hypersurface needs --alpha and --beta")
-    return args.alpha, args.beta
+    return _exact_int(args.alpha, "--alpha"), _exact_int(args.beta, "--beta")
 
 
 def _cmd_selftest(args) -> int:
@@ -249,18 +258,18 @@ def _add_option_flags(sub):
 
 
 def _add_fixture_params(sub):
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--n", type=int)
+    sub.add_argument("--m")
+    sub.add_argument("--n")
     sub.add_argument("--a")
     sub.add_argument("--b")
     sub.add_argument("--c")
     sub.add_argument("--omega")
     sub.add_argument("--d")
     sub.add_argument("--coeffs")
-    sub.add_argument("--alpha", type=int)
-    sub.add_argument("--beta", type=int)
-    sub.add_argument("--alpha1", type=int)
-    sub.add_argument("--alpha2", type=int)
+    sub.add_argument("--alpha")
+    sub.add_argument("--beta")
+    sub.add_argument("--alpha1")
+    sub.add_argument("--alpha2")
 
 
 @cache

@@ -32,7 +32,7 @@ from .poly import Polynomial
 # family constructors
 
 
-def weighted_projective(*weights: int, name: str | None = None) -> ToricModel:
+def weighted_projective(*weights: int) -> ToricModel:
     """Weighted projective space with the given positive weights.
 
     Rays are the images of the coordinate vectors in the quotient of
@@ -56,12 +56,12 @@ def weighted_projective(*weights: int, name: str | None = None) -> ToricModel:
         rays,
         max_cones=cones,
         variable_names=[f"z{j}" for j in range(count)],
-        name=name or "P(" + ",".join(map(str, w)) + ")",
+        name="P(" + ",".join(map(str, w)) + ")",
         degrees=[DegreeClass((x,)) for x in w],
     )
 
 
-def multiprojective(*dims: int, name: str | None = None) -> ToricModel:
+def multiprojective(*dims: int) -> ToricModel:
     """Product of projective spaces, one grading coordinate per factor."""
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
@@ -102,12 +102,12 @@ def multiprojective(*dims: int, name: str | None = None) -> ToricModel:
         rays,
         max_cones=cones,
         variable_names=names,
-        name=name or "x".join(f"P{d}" for d in dims),
+        name="x".join(f"P{d}" for d in dims),
         degrees=degrees,
     )
 
 
-def rational_scroll(*twists: int, name: str | None = None) -> ToricModel:
+def rational_scroll(*twists: int) -> ToricModel:
     """Projectivized split bundle over the line, by action weights.
 
     Declared by its degree presentation: two base variables of degree
@@ -135,11 +135,11 @@ def rational_scroll(*twists: int, name: str | None = None) -> ToricModel:
         degrees,
         variable_names=names,
         irrelevant_generators=irrelevant,
-        name=name or "F(" + ",".join(map(str, a)) + ")",
+        name="F(" + ",".join(map(str, a)) + ")",
     )
 
 
-def torsion_surface(name: str = "S_Z3") -> ToricModel:
+def torsion_surface() -> ToricModel:
     """The orbifold surface whose class group is Z + Z/3.
 
     Fan rays (2,-1), (-1,2), (-1,-1); displayed degrees (1,[0]),
@@ -150,7 +150,7 @@ def torsion_surface(name: str = "S_Z3") -> ToricModel:
         [(2, -1), (-1, 2), (-1, -1)],
         max_cones=[(0, 1), (1, 2), (0, 2)],
         variable_names=["z1", "z2", "z3"],
-        name=name,
+        name="S_Z3",
         degrees=[
             DegreeClass((1,), (0,), (3,)),
             DegreeClass((1,), (2,), (3,)),
@@ -205,6 +205,7 @@ def wps_pairs_fixture(omega, powers, coeffs=None) -> Fixture:
     """
     w = tuple(int(x) for x in omega)
     d = tuple(int(x) for x in powers)
+    model = weighted_projective(*w)
     if len(w) != len(d):
         raise ValueError("one exponent per weight required")
     if any(x < 1 for x in d):
@@ -226,7 +227,6 @@ def wps_pairs_fixture(omega, powers, coeffs=None) -> Fixture:
     if len(coeffs) != nterms or any(c == 0 for c in coeffs):
         raise ValueError(f"{nterms} nonzero hypersurface coefficients required")
 
-    model = weighted_projective(*w)
     nv = model.nvars
     comps: dict[int, Polynomial] = {}
     f = Polynomial.zero(nv)
@@ -347,6 +347,8 @@ def split_field_fixture(alpha1: int, alpha2: int, c=(1, 1)) -> Fixture:
     if a1 < 1 or a2 < 1:
         raise ValueError("positive exponents required")
     a = a1 + a2
+    if len(c) != 2:
+        raise ValueError("two field-half coefficients required")
     c1, c2 = (Fraction(x) for x in c)
     if c1 == 0 and c2 == 0:
         raise ValueError("at least one field half must survive")

@@ -16,20 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import gcd
 from operator import mul
 
 from .degrees import DegreeClass
 from .halfspaces import feasible_point
-from .intlinalg import AbelianGroupPresentation, IntMatrix, _bareiss, cokernel
-from .ratlinalg import solve_sparse
+from .intlinalg import AbelianGroupPresentation, IntMatrix, _bareiss, cokernel, smith_normal_form
 
 
 class ModelInputError(ValueError):
     """A rejected model input other than the rays: entry is "degrees" for
-    stated degrees no basis change reaches, "cones" for a malformed cone,
-    "irrelevant" for a malformed irrelevant generator."""
+    stated degrees that are not the class-group grading in any basis,
+    "cones" for a malformed cone, "irrelevant" for a malformed irrelevant
+    generator."""
 
     def __init__(self, entry: str, message: str):
         super().__init__(message)
@@ -280,7 +279,9 @@ def build_from_rays(
     the cones cover R^n and meet along common faces is not checked.
 
     degrees, when given, are the variable degrees to display; they must
-    be the computed grading in another basis (ModelInputError if not).
+    be the computed grading in another basis: they vanish on the ray
+    relations and generate the grading group, which one Smith form
+    decides (ModelInputError if not).
     """
     rays = tuple(tuple(int(x) for x in ray) for ray in rays)
     for ray in rays:
@@ -328,7 +329,7 @@ def build_from_pairing_rows(
     )
     if degrees is not None:
         degrees = tuple(degrees)
-        _check_stated_degrees(group, computed, degrees)
+        _check_stated_degrees(rows, group, computed, degrees)
     return ToricModel(
         name=name or f"toric(n={n},rays={len(rows)})",
         n=n,
@@ -367,47 +368,32 @@ def build_from_presentation(
     )
 
 
-def _check_stated_degrees(group: AbelianGroupPresentation, computed, stated):
+def _check_stated_degrees(rows, group: AbelianGroupPresentation, computed, stated):
     """Raise ModelInputError unless stated is computed in another basis.
 
-    Searches for a grading-group automorphism (unimodular map on the free
-    part, a unit and a free-part shear on each torsion factor) carrying
-    the computed degrees onto the stated ones.  The search is the check;
-    the automorphism itself is not kept.  Stated degrees equal to the
-    computed ones need no search: the identity (W = 1, u = 1, s = 0)
-    carries them.
+    By the exact sequence 0 -> M -> Z^N -> Cl -> 0 (Cox 1995, section 1),
+    e_j -> stated_j induces a map Cl -> G = Z^r + torsion exactly when it
+    vanishes on every ray relation, a column of rows.  Cl and G are
+    isomorphic and finitely generated, so that map is a basis change exactly
+    when it is onto: when the stated degrees and t_k e_(r+k) have every
+    invariant factor 1.
+    Stated degrees equal to the computed ones need no check.
     """
     if stated == computed:
         return
-    r, moduli, nvars = group.rank, group.torsion, len(computed)
-    if len(stated) != nvars:
+    r, moduli = group.rank, group.torsion
+    if len(stated) != len(computed):
         raise ModelInputError("degrees", "stated degree count mismatch")
     for d in stated:
         if len(d.free) != r or d.moduli != moduli:
             raise ModelInputError("degrees", "stated degrees live in a different group")
-
-    # Row i of W solves W_i . computed_j = stated_j[i], one equation per j.
-    equations = [dict(enumerate(d.free)) for d in computed]
-    w_rows = []
-    for i in range(r):
-        sol = solve_sparse(equations, [stated[j].free[i] for j in range(nvars)], r)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise ModelInputError("degrees", "no integral change of basis reaches the stated degrees")
-        w_rows.append(sol)
-    if abs(_bareiss(w_rows)) != 1:
-        raise ModelInputError("degrees", "change of basis is not unimodular")
-
-    new_free = [tuple(sum(map(mul, row, d.free)) for row in w_rows) for d in computed]
-    for k, t in enumerate(moduli):
-        cur = [d.residues[k] for d in computed]
-        want = [d.residues[k] for d in stated]
-        if not any(
-            all(
-                (u * c + sum(si * fi for si, fi in zip(s, nf))) % t == wv
-                for c, nf, wv in zip(cur, new_free, want)
-            )
-            for u in range(1, t)
-            if gcd(u, t) == 1
-            for s in product(range(t), repeat=r)
-        ):
-            raise ModelInputError("degrees", f"no automorphism of Z/{t} matches the stated residues")
+    lifts = [d.free + d.residues for d in stated]
+    for i, relation in enumerate(zip(*rows)):
+        image = [sum(map(mul, relation, coords)) for coords in zip(*lifts)]
+        if any(image[:r]) or any(x % t for x, t in zip(image[r:], moduli)):
+            raise ModelInputError("degrees", f"stated degrees miss the ray relation of coordinate {i + 1}")
+    size = r + len(moduli)
+    lifts += [tuple(t if i == r + k else 0 for i in range(size)) for k, t in enumerate(moduli)]
+    matrix = IntMatrix._trusted(tuple(zip(*lifts)))
+    if any(f != 1 for f in smith_normal_form(matrix).invariant_factors()):
+        raise ModelInputError("degrees", "stated degrees do not generate the grading group")

@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .foliation import VectorField
 from .grading import count_lattice_points, homogeneous_degree, monomials_of_degree
 from .intlinalg import IntMatrix, minor_gcds, smith_normal_form
 from .model import ToricModel
+from .normalform import euler_check
 from .poly import Polynomial
 
 
@@ -93,10 +93,8 @@ def euler_suite(models, per_model: int = 50, seed: int = 7, max_total_degree: in
     for model in models:
         for t in range(per_model):
             f = random_quasi_homogeneous(rng, model, max_total_degree)
-            alpha = homogeneous_degree(model, f)
-            for i in range(model.rank):
-                radial = VectorField.radial(model, i)
-                if radial.apply_to(f) != f.scale(model.theta(i, alpha)):
+            for i, holds in enumerate(euler_check(model, f)):
+                if not holds:
                     failures.append(
                         f"{model.name} trial {t}: radial {i} fails on {f.to_string(model.variable_names)}"
                     )

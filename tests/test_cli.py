@@ -32,6 +32,17 @@ def test_classgroup_octahedron(tmp_path, capsys):
     code, out = invoke(capsys, "classgroup", "--case", str(path))
     assert code == 0
     assert "Z^5 + Z/2 + Z/2" in out
+    # The computed degrees with their two Z/2 residues swapped: a basis
+    # change that mixes the torsion factors.
+    path.write_text(
+        OCTAHEDRON_CASE
+        + "torsion = 2 2\ndegrees = (1,-1,0,0,1,[1],[1]) (-1,1,0,1,0,[0],[1]) (-1,1,1,0,0,[1],[0])"
+        + " (1,0,0,0,0,[0],[0]) (0,1,0,0,0,[0],[0]) (0,0,1,0,0,[0],[0]) (0,0,0,1,0,[0],[0])"
+        + " (0,0,0,0,1,[0],[0])\n"
+    )
+    code, out = invoke(capsys, "classgroup", "--case", str(path))
+    assert code == 0, out
+    assert "deg b = (-1,1,0,1,0,[0],[1])" in out
 
 
 def test_fixture_torsion_fermat(capsys):
@@ -53,6 +64,10 @@ def test_fixture_unknown_name(capsys):
         ["wps-pairs", "--omega", "1,x", "--d", "2"],
         ["torsion-fermat"],
         ["nope"],
+        ["wps-pairs", "--omega", "1,1", "--d", "2,2", "--coeffs", "1/0"],
+        ["split-field", "--alpha1", "1", "--alpha2", "2", "--c", "0.5,1e1"],
+        ["torsion-fermat", "--m", "0.5"],
+        ["biproj-pairs", "--n", "1", "--a", "1/0", "--b", "1"],
     ],
 )
 def test_fixture_and_export_share_one_error_path(capsys, params):
@@ -61,6 +76,23 @@ def test_fixture_and_export_share_one_error_path(capsys, params):
     assert fixture == export
     code, out = fixture
     assert code == 1 and out.startswith("error: ") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (["wps-pairs", "--omega", "1,1", "--d", "2,2", "--coeffs", "1/0"], "--coeffs: zero denominator in '1/0'"),
+        (["wps-pairs", "--omega", "1,1", "--d", "2,2", "--coeffs", "1_000"], "--coeffs: exact integer required, got '1_000'"),
+        (["split-field", "--alpha1", "1", "--alpha2", "2", "--c", "0.5,1e1"], "--c: exact integer required, got '0.5'"),
+        (["monomial-hypersurface", "--alpha", "1_000", "--beta", "2"], "--alpha: exact integer required, got '1_000'"),
+        (["split-field", "--alpha1", "1", "--alpha2", "2", "--c", "1"], "two field-half coefficients required"),
+        (["wps-pairs", "--omega", "1", "--d", "2"], "need at least two weights"),
+    ],
+)
+def test_fixture_flags_read_numbers_as_case_files_do(capsys, params, message):
+    code, out = invoke(capsys, "fixture", *params)
+    assert code == 1
+    assert out == f"error: cannot build fixture: {message}\n"
 
 
 def test_audit_monomial_case_exit_two(tmp_path, capsys):
@@ -374,8 +406,8 @@ def test_model_errors_located(tmp_path, capsys):
         ("dimension = 1\nvariables = x y\ndegrees = (1) (-1)\n", 4, "not complete"),
         # rays that do not positively span the plane, located at the rays
         ("dimension = 2\nvariables = x y z\nrays = (1,0) (0,1) (1,2)\n", 4, "not complete"),
-        # rays that build, display degrees that no automorphism reaches
-        ("dimension = 1\nvariables = x y\nrays = (1) (-1)\ndegrees = (1) (2)\n", 5, "no integral change"),
+        # rays that build, display degrees that are not the grading in any basis
+        ("dimension = 1\nvariables = x y\nrays = (1) (-1)\ndegrees = (1) (2)\n", 5, "ray relation of coordinate 1"),
         # no variables at all
         ("dimension = 0\nvariables =\nrays =\n", 4, "has no variables"),
     ]

@@ -1,9 +1,9 @@
-"""Seeded mutation fuzzing of case files through ``cli.run``.
+"""Seeded mutation fuzzing of case files and fixture flags through ``cli.run``.
 
 Every call runs in this one process, so the parser that ``cli.run``
 builds once is shared by all of them.  Whatever the mutation does to a
-case file, the command must end with exit 0, 1 or 2; an exception
-escaping ``run`` would reach the user as a traceback.
+case file or a flag, the command must end with exit 0, 1 or 2; an
+exception escaping ``run`` would reach the user as a traceback.
 """
 
 import contextlib
@@ -88,3 +88,51 @@ def test_mutated_case_files_never_escape(tmp_path):
         assert "Traceback" not in out
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+# Fixture flags as the benchmark passes them, signed and rational values
+# included; --n stays at most 5 so that every fixture run is quick.
+FIXTURES = [
+    ["wps-pairs", "--omega=1,2,1,2", "--d=4,2,4,2", "--coeffs=-3,5"],
+    ["wps-pairs", "--omega=1,1,1", "--d=3,3,3", "--coeffs=1/2,-2"],
+    ["biproj-pairs", "--n=3", "--a=1,-1", "--b=2,1/3"],
+    ["torsion-fermat", "--m=6"],
+    ["split-field", "--alpha1=1", "--alpha2=2", "--c=-3,5"],
+    ["monomial-hypersurface", "--alpha=2", "--beta=3"],
+]
+
+VALUES = ["1/0", "0.5", "-1", "x", "", "1,2,3"] + [str(d) for d in range(10)]
+
+
+def _mutate_flags(rng, params):
+    name, flags = params[0], list(params[1:])
+    if not flags:
+        return params
+    i = rng.randrange(len(flags))
+    if rng.random() < 0.25:
+        del flags[i]
+    else:
+        flag = flags[i].split("=")[0]
+        values = [v for v in VALUES if flag != "--n" or not v.isdigit() or int(v) <= 5]
+        flags[i] = f"{flag}={rng.choice(values)}"
+    return [name] + flags
+
+
+def test_mutated_fixture_flags_never_escape():
+    for params in FIXTURES:
+        assert _run("fixture", *params)[0] == 0
+    rng = random.Random(2)
+    codes = set()
+    for trial in range(150):
+        params = rng.choice(FIXTURES)
+        for _ in range(rng.randint(1, 2)):
+            params = _mutate_flags(rng, params)
+        argv = [rng.choice(["fixture", "export"])] + params
+        try:
+            code, out = _run(*argv)
+        except Exception as exc:  # name the flags that escaped
+            raise AssertionError(f"trial {trial}: {argv} raised {exc!r}") from exc
+        assert code in (0, 1, 2), (trial, argv)
+        assert "Traceback" not in out
+        codes.add(code)
+    assert {0, 1} <= codes

@@ -1,7 +1,7 @@
 import random
 import re
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, gcd
 from operator import mul
 
 import pytest
@@ -272,7 +272,7 @@ def test_alignment_rejects_unreachable_targets(surface_z3):
     ]
     with pytest.raises(ModelInputError):
         build(bad)
-    with pytest.raises(ModelInputError):  # non-unimodular free part
+    with pytest.raises(ModelInputError):  # the free degrees generate only 2Z
         build(
             [
                 DegreeClass((2,), (0,), (3,)),
@@ -450,13 +450,13 @@ def test_stated_degrees_equal_to_computed_skip_the_search(monkeypatch, family_mo
     # Built before counting: these builds state no degrees.
     pairs = list(_ray_models_with_computed_degrees(family_models))
     calls = []
-    solve = toricfol.model.solve_sparse
+    smith = toricfol.model.smith_normal_form
 
     def counted(*args):
         calls.append(args)
-        return solve(*args)
+        return smith(*args)
 
-    monkeypatch.setattr(toricfol.model, "solve_sparse", counted)
+    monkeypatch.setattr(toricfol.model, "smith_normal_form", counted)
     for _, computed in pairs:
         again = build_from_pairing_rows(
             computed.n, computed.rays, max_cones=computed.max_cones, degrees=computed.degrees
@@ -465,7 +465,7 @@ def test_stated_degrees_equal_to_computed_skip_the_search(monkeypatch, family_mo
     assert families.weighted_projective(1, 2, 3).degrees == tuple(DegreeClass((w,)) for w in (1, 2, 3))
     assert parse_case(S_Z3_CASE.format("(1,[2]) (1,[1]) (1,[0])")).model.degrees[0] == DegreeClass((1,), (2,), (3,))
     assert calls == []
-    # Stated degrees in another basis still go through the search.
+    # Stated degrees in another basis still take one Smith form.
     surface = families.torsion_surface()
     assert [str(d) for d in surface.degrees] == ["(1,[0])", "(1,[2])", "(1,[1])"]
     assert len(calls) == 1
@@ -480,7 +480,127 @@ def test_one_changed_residue_is_a_located_degrees_error(degrees):
     (problem,) = err.value.problems
     assert problem.line == 6
     assert problem.message.startswith("model construction failed: ")
-    assert "no automorphism of Z/3 matches the stated residues" in problem.message
+    assert "stated degrees miss the ray relation of coordinate 1" in problem.message
+
+
+def _accepts(computed, stated) -> bool:
+    from toricfol.model import ModelInputError, _check_stated_degrees
+
+    try:
+        _check_stated_degrees(computed.rays, computed.class_group, computed.degrees, stated)
+    except ModelInputError:
+        return False
+    return True
+
+
+def _basis_change(rng, computed, scale=1):
+    """computed.degrees under a seeded unimodular W on the free part, then a
+    unit u and a shear s of the new free part on each torsion factor.  With
+    scale > 1, W has determinant +-scale and no basis change is reached."""
+    r, moduli = computed.rank, computed.moduli
+    w = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(3 * r):
+        i, j = rng.randrange(r), rng.randrange(r)
+        if i == j:
+            w[i] = [-x for x in w[i]]
+        else:
+            q = rng.choice((-2, -1, 1, 2))
+            w[i] = [a + q * b for a, b in zip(w[i], w[j])]
+    w[0] = [scale * x for x in w[0]]
+    units = [rng.choice([u for u in range(1, t) if gcd(u, t) == 1]) for t in moduli]
+    shears = [[rng.randrange(t) for _ in range(r)] for t in moduli]
+    out = []
+    for d in computed.degrees:
+        free = tuple(sum(map(mul, row, d.free)) for row in w)
+        residues = tuple(
+            u * c + sum(map(mul, s, free)) for u, c, s in zip(units, d.residues, shears)
+        )
+        out.append(DegreeClass(free, residues, moduli))
+    return out
+
+
+def _perturbed(rng, degrees):
+    """degrees with one free coordinate or residue changed."""
+    out = list(degrees)
+    j = rng.randrange(len(out))
+    d = out[j]
+    k = rng.randrange(len(d.free) + len(d.moduli))
+    if k < len(d.free):
+        free = list(d.free)
+        free[k] += rng.choice((-2, -1, 1, 2))
+        out[j] = DegreeClass(tuple(free), d.residues, d.moduli)
+    else:
+        residues = list(d.residues)
+        k -= len(d.free)
+        residues[k] += rng.randrange(1, d.moduli[k])
+        out[j] = DegreeClass(d.free, tuple(residues), d.moduli)
+    return out
+
+
+def test_stated_degree_check_agrees_with_the_automorphism_search(family_models):
+    from stated_degrees_oracle import stated_degrees_reachable
+
+    rng = random.Random(19)
+    outcomes = {True: 0, False: 0}
+    for _, computed in _ray_models_with_computed_degrees(family_models):
+        for _ in range(8):
+            stated = _basis_change(rng, computed)
+            candidates = (
+                stated,
+                _basis_change(rng, computed, scale=2),
+                _perturbed(rng, stated),
+                _perturbed(rng, computed.degrees),
+            )
+            for candidate in candidates:
+                got = _accepts(computed, candidate)
+                want = stated_degrees_reachable(computed.class_group, computed.degrees, candidate)
+                # The search is complete with at most one torsion factor;
+                # with more, an automorphism it finds is still a basis change.
+                if len(computed.moduli) <= 1:
+                    assert got == want, (computed.name, [str(d) for d in candidate])
+                else:
+                    assert got or not want, (computed.name, [str(d) for d in candidate])
+                outcomes[got] += 1
+    assert outcomes[True] >= 150 and outcomes[False] >= 300, outcomes
+
+
+def test_octahedron_residues_may_mix_but_not_collapse():
+    from stated_degrees_oracle import stated_degrees_reachable
+
+    from toricfol.families import octahedron_rays
+    from toricfol.model import ModelInputError
+
+    computed = build_from_rays(3, octahedron_rays())
+    assert computed.moduli == (2, 2)
+
+    def residues(change):
+        return [DegreeClass(d.free, change(*d.residues), d.moduli) for d in computed.degrees]
+
+    swap = residues(lambda a, b: (b, a))
+    mix = residues(lambda a, b: (a, a + b))
+    for stated in (swap, mix):
+        assert build_from_rays(3, octahedron_rays(), degrees=stated).degrees == tuple(stated)
+        # The per-factor search misses a basis change that mixes the factors.
+        assert not stated_degrees_reachable(computed.class_group, computed.degrees, stated)
+    with pytest.raises(ModelInputError, match="do not generate the grading group"):
+        build_from_rays(3, octahedron_rays(), degrees=residues(lambda a, b: (a, a)))
+
+
+def test_changed_residue_on_a_large_group_is_rejected_quickly():
+    from time import perf_counter
+
+    from toricfol.model import ModelInputError
+
+    # Primitive rays of the index-7 sublattice x + 3y = 0 mod 7.
+    rays = [(1, 2), (-1, -2), (3, -1), (-3, 1), (4, 1), (-4, -1), (2, -3), (-2, 3)]
+    computed = build_from_rays(2, rays)
+    assert computed.class_group.describe() == "Z^6 + Z/7"
+    first = computed.degrees[0]
+    stated = (DegreeClass(first.free, (first.residues[0] + 1,), (7,)),) + computed.degrees[1:]
+    start = perf_counter()
+    with pytest.raises(ModelInputError, match="ray relation"):
+        build_from_rays(2, rays, degrees=stated)
+    assert perf_counter() - start < 0.1
 
 
 def test_positive_functional_matches_the_fraction_oracle(family_models):
