@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
+from json.encoder import encode_basestring_ascii
 
 from .degrees import DegreeClass
 from .foliation import (
@@ -28,6 +29,44 @@ from .groebner import only_origin_check, regular_subsequence_check, sing_inside_
 from .model import ToricModel
 from .normalform import KoszulDecomposition, _decompose
 from .poly import Polynomial
+
+
+def machine_json(doc: dict) -> str:
+    """The json module's indent-2, sorted-key text of doc, byte for byte.
+
+    With an indent the json module encodes in pure Python, one generator
+    step per value.  Here one recursive join over dicts (whose keys are
+    str), lists and tuples builds the same text.  Strings are quoted by
+    the C ``encode_basestring_ascii``; None, bools and ints are written
+    as the json module writes them, and any other value by ``json.dumps``.
+    """
+    return _json_value(doc, "\n")
+
+
+def _json_value(value, newline: str) -> str:
+    # The scalar tests follow the json module's own order.
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json_value(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value)  # a float, or the json module's TypeError
 
 
 @dataclass(frozen=True)
@@ -146,7 +185,7 @@ class AuditReport:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return machine_json(self.to_dict())
 
     def to_text(self, names=None) -> str:
         lines = [f"model: {self.model}"]

@@ -44,13 +44,14 @@ class CaseFile:
     subset: tuple[int, ...] | None = None
 
 
-_INT = re.compile(r"^[+-]?\d+$")
+_INT = re.compile(r"[+-]?[0-9]+")  # ASCII digits only, as render_case writes them
 
 
 def _exact_int(text: str, what: str) -> int:
-    if not _INT.match(text.strip()):
-        raise ValueError(f"{what}: exact integer required, got {text.strip()!r}")
-    return int(text.strip())
+    text = text.strip()
+    if not _INT.fullmatch(text):
+        raise ValueError(f"{what}: exact integer required, got {text!r}")
+    return int(text)
 
 
 def _int(text: str, line: int, what: str) -> int:

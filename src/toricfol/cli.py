@@ -13,13 +13,12 @@ gets a fresh namespace from it.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
 from functools import cache
 
-from .audit import AuditOptions, audit_case
+from .audit import AuditOptions, audit_case, machine_json
 from .casefile import OPTIONS, CaseError, CaseFile, _exact_int, parse_case, parse_option, render_case
 from .families import FIXTURE_BUILDERS, check_fixture
 from .foliation import invariance_cofactor
@@ -49,7 +48,7 @@ def _load_case(args, *sections: str) -> CaseFile:
 
 def _emit(doc: dict, text_lines: list[str], fmt: str):
     if fmt == "machine":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(machine_json(doc))
     else:
         for line in text_lines:
             print(line)
@@ -222,14 +221,12 @@ def _fixture_arguments(args) -> tuple:
 
 def _cmd_selftest(args) -> int:
     outcome = sorted(run_all(fast=args.fast).items())
-    if args.format == "machine":
-        doc = {name: "pass" if ok else f"FAIL: {sample}" for name, (ok, sample) in outcome}
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for name, (ok, sample) in outcome:
-            print(f"suite {name}: {'pass' if ok else 'FAIL'}")
-            for note in sample:
-                print(f"  {note}")
+    doc = {name: "pass" if ok else f"FAIL: {sample}" for name, (ok, sample) in outcome}
+    lines = []
+    for name, (ok, sample) in outcome:
+        lines.append(f"suite {name}: {'pass' if ok else 'FAIL'}")
+        lines.extend(f"  {note}" for note in sample)
+    _emit(doc, lines, args.format)
     return OK if all(ok for _, (ok, _) in outcome) else FAILED
 
 

@@ -3,7 +3,11 @@
 Terms are joined by + and -; a term is an optional rational coefficient
 (integer or p/q) followed by *-separated powers name^exp.  Whitespace is
 insignificant, exponents are nonnegative integers, and decimal literals
-are rejected outright (exact input only).
+are rejected outright (exact input only).  Digits are ASCII 0-9 only.
+
+Valid text is read by one ``findall`` into token strings, with no
+per-token position bookkeeping: the column of a token is recomputed,
+by scanning the text again, only when a ParseError is raised.
 """
 
 from __future__ import annotations
@@ -25,28 +29,40 @@ class ParseError(Exception):
         return f"line {self.line}, column {self.column}: {self.message}"
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<float>\d+\.\d*|\.\d+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*^/()])|(?P<bad>\S))"
-)
+# One token per match, group 1 its text: an int, a decimal literal (p.q, p.
+# or .q), a name, an operator or a stray character.  Decimal literals and
+# stray characters are the error tokens.  Every error token holds a
+# character of _INVALID and no other token holds one, so one search tells
+# whether the text has an error token.
+_TOKEN = re.compile(r"\s*([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*^/()]|\S)")
+_INVALID = re.compile(r"[^\sA-Za-z0-9_+\-*^/()]")
 
 
-def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
-    """(kind, text, column) of every token, then an end token; one regex pass.
+def _column(text: str, k: int) -> int:
+    """1-based column of token k, or the end column when the text has fewer tokens."""
+    for i, m in enumerate(_TOKEN.finditer(text)):
+        if i == k:
+            return m.start(1) + 1
+    return len(text) + 1
+
+
+def _tokenize(text: str, line: int) -> list[str]:
+    """The text of every token, then "" for the end.
 
     A decimal literal or a stray character anywhere in the text is reported
-    before any grammar error, wherever it sits.
+    before any grammar error, wherever it sits: the first one found is in
+    the token that holds the first character of _INVALID.
     """
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        col = m.start(kind) + 1
-        if kind == "float":
-            raise ParseError("rational literals must be p/q", line, col)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", line, col)
-        tokens.append((kind, m.group(kind), col))
-    tokens.append(("end", "", len(text) + 1))
+    bad = _INVALID.search(text)
+    if bad is not None:
+        for m in _TOKEN.finditer(text):
+            if m.end() > bad.start():
+                value, col = m.group(1), m.start(1) + 1
+                if len(value) > 1:  # a stray character is one character long
+                    raise ParseError("rational literals must be p/q", line, col)
+                raise ParseError(f"unexpected character {value!r}", line, col)
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
     return tokens
 
 
@@ -57,46 +73,48 @@ def parse_polynomial(text: str, names, line: int = 1) -> Polynomial:
     place where it first appeared and is dropped when its coefficients
     cancel, as Polynomial.__add__ does.
     """
-    index = {name: j for j, name in enumerate(names)}
+    # A declared name that is not a name token can never be read.
+    index = {name: j for j, name in enumerate(names) if name.isascii() and name.isidentifier()}
     tokens = _tokenize(text, line)
     terms: dict[tuple[int, ...], int | Fraction] = {}
 
-    def integer(pos: int) -> int:
-        kind, value, col = tokens[pos]
-        if kind != "int":
-            raise ParseError(f"expected int, found {value!r}", line, col)
-        return int(value)
+    def fail(message: str, k: int):
+        raise ParseError(message, line, _column(text, k))
+
+    def integer(k: int) -> int:
+        if not tokens[k].isdigit():
+            fail(f"expected int, found {tokens[k]!r}", k)
+        return int(tokens[k])
 
     pos, sign = 0, 1
-    # Only an op token can read "+", "-", "*", "/" or "^".
-    if tokens[0][1] in ("+", "-"):
-        pos, sign = 1, -1 if tokens[0][1] == "-" else 1
+    if tokens[0] in ("+", "-"):
+        pos, sign = 1, -1 if tokens[0] == "-" else 1
     while True:
         num, den = sign, 1
         exponents = [0] * len(names)
         while True:  # factors joined by *
-            kind, value, col = tokens[pos]
+            value = tokens[pos]
             pos += 1
-            if kind == "int":
+            if value.isdigit():  # tokens are ASCII, so this is an int token
                 num *= int(value)
-                if tokens[pos][1] == "/":
+                if tokens[pos] == "/":
                     d = integer(pos + 1)
                     if not d:
-                        raise ParseError("zero denominator", line, tokens[pos + 1][2])
+                        fail("zero denominator", pos + 1)
                     den *= d
                     pos += 2
-            elif kind == "name":
+            else:
                 j = index.get(value)
                 if j is None:
-                    raise ParseError(f"undeclared variable {value!r}", line, col)
-                if tokens[pos][1] == "^":
+                    if value[:1].isalpha() or value[:1] == "_":
+                        fail(f"undeclared variable {value!r}", pos - 1)
+                    fail(f"expected a coefficient or variable, found {value!r}", pos - 1)
+                if tokens[pos] == "^":
                     exponents[j] += integer(pos + 1)
                     pos += 2
                 else:
                     exponents[j] += 1
-            else:
-                raise ParseError(f"expected a coefficient or variable, found {value!r}", line, col)
-            if tokens[pos][1] != "*":
+            if tokens[pos] != "*":
                 break
             pos += 1
         if num:
@@ -108,9 +126,9 @@ def parse_polynomial(text: str, names, line: int = 1) -> Polynomial:
                 terms[key] = total
             else:
                 del terms[key]
-        kind, value, col = tokens[pos]
-        if kind == "end":
+        value = tokens[pos]
+        if not value:
             return Polynomial._from_sums(len(names), terms)
         if value not in ("+", "-"):
-            raise ParseError(f"expected + or -, found {value!r}", line, col)
+            fail(f"expected + or -, found {value!r}", pos)
         pos, sign = pos + 1, -1 if value == "-" else 1

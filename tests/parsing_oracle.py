@@ -8,10 +8,19 @@ cancellation, is the one Polynomial.__add__ defines.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from toricfol.parsing import _TOKEN, ParseError
+from toricfol.parsing import ParseError
 from toricfol.poly import Polynomial
+
+
+# The grammar's tokens, named by kind; kept apart from the parser's own
+# regex so that a change to the lexer cannot move its reference with it.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<float>[0-9]+\.[0-9]*|\.[0-9]+)|(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*^/()])|(?P<bad>\S))"
+)
 
 
 def _tokenize(text: str, line: int):

@@ -1,6 +1,6 @@
 import pytest
 
-from toricfol.casefile import CaseError, CaseFile, parse_case, render_case
+from toricfol.casefile import CaseError, CaseFile, _exact_int, parse_case, render_case
 from toricfol.degrees import DegreeClass
 from toricfol.families import rational_scroll, torsion_fermat_fixture
 from toricfol.grading import homogeneous_degree
@@ -101,6 +101,44 @@ f = z1 + 1.5*z2
 
     with pytest.raises(CaseError):
         parse_case(P2_FERMAT.replace("(1,0)", "(1.0,0)"))
+
+
+# U+0662 and U+0663 are the Arabic-Indic digits two and three: decimal
+# digits to Unicode, but not digits of a case file, which render_case
+# writes in ASCII.
+def test_non_ascii_digit_in_expression_is_a_stray_character():
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("\u0662*x^\u0663 + y", ("x", "y"), line=4)
+    assert str(err.value) == "line 4, column 1: unexpected character '\u0662'"
+    with pytest.raises(CaseError) as err:
+        parse_case(P2_FERMAT.replace("z1^3", "z1^\u0663"))
+    assert str(err.value) == "line 9, column 4: unexpected character '\u0663'"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("dimension = 2", "dimension = \u0662", "line 3: dimension: exact integer required, got '\u0662'"),
+        ("(1,0)", "(\u0661,0)", "line 5: ray: exact integer required, got '\u0661'"),
+        ("{1,2}", "{1,\u0662}", "line 6: cone index: exact integer required, got '\u0662'"),
+    ],
+)
+def test_non_ascii_digit_on_a_model_line_is_not_an_integer(old, new, message):
+    with pytest.raises(CaseError) as err:
+        parse_case(P2_FERMAT.replace(old, new))
+    assert str(err.value) == message
+
+
+def test_non_ascii_digit_in_a_degree_or_flag_is_not_an_integer():
+    text = "[model]\ndimension = 1\nvariables = a b\ntorsion = \u0663\ndegrees = (1,[0]) (1,[1])\n"
+    with pytest.raises(CaseError) as err:
+        parse_case(text)
+    assert str(err.value) == "line 4: torsion factor: exact integer required, got '\u0663'"
+    with pytest.raises(CaseError) as err:
+        parse_case(text.replace("torsion = \u0663", "torsion = 3").replace("(1,[1])", "(\u0661,[1])"))
+    assert str(err.value) == "line 5: degree entry: exact integer required, got '\u0661'"
+    with pytest.raises(ValueError, match="--m: exact integer required, got '\u0663'"):
+        _exact_int(" \u0663 ", "--m")
 
 
 def test_case_degree_presentation_with_torsion():

@@ -87,6 +87,7 @@ def test_fixture_and_export_share_one_error_path(capsys, params):
         (["monomial-hypersurface", "--alpha", "1_000", "--beta", "2"], "--alpha: exact integer required, got '1_000'"),
         (["split-field", "--alpha1", "1", "--alpha2", "2", "--c", "1"], "two field-half coefficients required"),
         (["wps-pairs", "--omega", "1", "--d", "2"], "need at least two weights"),
+        (["torsion-fermat", "--m", "\u0663"], "--m: exact integer required, got '\u0663'"),
     ],
 )
 def test_fixture_flags_read_numbers_as_case_files_do(capsys, params, message):
@@ -334,6 +335,29 @@ def test_selftest_machine_prints_json_only(capsys):
     doc = json.loads(out)
     assert doc["smith_normal_form"] == "pass"
     assert set(doc.values()) == {"pass"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classgroup", "--case", "CASE"],
+        ["degree", "--case", "CASE"],
+        ["invariance", "--case", "CASE"],
+        ["decompose", "--case", "CASE"],
+        ["audit", "--case", "CASE", "--decompose"],
+        ["fixture", "torsion-fermat", "--m", "3"],
+        ["selftest", "--fast"],
+    ],
+)
+def test_machine_output_is_the_json_modules_text(tmp_path, capsys, argv):
+    _, text = invoke(capsys, "export", "torsion-fermat", "--m", "3")
+    path = tmp_path / "tor.case"
+    # a model name that needs escapes: a quote, a backslash and non-ASCII
+    path.write_text(text.replace("name = S_Z3", 'name = S_"Z3"\\\u00e9\u0662'), encoding="utf-8")
+    argv = [str(path) if a == "CASE" else a for a in argv]
+    code, out = invoke(capsys, *argv, "--format", "machine")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_fixture_computes_each_groebner_basis_once(capsys, monkeypatch):

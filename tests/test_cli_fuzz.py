@@ -25,6 +25,11 @@ COMMANDS = ["audit", "audit", "classgroup", "degree", "invariance", "decompose"]
 
 NAME = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*\b")
 INTEGER = re.compile(r"\d+")
+# Characters that are no part of a case file's grammar, or are whitespace
+# only to Unicode: Arabic-Indic two, a no-break space and a lone point.
+STRAY = ["\u0662", "\u00a0", "."]
+# What exit 1 prints: located case-file problems, or one error line.
+INPUT_ERROR = re.compile(r"input error:\n(line \d+|\w+ needs a \[)|error: ")
 
 
 def _run(*argv):
@@ -46,10 +51,13 @@ def _seed_files():
 
 def _mutate(rng, text):
     lines = text.split("\n")
-    kind = rng.choice(["drop", "duplicate", "integer", "name", "truncate"])
+    kind = rng.choice(["drop", "duplicate", "integer", "name", "truncate", "stray"])
     i = rng.randrange(len(lines))
     if kind == "drop":
         del lines[i]
+    elif kind == "stray":
+        at = rng.randrange(len(lines[i]) + 1)
+        lines[i] = lines[i][:at] + rng.choice(STRAY) + lines[i][at:]
     elif kind == "duplicate":
         lines.insert(rng.randrange(len(lines) + 1), lines[i])
     elif kind == "truncate":
@@ -86,6 +94,7 @@ def test_mutated_case_files_never_escape(tmp_path):
             raise AssertionError(f"trial {trial}: {' '.join(argv)} raised {exc!r} on\n{text}") from exc
         assert code in (0, 1, 2), (trial, text)
         assert "Traceback" not in out
+        assert code != 1 or INPUT_ERROR.match(out), (trial, text, out)
         codes.add(code)
     assert codes == {0, 1, 2}
 
@@ -101,7 +110,7 @@ FIXTURES = [
     ["monomial-hypersurface", "--alpha=2", "--beta=3"],
 ]
 
-VALUES = ["1/0", "0.5", "-1", "x", "", "1,2,3"] + [str(d) for d in range(10)]
+VALUES = ["1/0", "0.5", "-1", "x", "", "1,2,3", "\u0662"] + [str(d) for d in range(10)]
 
 
 def _mutate_flags(rng, params):

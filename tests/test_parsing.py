@@ -15,9 +15,9 @@ from toricfol.parsing import ParseError, parse_polynomial
 NAMES = ("x", "y", "z1", "w_2")
 
 
-def _outcome(parse, text, line):
+def _outcome(parse, text, line, names=NAMES):
     try:
-        p = parse(text, NAMES, line=line)
+        p = parse(text, names, line=line)
     except ParseError as exc:
         return ("error", exc.message, exc.line, exc.column)
     return ("ok", p.nvars, list(p.terms.items()))
@@ -66,6 +66,8 @@ MALFORMED = [
     # unbalanced or misplaced operators
     "", "-", "+", "x +", "x -", "+ * x", "++x", "x * * y", "x *", "(x)", "x)", "x y",
     "x^2^3", "2^3", "x/2", "1/x", "1/", "*", "x + - y", "3 4", "x ^ ^ 2", "/2",
+    # a decimal point after a name, alone, or in a literal; non-ASCII digits
+    "x1.5", "x . y", "x*1.", "\u0662*x^\u0663 + y", "x^\u0663", "y + \u0662",
 ]
 
 
@@ -89,20 +91,32 @@ def test_malformed_inputs_raise_the_oracle_error(text):
     assert got[0] == "error" and got == want
 
 
+# Unicode whitespace is whitespace to the grammar; a non-ASCII digit
+# (U+0662, Arabic-Indic two) and a decimal point are not part of it.
+INSERTS = [*"+-*/^(). 0179xyzq_#", "\t", "\u00a0", "\u2003", "1.", ".5", "\u0662"]
+
+
 def test_mutated_inputs_match_oracle():
     rng = random.Random(97)
-    alphabet = "+-*/^(). 0179xyzq_#"
     errors = 0
-    for _ in range(600):
+    for _ in range(800):
         chars = list(_valid_text(rng))
         for _ in range(rng.randint(1, 3)):
             at = rng.randrange(len(chars) + 1)
             if chars and rng.random() < 0.5:
                 del chars[min(at, len(chars) - 1)]
             else:
-                chars.insert(at, rng.choice(alphabet))
+                chars.insert(at, rng.choice(INSERTS))
+        if rng.random() < 0.1:
+            chars.append(rng.choice("+-*/^"))  # a trailing operator
         text = "".join(chars)
         got, want = _outcome(parse_polynomial, text, 1), _outcome(oracle_parse, text, 1)
         assert got == want, text
         errors += got[0] == "error"
     assert errors >= 50
+
+
+@pytest.mark.parametrize("text", ["1 + x", "x + + y", "+ + x", "x * + 2", "x.y + 2"])
+def test_declared_names_that_are_not_name_tokens_are_never_read(text):
+    names = ("+", "1", "x.y", "x")
+    assert _outcome(parse_polynomial, text, 1, names) == _outcome(oracle_parse, text, 1, names)
