@@ -162,7 +162,7 @@ def lie_g_membership(
         if p.is_zero():
             quotients.append(Polynomial.zero(nv))
             continue
-        q = p.divide_exact(Polynomial.variable(nv, j))
+        q = _divide_by_variable(p, j)
         if q is None:
             return False, None
         quotients.append(q)
@@ -189,6 +189,13 @@ def lie_g_membership(
     if any(a != b for a, b in zip(rebuilt.components, field.components)):
         return False, None
     return True, witness
+
+
+def _divide_by_variable(p: Polynomial, j: int) -> Polynomial | None:
+    """p / z_j, or None when some term of p lacks z_j."""
+    if any(not m[j] for m in p.terms):
+        return None
+    return Polynomial._trusted(p.nvars, {m[:j] + (m[j] - 1,) + m[j + 1 :]: c for m, c in p.terms.items()})
 
 
 def singular_scheme_minors(model: ToricModel, field: VectorField) -> list[Polynomial]:

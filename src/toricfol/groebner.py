@@ -11,8 +11,9 @@ Buchberger's two criteria:
 - a pair is skipped when its leading monomials are coprime, or by the
   chain criterion: some other element k has a leading monomial dividing
   the pair's lcm and neither (i, k) nor (j, k) is still pending;
-- every division, here and in ``reduce_poly``, runs the one kernel
-  ``poly.divide_terms``: first matching reducer, on a mutable term dict;
+- every division, in the pair loop, the interreduction and
+  ``reduce_poly``, runs the one loop ``divide_terms``: first matching
+  reducer, on a mutable dict of packed terms;
 - the pair loop only appends to its basis, so one memo serves all of its
   divisions: the first matching reducer of a monomial and that reducer's
   tail multiplied up to it are found once, not once per s-polynomial,
@@ -26,6 +27,32 @@ form, so one sweep gives the reduced basis.  The term order is grevlex,
 and for it the reduced Groebner basis of an ideal is unique; the criteria
 and the selection order change the work done, never the basis returned,
 and so never a downstream certificate.
+
+Inside Groebner work a monomial is one int, packed as in Monagan &
+Pearce, "Sparse polynomial division using a heap" (J. Symb. Comput. 46,
+2011).  Exponent j gets a B-bit field at bit j*B whose top bit is a
+guard, so e_(n-1) is highest; the total degree d sits above all fields,
+at S = n*B, and the key is ``fields - (d << S)``.  While every exponent
+stays below 2^(B-1):
+
+- the key of a product is the sum of the keys, and of a quotient the
+  difference;
+- a smaller key is a larger monomial in grevlex: a higher degree first,
+  then a smaller e_(n-1), then a smaller e_(n-2), and so on; so a plain
+  min-heap of keys pops the leading term;
+- a divides b exactly when ``(key_b - key_a) & GUARD`` is zero, GUARD
+  being the guard bits: the degree term is a multiple of 2^S, and the
+  lowest field with e_b < e_a borrows and sets its guard bit.
+
+The public ``Polynomial`` keeps its exponent tuples: terms are packed
+when a loop starts and the basis unpacked when it returns, and the pair
+heap, the coprime check and the lcm stay on tuples, one lcm per pair.
+Layouts start at B = 16 and are built on first use per (n, B).  Every
+term a pair loop makes has at most the degree of its pair's lcm, which
+bounds each exponent, so the loop checks that degree when it admits a
+pair; one that reaches 2^(B-1) moves the whole basis to a layout with
+B doubled, as often as it takes, and the loop goes on there.
+``reduce_poly`` picks its layout from the degrees of its input.
 
 The dimension checks ``only_origin_check`` and
 ``regular_subsequence_check`` try the same pair loop modulo the fixed
@@ -59,33 +86,164 @@ the end, since normal forms need the whole basis.
 
 Exact coefficients are ints wherever they are integral, and ``c / lc``
 on two ints would give a float, so every exact coefficient division
-goes through ``poly.exact_div``.  Mod P every divisor is monic and the
-kernel divides nothing.
+goes through ``poly.exact_div``: each divisor is made monic once, and
+the division loop itself divides nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from heapq import heappop, heappush
+from functools import cache, cached_property
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import mul
+from typing import NamedTuple
 
 from .poly import (
-    Divisor,
+    Coefficient,
+    Exponents,
     Polynomial,
-    as_divisor,
-    divide_terms,
     exact_div,
-    grevlex_key,
-    monomial_div,
-    monomial_divides,
     monomial_lcm,
     monomial_mul,
 )
 
 EMPTY_VARIETY = -1
 P = 2**31 - 1  # the prime of the modular first step
+
+
+class _Layout:
+    """Exponent tuples of one length packed into ints, ``bits`` bits per
+    exponent, as the module docstring describes."""
+
+    __slots__ = ("nvars", "limit", "guard", "weights", "offsets", "mask")
+
+    def __init__(self, nvars: int, bits: int):
+        self.nvars = nvars
+        self.limit = 1 << (bits - 1)  # every exponent stays below
+        self.offsets = [j * bits for j in range(nvars)]
+        self.mask = (1 << bits) - 1
+        self.guard = sum(self.limit << o for o in self.offsets)
+        # e_j adds 1 to field j and takes 1 from the negated degree
+        shift = nvars * bits
+        self.weights = [(1 << o) - (1 << shift) for o in self.offsets]
+
+    def pack(self, m: Exponents) -> int:
+        return sum(map(mul, m, self.weights))
+
+    def unpack(self, key: int) -> Exponents:
+        mask = self.mask
+        return tuple([(key >> o) & mask for o in self.offsets])
+
+
+@cache
+def _layout(nvars: int, bits: int) -> _Layout:
+    """One layout per (nvars, bits), built on first use."""
+    return _Layout(nvars, bits)
+
+
+def _layout_for(nvars: int, degree: int) -> _Layout:
+    """The narrowest layout, from 16 bits up by doubling, that holds every
+    monomial of total degree at most ``degree``."""
+    bits = 16
+    while degree >= 1 << (bits - 1):
+        bits *= 2
+    return _layout(nvars, bits)
+
+
+class Divisor(NamedTuple):
+    """A monic polynomial as the division loop reads it: its packed
+    leading monomial, and its tail's packed monomials and coefficients in
+    parallel lists."""
+
+    lead: int
+    tail_monos: list[int]
+    tail_coeffs: list[Coefficient]
+
+
+def _monic(terms: dict, modulus) -> Divisor:
+    """The nonzero packed ``terms`` divided by their leading coefficient;
+    the lead is the smallest key."""
+    lm = min(terms)
+    lc = terms.pop(lm)
+    if modulus is None:
+        coeffs = [exact_div(c, lc) for c in terms.values()]
+    else:
+        inv = pow(lc, -1, modulus)
+        coeffs = [c * inv % modulus for c in terms.values()]
+    return Divisor(lm, list(terms), coeffs)
+
+
+def as_divisor(p: Polynomial, layout: _Layout) -> Divisor:
+    if p.is_zero():
+        raise ValueError("zero polynomial has no leading term")
+    return _monic({layout.pack(m): c for m, c in p.terms.items()}, None)
+
+
+def _divisors(polys, nvars: int, degree: int = 0) -> tuple[_Layout, list[Divisor]]:
+    """The polys as divisors in a layout that also holds degree ``degree``."""
+    layout = _layout_for(nvars, max([degree, *(g.total_degree() for g in polys)]))
+    return layout, [as_divisor(g, layout) for g in polys]
+
+
+def divide_terms(terms: dict, divisors: list[Divisor], guard: int, modulus: int | None, memo: dict) -> dict:
+    """Divide the packed ``terms`` by ``divisors``; return the remainder.
+
+    The one division loop of Groebner work.  Each step cancels the leading
+    term of what is left with the first divisor whose lead divides it, or
+    moves it to the remainder, which thus comes out in descending order.
+    ``terms`` is consumed; a cancelled monomial stays in it at zero until
+    popped, so each monomial is in the heap once.  ``guard`` is the guard
+    mask of the divisors' layout.  Every divisor is monic, so the quotient
+    coefficient is the popped coefficient itself.  With ``modulus`` None
+    the coefficients are exact rationals, made canonical when popped;
+    otherwise they are ints reduced mod that prime when popped, and the
+    divisors' tails must be reduced already.
+
+    ``memo`` maps a popped monomial either to ``(i, shifted)``, its first
+    matching divisor and that divisor's tail monomials multiplied up to
+    it, or to the number k of leading divisors known not to divide it.  It
+    is valid only while ``divisors`` is append-only; a one-off division
+    passes a fresh one.
+    """
+    heap = list(terms)
+    heapify(heap)
+    rem = {}
+    get, push, pop = terms.get, heappush, heappop
+    while heap:
+        m = pop(heap)
+        c = terms.pop(m)
+        if modulus:
+            c %= modulus
+        elif type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        if not c:
+            continue
+        hit = memo.get(m, 0)
+        if type(hit) is tuple:
+            i, shifted = hit
+            d = divisors[i]
+        else:
+            for i in range(hit, len(divisors)):
+                d = divisors[i]
+                if not (m - d.lead) & guard:
+                    break
+            else:
+                memo[m] = len(divisors)
+                rem[m] = c
+                continue
+            shift = m - d.lead
+            shifted = [t + shift for t in d.tail_monos]
+            memo[m] = i, shifted
+        for t, tc in zip(shifted, d.tail_coeffs):
+            old = get(t)
+            if old is None:
+                terms[t] = -c * tc
+                push(heap, t)
+            else:
+                terms[t] = old - c * tc
+    return rem
 
 
 @dataclass(frozen=True)
@@ -97,33 +255,39 @@ class GroebnerBasis:
         return self.generators[0].nvars
 
     @cached_property
-    def divisors(self) -> list[Divisor]:
-        """The generators split at their leading terms, built once per basis."""
-        return [as_divisor(g) for g in self.generators]
+    def divisors(self) -> tuple[_Layout, list[Divisor]]:
+        """The generators as divisors and their layout, built once per basis."""
+        return _divisors(self.generators, self.nvars)
 
 
 def reduce_poly(f: Polynomial, gens) -> Polynomial:
     """Full remainder of f on division by gens (first matching reducer).
 
     ``gens`` is a sequence of polynomials or a ``GroebnerBasis``, whose
-    divisors are then reused from one call to the next.
+    divisors are then reused from one call to the next unless f's degree
+    needs a wider layout.
     """
+    degree = f.total_degree()
     if isinstance(gens, GroebnerBasis):
-        divisors = gens.divisors
+        layout, divisors = gens.divisors
+        if degree >= layout.limit:
+            layout, divisors = _divisors(gens.generators, f.nvars, degree)
     else:
-        divisors = [as_divisor(g) for g in gens]
-    return Polynomial._trusted(f.nvars, dict(divide_terms(dict(f.terms), divisors)))
+        layout, divisors = _divisors(gens, f.nvars, degree)
+    terms = {layout.pack(m): c for m, c in f.terms.items()}
+    rem = divide_terms(terms, divisors, layout.guard, None, {})
+    return Polynomial._trusted(f.nvars, {layout.unpack(m): c for m, c in rem.items()})
 
 
-def _spoly_terms(a: Divisor, b: Divisor, lcm) -> dict:
+def _spoly_terms(a: Divisor, b: Divisor, lcm: int) -> dict:
     # Both leads are monic and cancel; only the tails are combined.
     terms: dict = {}
-    shift = monomial_div(lcm, a.lead)
+    shift = lcm - a.lead
     for m, c in zip(a.tail_monos, a.tail_coeffs):
-        terms[monomial_mul(m, shift)] = c
-    shift = monomial_div(lcm, b.lead)
+        terms[m + shift] = c
+    shift = lcm - b.lead
     for m, c in zip(b.tail_monos, b.tail_coeffs):
-        t = monomial_mul(m, shift)
+        t = m + shift
         terms[t] = terms.get(t, 0) - c
     return terms
 
@@ -138,25 +302,23 @@ def _nonzero_generators(gens) -> list[Polynomial]:
     return polys
 
 
-def _monic(lm, lc, tail: dict, modulus) -> Divisor:
-    if modulus is None:
-        coeffs = [exact_div(c, lc) for c in tail.values()]
-    else:
-        inv = pow(lc, -1, modulus)
-        coeffs = [c * inv % modulus for c in tail.values()]
-    return Divisor(lm, 1, list(tail), coeffs)
+def _repack(d: Divisor, old: _Layout, new: _Layout) -> Divisor:
+    tail = [new.pack(old.unpack(m)) for m in d.tail_monos]
+    return Divisor(new.pack(old.unpack(d.lead)), tail, d.tail_coeffs)
 
 
 def buchberger(gens) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens."""
     polys = _nonzero_generators(gens)
-    basis = _pair_loop([as_divisor(g.monic()) for g in polys], None)
-    return GroebnerBasis(generators=_interreduce(basis, polys[0].nvars))
+    basis, layout = _pair_loop([g.terms for g in polys], None)
+    return GroebnerBasis(generators=_interreduce(basis, layout))
 
 
-def _pair_loop(basis: list[Divisor], modulus: int | None, stats: dict | None = None) -> list[Divisor]:
-    """Extend the monic divisors in ``basis`` to a Groebner basis, with
-    exact rational coefficients or, given a prime ``modulus``, ints mod it.
+def _pair_loop(gens: list[dict], modulus: int | None, stats: dict | None = None) -> tuple[list[Divisor], _Layout]:
+    """A Groebner basis of the nonzero term dicts ``gens``, with exact
+    rational coefficients or, given a prime ``modulus``, ints mod it, whose
+    values must then be reduced and nonzero.  Returns the basis as monic
+    divisors in the returned layout, generators first.
 
     Mod P, where only a dimension is read off, the loop returns as soon as
     the leading monomials include a constant or a pure power of every
@@ -164,84 +326,109 @@ def _pair_loop(basis: list[Divisor], modulus: int | None, stats: dict | None = N
     zero; the basis returned is then a partial one.  The exact loop always
     runs to the end.  When ``stats`` is given it receives pairs_reduced,
     basis_size and stopped_early.
+
+    Every term the loop makes lies below the lcm of its pair, so it has at
+    most that lcm's degree.  When a pair is admitted whose lcm degree the
+    layout cannot hold, the basis moves to a wider one and the memo,
+    whose keys are packed, starts again.
     """
+    nvars = len(next(iter(gens[0])))
+    layout = _layout_for(nvars, max(sum(m) for g in gens for m in g))
+    basis: list[Divisor] = []
+    leads: list[Exponents] = []  # the leading monomials as tuples
     heap: list = []
     pending: set[tuple[int, int]] = set()
-    memo: dict = {}  # one per loop: ``basis`` only grows
-    unbounded = set(range(len(basis[0].lead)))  # variables with no pure-power lead
+    memo: dict = {}  # one per loop and layout: ``basis`` only grows
+    unbounded = set(range(nvars))  # variables with no pure-power lead
     reduced = 0
 
-    def admit(k):
-        lm_k = basis[k].lead
+    def admit(terms):
+        nonlocal layout, memo
+        d = _monic(terms, modulus)
+        lm_k = layout.unpack(d.lead)
+        k = len(basis)
+        basis.append(d)
+        leads.append(lm_k)
         support = [j for j, e in enumerate(lm_k) if e]
         if not support:
             unbounded.clear()
         elif len(support) == 1:
             unbounded.discard(support[0])
+        top = 0
         for i in range(k):
-            lcm = monomial_lcm(basis[i].lead, lm_k)
-            heappush(heap, (sum(lcm), i, k, lcm))
+            lcm = monomial_lcm(leads[i], lm_k)
+            degree = sum(lcm)
+            if degree > top:
+                top = degree
+            heappush(heap, (degree, i, k, lcm))
             pending.add((i, k))
+        if top >= layout.limit:
+            wider = _layout_for(nvars, top)
+            basis[:] = [_repack(d, layout, wider) for d in basis]
+            layout, memo = wider, {}
 
-    for k in range(len(basis)):
-        admit(k)
+    for g in gens:
+        admit({layout.pack(m): c for m, c in g.items()})
     while heap and (modulus is None or unbounded):
         _, i, j, lcm = heappop(heap)
         pending.discard((i, j))
-        if lcm == monomial_mul(basis[i].lead, basis[j].lead):
+        if lcm == monomial_mul(leads[i], leads[j]):
             continue  # coprime leading terms: s-polynomial reduces to zero
-        if _chain_criterion(i, j, lcm, basis, pending):
+        lcm = layout.pack(lcm)
+        if _chain_criterion(i, j, lcm, basis, pending, layout.guard):
             continue
         reduced += 1
-        rem = dict(divide_terms(_spoly_terms(basis[i], basis[j], lcm), basis, modulus=modulus, memo=memo))
+        spoly = _spoly_terms(basis[i], basis[j], lcm)
+        rem = divide_terms(spoly, basis, layout.guard, modulus, memo)
         if rem:
-            lm = next(iter(rem))  # the remainder comes out in descending order
-            basis.append(_monic(lm, rem.pop(lm), rem, modulus))
-            admit(len(basis) - 1)
+            admit(rem)
     if stats is not None:
         stats.update(pairs_reduced=reduced, basis_size=len(basis), stopped_early=bool(heap))
-    return basis
+    return basis, layout
 
 
 def _modular_leads(polys: list[Polynomial], stats: dict) -> list | None:
     """Leading monomials of a Groebner basis of the polys mod P, partial
     when ``_pair_loop`` stops early, or None when some poly vanishes mod P
     once its denominators are cleared.  ``stats`` receives the loop's."""
-    basis = []
+    gens = []
     for g in polys:
         den = math.lcm(*(c.denominator for c in g.terms.values()))
         terms = {m: c.numerator * (den // c.denominator) % P for m, c in g.terms.items()}
         terms = {m: c for m, c in terms.items() if c}
         if not terms:
             return None
-        lm = max(terms, key=grevlex_key)
-        basis.append(_monic(lm, terms.pop(lm), terms, P))
-    return [d.lead for d in _pair_loop(basis, P, stats)]
+        gens.append(terms)
+    basis, layout = _pair_loop(gens, P, stats)
+    return [layout.unpack(d.lead) for d in basis]
 
 
-def _chain_criterion(i: int, j: int, lcm, basis, pending) -> bool:
+def _chain_criterion(i: int, j: int, lcm: int, basis: list[Divisor], pending, guard: int) -> bool:
     for k in range(len(basis)):
-        if k == i or k == j or not monomial_divides(basis[k].lead, lcm):
+        if k == i or k == j or (lcm - basis[k].lead) & guard:
             continue
         if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
             return True
     return False
 
 
-def _interreduce(basis: list[Divisor], nvars: int) -> tuple[Polynomial, ...]:
+def _interreduce(basis: list[Divisor], layout: _Layout) -> tuple[Polynomial, ...]:
     # Minimalize: drop generators whose leading term is divisible by a
     # smaller one; divisibility implies order, so an ascending sweep that
-    # compares against survivors only is enough.
+    # compares against survivors only is enough.  Ascending in the term
+    # order is descending in the key.
+    guard = layout.guard
     kept: list[Divisor] = []
-    for d in sorted(basis, key=lambda d: grevlex_key(d.lead)):
-        if not any(monomial_divides(h.lead, d.lead) for h in kept):
+    for d in sorted(basis, key=lambda d: d.lead, reverse=True):
+        if all((d.lead - h.lead) & guard for h in kept):
             kept.append(d)
     reduced = []
     for i, d in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
-        terms = {d.lead: d.coeff}
-        terms.update(divide_terms(dict(zip(d.tail_monos, d.tail_coeffs)), others))
-        reduced.append(Polynomial._trusted(nvars, terms))
+        rem = divide_terms(dict(zip(d.tail_monos, d.tail_coeffs)), others, guard, None, {})
+        terms = {layout.unpack(d.lead): 1}
+        terms.update((layout.unpack(m), c) for m, c in rem.items())
+        reduced.append(Polynomial._trusted(layout.nvars, terms))
     return tuple(reversed(reduced))
 
 

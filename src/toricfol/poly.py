@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import repeat
 from operator import add, index, le, sub
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
 Coefficient = int | Fraction  # canonical: a Fraction never has denominator 1
@@ -72,99 +71,6 @@ def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
-class Divisor(NamedTuple):
-    """A polynomial as the division kernel reads it, split at its leading
-    term; the tail's monomials and coefficients are parallel lists."""
-
-    lead: Exponents
-    coeff: Coefficient
-    tail_monos: list[Exponents]
-    tail_coeffs: list[Coefficient]
-
-
-def divide_terms(
-    terms: dict[Exponents, Coefficient],
-    divisors: list[Divisor],
-    quotients: list[dict[Exponents, Coefficient]] | None = None,
-    modulus: int | None = None,
-    memo: dict | None = None,
-) -> Iterator[tuple[Exponents, Coefficient]]:
-    """Divide ``terms`` by ``divisors`` in place, yielding the remainder's terms.
-
-    The one division kernel.  At each step the leading term of what is
-    left is cancelled by the first divisor whose leading monomial divides
-    it; when none does, the term moves to the remainder and is yielded,
-    so the remainder comes out in descending order.  ``terms`` is
-    consumed.  When ``quotients`` is given, ``quotients[i]`` collects the
-    multiples of divisor i that were subtracted.  Division stops where
-    the caller stops iterating.
-
-    ``terms`` keeps cancelled monomials at coefficient zero until they are
-    popped, so each monomial in it has exactly one entry in the heap.
-
-    With ``modulus`` None the coefficients are exact rationals: each is
-    put in canonical form when its term is popped, so the remainder and
-    the quotients are canonical, and every quotient coefficient comes from
-    ``exact_div``.  Otherwise they are ints modulo that prime: each
-    coefficient is reduced once, when its term is popped, and every
-    divisor must be monic with its tail already reduced, so the quotient
-    coefficient is the popped coefficient itself.
-
-    ``memo`` serves a caller that divides many times by one list of
-    divisors.  It maps a popped monomial m either to ``(i, shifted)``,
-    the first divisor whose leading monomial divides m together with that
-    divisor's tail monomials multiplied by m / lead, or to the number k
-    such that the first k divisors are known not to divide m.  The search
-    and the monomial products are then done once per monomial rather than
-    once per division.  A memo is valid only while ``divisors`` is
-    append-only: no entry may change, move or be removed while it lives,
-    so the first matching divisor of a monomial never changes.  Within a
-    single division no monomial is popped twice, so one-off divisions
-    pass no memo.
-    """
-    heap = [(heap_key(m), m) for m in terms]
-    heapify(heap)
-    while heap:
-        m = heappop(heap)[1]
-        c = terms.pop(m)
-        if modulus:
-            c %= modulus
-        elif type(c) is not int and c.denominator == 1:
-            c = c.numerator
-        if not c:
-            continue
-        hit = 0 if memo is None else memo.get(m, 0)
-        if type(hit) is tuple:
-            i, shifted = hit
-            d = divisors[i]
-            shift = None if quotients is None else monomial_div(m, d.lead)
-        else:
-            for i in range(hit, len(divisors)):
-                d = divisors[i]
-                if monomial_divides(d.lead, m):
-                    break
-            else:
-                if memo is not None:
-                    memo[m] = len(divisors)
-                yield m, c
-                continue
-            shift = monomial_div(m, d.lead)
-            shifted = map(monomial_mul, d.tail_monos, repeat(shift))
-            if memo is not None:
-                shifted = list(shifted)
-                memo[m] = i, shifted
-        q = c if modulus else exact_div(c, d.coeff)
-        if quotients is not None:
-            quotients[i][shift] = q
-        for t, tc in zip(shifted, d.tail_coeffs):
-            old = terms.get(t)
-            if old is None:
-                terms[t] = -q * tc
-                heappush(heap, (heap_key(t), t))
-            else:
-                terms[t] = old - q * tc
-
-
 def add_product(sums: dict[Exponents, Coefficient], a: "Polynomial", b: "Polynomial") -> None:
     """Add the terms of a * b into ``sums``, a dict of exact sums that may
     hold zeros and integral Fractions until ``Polynomial._from_sums``."""
@@ -173,13 +79,6 @@ def add_product(sums: dict[Exponents, Coefficient], a: "Polynomial", b: "Polynom
             m = monomial_mul(m1, m2)
             old = sums.get(m)
             sums[m] = c1 * c2 if old is None else old + c1 * c2
-
-
-def as_divisor(p: "Polynomial") -> Divisor:
-    lm, lc = p.leading_term()
-    tail = dict(p.terms)
-    del tail[lm]
-    return Divisor(lm, lc, list(tail), list(tail.values()))
 
 
 class Polynomial:
@@ -382,13 +281,45 @@ class Polynomial:
         den, the leading term of rem is divisible by the leading term of
         den under any monomial order, so a single failed step certifies
         non-divisibility.
+
+        What is left of self sits in a term dict whose monomials are
+        pushed once each on a heap ordered by ``heap_key``; a cancelled
+        monomial stays in the dict at zero until it is popped.  Each
+        popped coefficient is put in canonical form, and each quotient
+        coefficient comes from ``exact_div``, so the quotient is
+        canonical.  Groebner division, by many divisors at once, runs in
+        ``groebner.divide_terms`` on packed monomials instead: a one-off
+        division by one divisor reuses no monomial, and packing would
+        cost more than it saves.
         """
         self._check(den)
         if den.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
+        lead, lc = den.leading_term()
+        tail = [(m, c) for m, c in den.terms.items() if m != lead]
+        terms = dict(self.terms)
+        heap = [(heap_key(m), m) for m in terms]
+        heapify(heap)
         quotient: dict[Exponents, Coefficient] = {}
-        for _ in divide_terms(dict(self.terms), [as_divisor(den)], [quotient]):
-            return None
+        while heap:
+            m = heappop(heap)[1]
+            c = terms.pop(m)
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            if not c:
+                continue
+            if not monomial_divides(lead, m):
+                return None
+            shift = monomial_div(m, lead)
+            q = quotient[shift] = exact_div(c, lc)
+            for t, tc in tail:
+                t = monomial_mul(t, shift)
+                old = terms.get(t)
+                if old is None:
+                    terms[t] = -q * tc
+                    heappush(heap, (heap_key(t), t))
+                else:
+                    terms[t] = old - q * tc
         return Polynomial._trusted(self.nvars, quotient)
 
     # -- printing ----------------------------------------------------------

@@ -6,17 +6,29 @@ coprime one, and interreduction restarts after every change.  Slow but
 plainly correct; ``tests/test_groebner_oracle.py`` requires
 ``toricfol.groebner`` and ``Polynomial.divide_exact`` to return the same
 reduced bases, remainders and quotients.
+
+``pair_loop`` is the engine's pair loop on exponent tuples: the same
+pair heap, coprime and chain criteria, memo of shifted reducers and mod-P
+stop rule, with a division kernel that finds each monomial's reducer by
+comparing tuples.  ``modular_basis`` runs it mod P, and
+``tests/test_modular.py`` requires the packed loop to give the same
+basis, leads and pair counts.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from heapq import heapify, heappop, heappush
+from itertools import combinations, repeat
+from typing import NamedTuple
 
-from toricfol.groebner import GroebnerBasis
+from toricfol.groebner import P, GroebnerBasis
 from toricfol.poly import (
     Polynomial,
+    exact_div,
     grevlex_key,
+    heap_key,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -125,3 +137,151 @@ def divide_exact(f: Polynomial, den: Polynomial) -> Polynomial | None:
         q[m] = c
         rem = rem - den.mul_monomial(m, c)
     return Polynomial(f.nvars, q)
+
+
+class Divisor(NamedTuple):
+    """A monic polynomial split at its leading term, on exponent tuples."""
+
+    lead: tuple
+    tail_monos: list
+    tail_coeffs: list
+
+
+def _monic(lm, lc, tail: dict, modulus) -> Divisor:
+    if modulus is None:
+        coeffs = [exact_div(c, lc) for c in tail.values()]
+    else:
+        inv = pow(lc, -1, modulus)
+        coeffs = [c * inv % modulus for c in tail.values()]
+    return Divisor(lm, list(tail), coeffs)
+
+
+def divide_terms(terms: dict, divisors: list[Divisor], modulus, memo: dict) -> dict:
+    """The remainder of ``terms`` on division by the monic ``divisors``,
+    first matching reducer, in descending order; ``memo`` as in
+    ``toricfol.groebner.divide_terms``."""
+    heap = [(heap_key(m), m) for m in terms]
+    heapify(heap)
+    rem = {}
+    while heap:
+        m = heappop(heap)[1]
+        c = terms.pop(m)
+        if modulus:
+            c %= modulus
+        elif type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        if not c:
+            continue
+        hit = memo.get(m, 0)
+        if type(hit) is tuple:
+            i, shifted = hit
+            d = divisors[i]
+        else:
+            for i in range(hit, len(divisors)):
+                d = divisors[i]
+                if monomial_divides(d.lead, m):
+                    break
+            else:
+                memo[m] = len(divisors)
+                rem[m] = c
+                continue
+            shifted = list(map(monomial_mul, d.tail_monos, repeat(monomial_div(m, d.lead))))
+            memo[m] = i, shifted
+        for t, tc in zip(shifted, d.tail_coeffs):
+            old = terms.get(t)
+            if old is None:
+                terms[t] = -c * tc
+                heappush(heap, (heap_key(t), t))
+            else:
+                terms[t] = old - c * tc
+    return rem
+
+
+def _spoly_terms(a: Divisor, b: Divisor, lcm) -> dict:
+    terms: dict = {}
+    shift = monomial_div(lcm, a.lead)
+    for m, c in zip(a.tail_monos, a.tail_coeffs):
+        terms[monomial_mul(m, shift)] = c
+    shift = monomial_div(lcm, b.lead)
+    for m, c in zip(b.tail_monos, b.tail_coeffs):
+        t = monomial_mul(m, shift)
+        terms[t] = terms.get(t, 0) - c
+    return terms
+
+
+def _chain_criterion(i: int, j: int, lcm, basis, pending) -> bool:
+    for k in range(len(basis)):
+        if k == i or k == j or not monomial_divides(basis[k].lead, lcm):
+            continue
+        if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
+            return True
+    return False
+
+
+def pair_loop(basis: list[Divisor], modulus, stats: dict) -> list[Divisor]:
+    """``toricfol.groebner._pair_loop`` on exponent tuples: the monic
+    ``basis`` extended to a Groebner basis, partial when the mod-P loop
+    stops at leads of dimension at most zero; ``stats`` receives
+    pairs_reduced, basis_size and stopped_early."""
+    heap: list = []
+    pending: set = set()
+    memo: dict = {}
+    unbounded = set(range(len(basis[0].lead)))
+    reduced = 0
+
+    def admit(k):
+        lm_k = basis[k].lead
+        support = [j for j, e in enumerate(lm_k) if e]
+        if not support:
+            unbounded.clear()
+        elif len(support) == 1:
+            unbounded.discard(support[0])
+        for i in range(k):
+            lcm = monomial_lcm(basis[i].lead, lm_k)
+            heappush(heap, (sum(lcm), i, k, lcm))
+            pending.add((i, k))
+
+    for k in range(len(basis)):
+        admit(k)
+    while heap and (modulus is None or unbounded):
+        _, i, j, lcm = heappop(heap)
+        pending.discard((i, j))
+        if lcm == monomial_mul(basis[i].lead, basis[j].lead):
+            continue
+        if _chain_criterion(i, j, lcm, basis, pending):
+            continue
+        reduced += 1
+        rem = divide_terms(_spoly_terms(basis[i], basis[j], lcm), basis, modulus, memo)
+        if rem:
+            lm = next(iter(rem))
+            basis.append(_monic(lm, rem.pop(lm), rem, modulus))
+            admit(len(basis) - 1)
+    stats.update(pairs_reduced=reduced, basis_size=len(basis), stopped_early=bool(heap))
+    return basis
+
+
+def modular_generators(polys) -> list[dict] | None:
+    """The polys with denominators cleared and coefficients reduced mod P,
+    or None when one of them vanishes mod P."""
+    gens = []
+    for g in polys:
+        den = math.lcm(*(c.denominator for c in g.terms.values()))
+        terms = {m: c.numerator * (den // c.denominator) % P for m, c in g.terms.items()}
+        terms = {m: c for m, c in terms.items() if c}
+        if not terms:
+            return None
+        gens.append(terms)
+    return gens
+
+
+def modular_basis(polys, stats: dict) -> list[dict] | None:
+    """The basis ``toricfol.groebner._modular_leads`` reads its leads from,
+    made by ``pair_loop``: one monic term dict per element, lead first."""
+    gens = modular_generators(polys)
+    if gens is None:
+        return None
+    basis = []
+    for terms in gens:
+        lm = max(terms, key=grevlex_key)
+        basis.append(_monic(lm, terms.pop(lm), terms, P))
+    return [{d.lead: 1, **dict(zip(d.tail_monos, d.tail_coeffs))} for d in pair_loop(basis, P, stats)]

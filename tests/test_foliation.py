@@ -193,3 +193,59 @@ def test_lie_membership_reuses_a_given_degree():
         lie_g_membership(bad.model, bad.field)
     with pytest.raises(ValueError):
         lie_g_membership(bad.model, VectorField.zero(bad.model.nvars))
+
+
+def _fields_to_divide():
+    """Every fixture field of the modular tests, and on every family model
+    a radial multiple g * R_i and a field of degree zero whose component
+    j is a random form of degree deg z_j, so that components lacking
+    their variable and both answers of the membership test occur."""
+    from test_modular import FIXTURES
+    from toricfol.grading import monomials_of_degree
+    from toricfol.selfcheck import default_models
+
+    fields = [(fix.model, fix.field) for fix in FIXTURES]
+    rng = random.Random(12)
+    for model in default_models():
+        nv = model.nvars
+        for i in range(model.rank):
+            g = random_quasi_homogeneous(rng, model, 3)
+            radial = VectorField.radial(model, i)
+            fields.append((model, VectorField(tuple(g * p for p in radial.components))))
+        comps = []
+        for j in range(nv):
+            basis = monomials_of_degree(model, model.monomial_degree([int(i == j) for i in range(nv)]))
+            comps.append(Polynomial(nv, {m: rng.choice([-2, -1, 1, 3]) for m in basis}))
+        fields.append((model, VectorField(tuple(comps))))
+    return fields
+
+
+def _membership(model, field):
+    try:
+        return lie_g_membership(model, field)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_division_by_a_variable_matches_divide_exact(monkeypatch):
+    import toricfol.foliation as foliation
+
+    lacking = divided = 0
+    fields = _fields_to_divide()
+    for _, field in fields:
+        nv = field.nvars
+        for j, p in enumerate(field.components):
+            if p.is_zero():
+                continue
+            want = p.divide_exact(Polynomial.variable(nv, j))
+            assert foliation._divide_by_variable(p, j) == want
+            lacking += want is None
+            divided += want is not None
+    assert lacking >= 10 and divided >= 20, (lacking, divided)
+    got = [_membership(model, field) for model, field in fields]
+    monkeypatch.setattr(
+        foliation, "_divide_by_variable", lambda p, j: p.divide_exact(Polynomial.variable(p.nvars, j))
+    )
+    assert got == [_membership(model, field) for model, field in fields]
+    answers = [g[0] for g in got if type(g) is tuple]
+    assert sum(answers) >= 10 and answers.count(False) >= 5, answers

@@ -4,15 +4,20 @@ from itertools import combinations
 
 from toricfol.groebner import (
     EMPTY_VARIETY,
+    Divisor,
+    _layout_for,
+    as_divisor,
     buchberger,
+    divide_terms,
     ideal_dimension,
     normal_form,
     only_origin_check,
     regular_subsequence_check,
     sing_inside_irrelevant,
 )
-from toricfol.poly import Polynomial
+from toricfol.poly import Polynomial, grevlex_key
 from linalg_oracle import solve_dense
+from test_poly import _is_canonical
 
 
 def V(nv, j, p=1, c=1):
@@ -82,7 +87,7 @@ def test_basis_divisors_are_built_once(monkeypatch):
     gb = buchberger([z[0] * z[1] - z[2] * z[2], z[1] * z[1] - z[0] * z[2]])
     built = []
     as_divisor = groebner.as_divisor
-    monkeypatch.setattr(groebner, "as_divisor", lambda g: built.append(g) or as_divisor(g))
+    monkeypatch.setattr(groebner, "as_divisor", lambda g, layout: built.append(g) or as_divisor(g, layout))
     power = Polynomial.constant(3, 1)
     for _ in range(6):
         power = power * (z[0] + z[1].scale(Fraction(1, 2)) - z[2])
@@ -241,3 +246,65 @@ def test_sing_inside_irrelevant_cases():
 def test_sing_inside_irrelevant_trivial(p2):
     f = Polynomial(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
     assert sing_inside_irrelevant(p2, f) == "yes"
+
+
+MODULUS = 2**31 - 1
+
+
+def _random_coefficient(rng, kind):
+    if kind is Fraction:
+        return Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 7]), rng.choice([1, 2, 3, 5]))
+    if kind is int:
+        return rng.choice([-6, -3, -2, -1, 1, 2, 4, 9])
+    return rng.randrange(-(MODULUS**2), MODULUS**2)
+
+
+def _random_divisor(rng, nvars, kind, layout):
+    terms = {}
+    while not terms:
+        for _ in range(rng.randint(1, 4)):
+            terms[tuple(rng.randint(0, 2) for _ in range(nvars))] = _random_coefficient(rng, kind)
+    if kind != "mod":
+        return as_divisor(Polynomial(nvars, terms), layout)
+    terms = {m: c % MODULUS for m, c in terms.items() if c % MODULUS}
+    if not terms:
+        return _random_divisor(rng, nvars, kind, layout)
+    lm = max(terms, key=grevlex_key)
+    inv = pow(terms.pop(lm), -1, MODULUS)
+    return Divisor(layout.pack(lm), [layout.pack(m) for m in terms], [c * inv % MODULUS for c in terms.values()])
+
+
+def test_memo_changes_no_division():
+    # As in the Groebner pair loop: one memo lives across many divisions
+    # while divisors are appended between them.  With it or with a fresh
+    # one per division the kernel must yield the same remainder.
+    rng = random.Random(314)
+    reused = resumed = 0
+    for kind in (int, Fraction, "mod"):
+        modulus = MODULUS if kind == "mod" else None
+        for _ in range(25):
+            nvars = rng.randint(1, 3)
+            layout = _layout_for(nvars, 12)
+            divisors = [_random_divisor(rng, nvars, kind, layout)]
+            memo = {}
+            for _ in range(15):
+                if rng.random() < 0.4:
+                    divisors.append(_random_divisor(rng, nvars, kind, layout))
+                terms = {
+                    layout.pack(tuple(rng.randint(0, 4) for _ in range(nvars))): _random_coefficient(rng, kind)
+                    for _ in range(rng.randint(1, 6))
+                }
+                cached = {m for m, v in memo.items() if type(v) is tuple}
+                scanned = {m for m, v in memo.items() if type(v) is int and v < len(divisors)}
+                fresh = {}
+                want = divide_terms(dict(terms), divisors, layout.guard, modulus, fresh)
+                got = divide_terms(dict(terms), divisors, layout.guard, modulus, memo)
+                assert list(got.items()) == list(want.items())
+                assert all(_is_canonical(c) if modulus is None else 0 < c < modulus for c in got.values())
+                # a fresh memo ends holding exactly the monomials this division reduced
+                reduced = {m for m, v in fresh.items() if type(v) is tuple}
+                reused += len(reduced & cached)
+                resumed += len(reduced & scanned)
+    # the memo is read, not only written: cached reducers are reused, and
+    # scans that found none resume at a later divisor and succeed
+    assert reused >= 1500 and resumed >= 100, (reused, resumed)

@@ -23,7 +23,7 @@ from toricfol.families import (
 )
 from toricfol.degrees import DegreeClass
 from toricfol.grading import monomials_of_degree
-from toricfol.groebner import buchberger, reduce_poly
+from toricfol.groebner import buchberger, ideal_dimension, only_origin_check, reduce_poly
 from toricfol.poly import Polynomial
 from toricfol.selfcheck import default_models, random_quasi_homogeneous
 
@@ -159,3 +159,42 @@ def test_divide_exact_matches_oracle():
         assert f.divide_exact(den) == want
         divisible += want is not None
     assert divisible >= 100
+
+
+def _m(*exponents, c=1):
+    return Polynomial.monomial(exponents, c)
+
+
+def test_overflowing_degrees_repack_and_match_oracle(monkeypatch):
+    # The packed layout starts with 16-bit fields, so every exponent and
+    # degree must stay below 2^15.  Here the lcm of a pair or the
+    # generators themselves cross it, and the answers must not change.
+    import toricfol.groebner as groebner
+
+    limit = groebner._layout_for(3, 0).limit
+    repacks = []
+    repack = groebner._repack
+    monkeypatch.setattr(
+        groebner, "_repack", lambda d, old, new: repacks.append((old.limit, new.limit)) or repack(d, old, new)
+    )
+    n = 12000  # 2n < limit <= 3n: the first lcm past the limit is a new element's
+    cases = {
+        "new element": ([_m(n, 1, 0) - _m(0, 0, n + 1), _m(1, n, 0) - _m(0, 0, n + 1)], 3),
+        "generators": ([_m(17000, 1), _m(1, 17000), _m(17001, 0) + _m(0, 17001)], 2),
+        "wide generators": ([_m(40000, 0) - _m(0, 40000), _m(1, 39999)], 0),
+        "wider than 2^31": ([_m(2**31 + 3, 0) - _m(0, 2**31 + 3), _m(2, 2**31 + 1)], 0),
+    }
+    answers = []
+    for name, (gens, repacked) in cases.items():
+        repacks.clear()
+        assert_same_basis(gens)
+        # the basis held ``repacked`` elements when it moved to 32-bit fields
+        assert repacks == [(limit, 2**31)] * repacked, name
+        record = {}
+        answer = only_origin_check(gens, record=record)
+        assert answer is (ideal_dimension(buchberger(gens)) <= 0)
+        answers.append((answer, record["path"]))
+    assert answers == [(False, "exact")] + [(True, "modular")] * 3
+    gb = buchberger([_m(1, 0) - _m(0, 1), _m(0, 2) - _m(0, 0)])
+    f = _m(50000, 1) + _m(3, 49998, c=Fraction(1, 2))
+    assert reduce_poly(f, gb) == oracle.reduce_poly(f, gb.generators)

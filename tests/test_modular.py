@@ -15,6 +15,7 @@ from itertools import combinations
 
 import pytest
 
+import groebner_oracle as oracle
 from toricfol.families import (
     biproj_pairs_fixture,
     monomial_hypersurface_fixture,
@@ -26,6 +27,7 @@ from toricfol.groebner import (
     P,
     _lead_dimension,
     _modular_leads,
+    _pair_loop,
     buchberger,
     ideal_dimension,
     only_origin_check,
@@ -154,10 +156,10 @@ def test_regular_subsequences_agree_with_exact(weights, degree):
             assert record["modular"]["stopped_early"] is (k == f.nvars)
 
 
-@pytest.mark.parametrize(
-    "weights, degree",
-    [((1, 1, 1), 3), ((1, 1, 1), 4), ((1, 1, 1, 1), 3), ((1, 1, 2), 4), ((1, 2, 3), 6), ((1, 1, 2, 3), 6)],
-)
+NODAL = [((1, 1, 1), 3), ((1, 1, 1), 4), ((1, 1, 1, 1), 3), ((1, 1, 2), 4), ((1, 2, 3), 6), ((1, 1, 2, 3), 6)]
+
+
+@pytest.mark.parametrize("weights, degree", NODAL)
 @pytest.mark.parametrize("seed", [1, 2])
 def test_nodal_hypersurfaces_hand_over_to_exact(weights, degree, seed):
     f, point = nodal_poly(random.Random(seed), weights, degree)
@@ -167,6 +169,31 @@ def test_nodal_hypersurfaces_hand_over_to_exact(weights, degree, seed):
     assert origin_check(nonzero_partials(f), record) == (False, "exact")
     # a singular point outside the origin keeps some variable free of a pure-power lead
     assert record["modular"]["stopped_early"] is False
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "weights, degree, nodal", [(w, d, False) for w, d in LADDER] + [(w, d, True) for w, d in NODAL]
+)
+def test_packed_loop_matches_tuple_oracle(weights, degree, nodal, seed):
+    # The coefficients decide which pairs reduce to zero and which leads
+    # appear, so the packed loop must follow the tuple loop step for step.
+    rng = random.Random(f"{weights}:{degree}:{seed}")
+    f = nodal_poly(rng, weights, degree)[0] if nodal else dense_poly(rng, weights, degree)
+    gens = nonzero_partials(f)
+    want_stats = {}
+    want = oracle.modular_basis(gens, want_stats)
+    stats = {}
+    assert _modular_leads(gens, stats) == [next(iter(g)) for g in want]
+    assert stats == want_stats
+    basis, layout = _pair_loop(oracle.modular_generators(gens), P, {})
+    unpack = layout.unpack
+    got = [{unpack(d.lead): 1, **{unpack(m): c for m, c in zip(d.tail_monos, d.tail_coeffs)}} for d in basis]
+    assert got == want
+    record = {}
+    only_origin_check(gens, record=record)
+    assert record["modular"] == want_stats
+    assert record["path"] == ("exact" if nodal else "modular")
 
 
 def test_p2_cubic_certified_after_five_reductions():
@@ -227,7 +254,7 @@ def test_zero_generators_are_skipped_and_errors_kept():
 
 
 def test_dense_p4_quartic_certified():
-    # no exact basis is within reach here; mod P it takes about 0.3 s
+    # no exact basis is within reach here; mod P it takes about 0.15 s
     f = dense_poly(random.Random(4), (1, 1, 1, 1, 1), 4)
     record = {}
     assert only_origin_check(nonzero_partials(f), record=record) is True

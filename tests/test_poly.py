@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 import groebner_oracle as oracle
-from toricfol.groebner import buchberger, reduce_poly
-from toricfol.poly import Divisor, Polynomial, as_divisor, divide_terms, exact_div, grevlex_key, heap_key
+from toricfol.groebner import _divisors, buchberger, divide_terms, reduce_poly
+from toricfol.poly import Polynomial, exact_div, grevlex_key, heap_key
 
 
 def P(nvars, terms):
@@ -273,8 +273,11 @@ def test_canonical_coefficients_match_fraction_arithmetic():
         assert product.divide_exact(g).terms == oracle.divide_exact(_as_fractions(product), _as_fractions(g)).terms
         rem = reduce_poly(product + h, [g, h])
         # the kernel itself yields canonical remainder terms
-        kernel = list(divide_terms(dict((product + h).terms), [as_divisor(g), as_divisor(h)]))
-        assert dict(kernel) == rem.terms and all(_is_canonical(c) for _, c in kernel)
+        layout, divisors = _divisors([g, h], nvars, (product + h).total_degree())
+        packed = {layout.pack(m): c for m, c in (product + h).terms.items()}
+        kernel = divide_terms(packed, divisors, layout.guard, None, {})
+        assert {layout.unpack(m): c for m, c in kernel.items()} == rem.terms
+        assert all(_is_canonical(c) for c in kernel.values())
         want = oracle.reduce_poly(_as_fractions(product + h), [_as_fractions(g), _as_fractions(h)])
         checks.append((rem, _ref(want)))
         for got, want in checks:
@@ -293,68 +296,6 @@ def test_canonical_coefficients_match_fraction_arithmetic():
                 kinds[type(v)] += 1
     # both kinds of coefficient are exercised, not integers alone
     assert kinds[Fraction] >= 800 and kinds[int] >= 800, kinds
-
-
-MODULUS = 2**31 - 1
-
-
-def _random_coefficient(rng, kind):
-    if kind is Fraction:
-        return Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 7]), rng.choice([1, 2, 3, 5]))
-    if kind is int:
-        return rng.choice([-6, -3, -2, -1, 1, 2, 4, 9])
-    return rng.randrange(-(MODULUS**2), MODULUS**2)
-
-
-def _random_divisor(rng, nvars, kind):
-    terms = {}
-    while not terms:
-        for _ in range(rng.randint(1, 4)):
-            terms[tuple(rng.randint(0, 2) for _ in range(nvars))] = _random_coefficient(rng, kind)
-    if kind != "mod":
-        return as_divisor(Polynomial(nvars, terms))
-    terms = {m: c % MODULUS for m, c in terms.items() if c % MODULUS}
-    if not terms:
-        return _random_divisor(rng, nvars, kind)
-    lm = max(terms, key=grevlex_key)
-    inv = pow(terms.pop(lm), -1, MODULUS)
-    return Divisor(lm, 1, list(terms), [c * inv % MODULUS for c in terms.values()])
-
-
-def test_memo_changes_no_division():
-    # As in the Groebner pair loop: one memo lives across many divisions
-    # while divisors are appended between them.  With or without it the
-    # kernel must yield the same remainder and the same quotients.
-    rng = random.Random(314)
-    reused = resumed = 0
-    for kind in (int, Fraction, "mod"):
-        modulus = MODULUS if kind == "mod" else None
-        for _ in range(25):
-            nvars = rng.randint(1, 3)
-            divisors = [_random_divisor(rng, nvars, kind)]
-            memo = {}
-            for _ in range(15):
-                if rng.random() < 0.4:
-                    divisors.append(_random_divisor(rng, nvars, kind))
-                terms = {
-                    tuple(rng.randint(0, 4) for _ in range(nvars)): _random_coefficient(rng, kind)
-                    for _ in range(rng.randint(1, 6))
-                }
-                cached = {m for m, v in memo.items() if type(v) is tuple}
-                scanned = {m for m, v in memo.items() if type(v) is int and v < len(divisors)}
-                plain, memoized = [{} for _ in divisors], [{} for _ in divisors]
-                want = list(divide_terms(dict(terms), divisors, plain, modulus))
-                got = list(divide_terms(dict(terms), divisors, memoized, modulus, memo))
-                assert got == want and memoized == plain
-                assert all(_is_canonical(c) if modulus is None else 0 < c < modulus for _, c in got)
-                reduced = {
-                    tuple(a + b for a, b in zip(d.lead, shift)) for d, q in zip(divisors, plain) for shift in q
-                }
-                reused += len(reduced & cached)
-                resumed += len(reduced & scanned)
-    # the memo is read, not only written: cached reducers are reused, and
-    # scans that found none resume at a later divisor and succeed
-    assert reused >= 1500 and resumed >= 100, (reused, resumed)
 
 
 def test_inexact_coefficients_and_exponents_refused():
