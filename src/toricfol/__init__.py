@@ -36,7 +36,6 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     ideal_dimension,
-    normal_form,
     only_origin_check,
     regular_subsequence_check,
     sing_inside_irrelevant,
@@ -92,7 +91,6 @@ __all__ = [
     "lie_g_membership",
     "monomials_of_degree",
     "multiprojective",
-    "normal_form",
     "octahedron_rays",
     "only_origin_check",
     "poincare_bound",

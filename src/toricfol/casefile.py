@@ -45,6 +45,8 @@ class CaseFile:
 
 
 _INT = re.compile(r"[+-]?[0-9]+")  # ASCII digits only, as render_case writes them
+_SECTIONS = ("model", "hypersurface", "field", "options")
+_MODEL_KEYS = ("name", "dimension", "variables", "rays", "torsion", "degrees", "cones", "irrelevant")
 
 
 def _exact_int(text: str, what: str) -> int:
@@ -119,9 +121,11 @@ def _parse_cone(text: str, line: int) -> tuple[int, ...]:
     return tuple(i - 1 for i in idx)
 
 
-def _sections(text: str) -> dict[str, list[tuple[int, str, str]]]:
-    """section -> [(line, key, value)]; '#' starts a comment."""
-    out: dict[str, list[tuple[int, str, str]]] = {}
+def _sections(text: str) -> dict[str, dict[str, tuple[int, str]]]:
+    """section -> {key: (line, value)}, in line order; '#' starts a comment.
+    A section given twice is one section; an unknown section or a key
+    given twice in a section is a located problem."""
+    out: dict[str, dict[str, tuple[int, str]]] = {}
     current = None
     problems = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -134,7 +138,9 @@ def _sections(text: str) -> dict[str, list[tuple[int, str, str]]]:
                 problems.append(Located("unterminated section header", lineno))
                 continue
             current = name[1:-1].strip().lower()
-            out.setdefault(current, [])
+            if current not in _SECTIONS:
+                problems.append(Located(f"unknown section [{current}]", lineno))
+            out.setdefault(current, {})
             continue
         if current is None:
             problems.append(Located("content before any [section] header", lineno))
@@ -142,8 +148,10 @@ def _sections(text: str) -> dict[str, list[tuple[int, str, str]]]:
         if "=" not in line:
             problems.append(Located("expected key = value", lineno))
             continue
-        key, value = line.split("=", 1)
-        out[current].append((lineno, key.strip(), value.strip()))
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out[current]:
+            problems.append(Located(f"repeated key {key!r} in [{current}]", lineno))
+        out[current][key] = (lineno, value)
     if problems:
         raise CaseError(problems)
     return out
@@ -153,7 +161,10 @@ def parse_case(text: str) -> CaseFile:
     sections = _sections(text)
     if "model" not in sections:
         raise CaseError([Located("missing [model] section", 0)])
-    entries = {key: (lineno, value) for lineno, key, value in sections["model"]}
+    entries = sections["model"]
+    unknown = [key for key in entries if key not in _MODEL_KEYS]
+    if unknown:
+        raise CaseError([Located(f"unknown model key {key!r}", entries[key][0]) for key in unknown])
 
     def need(key):
         if key not in entries:
@@ -226,20 +237,19 @@ def parse_case(text: str) -> CaseFile:
 
     hypersurface = None
     problems: list = []
-    if "hypersurface" in sections:
-        for lineno, key, value in sections["hypersurface"]:
-            if key != "f":
-                problems.append(Located(f"unknown hypersurface key {key!r}", lineno))
-                continue
-            try:
-                hypersurface = parse_polynomial(value, names, line=lineno)
-            except ParseError as exc:
-                problems.append(exc)
+    for key, (lineno, value) in sections.get("hypersurface", {}).items():
+        if key != "f":
+            problems.append(Located(f"unknown hypersurface key {key!r}", lineno))
+            continue
+        try:
+            hypersurface = parse_polynomial(value, names, line=lineno)
+        except ParseError as exc:
+            problems.append(exc)
 
     field = None
-    if "field" in sections and sections["field"]:
+    if sections.get("field"):
         comps = {}
-        for lineno, key, value in sections["field"]:
+        for key, (lineno, value) in sections["field"].items():
             if key not in names:
                 problems.append(Located(f"field component for undeclared variable {key!r}", lineno))
                 continue
@@ -251,7 +261,7 @@ def parse_case(text: str) -> CaseFile:
             field = VectorField.from_components(len(names), comps)
 
     options = {}
-    for lineno, key, value in sections.get("options", ()):
+    for key, (lineno, value) in sections.get("options", {}).items():
         try:
             options[key] = parse_option(model, key, value)
         except ValueError as exc:

@@ -1,5 +1,10 @@
 """Buchberger-based ideal computations at desk scale.
 
+Every verdict is a dimension read from the leads of the pair loop's
+unreduced basis (``_leads``): minimalization drops only leads another
+lead divides, so the monomial ideal is the same, and a basis of the unit
+ideal holds a constant.  Only ``buchberger`` interreduces.
+
 ``buchberger`` follows Gebauer & Moeller, "On an installation of
 Buchberger's algorithm" (J. Symb. Comput. 6, 1988), at the level of
 Buchberger's two criteria:
@@ -11,9 +16,9 @@ Buchberger's two criteria:
 - a pair is skipped when its leading monomials are coprime, or by the
   chain criterion: some other element k has a leading monomial dividing
   the pair's lcm and neither (i, k) nor (j, k) is still pending;
-- every division, in the pair loop, the interreduction and
-  ``reduce_poly``, runs the one loop ``divide_terms``: first matching
-  reducer, on a mutable dict of packed terms;
+- every division, in the pair loop and the interreduction, runs the one
+  loop ``divide_terms``: first matching reducer, on a mutable dict of
+  packed terms;
 - the pair loop only appends to its basis, so one memo serves all of its
   divisions: the first matching reducer of a monomial and that reducer's
   tail multiplied up to it are found once, not once per s-polynomial,
@@ -52,7 +57,6 @@ term a pair loop makes has at most the degree of its pair's lcm, which
 bounds each exponent, so the loop checks that degree when it admits a
 pair; one that reaches 2^(B-1) moves the whole basis to a layout with
 B doubled, as often as it takes, and the loop goes on there.
-``reduce_poly`` picks its layout from the degrees of its input.
 
 The dimension checks ``only_origin_check`` and
 ``regular_subsequence_check`` try the same pair loop modulo the fixed
@@ -81,8 +85,8 @@ Hilbert-function argument carries that to Q.  It also gives the same
 dimension as the full run: the leads only grow, and a constant lead can
 come only from a constant generator, already in the basis, since every
 element made from quasi-homogeneous generators is quasi-homogeneous of
-positive degree.  ``buchberger`` and the exact fallback always run to
-the end, since normal forms need the whole basis.
+positive degree.  The exact loop always runs to the end: the exact
+fallback and the charts read the dimension of the whole basis.
 
 Exact coefficients are ints wherever they are integral, and ``c / lc``
 on two ints would give a float, so every exact coefficient division
@@ -94,7 +98,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import mul
@@ -175,18 +179,6 @@ def _monic(terms: dict, modulus) -> Divisor:
     return Divisor(lm, list(terms), coeffs)
 
 
-def as_divisor(p: Polynomial, layout: _Layout) -> Divisor:
-    if p.is_zero():
-        raise ValueError("zero polynomial has no leading term")
-    return _monic({layout.pack(m): c for m, c in p.terms.items()}, None)
-
-
-def _divisors(polys, nvars: int, degree: int = 0) -> tuple[_Layout, list[Divisor]]:
-    """The polys as divisors in a layout that also holds degree ``degree``."""
-    layout = _layout_for(nvars, max([degree, *(g.total_degree() for g in polys)]))
-    return layout, [as_divisor(g, layout) for g in polys]
-
-
 def divide_terms(terms: dict, divisors: list[Divisor], guard: int, modulus: int | None, memo: dict) -> dict:
     """Divide the packed ``terms`` by ``divisors``; return the remainder.
 
@@ -249,34 +241,6 @@ def divide_terms(terms: dict, divisors: list[Divisor], guard: int, modulus: int 
 @dataclass(frozen=True)
 class GroebnerBasis:
     generators: tuple[Polynomial, ...]
-
-    @property
-    def nvars(self) -> int:
-        return self.generators[0].nvars
-
-    @cached_property
-    def divisors(self) -> tuple[_Layout, list[Divisor]]:
-        """The generators as divisors and their layout, built once per basis."""
-        return _divisors(self.generators, self.nvars)
-
-
-def reduce_poly(f: Polynomial, gens) -> Polynomial:
-    """Full remainder of f on division by gens (first matching reducer).
-
-    ``gens`` is a sequence of polynomials or a ``GroebnerBasis``, whose
-    divisors are then reused from one call to the next unless f's degree
-    needs a wider layout.
-    """
-    degree = f.total_degree()
-    if isinstance(gens, GroebnerBasis):
-        layout, divisors = gens.divisors
-        if degree >= layout.limit:
-            layout, divisors = _divisors(gens.generators, f.nvars, degree)
-    else:
-        layout, divisors = _divisors(gens, f.nvars, degree)
-    terms = {layout.pack(m): c for m, c in f.terms.items()}
-    rem = divide_terms(terms, divisors, layout.guard, None, {})
-    return Polynomial._trusted(f.nvars, {layout.unpack(m): c for m, c in rem.items()})
 
 
 def _spoly_terms(a: Divisor, b: Divisor, lcm: int) -> dict:
@@ -387,19 +351,22 @@ def _pair_loop(gens: list[dict], modulus: int | None, stats: dict | None = None)
     return basis, layout
 
 
-def _modular_leads(polys: list[Polynomial], stats: dict) -> list | None:
-    """Leading monomials of a Groebner basis of the polys mod P, partial
-    when ``_pair_loop`` stops early, or None when some poly vanishes mod P
-    once its denominators are cleared.  ``stats`` receives the loop's."""
+def _leads(polys: list[Polynomial], modulus: int | None, stats: dict | None = None) -> list | None:
+    """Leading monomials of the basis ``_pair_loop`` makes of the nonzero
+    polys, exact or mod the prime ``modulus``; mod it the basis is partial
+    when the loop stops early, and None means some poly vanishes once its
+    denominators are cleared.  ``stats`` receives the loop's."""
     gens = []
     for g in polys:
-        den = math.lcm(*(c.denominator for c in g.terms.values()))
-        terms = {m: c.numerator * (den // c.denominator) % P for m, c in g.terms.items()}
-        terms = {m: c for m, c in terms.items() if c}
-        if not terms:
-            return None
+        terms = g.terms
+        if modulus:
+            den = math.lcm(*(c.denominator for c in terms.values()))
+            terms = {m: c.numerator * (den // c.denominator) % modulus for m, c in terms.items()}
+            terms = {m: c for m, c in terms.items() if c}
+            if not terms:
+                return None
         gens.append(terms)
-    basis, layout = _pair_loop(gens, P, stats)
+    basis, layout = _pair_loop(gens, modulus, stats)
     return [layout.unpack(d.lead) for d in basis]
 
 
@@ -432,24 +399,16 @@ def _interreduce(basis: list[Divisor], layout: _Layout) -> tuple[Polynomial, ...
     return tuple(reversed(reduced))
 
 
-def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    """Canonical remainder modulo the ideal; zero iff f belongs to it."""
-    if f.nvars != gb.nvars:
-        raise ValueError("variable count mismatch")
-    if f.is_zero():
-        return f
-    return reduce_poly(f, gb)
-
-
 def ideal_dimension(gb: GroebnerBasis) -> int:
     """Affine Krull dimension of the quotient; EMPTY_VARIETY when 1 is inside."""
-    return _lead_dimension([g.leading_term()[0] for g in gb.generators], gb.nvars)
+    return _lead_dimension([g.leading_term()[0] for g in gb.generators])
 
 
-def _lead_dimension(lms, nvars: int) -> int:
+def _lead_dimension(lms) -> int:
     """The dimension read from the leading monomials of a Groebner basis by
     the standard combinatorial rule: the largest set of variables
     containing the support of no leading monomial."""
+    nvars = len(lms[0])
     if any(sum(m) == 0 for m in lms):
         return EMPTY_VARIETY
     supports = [frozenset(j for j, e in enumerate(m) if e) for m in lms]
@@ -468,11 +427,11 @@ def _modular_first(gens, accept, record) -> bool:
     ran because a generator vanishes mod P."""
     polys = _nonzero_generators(gens)
     stats: dict = {}
-    leads = _modular_leads(polys, stats)
-    if leads is not None and accept(_lead_dimension(leads, polys[0].nvars)):
+    leads = _leads(polys, P, stats)
+    if leads is not None and accept(_lead_dimension(leads)):
         path, answer = "modular", True
     else:
-        path, answer = "exact", accept(ideal_dimension(buchberger(polys)))
+        path, answer = "exact", accept(_lead_dimension(_leads(polys, None)))
     if record is not None:
         record["path"] = path
         record["modular"] = stats or None
@@ -520,12 +479,10 @@ def sing_inside_irrelevant(model, f: Polynomial, *, record: dict | None = None) 
     record["chart"], when given, is the first failing generator or None.
     """
     partials = [f.partial_derivative(j) for j in range(f.nvars)]
-    if all(p.is_zero() for p in partials):
-        raise ValueError("all partial derivatives vanish identically")
     failing = None
     for gen in model.irrelevant_ideal():
         chart = [p for p in (_set_to_one(p, gen) for p in partials) if not p.is_zero()]
-        if not chart or ideal_dimension(buchberger(chart)) != EMPTY_VARIETY:
+        if not chart or _lead_dimension(_leads(chart, None)) != EMPTY_VARIETY:
             failing = gen
             break
     if record is not None:

@@ -5,7 +5,15 @@ leading terms are recomputed at every step, the only criterion is the
 coprime one, and interreduction restarts after every change.  Slow but
 plainly correct; ``tests/test_groebner_oracle.py`` requires
 ``toricfol.groebner`` and ``Polynomial.divide_exact`` to return the same
-reduced bases, remainders and quotients.
+reduced bases, remainders and quotients.  ``reduce_poly`` is also the
+tests' membership check: f lies in an ideal exactly when its remainder
+modulo a Groebner basis of it is zero.
+
+The engine keeps no remainder function of its own, since no verdict
+reads a normal form.  ``kernel_remainder`` packs a polynomial and its
+divisors with ``packed_divisor`` and runs the engine's one division loop,
+``toricfol.groebner.divide_terms``, on them, so that the loop is compared
+with ``reduce_poly`` on any divisor list.
 
 ``pair_loop`` is the engine's pair loop on exponent tuples: the same
 pair heap, coprime and chain criteria, memo of shifted reducers and mod-P
@@ -23,6 +31,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, repeat
 from typing import NamedTuple
 
+from toricfol import groebner
 from toricfol.groebner import P, GroebnerBasis
 from toricfol.poly import (
     Polynomial,
@@ -51,6 +60,20 @@ def reduce_poly(f: Polynomial, gens) -> Polynomial:
             rem[lm] = lc
             work = Polynomial(f.nvars, {m: c for m, c in work.terms.items() if grevlex_key(m) < grevlex_key(lm)})
     return Polynomial(f.nvars, rem)
+
+
+def packed_divisor(g: Polynomial, layout) -> groebner.Divisor:
+    """The nonzero g, made monic, as ``groebner.divide_terms`` reads a divisor in ``layout``."""
+    return groebner._monic({layout.pack(m): c for m, c in g.terms.items()}, None)
+
+
+def kernel_remainder(f: Polynomial, gens) -> Polynomial:
+    """The remainder of f on division by the nonzero gens, from
+    ``groebner.divide_terms`` in a layout that holds every degree."""
+    layout = groebner._layout_for(f.nvars, max(g.total_degree() for g in (f, *gens)))
+    divisors = [packed_divisor(g, layout) for g in gens]
+    rem = groebner.divide_terms({layout.pack(m): c for m, c in f.terms.items()}, divisors, layout.guard, None, {})
+    return Polynomial._trusted(f.nvars, {layout.unpack(m): c for m, c in rem.items()})
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -275,7 +298,7 @@ def modular_generators(polys) -> list[dict] | None:
 
 
 def modular_basis(polys, stats: dict) -> list[dict] | None:
-    """The basis ``toricfol.groebner._modular_leads`` reads its leads from,
+    """The basis ``toricfol.groebner._leads`` reads its leads from mod P,
     made by ``pair_loop``: one monic term dict per element, lead first."""
     gens = modular_generators(polys)
     if gens is None:

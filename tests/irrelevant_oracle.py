@@ -11,7 +11,8 @@ whose first power in the ideal lies beyond the cap.
 
 from __future__ import annotations
 
-from toricfol.groebner import buchberger, normal_form
+from groebner_oracle import reduce_poly
+from toricfol.groebner import buchberger
 from toricfol.poly import Polynomial
 
 
@@ -25,7 +26,7 @@ def _power_in_ideal(gb, exponents, cap: int) -> bool:
     power = Polynomial.constant(len(exponents), 1)
     for _ in range(cap):
         power = power * base
-        if normal_form(power, gb).is_zero():
+        if reduce_poly(power, gb.generators).is_zero():
             return True
     return False
 

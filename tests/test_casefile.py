@@ -161,6 +161,31 @@ def test_case_field_section_and_unknown_keys():
     assert "undeclared" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("\n[hypersurface]\nf = z1^3\n", "line 12: repeated key 'f' in [hypersurface]"),
+        ("\n[field]\nz1 = z2\nz1 = z3\n", "line 13: repeated key 'z1' in [field]"),
+        ("\n[options]\nsubset = z1 z2\nsubset = z2 z3\n", "line 13: repeated key 'subset' in [options]"),
+        ("\n[model]\ncone = {1,2}\n", "line 12: unknown model key 'cone'"),
+        ("\n[weird]\nkey = 1\n", "line 11: unknown section [weird]"),
+    ],
+    ids=["hypersurface", "field", "option", "model-key", "section"],
+)
+def test_repeated_and_unknown_keys_are_located(extra, message):
+    with pytest.raises(CaseError) as err:
+        parse_case(P2_FERMAT + extra)
+    assert str(err.value) == message
+
+
+def test_a_section_given_twice_is_one_section():
+    case = parse_case(P2_FERMAT + "\n[model]\nname = fermat\n")
+    assert case.model.name == "fermat"
+    with pytest.raises(CaseError) as err:
+        parse_case(P2_FERMAT + "\n[model]\ndimension = 2\n")
+    assert str(err.value) == "line 12: repeated key 'dimension' in [model]"
+
+
 def test_cone_indices_one_based():
     with pytest.raises(CaseError):
         parse_case(P2_FERMAT.replace("{1,2}", "{0,1}"))

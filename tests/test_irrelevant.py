@@ -4,7 +4,9 @@ indicator-scan and power-search heuristic, kept in ``irrelevant_oracle``.
 Wherever the heuristic decides, the chart test must give the same
 answer.  A node at (1, p_1, ..., p_n) with every p_j outside {0, 1}, as
 ``nodal_poly`` seeds it, is beyond the heuristic; the chart test answers
-"no" and names the chart that meets the singular cone.
+"no" and names the chart that meets the singular cone.  On every chart,
+the leads of the pair loop's unreduced basis must give the dimension of
+the reduced basis.
 """
 
 import random
@@ -15,7 +17,15 @@ from test_modular import FIXTURES, dense_poly, nodal_poly
 from toricfol.audit import AuditOptions, audit_case
 from toricfol.families import monomial_hypersurface_fixture, weighted_projective
 from toricfol.foliation import VectorField
-from toricfol.groebner import sing_inside_irrelevant
+from toricfol.groebner import (
+    EMPTY_VARIETY,
+    _lead_dimension,
+    _leads,
+    _set_to_one,
+    buchberger,
+    ideal_dimension,
+    sing_inside_irrelevant,
+)
 from toricfol.parsing import parse_polynomial
 
 # (weights, degree) on P^2, P(1,1,2), P^3 and P(1,2,3), three seeds each
@@ -51,6 +61,21 @@ def test_chart_test_agrees_with_the_heuristic_and_decides_nodes():
             # no coordinate of the node vanishes, so the first chart meets it
             assert answer == "no" and record["chart"] == model.irrelevant_ideal()[0], (model.name, f)
     assert decided == 30
+
+
+def test_chart_leads_give_the_reduced_basis_dimension():
+    # Every chart ideal, not only the first failing one: the chart test
+    # reads the unreduced basis of the pair loop.
+    charts = units = 0
+    for model, f, _ in _cases():
+        partials = [f.partial_derivative(j) for j in range(f.nvars)]
+        for gen in model.irrelevant_ideal():
+            chart = [p for p in (_set_to_one(p, gen) for p in partials) if not p.is_zero()]
+            want = ideal_dimension(buchberger(chart))
+            assert _lead_dimension(_leads(chart, None)) == want, (model.name, f, gen)
+            charts += 1
+            units += want == EMPTY_VARIETY
+    assert charts >= 150 and 0 < units < charts, (charts, units)
 
 
 def test_moved_nodal_cubic_fails_and_names_its_cone():

@@ -6,7 +6,9 @@ exact one, ``ideal_dimension(buchberger(gens))``, and the recorded path
 is checked: the dense quasi-smooth ladder must be certified mod P, and a
 singular hypersurface must be handed over to the exact path.  The mod-P
 loop of ``only_origin_check`` stops once its leads bound the dimension by
-zero; the recorded pair counts show where.
+zero; the recorded pair counts show where.  The exact fallback reads the
+leads of the pair loop's unreduced basis, which must give the dimension
+of the reduced one, and no check may interreduce.
 """
 
 import random
@@ -16,22 +18,26 @@ from itertools import combinations
 import pytest
 
 import groebner_oracle as oracle
+import toricfol.groebner as groebner
 from toricfol.families import (
     biproj_pairs_fixture,
+    check_fixture,
     monomial_hypersurface_fixture,
     split_field_fixture,
     torsion_fermat_fixture,
+    weighted_projective,
     wps_pairs_fixture,
 )
 from toricfol.groebner import (
     P,
     _lead_dimension,
-    _modular_leads,
+    _leads,
     _pair_loop,
     buchberger,
     ideal_dimension,
     only_origin_check,
     regular_subsequence_check,
+    sing_inside_irrelevant,
 )
 from toricfol.poly import Polynomial, monomial_divides
 
@@ -184,7 +190,7 @@ def test_packed_loop_matches_tuple_oracle(weights, degree, nodal, seed):
     want_stats = {}
     want = oracle.modular_basis(gens, want_stats)
     stats = {}
-    assert _modular_leads(gens, stats) == [next(iter(g)) for g in want]
+    assert _leads(gens, P, stats) == [next(iter(g)) for g in want]
     assert stats == want_stats
     basis, layout = _pair_loop(oracle.modular_generators(gens), P, {})
     unpack = layout.unpack
@@ -209,11 +215,41 @@ def test_early_stop_leads_give_the_exact_dimension(weights, degree):
     # the dimension of the exact reduced basis.
     gens = nonzero_partials(dense_poly(random.Random(f"{weights}:{degree}"), weights, degree))
     stats = {}
-    leads = _modular_leads(gens, stats)
+    leads = _leads(gens, P, stats)
     assert stats["stopped_early"]
     exact = [g.leading_term()[0] for g in buchberger(gens).generators]
     assert all(any(monomial_divides(e, m) for e in exact) for m in leads)
-    assert _lead_dimension(leads, len(weights)) == _lead_dimension(exact, len(weights)) == 0
+    assert _lead_dimension(leads) == _lead_dimension(exact) == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "weights, degree, nodal", [(w, d, False) for w, d in LADDER] + [(w, d, True) for w, d in NODAL]
+)
+def test_exact_leads_give_the_reduced_basis_dimension(weights, degree, nodal, seed):
+    # The exact fallback reads the unreduced basis of the pair loop.
+    rng = random.Random(seed)
+    f = nodal_poly(rng, weights, degree)[0] if nodal else dense_poly(rng, weights, degree)
+    gens = nonzero_partials(f)
+    assert _lead_dimension(_leads(gens, None)) == ideal_dimension(buchberger(gens))
+
+
+def test_no_verdict_interreduces(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a verdict reached _interreduce")
+
+    monkeypatch.setattr(groebner, "_interreduce", refuse)
+    for fix in FIXTURES:
+        _, results = check_fixture(fix)
+        assert all(r.passed for r in results), fix.name
+    for weights, degree in NODAL:
+        for seed in (1, 2):
+            f = nodal_poly(random.Random(seed), weights, degree)[0]
+            record = {}
+            assert only_origin_check(nonzero_partials(f), record=record) is False
+            assert record["path"] == "exact"
+            assert regular_subsequence_check(f, range(f.nvars)) is False
+            assert sing_inside_irrelevant(weighted_projective(*weights), f) == "no"
 
 
 def V(j, c=1, p=2):
