@@ -33,8 +33,6 @@ from .grading import (
 )
 from .groebner import (
     EMPTY_VARIETY,
-    GroebnerBasis,
-    buchberger,
     ideal_dimension,
     only_origin_check,
     regular_subsequence_check,
@@ -67,7 +65,6 @@ __all__ = [
     "EMPTY_VARIETY",
     "FIXTURE_BUILDERS",
     "Fixture",
-    "GroebnerBasis",
     "IntMatrix",
     "KoszulDecomposition",
     "ModelInputError",
@@ -76,7 +73,6 @@ __all__ = [
     "ToricModel",
     "VectorField",
     "audit_case",
-    "buchberger",
     "build_from_presentation",
     "build_from_rays",
     "check_fixture",

@@ -27,7 +27,7 @@ from .foliation import (
 from .grading import homogeneous_degree
 from .groebner import only_origin_check, regular_subsequence_check, sing_inside_irrelevant
 from .model import ToricModel
-from .normalform import KoszulDecomposition, _decompose
+from .normalform import KoszulDecomposition, _check_indices, _decompose
 from .poly import Polynomial
 
 
@@ -383,6 +383,7 @@ def audit_case(
     malformed inputs raise.
     """
     subset = tuple(sorted(set(options.subset))) if options.subset is not None else None
+    _check_indices(model, options.radial_index, subset or ())
     if subset is not None and len(subset) < 2:
         raise ValueError("an index subset needs at least two variables")
     audited = field if subset is None else field.restrict(subset)

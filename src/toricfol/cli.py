@@ -193,8 +193,23 @@ def _build_fixture(args):
         raise ValueError(f"cannot build fixture: {exc}") from None
 
 
+# The flags of every fixture, in the order the parser adds them, and the
+# ones each fixture reads; any other flag given to it is an input error.
+_FIXTURE_PARAMS = ("m", "n", "a", "b", "c", "omega", "d", "coeffs", "alpha", "beta", "alpha1", "alpha2")
+_FIXTURE_FLAGS = {
+    "wps-pairs": {"omega", "d", "coeffs"},
+    "biproj-pairs": {"n", "a", "b"},
+    "torsion-fermat": {"m"},
+    "split-field": {"alpha1", "alpha2", "c"},
+    "monomial-hypersurface": {"alpha", "beta"},
+}
+
+
 def _fixture_arguments(args) -> tuple:
     name = args.name
+    foreign = [f"--{p}" for p in _FIXTURE_PARAMS if getattr(args, p) is not None and p not in _FIXTURE_FLAGS[name]]
+    if foreign:
+        raise ValueError(f"{name} takes no {', '.join(foreign)}")
     if name == "wps-pairs":
         if not args.omega or not args.d:
             raise ValueError("wps-pairs needs --omega and --d")
@@ -255,18 +270,8 @@ def _add_option_flags(sub):
 
 
 def _add_fixture_params(sub):
-    sub.add_argument("--m")
-    sub.add_argument("--n")
-    sub.add_argument("--a")
-    sub.add_argument("--b")
-    sub.add_argument("--c")
-    sub.add_argument("--omega")
-    sub.add_argument("--d")
-    sub.add_argument("--coeffs")
-    sub.add_argument("--alpha")
-    sub.add_argument("--beta")
-    sub.add_argument("--alpha1")
-    sub.add_argument("--alpha2")
+    for param in _FIXTURE_PARAMS:
+        sub.add_argument(f"--{param}")
 
 
 @cache

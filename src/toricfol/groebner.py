@@ -1,11 +1,12 @@
 """Buchberger-based ideal computations at desk scale.
 
 Every verdict is a dimension read from the leads of the pair loop's
-unreduced basis (``_leads``): minimalization drops only leads another
-lead divides, so the monomial ideal is the same, and a basis of the unit
-ideal holds a constant.  Only ``buchberger`` interreduces.
+unreduced basis (``_leads``); ``ideal_dimension`` is the exact one.
+Minimalization drops only leads another lead divides, so these leads span
+the initial ideal of the reduced basis, whose dimension they give (Cox,
+Little & O'Shea, ch. 9 section 3); for the unit ideal they hold 1.
 
-``buchberger`` follows Gebauer & Moeller, "On an installation of
+The pair loop follows Gebauer & Moeller, "On an installation of
 Buchberger's algorithm" (J. Symb. Comput. 6, 1988), at the level of
 Buchberger's two criteria:
 
@@ -16,22 +17,16 @@ Buchberger's two criteria:
 - a pair is skipped when its leading monomials are coprime, or by the
   chain criterion: some other element k has a leading monomial dividing
   the pair's lcm and neither (i, k) nor (j, k) is still pending;
-- every division, in the pair loop and the interreduction, runs the one
-  loop ``divide_terms``: first matching reducer, on a mutable dict of
-  packed terms;
+- every division runs the one loop ``divide_terms``: first matching
+  reducer, on a mutable dict of packed terms;
 - the pair loop only appends to its basis, so one memo serves all of its
   divisions: the first matching reducer of a monomial and that reducer's
   tail multiplied up to it are found once, not once per s-polynomial,
   as F4 reuses its multiplied reducer rows (Faugere, "A new efficient
   algorithm for computing Groebner bases (F4)", JPAA 139, 1999).
 
-The result is then minimalized and each survivor's tail is reduced once
-against the others.  Leading terms cannot change after minimalization
-and the remainder of a tail modulo a Groebner basis is its unique normal
-form, so one sweep gives the reduced basis.  The term order is grevlex,
-and for it the reduced Groebner basis of an ideal is unique; the criteria
-and the selection order change the work done, never the basis returned,
-and so never a downstream certificate.
+The term order is grevlex.  The criteria and the selection order change
+the work done, never the initial ideal, and so never a verdict.
 
 Inside Groebner work a monomial is one int, packed as in Monagan &
 Pearce, "Sparse polynomial division using a heap" (J. Symb. Comput. 46,
@@ -50,7 +45,7 @@ stays below 2^(B-1):
   lowest field with e_b < e_a borrows and sets its guard bit.
 
 The public ``Polynomial`` keeps its exponent tuples: terms are packed
-when a loop starts and the basis unpacked when it returns, and the pair
+when a loop starts and the leads unpacked when it returns, and the pair
 heap, the coprime check and the lcm stay on tuples, one lcm per pair.
 Layouts start at B = 16 and are built on first use per (n, B).  Every
 term a pair loop makes has at most the degree of its pair's lcm, which
@@ -86,7 +81,7 @@ dimension as the full run: the leads only grow, and a constant lead can
 come only from a constant generator, already in the basis, since every
 element made from quasi-homogeneous generators is quasi-homogeneous of
 positive degree.  The exact loop always runs to the end: the exact
-fallback and the charts read the dimension of the whole basis.
+fallback and the charts read ``ideal_dimension`` of the whole basis.
 
 Exact coefficients are ints wherever they are integral, and ``c / lc``
 on two ints would give a float, so every exact coefficient division
@@ -97,7 +92,6 @@ the division loop itself divides nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -238,11 +232,6 @@ def divide_terms(terms: dict, divisors: list[Divisor], guard: int, modulus: int 
     return rem
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    generators: tuple[Polynomial, ...]
-
-
 def _spoly_terms(a: Divisor, b: Divisor, lcm: int) -> dict:
     # Both leads are monic and cancel; only the tails are combined.
     terms: dict = {}
@@ -269,13 +258,6 @@ def _nonzero_generators(gens) -> list[Polynomial]:
 def _repack(d: Divisor, old: _Layout, new: _Layout) -> Divisor:
     tail = [new.pack(old.unpack(m)) for m in d.tail_monos]
     return Divisor(new.pack(old.unpack(d.lead)), tail, d.tail_coeffs)
-
-
-def buchberger(gens) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens."""
-    polys = _nonzero_generators(gens)
-    basis, layout = _pair_loop([g.terms for g in polys], None)
-    return GroebnerBasis(generators=_interreduce(basis, layout))
 
 
 def _pair_loop(gens: list[dict], modulus: int | None, stats: dict | None = None) -> tuple[list[Divisor], _Layout]:
@@ -379,29 +361,11 @@ def _chain_criterion(i: int, j: int, lcm: int, basis: list[Divisor], pending, gu
     return False
 
 
-def _interreduce(basis: list[Divisor], layout: _Layout) -> tuple[Polynomial, ...]:
-    # Minimalize: drop generators whose leading term is divisible by a
-    # smaller one; divisibility implies order, so an ascending sweep that
-    # compares against survivors only is enough.  Ascending in the term
-    # order is descending in the key.
-    guard = layout.guard
-    kept: list[Divisor] = []
-    for d in sorted(basis, key=lambda d: d.lead, reverse=True):
-        if all((d.lead - h.lead) & guard for h in kept):
-            kept.append(d)
-    reduced = []
-    for i, d in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        rem = divide_terms(dict(zip(d.tail_monos, d.tail_coeffs)), others, guard, None, {})
-        terms = {layout.unpack(d.lead): 1}
-        terms.update((layout.unpack(m), c) for m, c in rem.items())
-        reduced.append(Polynomial._trusted(layout.nvars, terms))
-    return tuple(reversed(reduced))
-
-
-def ideal_dimension(gb: GroebnerBasis) -> int:
-    """Affine Krull dimension of the quotient; EMPTY_VARIETY when 1 is inside."""
-    return _lead_dimension([g.leading_term()[0] for g in gb.generators])
+def ideal_dimension(gens) -> int:
+    """Affine Krull dimension of the quotient by the ideal of gens, read
+    from the leads of the exact pair loop's basis; EMPTY_VARIETY when 1 is
+    inside.  Zero gens are skipped; raises ValueError when none is left."""
+    return _lead_dimension(_leads(_nonzero_generators(gens), None))
 
 
 def _lead_dimension(lms) -> int:
@@ -431,7 +395,7 @@ def _modular_first(gens, accept, record) -> bool:
     if leads is not None and accept(_lead_dimension(leads)):
         path, answer = "modular", True
     else:
-        path, answer = "exact", accept(_lead_dimension(_leads(polys, None)))
+        path, answer = "exact", accept(ideal_dimension(polys))
     if record is not None:
         record["path"] = path
         record["modular"] = stats or None
@@ -482,7 +446,7 @@ def sing_inside_irrelevant(model, f: Polynomial, *, record: dict | None = None) 
     failing = None
     for gen in model.irrelevant_ideal():
         chart = [p for p in (_set_to_one(p, gen) for p in partials) if not p.is_zero()]
-        if not chart or _lead_dimension(_leads(chart, None)) != EMPTY_VARIETY:
+        if not chart or ideal_dimension(chart) != EMPTY_VARIETY:
             failing = gen
             break
     if record is not None:

@@ -118,6 +118,16 @@ def pair_degree(
     return deg_field + model.degrees[j] + model.degrees[k] - deg_hyp
 
 
+def _check_indices(model: ToricModel, radial_index: int, indices) -> None:
+    """ValueError unless radial_index names a radial field of the model and
+    every index a variable."""
+    if not 0 <= radial_index < model.rank:
+        raise ValueError(f"radial_index {radial_index} outside range({model.rank})")
+    bad = [j for j in indices if not 0 <= j < model.nvars]
+    if bad:
+        raise ValueError(f"index_set entries outside range({model.nvars}): {bad}")
+
+
 def koszul_decompose(
     model: ToricModel,
     f: Polynomial,
@@ -134,12 +144,8 @@ def koszul_decompose(
     pinned to zero), not a canonical representative.
     """
     nv = model.nvars
-    if not 0 <= radial_index < model.rank:
-        raise ValueError(f"radial_index {radial_index} outside range({model.rank})")
     indices = tuple(sorted(set(range(nv) if index_set is None else index_set)))
-    bad = [j for j in indices if not 0 <= j < nv]
-    if bad:
-        raise ValueError(f"index_set entries outside range({nv}): {bad}")
+    _check_indices(model, radial_index, indices)
     outside = [j for j in field.support() if j not in indices]
     if outside:
         raise ValueError(f"field has components outside the index set: {outside}")

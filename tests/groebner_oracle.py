@@ -3,11 +3,14 @@
 Selection scans the whole pair set for the smallest (lcm degree, i, j),
 leading terms are recomputed at every step, the only criterion is the
 coprime one, and interreduction restarts after every change.  Slow but
-plainly correct; ``tests/test_groebner_oracle.py`` requires
-``toricfol.groebner`` and ``Polynomial.divide_exact`` to return the same
-reduced bases, remainders and quotients.  ``reduce_poly`` is also the
-tests' membership check: f lies in an ideal exactly when its remainder
-modulo a Groebner basis of it is zero.
+plainly correct.  The engine keeps no reduced basis of its own, since
+every verdict reads the leads of its unreduced pair-loop basis; so
+``engine_reduced_basis`` interreduces that basis here, and
+``tests/test_groebner_oracle.py`` requires it to equal ``buchberger``'s
+reduced basis, and ``Polynomial.divide_exact`` to return the oracle's
+quotients.  ``reduce_poly`` is also the tests' membership check: f lies
+in an ideal exactly when its remainder modulo a Groebner basis of it is
+zero.
 
 The engine keeps no remainder function of its own, since no verdict
 reads a normal form.  ``kernel_remainder`` packs a polynomial and its
@@ -18,9 +21,11 @@ with ``reduce_poly`` on any divisor list.
 ``pair_loop`` is the engine's pair loop on exponent tuples: the same
 pair heap, coprime and chain criteria, memo of shifted reducers and mod-P
 stop rule, with a division kernel that finds each monomial's reducer by
-comparing tuples.  ``modular_basis`` runs it mod P, and
+comparing tuples.  ``pair_loop_basis`` runs it exact or mod P, and
 ``tests/test_modular.py`` requires the packed loop to give the same
-basis, leads and pair counts.
+basis, coefficient for coefficient, leads and pair counts.  Its exact
+leads are the reference dimension there, where ``buchberger`` is far too
+slow.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from itertools import combinations, repeat
 from typing import NamedTuple
 
 from toricfol import groebner
-from toricfol.groebner import P, GroebnerBasis
+from toricfol.groebner import P
 from toricfol.poly import (
     Polynomial,
     exact_div,
@@ -85,7 +90,7 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     )
 
 
-def buchberger(gens) -> GroebnerBasis:
+def buchberger(gens) -> tuple[Polynomial, ...]:
     """Reduced Groebner basis of the ideal generated by gens."""
     basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
@@ -114,7 +119,7 @@ def buchberger(gens) -> GroebnerBasis:
             basis.append(rem.monic())
             k = len(basis) - 1
             pairs.update((i2, k) for i2 in range(k))
-    return GroebnerBasis(generators=_interreduce(basis))
+    return _interreduce(basis)
 
 
 def _interreduce(basis) -> tuple[Polynomial, ...]:
@@ -144,6 +149,25 @@ def _interreduce(basis) -> tuple[Polynomial, ...]:
                 changed = True
                 break
     return tuple(sorted(kept, key=lambda g: grevlex_key(g.leading_term()[0]), reverse=True))
+
+
+def engine_basis(gens, stats: dict | None = None) -> list[Polynomial]:
+    """The engine's exact ``_pair_loop`` basis of the nonzero gens, unreduced
+    and unchecked: its coefficients are the kernel's own.  ``stats``
+    receives the loop's."""
+    polys = groebner._nonzero_generators(gens)
+    basis, layout = groebner._pair_loop([g.terms for g in polys], None, stats)
+    unpack = layout.unpack
+    return [
+        Polynomial._trusted(layout.nvars, {unpack(d.lead): 1, **dict(zip(map(unpack, d.tail_monos), d.tail_coeffs))})
+        for d in basis
+    ]
+
+
+def engine_reduced_basis(gens) -> tuple[Polynomial, ...]:
+    """The engine's exact basis interreduced by ``_interreduce``: the
+    reduced basis, which must equal ``buchberger(gens)``."""
+    return _interreduce(engine_basis(gens))
 
 
 def divide_exact(f: Polynomial, den: Polynomial) -> Polynomial | None:
@@ -297,14 +321,20 @@ def modular_generators(polys) -> list[dict] | None:
     return gens
 
 
-def modular_basis(polys, stats: dict) -> list[dict] | None:
-    """The basis ``toricfol.groebner._leads`` reads its leads from mod P,
-    made by ``pair_loop``: one monic term dict per element, lead first."""
-    gens = modular_generators(polys)
+def pair_loop_basis(polys, modulus, stats: dict) -> list[dict] | None:
+    """The basis ``toricfol.groebner._leads`` reads its leads from, exact
+    or mod the prime ``modulus``, made by ``pair_loop``: one monic term
+    dict per element, lead first; None when a poly vanishes mod it."""
+    gens = [dict(g.terms) for g in polys] if modulus is None else modular_generators(polys)
     if gens is None:
         return None
     basis = []
     for terms in gens:
         lm = max(terms, key=grevlex_key)
-        basis.append(_monic(lm, terms.pop(lm), terms, P))
-    return [{d.lead: 1, **dict(zip(d.tail_monos, d.tail_coeffs))} for d in pair_loop(basis, P, stats)]
+        basis.append(_monic(lm, terms.pop(lm), terms, modulus))
+    return [{d.lead: 1, **dict(zip(d.tail_monos, d.tail_coeffs))} for d in pair_loop(basis, modulus, stats)]
+
+
+def exact_leads(polys) -> list:
+    """The leads of the exact ``pair_loop`` basis of the polys, zeros skipped."""
+    return [next(iter(g)) for g in pair_loop_basis([g for g in polys if not g.is_zero()], None, {})]

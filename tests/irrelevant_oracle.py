@@ -11,8 +11,7 @@ whose first power in the ideal lies beyond the cap.
 
 from __future__ import annotations
 
-from groebner_oracle import reduce_poly
-from toricfol.groebner import buchberger
+from groebner_oracle import pair_loop_basis, reduce_poly
 from toricfol.poly import Polynomial
 
 
@@ -26,7 +25,7 @@ def _power_in_ideal(gb, exponents, cap: int) -> bool:
     power = Polynomial.constant(len(exponents), 1)
     for _ in range(cap):
         power = power * base
-        if reduce_poly(power, gb.generators).is_zero():
+        if reduce_poly(power, gb).is_zero():
             return True
     return False
 
@@ -41,7 +40,7 @@ def sing_inside_irrelevant_heuristic(model, f: Polynomial, cap: int | None = Non
         if all(p.evaluate(bits) == 0 for p in partials) and f.evaluate(bits) == 0:
             if any(all(bits[j] for j, e in enumerate(g) if e) for g in irr):
                 return "no"
-    gb = buchberger(nonzero)
+    gb = [Polynomial(f.nvars, g) for g in pair_loop_basis(nonzero, None, {})]
     if cap is None:
         cap = 2 * (1 + max(g.total_degree() for g in nonzero))
     if all(_power_in_ideal(gb, g, cap) for g in irr):

@@ -214,6 +214,26 @@ def test_audit_rejects_degenerate_subsets():
         audit_case(fix.model, fix.field_parts[0], fix.hypersurface, AuditOptions(subset=(2, 3)))
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (AuditOptions(radial_index=3), r"radial_index 3 outside range\(1\)"),
+        (AuditOptions(radial_index=3, subset=(0, 1)), r"radial_index 3 outside range\(1\)"),
+        (AuditOptions(subset=(0, 7)), r"index_set entries outside range\(3\): \[7\]"),
+    ],
+    ids=["radial-index-full-route", "radial-index-subset-route", "subset-entry-subset-route"],
+)
+def test_audit_rejects_out_of_range_indices(options, message):
+    # A library caller's options are checked as koszul_decompose checks them,
+    # on both routes, before any hypothesis is evaluated.
+    fix = wps_pairs_fixture((1, 1, 1), (3, 3, 3))
+    assert fix.model.rank == 1 and fix.model.nvars == 3
+    with pytest.raises(ValueError, match=message):
+        audit_case(fix.model, fix.field, fix.hypersurface, options)
+    with pytest.raises(ValueError, match=message):
+        koszul_decompose(fix.model, fix.hypersurface, fix.field, options.radial_index, options.subset)
+
+
 def test_audit_negative_twist_sharp():
     # weighted pair instance whose field twist is negative; the bound still
     # lands exactly on the hypersurface degree

@@ -68,6 +68,8 @@ def test_fixture_unknown_name(capsys):
         ["split-field", "--alpha1", "1", "--alpha2", "2", "--c", "0.5,1e1"],
         ["torsion-fermat", "--m", "0.5"],
         ["biproj-pairs", "--n", "1", "--a", "1/0", "--b", "1"],
+        ["torsion-fermat", "--m", "3", "--omega", "9,9", "--alpha", "7"],
+        ["wps-pairs", "--omega", "1,1,1", "--d", "3,3,3", "--m", "2"],
     ],
 )
 def test_fixture_and_export_share_one_error_path(capsys, params):
@@ -88,6 +90,9 @@ def test_fixture_and_export_share_one_error_path(capsys, params):
         (["split-field", "--alpha1", "1", "--alpha2", "2", "--c", "1"], "two field-half coefficients required"),
         (["wps-pairs", "--omega", "1", "--d", "2"], "need at least two weights"),
         (["torsion-fermat", "--m", "\u0663"], "--m: exact integer required, got '\u0663'"),
+        (["torsion-fermat", "--m", "3", "--omega", "9,9", "--alpha", "7"], "torsion-fermat takes no --omega, --alpha"),
+        (["split-field", "--alpha1", "1", "--alpha2", "2", "--alpha", "1"], "split-field takes no --alpha"),
+        (["monomial-hypersurface", "--alpha", "2", "--beta", "3", "--c", "1,1"], "monomial-hypersurface takes no --c"),
     ],
 )
 def test_fixture_flags_read_numbers_as_case_files_do(capsys, params, message):

@@ -1,8 +1,9 @@
 """The Groebner engine against the slow reference in ``groebner_oracle``.
 
-The reduced Groebner basis of an ideal is unique for the term order,
-so the engine must return exactly the oracle's generators, in the same
-order, whatever pairs it skips.  The one division loop, ``divide_terms``,
+The reduced Groebner basis of an ideal is unique for the term order, so
+the engine's exact pair-loop basis, interreduced by the oracle
+(``engine_reduced_basis``), must be exactly the oracle's generators, in
+the same order, whatever pairs the engine skips.  The one division loop, ``divide_terms``,
 must return the oracle's remainder on any divisor list, Groebner basis
 or not, which pins the first-matching-reducer rule.
 """
@@ -23,15 +24,15 @@ from toricfol.families import (
 )
 from toricfol.degrees import DegreeClass
 from toricfol.grading import monomials_of_degree
-from toricfol.groebner import buchberger, ideal_dimension, only_origin_check
+from toricfol.groebner import ideal_dimension, only_origin_check
 from toricfol.poly import Polynomial
 from toricfol.selfcheck import default_models, random_quasi_homogeneous
 
 def assert_same_basis(gens) -> int:
     """The oracle's basis size."""
     want = oracle.buchberger(gens)
-    assert buchberger(gens).generators == want.generators, gens
-    return len(want.generators)
+    assert oracle.engine_reduced_basis(gens) == want, gens
+    return len(want)
 
 
 def random_generator_sets(count: int, seed: int):
@@ -79,7 +80,7 @@ def test_dense_jacobian_ideals_match_oracle():
         monomials = monomials_of_degree(model, DegreeClass((3,)))
         f = Polynomial(model.nvars, {m: Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for m in monomials})
         partials = [f.partial_derivative(j) for j in range(model.nvars)]
-        assert buchberger(partials).generators == oracle.buchberger(partials).generators
+        assert oracle.engine_reduced_basis(partials) == oracle.buchberger(partials)
 
 
 def V(nv, j, p=1, c=1):
@@ -101,12 +102,14 @@ def test_edge_cases_match_oracle():
     }
     for gens in cases.values():
         assert_same_basis(gens)
-    assert buchberger(cases["unit ideal"]).generators == (one,)
+    assert oracle.engine_reduced_basis(cases["unit ideal"]) == (one,)
 
 
 def test_no_nonzero_generator_still_raises():
     with pytest.raises(ValueError):
-        buchberger([Polynomial.zero(2)])
+        ideal_dimension([Polynomial.zero(2)])
+    with pytest.raises(ValueError):
+        oracle.engine_reduced_basis([Polynomial.zero(2)])
     with pytest.raises(ValueError):
         oracle.buchberger([Polynomial.zero(2)])
 
@@ -187,15 +190,18 @@ def test_overflowing_degrees_repack_and_match_oracle(monkeypatch):
     answers = []
     for name, (gens, repacked) in cases.items():
         repacks.clear()
-        assert_same_basis(gens)
+        stats, want_stats = {}, {}
+        got = [g.terms for g in oracle.engine_basis(gens, stats)]
+        assert got == oracle.pair_loop_basis(gens, None, want_stats), name
+        assert stats == want_stats, name
         # the basis held ``repacked`` elements when it moved to 32-bit fields
         assert repacks == [(limit, 2**31)] * repacked, name
         record = {}
         answer = only_origin_check(gens, record=record)
-        assert answer is (ideal_dimension(buchberger(gens)) <= 0)
+        assert answer is (ideal_dimension(gens) <= 0)
         answers.append((answer, record["path"]))
     assert answers == [(False, "exact")] + [(True, "modular")] * 3
-    gb = buchberger([_m(1, 0) - _m(0, 1), _m(0, 2) - _m(0, 0)])
+    gb = oracle.buchberger([_m(1, 0) - _m(0, 1), _m(0, 2) - _m(0, 0)])
     f = _m(50000, 1) + _m(3, 49998, c=Fraction(1, 2))
     # the division loop on a basis in 32-bit fields
-    assert oracle.kernel_remainder(f, gb.generators) == oracle.reduce_poly(f, gb.generators)
+    assert oracle.kernel_remainder(f, gb) == oracle.reduce_poly(f, gb)

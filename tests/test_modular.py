@@ -2,13 +2,14 @@
 
 ``only_origin_check`` and ``regular_subsequence_check`` may answer from a
 Groebner basis mod P = 2^31 - 1.  Each answer here is compared with the
-exact one, ``ideal_dimension(buchberger(gens))``, and the recorded path
-is checked: the dense quasi-smooth ladder must be certified mod P, and a
-singular hypersurface must be handed over to the exact path.  The mod-P
-loop of ``only_origin_check`` stops once its leads bound the dimension by
-zero; the recorded pair counts show where.  The exact fallback reads the
-leads of the pair loop's unreduced basis, which must give the dimension
-of the reduced one, and no check may interreduce.
+exact dimension read from the leads of the tuple oracle's exact pair
+loop, ``groebner_oracle.exact_leads``, and the recorded path is checked:
+the dense quasi-smooth ladder must be certified mod P, and a singular
+hypersurface must be handed over to the exact path.  The mod-P loop of
+``only_origin_check`` stops once its leads bound the dimension by zero;
+the recorded pair counts show where.  The exact fallback,
+``ideal_dimension(gens)``, reads the leads of the pair loop's unreduced
+basis, which must give the dimension of the reduced one.
 """
 
 import random
@@ -18,10 +19,8 @@ from itertools import combinations
 import pytest
 
 import groebner_oracle as oracle
-import toricfol.groebner as groebner
 from toricfol.families import (
     biproj_pairs_fixture,
-    check_fixture,
     monomial_hypersurface_fixture,
     split_field_fixture,
     torsion_fermat_fixture,
@@ -33,11 +32,8 @@ from toricfol.groebner import (
     _lead_dimension,
     _leads,
     _pair_loop,
-    buchberger,
-    ideal_dimension,
     only_origin_check,
     regular_subsequence_check,
-    sing_inside_irrelevant,
 )
 from toricfol.poly import Polynomial, monomial_divides
 
@@ -46,10 +42,15 @@ def nonzero_partials(f):
     return [p for p in (f.partial_derivative(j) for j in range(f.nvars)) if not p.is_zero()]
 
 
+def exact_dimension(gens):
+    """The dimension read from the leads of the tuple oracle's exact basis."""
+    return _lead_dimension(oracle.exact_leads(gens))
+
+
 def origin_check(gens, record=None):
     record = {} if record is None else record
     answer = only_origin_check(gens, record=record)
-    assert answer is (ideal_dimension(buchberger(gens)) <= 0)
+    assert answer is (exact_dimension(gens) <= 0)
     return answer, record["path"]
 
 
@@ -122,7 +123,7 @@ def test_fixture_families_agree_with_exact(fix):
     assert path == "modular" if answer else path == "exact"
     if fix.subset is not None:
         partials = [f.partial_derivative(j) for j in fix.subset]
-        exact = ideal_dimension(buchberger(partials)) == f.nvars - len(fix.subset)
+        exact = exact_dimension(partials) == f.nvars - len(fix.subset)
         assert regular_subsequence_check(f, fix.subset) is exact
 
 
@@ -156,7 +157,7 @@ def test_regular_subsequences_agree_with_exact(weights, degree):
             record = {}
             answer = regular_subsequence_check(f, indices, record=record)
             partials = [f.partial_derivative(j) for j in indices]
-            assert answer is (ideal_dimension(buchberger(partials)) == f.nvars - k)
+            assert answer is (exact_dimension(partials) == f.nvars - k)
             assert record["path"] == "modular"
             # the loop stops only at leads of dimension <= 0; here all partials reach them
             assert record["modular"]["stopped_early"] is (k == f.nvars)
@@ -177,18 +178,34 @@ def test_nodal_hypersurfaces_hand_over_to_exact(weights, degree, seed):
     assert record["modular"]["stopped_early"] is False
 
 
+@pytest.mark.parametrize("weights, degree", NODAL[:3])
+def test_nodal_regular_sequence_hands_over_to_exact(weights, degree):
+    # all the partials of a singular hypersurface are no regular sequence,
+    # and only the exact loop can say so
+    f = nodal_poly(random.Random(1), weights, degree)[0]
+    record = {}
+    assert regular_subsequence_check(f, range(f.nvars), record=record) is False
+    assert record["path"] == "exact"
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize(
     "weights, degree, nodal", [(w, d, False) for w, d in LADDER] + [(w, d, True) for w, d in NODAL]
 )
 def test_packed_loop_matches_tuple_oracle(weights, degree, nodal, seed):
     # The coefficients decide which pairs reduce to zero and which leads
-    # appear, so the packed loop must follow the tuple loop step for step.
+    # appear, so the packed loop must follow the tuple loop step for step,
+    # mod P and exactly.
     rng = random.Random(f"{weights}:{degree}:{seed}")
     f = nodal_poly(rng, weights, degree)[0] if nodal else dense_poly(rng, weights, degree)
     gens = nonzero_partials(f)
     want_stats = {}
-    want = oracle.modular_basis(gens, want_stats)
+    want = oracle.pair_loop_basis(gens, None, want_stats)
+    stats = {}
+    assert [g.terms for g in oracle.engine_basis(gens, stats)] == want
+    assert stats == want_stats
+    want_stats = {}
+    want = oracle.pair_loop_basis(gens, P, want_stats)
     stats = {}
     assert _leads(gens, P, stats) == [next(iter(g)) for g in want]
     assert stats == want_stats
@@ -217,7 +234,7 @@ def test_early_stop_leads_give_the_exact_dimension(weights, degree):
     stats = {}
     leads = _leads(gens, P, stats)
     assert stats["stopped_early"]
-    exact = [g.leading_term()[0] for g in buchberger(gens).generators]
+    exact = oracle.exact_leads(gens)
     assert all(any(monomial_divides(e, m) for e in exact) for m in leads)
     assert _lead_dimension(leads) == _lead_dimension(exact) == 0
 
@@ -231,25 +248,11 @@ def test_exact_leads_give_the_reduced_basis_dimension(weights, degree, nodal, se
     rng = random.Random(seed)
     f = nodal_poly(rng, weights, degree)[0] if nodal else dense_poly(rng, weights, degree)
     gens = nonzero_partials(f)
-    assert _lead_dimension(_leads(gens, None)) == ideal_dimension(buchberger(gens))
-
-
-def test_no_verdict_interreduces(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a verdict reached _interreduce")
-
-    monkeypatch.setattr(groebner, "_interreduce", refuse)
-    for fix in FIXTURES:
-        _, results = check_fixture(fix)
-        assert all(r.passed for r in results), fix.name
-    for weights, degree in NODAL:
-        for seed in (1, 2):
-            f = nodal_poly(random.Random(seed), weights, degree)[0]
-            record = {}
-            assert only_origin_check(nonzero_partials(f), record=record) is False
-            assert record["path"] == "exact"
-            assert regular_subsequence_check(f, range(f.nvars)) is False
-            assert sing_inside_irrelevant(weighted_projective(*weights), f) == "no"
+    basis = oracle.engine_basis(gens)
+    reduced = oracle._interreduce(basis)
+    assert _lead_dimension([g.leading_term()[0] for g in basis]) == _lead_dimension(
+        [g.leading_term()[0] for g in reduced]
+    )
 
 
 def V(j, c=1, p=2):

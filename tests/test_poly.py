@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 import groebner_oracle as oracle
-from toricfol.groebner import buchberger
 from toricfol.poly import Polynomial, exact_div, grevlex_key, heap_key
 
 
@@ -283,9 +282,12 @@ def test_canonical_coefficients_match_fraction_arithmetic():
                 kinds[type(v)] += 1
     for _ in range(40):
         gens = [_mixed_poly(rng, 3, degree=2, max_terms=3) for _ in range(rng.randint(2, 3))]
-        got = buchberger(gens).generators
-        want = oracle.buchberger([_as_fractions(g) for g in gens]).generators
+        raw = oracle.engine_basis(gens)
+        got = oracle.engine_reduced_basis(gens)
+        want = oracle.buchberger([_as_fractions(g) for g in gens])
         assert [g.terms for g in got] == [_ref(w) for w in want]
+        for g in raw:
+            _assert_well_formed(g, 3)
         for g in got:
             _assert_well_formed(g, 3)
             for v in g.terms.values():
