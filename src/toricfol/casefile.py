@@ -234,6 +234,10 @@ def parse_case(text: str) -> CaseFile:
         if isinstance(exc, ModelInputError):
             lineno = entries[exc.entry][0]
         raise CaseError([Located(f"model construction failed: {exc}", lineno)]) from None
+    if "torsion" in entries and model.moduli != moduli:
+        built = " ".join(map(str, model.moduli)) or "none"
+        message = f"torsion does not match the torsion of the model the rays give ({built})"
+        raise CaseError([Located(message, entries["torsion"][0])])
 
     hypersurface = None
     problems: list = []

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import index
 
 from .audit import AuditOptions, AuditReport, audit_case
 from .degrees import DegreeClass
@@ -39,7 +40,7 @@ def weighted_projective(*weights: int) -> ToricModel:
     Z^(n+1) by the weight vector, written in a Smith-derived basis; the
     variable degrees are the weights themselves.
     """
-    w = tuple(int(x) for x in weights)
+    w = tuple(map(index, weights))
     if len(w) < 2:
         raise ValueError("need at least two weights")
     if any(x < 1 for x in w):
@@ -63,7 +64,7 @@ def weighted_projective(*weights: int) -> ToricModel:
 
 def multiprojective(*dims: int) -> ToricModel:
     """Product of projective spaces, one grading coordinate per factor."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(index, dims))
     if not dims or any(d < 1 for d in dims):
         raise ValueError("factor dimensions must be positive")
     n = sum(dims)
@@ -115,7 +116,7 @@ def rational_scroll(*twists: int) -> ToricModel:
     removed locus is asserted to be the usual union of the two
     coordinate planes.
     """
-    a = tuple(int(x) for x in twists)
+    a = tuple(map(index, twists))
     if not a:
         raise ValueError("need at least one twist")
     nfib = len(a)
@@ -203,8 +204,8 @@ def wps_pairs_fixture(omega, powers, coeffs=None) -> Fixture:
     cancel exactly, so the pair-power hypersurface is invariant with
     cofactor zero.
     """
-    w = tuple(int(x) for x in omega)
-    d = tuple(int(x) for x in powers)
+    w = tuple(map(index, omega))
+    d = tuple(map(index, powers))
     model = weighted_projective(*w)
     if len(w) != len(d):
         raise ValueError("one exponent per weight required")
@@ -255,7 +256,7 @@ def wps_pairs_fixture(omega, powers, coeffs=None) -> Fixture:
 
 def biproj_pairs_fixture(n: int, a, b) -> Fixture:
     """Pair-rotation foliation on a product of two equal projective spaces."""
-    n = int(n)
+    n = index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError("odd factor dimension required")
     m = (n - 1) // 2
@@ -300,7 +301,7 @@ def biproj_pairs_fixture(n: int, a, b) -> Fixture:
 
 def torsion_fermat_fixture(m: int) -> Fixture:
     """Fermat hypersurface on the Z/3-torsion surface, exponent 0 mod 3."""
-    m = int(m)
+    m = index(m)
     if m < 3 or m % 3:
         raise ValueError("exponent must be a positive multiple of 3")
     model = torsion_surface()
@@ -343,7 +344,7 @@ def split_field_fixture(alpha1: int, alpha2: int, c=(1, 1)) -> Fixture:
     field is supported on the first factor's variables, where the
     partials form a regular pair.
     """
-    a1, a2 = int(alpha1), int(alpha2)
+    a1, a2 = index(alpha1), index(alpha2)
     if a1 < 1 or a2 < 1:
         raise ValueError("positive exponents required")
     a = a1 + a2
@@ -400,7 +401,7 @@ def monomial_hypersurface_fixture(alpha: int, beta: int) -> Fixture:
     quasi-smooth, and for large exponents the degree inequality itself
     is violated, showing the hypotheses are not decorative.
     """
-    a, b = int(alpha), int(beta)
+    a, b = index(alpha), index(beta)
     if a < 1 or b < 1:
         raise ValueError("positive exponents required")
     model = multiprojective(1, 1)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import ceil, floor, lcm
-from operator import mul
+from operator import index, mul
 
 from .degrees import DegreeClass
 from .model import ToricModel
@@ -48,20 +48,17 @@ def monomials_of_degree(model: ToricModel, alpha: DegreeClass) -> tuple[tuple[in
     Termination is certified by the model's positive grading functional,
     which every model carries.
 
-    The descent fixes the exponents of the variables in order and cuts a
-    branch as soon as no completion of it can have degree alpha:
-
-    - on a free coordinate where no variable still to be fixed has a
-      negative degree, the accumulated degree can only grow, so it may
-      not exceed the target; where none has a positive degree it may not
-      fall below it, so a coordinate no later variable changes must
-      already match;
-    - a monomial of degree alpha has functional value exactly the
-      budget, so the last variable must spend what is left: its exponent
-      is forced, and there is no leaf when the division is inexact.
-
-    Only branches without a monomial of degree alpha are cut, and the
-    result is sorted, so it equals that of the unpruned walk.
+    The descent fixes the exponents heaviest variable first, by weight
+    under the functional, and tracks the gap between alpha and the degree
+    so far, with the functional's value as coordinate 0.  A variable
+    moves coordinate k of the gap by deg[k]/weight per unit of functional
+    it spends, so a completion exists only if every gap coordinate lies
+    between the functional left times the least and the greatest of
+    these rates over the variables still to be fixed (both 0 once none
+    is left).  Each bound is linear in the current exponent, so the
+    exponents kept form one range.  Only exponents without a completion
+    of degree alpha are skipped, and the result is sorted, so it equals
+    that of the unpruned walk.
 
     A graded piece is fixed by the model alone, so each model keeps a
     memo from degree class to basis: the descent runs on the first query
@@ -79,55 +76,59 @@ def monomials_of_degree(model: ToricModel, alpha: DegreeClass) -> tuple[tuple[in
 
 def _enumerate_monomials(model: ToricModel, alpha: DegreeClass) -> tuple[tuple[int, ...], ...]:
     """The pruned descent behind ``monomials_of_degree``, on a checked class."""
-    nvars, rank = model.nvars, model.rank
-    # Scaling the functional by a positive integer keeps every weight
-    # positive and every quotient remaining // weight unchanged, and turns
-    # the whole descent into integer arithmetic.
+    nvars = model.nvars
+    # The functional, scaled to integers, is coordinate 0 of every step
+    # and of the gap; the free degrees are the others.
     functional = model.positive_functional
     scale = lcm(*(c.denominator for c in functional))
-    functional = [int(c * scale) for c in functional]
-    weights = [sum(map(mul, functional, d.free)) for d in model.degrees]
-    budget = sum(map(mul, functional, alpha.free))
-    if budget < 0:
-        return ()
+    functional = [c.numerator * (scale // c.denominator) for c in functional]
+    steps = [(sum(map(mul, functional, d.free)),) + d.free for d in model.degrees]
+    order = sorted(range(nvars), key=lambda j: -steps[j][0])
 
-    # grows[j] / shrinks[j]: free coordinates that the variables j, j+1, ...
-    # can only increase / only decrease.
-    free_rows = model.degree_rows[:rank]
-    grows = [tuple(range(rank))] * (nvars + 1)
-    shrinks = list(grows)
-    for j in reversed(range(nvars)):
-        grows[j] = tuple(k for k in grows[j + 1] if free_rows[k][j] >= 0)
-        shrinks[j] = tuple(k for k in shrinks[j + 1] if free_rows[k][j] <= 0)
+    # levels[t]: the variable fixed at depth t, its step, and the bounds
+    # e*c <= p*gap[k] - q*gap[0] that keep gap[k] between gap[0] times the
+    # least and the greatest rate step[k]/step[0] of the variables after
+    # it (both 0 when none is left).  A bound with c = 0 does not depend
+    # on e and is left out.  Leaves stay exact: the free degrees have full
+    # rank, so each side of each coordinate keeps a bound, and no variable
+    # after the last one kept moves that coordinate.
+    unit = lcm(*(s[0] for s in steps))
+    rates = [[x * (unit // s[0]) for x in s] for s in steps]  # over unit
+    levels = []
+    for t, j in enumerate(order):
+        s = steps[j]
+        columns = list(zip(*(rates[i] for i in order[t + 1 :]))) or [(0,)] * len(s)
+        bounds = [
+            (k, p, q, p * s[k] - q * s[0])
+            for k, column in enumerate(columns)
+            for p, q in ((unit, min(column)), (-unit, -max(column)))
+            if p * s[k] != q * s[0]
+        ]
+        levels.append((j, s, bounds))
 
-    target = alpha.free
-    torsion = list(zip(model.degree_rows[rank:], model.moduli, alpha.residues))
+    torsion = list(zip(model.degree_rows[model.rank :], model.moduli, alpha.residues))
     out: list[tuple[int, ...]] = []
     exps = [0] * nvars
 
-    def descend(j: int, remaining: int, acc: tuple[int, ...]):
-        if j == nvars:
-            if acc == target and all(sum(map(mul, row, exps)) % t == c for row, t, c in torsion):
+    def descend(t: int, gap: tuple[int, ...]):
+        if t == nvars:
+            if all(sum(map(mul, row, exps)) % m == c for row, m, c in torsion):
                 out.append(tuple(exps))
             return
-        if j == nvars - 1:
-            e, rest = divmod(remaining, weights[j])
-            choices = () if rest else (e,)
-        else:
-            choices = range(remaining // weights[j] + 1)
-        d = model.degrees[j].free
-        up, down = grows[j], shrinks[j]
-        for e in choices:
-            nxt = tuple(a + e * x for a, x in zip(acc, d)) if e else acc
-            # On up and down, variable j moves acc the same way as the
-            # variables after it, so a larger e cannot repair a miss.
-            if any(nxt[k] > target[k] for k in up) or any(nxt[k] < target[k] for k in down):
-                break
+        j, step, bounds = levels[t]
+        lo, hi = 0, gap[0] // step[0]
+        for k, p, q, c in bounds:
+            rhs = p * gap[k] - q * gap[0]
+            if c > 0:
+                if rhs // c < hi:
+                    hi = rhs // c
+            elif -(rhs // -c) > lo:
+                lo = -(rhs // -c)
+        for e in range(lo, hi + 1):
             exps[j] = e
-            descend(j + 1, remaining - e * weights[j], nxt)
-        exps[j] = 0
+            descend(t + 1, tuple(g - e * x for g, x in zip(gap, step)) if e else gap)
 
-    descend(0, budget, (0,) * rank)
+    descend(0, (sum(map(mul, functional, alpha.free)),) + alpha.free)
     return tuple(sorted(out, key=grevlex_key, reverse=True))
 
 
@@ -140,7 +141,7 @@ def count_lattice_points(model: ToricModel, coefficients) -> int:
     """
     if model.rays is None:
         raise ValueError("lattice-point counting needs a ray-based model")
-    coefficients = [int(a) for a in coefficients]
+    coefficients = list(map(index, coefficients))
     if len(coefficients) != model.nvars:
         raise ValueError("divisor coefficient count mismatch")
     if any(a < 0 for a in coefficients):
@@ -157,11 +158,7 @@ def count_lattice_points(model: ToricModel, coefficients) -> int:
                 "is not complete or the divisor is degenerate"
             )
         ranges.append(range(ceil(lo), floor(hi) + 1))
-    count = 0
-    for point in product(*ranges):
-        if all(
-            sum(r * x for r, x in zip(ray, point)) >= -a
-            for ray, a in zip(model.rays, coefficients)
-        ):
-            count += 1
-    return count
+    return sum(
+        all(sum(map(mul, ray, point)) >= bound for ray, bound in ineqs)
+        for point in product(*ranges)
+    )

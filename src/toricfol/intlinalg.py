@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import index
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(tuple(map(index, row)) for row in rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 from .degrees import DegreeClass
 from .halfspaces import feasible_point
@@ -283,7 +283,7 @@ def build_from_rays(
     relations and generate the grading group, which one Smith form
     decides (ModelInputError if not).
     """
-    rays = tuple(tuple(int(x) for x in ray) for ray in rays)
+    rays = tuple(tuple(map(index, ray)) for ray in rays)
     for ray in rays:
         if gcd(*ray) != 1:
             raise ValueError(f"ray {ray} is not primitive")
@@ -309,7 +309,7 @@ def build_from_pairing_rows(
     projective construction) are legitimate pairing rows yet need not be
     primitive when the weights are not well-formed.
     """
-    rows = tuple(tuple(int(x) for x in row) for row in rows)
+    rows = tuple(tuple(map(index, row)) for row in rows)
     for row in rows:
         if len(row) != n:
             raise ValueError(f"ray {row} does not have {n} coordinates")
@@ -337,7 +337,7 @@ def build_from_pairing_rows(
         degrees=computed if degrees is None else degrees,
         rays=rows,
         max_cones=(
-            tuple(tuple(sorted(int(i) for i in cone)) for cone in max_cones)
+            tuple(tuple(sorted(map(index, cone))) for cone in max_cones)
             if max_cones is not None
             else None
         ),

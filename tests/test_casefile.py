@@ -186,6 +186,46 @@ def test_a_section_given_twice_is_one_section():
     assert str(err.value) == "line 12: repeated key 'dimension' in [model]"
 
 
+def _without_degrees(fix):
+    text = render_case(CaseFile(model=fix.model, hypersurface=fix.hypersurface))
+    return "".join(line for line in text.splitlines(True) if not line.startswith("degrees ="))
+
+
+# The torsion surface by its rays and torsion alone, with no degrees line.
+S_Z3_RAYS = _without_degrees(torsion_fermat_fixture(3))
+
+
+def test_torsion_beside_rays_that_matches_the_model_is_kept():
+    model = parse_case(S_Z3_RAYS).model
+    assert model.moduli == (3,)
+    assert model.class_group.describe() == "Z + Z/3"
+
+
+@pytest.mark.parametrize(
+    "text, old, new, lineno",
+    [
+        (P2_FERMAT, "cones =", "torsion = 7\ncones =", 6),  # P^2 has no torsion
+        (P2_FERMAT, "rays =", "torsion = 2\nrays =", 5),
+        (S_Z3_RAYS, "torsion = 3", "torsion = 5", 6),
+        (S_Z3_RAYS, "torsion = 3", "torsion = 3 3", 6),
+    ],
+    ids=["p2-torsion-7", "p2-torsion-2-first", "s-z3-torsion-5", "s-z3-torsion-3-3"],
+)
+def test_torsion_beside_rays_must_match_the_model(text, old, new, lineno):
+    with pytest.raises(CaseError) as err:
+        parse_case(text.replace(old, new))
+    assert str(err.value).startswith(f"line {lineno}: torsion does not match the torsion of the model")
+
+
+def test_torsion_beside_rays_mismatch_exits_one(tmp_path, capsys):
+    from toricfol.cli import run
+
+    path = tmp_path / "p2.case"
+    path.write_text(P2_FERMAT.replace("cones =", "torsion = 7\ncones ="))
+    assert run(["classgroup", "--case", str(path)]) == 1
+    assert "line 6: torsion does not match" in capsys.readouterr().out
+
+
 def test_cone_indices_one_based():
     with pytest.raises(CaseError):
         parse_case(P2_FERMAT.replace("{1,2}", "{0,1}"))

@@ -14,6 +14,12 @@ coefficients are ints wherever they are integral: a ``/`` or ``/=`` fails
 the test unless it sits inside ``poly.exact_div``, the one coefficient
 division.  Elsewhere a quotient that may be a fraction is built as
 ``Fraction(num, den)``, as ``halfspaces.py`` builds its bounds.
+
+No silent truncation either: ``int(1.9)`` is 1, so a call to ``int(``
+fails the test, and an input that must be an integer goes through
+``operator.index``, which refuses a float or a ``Fraction``.
+``parsing.py`` and ``casefile.py`` are exempt: they call ``int`` only on
+digit strings that a regular expression has already checked.
 """
 
 import ast
@@ -130,3 +136,30 @@ def test_division_detector_sees_each_kind():
     for name, functions in DIVISION_EXEMPT_FUNCTIONS.items():
         tree = ast.parse((CORE / name).read_text(encoding="utf-8"))
         assert len(true_divisions(tree)) > len(true_divisions(tree, functions))
+
+
+INT_EXEMPT_MODULES = ("parsing.py", "casefile.py")
+
+
+def int_calls(tree: ast.AST) -> list[str]:
+    return [
+        f"line {node.lineno}: call to int()"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in INT_EXEMPT_MODULES], ids=lambda p: p.name
+)
+def test_no_int_truncation_in_core(path):
+    spots = int_calls(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert not spots, f"{path.name}: " + "; ".join(spots)
+
+
+def test_int_detector_sees_each_kind():
+    source = "a = int(x)\nb = [int(c * s) for c in xs]\nc = isinstance(a, int)\nd = index(a)\n"
+    assert int_calls(ast.parse(source)) == ["line 1: call to int()", "line 2: call to int()"]
+    # the exemptions are not stale: each exempt module does call int
+    for name in INT_EXEMPT_MODULES:
+        assert int_calls(ast.parse((CORE / name).read_text(encoding="utf-8")))

@@ -179,3 +179,33 @@ def test_every_fixture_checks_clean():
         bad = [r for r in results if not r.passed]
         assert not bad, f"{fix.name}: {[(r.name, r.expected, r.actual) for r in bad]}"
         assert all(r.provenance in {"published", "derived", "trivial"} for r in results)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: weighted_projective(1.7, 1, 1),
+        lambda: multiprojective(Fraction(3, 2), 1),
+        lambda: rational_scroll(1, 0.5),
+        lambda: wps_pairs_fixture((1, 2, 1, 2.0), (4, 2, 4, 2)),
+        lambda: wps_pairs_fixture((1, 2, 1, 2), (4, 2, 4, Fraction(5, 2))),
+        lambda: biproj_pairs_fixture(3.0, [1, 1], [1, 1]),
+        lambda: torsion_fermat_fixture(Fraction(7, 2)),
+        lambda: split_field_fixture(1.5, 2),
+        lambda: monomial_hypersurface_fixture(2, 3.5),
+    ],
+    ids=[
+        "weighted-projective",
+        "multiprojective",
+        "rational-scroll",
+        "wps-pairs-weight",
+        "wps-pairs-power",
+        "biproj-pairs",
+        "torsion-fermat",
+        "split-field",
+        "monomial-hypersurface",
+    ],
+)
+def test_family_builders_refuse_non_integers(build):
+    with pytest.raises(TypeError):
+        build()

@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -10,8 +12,11 @@ from toricfol.families import (
     monomial_hypersurface_fixture,
     multiprojective,
     octahedron_rays,
+    rational_scroll,
     split_field_fixture,
     torsion_fermat_fixture,
+    torsion_surface,
+    weighted_projective,
     wps_pairs_fixture,
 )
 from toricfol.grading import count_lattice_points, homogeneous_degree, monomials_of_degree
@@ -145,6 +150,9 @@ def test_count_matches_enumeration_cross_oracle(p2, p1p1, surface_z3):
 def test_count_rejects_bad_input(p2):
     with pytest.raises(ValueError):
         count_lattice_points(p2, (-1, 0, 0))
+    for coefficient in (Fraction(3, 2), 1.0):  # refused, not truncated to 1
+        with pytest.raises(TypeError):
+            count_lattice_points(p2, (coefficient, 0, 0))
     with pytest.raises(ValueError, match="not complete"):  # no fan on these rays is complete
         build_from_rays(2, [(1, 0), (0, 1), (1, 2)])
     from toricfol import rational_scroll
@@ -209,6 +217,51 @@ def test_enumeration_matches_unpruned_oracle(family_models):
         for alpha in sample_degrees(rng, model, 8, max_total):
             want = monomials_of_degree_unpruned(model, alpha)
             assert monomials_of_degree(model, alpha) == want, (model.name, alpha)
+
+
+def listing_order_models():
+    """Models whose descent order differs from their listing order."""
+    heavy = [(1, 0), (0, 1), (1, 1), (2, 3), (3, 1)]
+    return [
+        weighted_projective(1, 1, 2, 5),
+        rational_scroll(2, 3, 1),
+        rational_scroll(1, 1),
+        multiprojective(2, 1),
+        torsion_surface(),
+        build_from_presentation(3, [DegreeClass(d) for d in heavy], name="heavy-rank-2"),
+    ]
+
+
+def listing_orders(model):
+    """Variable orders: heavy variables first and last, variables with a
+    negative degree first, and the listing reversed."""
+    functional = model.positive_functional
+
+    def weight(j):
+        return sum(map(mul, functional, model.degrees[j].free))
+
+    js = range(model.nvars)
+    return {
+        "heavy-first": sorted(js, key=lambda j: -weight(j)),
+        "heavy-last": sorted(js, key=weight),
+        "negative-first": sorted(js, key=lambda j: min(model.degrees[j].free) >= 0),
+        "reversed": list(reversed(js)),
+    }
+
+
+@pytest.mark.parametrize("base", listing_order_models(), ids=lambda m: m.name)
+def test_enumeration_matches_unpruned_oracle_in_every_listing_order(base):
+    # The descent fixes the variables heaviest first, whatever their listing.
+    rng = random.Random(base.name)
+    alphas = sample_degrees(rng, base, 6, 5)
+    for label, order in listing_orders(base).items():
+        model = build_from_presentation(base.n, [base.degrees[j] for j in order])
+        for alpha in alphas:
+            got = monomials_of_degree(model, alpha)
+            assert got == monomials_of_degree_unpruned(model, alpha), (label, alpha)
+            # the same monomials as in the listing given, moved with their variables
+            moved = {tuple(m[order.index(j)] for j in range(model.nvars)) for m in got}
+            assert moved == set(monomials_of_degree(base, alpha)), (label, alpha)
 
 
 def test_enumeration_memo_matches_unpruned_oracle():

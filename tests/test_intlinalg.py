@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -130,3 +131,9 @@ def test_determinant_bareiss():
     # cofactor expansion by hand: 2*(2-0) - 3*(0+4) + 1*(0-4) = -12
     assert a.det() == -12
     assert IntMatrix.from_rows([(1, 2), (2, 4)]).det() == 0
+
+
+@pytest.mark.parametrize("entry", [1.5, 2.0, Fraction(3, 2)])
+def test_from_rows_refuses_non_integers(entry):
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[entry, 2]])

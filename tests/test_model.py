@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 from itertools import product
 from math import ceil, floor, gcd
 from operator import mul
@@ -631,3 +632,20 @@ def test_positive_functional_matches_the_fraction_oracle(family_models):
             assert count_lattice_points(model, coeffs) == want
             counted += 1
     assert counted >= 30
+
+
+# A float or a non-integral Fraction is refused, not truncated: 1.9 would
+# otherwise build the ray (1, 0) and with it P^2.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_from_rays(2, [(1.9, 0), (0, 1), (-1, -1)]),
+        lambda: build_from_rays(2, [(Fraction(3, 2), 0), (0, 1), (-1, -1)]),
+        lambda: build_from_pairing_rows(2, [(1, 0), (0, 1.0), (-1, -1)]),
+        lambda: build_from_pairing_rows(2, [(1, 0), (0, 1), (-1, -1)], max_cones=[(0, 1.5), (1, 2), (0, 2)]),
+    ],
+    ids=["ray-float", "ray-fraction", "pairing-row-float", "cone-index-float"],
+)
+def test_builders_refuse_non_integers(build):
+    with pytest.raises(TypeError):
+        build()

@@ -2,7 +2,7 @@
 
 Every fan must build; its class group must match the invariant factors
 that ``minor_gcds`` reads off its ray matrix; and lattice-point counting
-must agree with monomial enumeration on three effective divisors.
+must agree with monomial enumeration on eight effective divisors.
 """
 
 import random
@@ -38,10 +38,20 @@ def test_class_group_matches_the_minor_gcds(n, seed):
 def test_lattice_points_count_the_monomials(n, seed):
     rays, model = fan_model(n, seed)
     rng = random.Random(f"{n}:{seed}:divisors")
-    for _ in range(3):
+    for _ in range(8):
         coeffs = tuple(rng.randint(0, 2) for _ in rays)
         want = len(monomials_of_degree(model, model.monomial_degree(coeffs)))
         assert count_lattice_points(model, coeffs) == want, coeffs
+
+
+def test_a_sparse_piece_on_the_rank_four_fan():
+    # Z^4 + Z/5 + Z/5: two monomials among many splits of the functional,
+    # since the fourth free coordinate has degrees of both signs.
+    rays, model = fan_model(4, 3)
+    assert model.class_group.rank == 4 and model.class_group.torsion == (5, 5)
+    coeffs = (0, 1, 1, 1, 2, 1, 2, 2)
+    basis = monomials_of_degree(model, model.monomial_degree(coeffs))
+    assert len(basis) == count_lattice_points(model, coeffs) == 2
 
 
 def test_fans_reach_torsion_and_picard_rank_three():
