@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 from .degrees import DegreeClass
 from .foliation import (
     DegreeInconsistencyError,
     VectorField,
+    _invariance_cofactor,
     component_degree_candidates,
     foliation_degree,
-    invariance_cofactor,
     lie_g_membership,
 )
 from .grading import homogeneous_degree
@@ -260,6 +261,11 @@ class _Case:
     subset: tuple[int, ...] | None
     evidence: dict
 
+    @cached_property
+    def partials(self) -> tuple[Polynomial, ...]:
+        """df/dz_j for every variable, taken once per audit."""
+        return tuple(self.f.partial_derivative(j) for j in range(self.f.nvars))
+
 
 def _check_quasi_homogeneous(case: _Case):
     deg_v = homogeneous_degree(case.model, case.f)
@@ -279,7 +285,7 @@ def _check_field_degree(case: _Case):
 def _check_invariance(case: _Case):
     cofactor = None
     if case.evidence["deg_hypersurface"] is not None:
-        cofactor = invariance_cofactor(case.model, case.audited, case.f)
+        cofactor = _invariance_cofactor(case.audited, case.f, case.partials.__getitem__)
     status = "pass" if cofactor is not None else "fail: no polynomial cofactor"
     return status, {"cofactor": cofactor}
 
@@ -315,8 +321,7 @@ def _check_quasi_smoothness(case: _Case):
     model, f = case.model, case.f
     record = {"path": "exact", "modular": None}
     if case.subset is None:
-        partials = [f.partial_derivative(j) for j in range(model.nvars)]
-        nonzero = [p for p in partials if not p.is_zero()]
+        nonzero = [p for p in case.partials if not p.is_zero()]
         strong = only_origin_check(nonzero, record=record) if nonzero else False
         if strong:
             status, label = "pass", "strong"
@@ -426,7 +431,7 @@ def audit_case(
             indices = tuple(range(model.nvars)) if subset is None else subset
             try:
                 decomposition = _decompose(
-                    model, f, audited, options.radial_index, indices, deg_v, ev["cofactor"], deg_field
+                    model, case.partials, audited, options.radial_index, indices, deg_v, ev["cofactor"], deg_field
                 )
             except Exception as exc:  # noqa: BLE001 - recorded, not raised
                 note = f"decomposition failed: {exc}"

@@ -85,13 +85,7 @@ class VectorField:
     def apply_to(self, f: Polynomial) -> Polynomial:
         """Directional derivative sum_j components[j] * df/dz_j, summed in
         one term dict."""
-        if f.nvars != self.nvars:
-            raise ValueError("variable count mismatch")
-        sums: dict = {}
-        for j, p in enumerate(self.components):
-            if p:
-                add_product(sums, p, f.partial_derivative(j))
-        return Polynomial._from_sums(self.nvars, sums)
+        return _apply_partials(self, f, f.partial_derivative)
 
     def to_strings(self, names) -> dict[str, str]:
         return {
@@ -130,13 +124,31 @@ def foliation_degree(model: ToricModel, field: VectorField) -> DegreeClass:
     return d
 
 
+def _apply_partials(field: VectorField, f: Polynomial, partial) -> Polynomial:
+    """X(f) summed in one term dict, ``partial(j)`` giving df/dz_j; it is
+    asked only where the field's component is nonzero."""
+    if f.nvars != field.nvars:
+        raise ValueError("variable count mismatch")
+    sums: dict = {}
+    for j, p in enumerate(field.components):
+        if p:
+            add_product(sums, p, partial(j))
+    return Polynomial._from_sums(field.nvars, sums)
+
+
 def invariance_cofactor(
     model: ToricModel, field: VectorField, f: Polynomial
 ) -> Polynomial | None:
     """The polynomial g with X(f) = g * f, or None when f is not invariant."""
+    return _invariance_cofactor(field, f, f.partial_derivative)
+
+
+def _invariance_cofactor(field: VectorField, f: Polynomial, partial) -> Polynomial | None:
+    """``invariance_cofactor`` with ``partial(j)`` giving df/dz_j, so a
+    caller that holds the partials of f already passes them in."""
     if f.is_zero():
         raise ValueError("hypersurface polynomial is zero")
-    return field.apply_to(f).divide_exact(f)
+    return _apply_partials(field, f, partial).divide_exact(f)
 
 
 def lie_g_membership(

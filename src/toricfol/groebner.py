@@ -1,15 +1,20 @@
 """Buchberger-based ideal computations at desk scale.
 
 Every verdict is a dimension read from the leads of the pair loop's
-unreduced basis (``_leads``); ``ideal_dimension`` is the exact one.
-Minimalization drops only leads another lead divides, so these leads span
-the initial ideal of the reduced basis, whose dimension they give (Cox,
-Little & O'Shea, ch. 9 section 3); for the unit ideal they hold 1.
+basis, which is never interreduced (``_leads``); ``ideal_dimension`` is
+the exact one.  Minimalization drops only leads another lead divides, so
+these leads span the initial ideal of the reduced basis, whose dimension
+they give (Cox, Little & O'Shea, ch. 9 section 3); for the unit ideal
+they hold 1.
 
 The pair loop follows Gebauer & Moeller, "On an installation of
 Buchberger's algorithm" (J. Symb. Comput. 6, 1988), at the level of
 Buchberger's two criteria:
 
+- the generators enter in ascending order of their top total degree,
+  and each is divided by the basis admitted so far as it enters; only a
+  nonzero remainder is admitted, so generators that share a lead, like
+  the partials of a dense form, do not all stay on as divisors;
 - each basis element is stored monic, with its leading monomial taken
   once, when it enters the basis;
 - pending pairs sit in a heap keyed by (degree of lcm, i, j): the normal
@@ -26,7 +31,13 @@ Buchberger's two criteria:
   algorithm for computing Groebner bases (F4)", JPAA 139, 1999).
 
 The term order is grevlex.  The criteria and the selection order change
-the work done, never the initial ideal, and so never a verdict.
+the work done, never the initial ideal, and so never a verdict.  Nor
+does the reduction on entry: a remainder is its generator less a
+combination of elements already in the ideal, and the generator is that
+remainder plus the same combination, so the admitted elements generate
+the same ideal.  The initial ideal depends only on the ideal and the
+order, so the leads of the finished basis span the same initial ideal
+and give the same dimension.
 
 Inside Groebner work a monomial is one int, packed as in Monagan &
 Pearce, "Sparse polynomial division using a heap" (J. Symb. Comput. 46,
@@ -78,10 +89,18 @@ pure power of every variable has dimension at most zero.  A partial
 basis thus already bounds the dimension mod P by zero, and the
 Hilbert-function argument carries that to Q.  It also gives the same
 dimension as the full run: the leads only grow, and a constant lead can
-come only from a constant generator, already in the basis, since every
-element made from quasi-homogeneous generators is quasi-homogeneous of
-positive degree.  The exact loop always runs to the end: the exact
-fallback and the charts read ``ideal_dimension`` of the whole basis.
+come only from a constant generator.  A quasi-homogeneous generator of
+positive degree never reduces to a constant: each division step takes
+away a monomial multiple of a quasi-homogeneous divisor that matches one
+of its terms, so what is left stays quasi-homogeneous of the same
+positive degree, and so does every s-polynomial made from such elements.
+
+Both loops return at once when an admitted element has a constant lead.
+Then 1 lies in the ideal, and ``_lead_dimension`` reads EMPTY_VARIETY
+from that lead whatever else the partial basis holds.  A chart ideal of
+``sing_inside_irrelevant`` is not homogeneous, so it can reach 1
+partway through its pairs; a constant generator enters first and ends
+the loop before any pair.
 
 Exact coefficients are ints wherever they are integral, and ``c / lc``
 on two ints would give a float, so every exact coefficient division
@@ -264,14 +283,22 @@ def _pair_loop(gens: list[dict], modulus: int | None, stats: dict | None = None)
     """A Groebner basis of the nonzero term dicts ``gens``, with exact
     rational coefficients or, given a prime ``modulus``, ints mod it, whose
     values must then be reduced and nonzero.  Returns the basis as monic
-    divisors in the returned layout, generators first.
+    divisors in the returned layout.
 
-    Mod P, where only a dimension is read off, the loop returns as soon as
-    the leading monomials include a constant or a pure power of every
-    variable, which is exactly when the dimension they give is at most
-    zero; the basis returned is then a partial one.  The exact loop always
-    runs to the end.  When ``stats`` is given it receives pairs_reduced,
-    basis_size and stopped_early.
+    The generators enter in ascending order of their top total degree,
+    ties in the given order; each is first divided by the basis admitted
+    so far, with the pair loop's own memo, and only a nonzero remainder
+    is admitted.  So the basis starts with the reduced generators, and a
+    generator in the span of earlier ones leaves no element.
+
+    The loop returns at once when an admitted element has a constant
+    lead: 1 is then in the ideal.  Mod P, where only a dimension is read
+    off, it also returns once the leading monomials include a pure power
+    of every variable, which is exactly when the dimension they give is
+    at most zero.  Either way the basis returned is a partial one.  When
+    ``stats`` is given it receives pairs_reduced, basis_size and
+    stopped_early, which is True when the loop returned on one of these
+    two rules, before the queue of pairs ran out.
 
     Every term the loop makes lies below the lcm of its pair, so it has at
     most that lcm's degree.  When a pair is admitted whose lcm degree the
@@ -287,19 +314,21 @@ def _pair_loop(gens: list[dict], modulus: int | None, stats: dict | None = None)
     memo: dict = {}  # one per loop and layout: ``basis`` only grows
     unbounded = set(range(nvars))  # variables with no pure-power lead
     reduced = 0
+    done = False  # a constant lead; mod P, also a pure power of every variable
 
     def admit(terms):
-        nonlocal layout, memo
+        nonlocal layout, memo, done
         d = _monic(terms, modulus)
         lm_k = layout.unpack(d.lead)
         k = len(basis)
         basis.append(d)
         leads.append(lm_k)
         support = [j for j, e in enumerate(lm_k) if e]
-        if not support:
-            unbounded.clear()
-        elif len(support) == 1:
+        if len(support) == 1:
             unbounded.discard(support[0])
+        done = not support or (modulus is not None and not unbounded)
+        if done:
+            return
         top = 0
         for i in range(k):
             lcm = monomial_lcm(leads[i], lm_k)
@@ -313,9 +342,13 @@ def _pair_loop(gens: list[dict], modulus: int | None, stats: dict | None = None)
             basis[:] = [_repack(d, layout, wider) for d in basis]
             layout, memo = wider, {}
 
-    for g in gens:
-        admit({layout.pack(m): c for m, c in g.items()})
-    while heap and (modulus is None or unbounded):
+    for g in sorted(gens, key=lambda g: max(map(sum, g))):
+        rem = divide_terms({layout.pack(m): c for m, c in g.items()}, basis, layout.guard, modulus, memo)
+        if rem:
+            admit(rem)
+            if done:
+                break
+    while heap and not done:
         _, i, j, lcm = heappop(heap)
         pending.discard((i, j))
         if lcm == monomial_mul(leads[i], leads[j]):
@@ -329,7 +362,7 @@ def _pair_loop(gens: list[dict], modulus: int | None, stats: dict | None = None)
         if rem:
             admit(rem)
     if stats is not None:
-        stats.update(pairs_reduced=reduced, basis_size=len(basis), stopped_early=bool(heap))
+        stats.update(pairs_reduced=reduced, basis_size=len(basis), stopped_early=done)
     return basis, layout
 
 
@@ -371,13 +404,15 @@ def ideal_dimension(gens) -> int:
 def _lead_dimension(lms) -> int:
     """The dimension read from the leading monomials of a Groebner basis by
     the standard combinatorial rule: the largest set of variables
-    containing the support of no leading monomial."""
-    nvars = len(lms[0])
-    if any(sum(m) == 0 for m in lms):
-        return EMPTY_VARIETY
+    containing the support of no leading monomial.  A variable with a
+    pure-power lead is in no such set, so only the others are searched."""
     supports = [frozenset(j for j, e in enumerate(m) if e) for m in lms]
-    for size in range(nvars, -1, -1):
-        for subset in combinations(range(nvars), size):
+    if not all(supports):
+        return EMPTY_VARIETY
+    bounded = {j for sup in supports if len(sup) == 1 for j in sup}
+    free = [j for j in range(len(lms[0])) if j not in bounded]
+    for size in range(len(free), -1, -1):
+        for subset in combinations(free, size):
             s = set(subset)
             if not any(sup <= s for sup in supports):
                 return size

@@ -8,10 +8,11 @@ solve under valid hypotheses would falsify the normal form, so it is
 raised loudly with the residual system attached.
 
 ``koszul_decompose`` is the public entry: it checks its inputs, computes
-deg(f), the invariance cofactor g and the field's degree, and hands them
-to the private ``_decompose``.  ``audit_case`` calls ``_decompose``
-directly with the values its hypothesis checks already hold, so an
-audit with a decomposition attached computes each of them once.  Within
+deg(f), the partials of f on the index set, the invariance cofactor g
+from them and the field's degree, and hands them to the private
+``_decompose``.  ``audit_case`` calls ``_decompose`` directly with the
+values its hypothesis checks already hold, so an audit with a
+decomposition attached computes each of them once.  Within
 one solve, the forced degree is computed once per distinct pair of
 variable degrees, and each basis comes from the model's memo in
 ``monomials_of_degree``.  The system is built from term dicts: the
@@ -29,8 +30,8 @@ from .degrees import DegreeClass
 from .foliation import (
     DegreeInconsistencyError,
     VectorField,
+    _invariance_cofactor,
     foliation_degree,
-    invariance_cofactor,
 )
 from .grading import homogeneous_degree, monomials_of_degree
 from .model import ToricModel
@@ -157,16 +158,18 @@ def koszul_decompose(
     alpha = homogeneous_degree(model, f)
     if alpha is None:
         raise ValueError("hypersurface is not quasi-homogeneous")
-    g = invariance_cofactor(model, field, f)
+    # the field is supported on the index set, so X(f) needs no other partial
+    partials = {j: f.partial_derivative(j) for j in indices}
+    g = _invariance_cofactor(field, f, partials.__getitem__)
     if g is None:
         raise ValueError("field does not leave the hypersurface invariant")
     deg_field = foliation_degree(model, field)
-    return _decompose(model, f, field, radial_index, indices, alpha, g, deg_field)
+    return _decompose(model, partials, field, radial_index, indices, alpha, g, deg_field)
 
 
 def _decompose(
     model: ToricModel,
-    f: Polynomial,
+    partials,
     field: VectorField,
     radial_index: int,
     indices: tuple[int, ...],
@@ -177,9 +180,10 @@ def _decompose(
     """The solve behind ``koszul_decompose``, on checked inputs.
 
     ``indices`` is sorted and holds the field's support and the radial
-    field's; ``alpha`` = deg(f), ``g`` the invariance cofactor and
-    ``deg_field`` the field's degree, as the caller has already computed
-    them (``audit_case`` passes its evidence).
+    field's; ``partials[j]`` is df/dz_j for each j in it, ``alpha`` =
+    deg(f), ``g`` the invariance cofactor and ``deg_field`` the field's
+    degree, as the caller has already computed them (``audit_case``
+    passes its evidence).
     """
     nv = model.nvars
     theta = model.theta(radial_index, alpha)
@@ -229,7 +233,7 @@ def _decompose(
     rows: dict[tuple[int, tuple], dict[int, int | Fraction]] = {}
 
     # The pair (j, k) puts +df/dz_j on slot k and -df/dz_k on slot j.
-    plus = {j: tuple(f.partial_derivative(j).terms.items()) for j in indices}
+    plus = {j: tuple(partials[j].terms.items()) for j in indices}
     minus = {j: tuple((mm, -cc) for mm, cc in plus[j]) for j in indices}
     for col, ((j, k), m) in enumerate(columns):
         for mm, cc in plus[j]:

@@ -19,13 +19,16 @@ divisors with ``packed_divisor`` and runs the engine's one division loop,
 with ``reduce_poly`` on any divisor list.
 
 ``pair_loop`` is the engine's pair loop on exponent tuples: the same
-pair heap, coprime and chain criteria, memo of shifted reducers and mod-P
-stop rule, with a division kernel that finds each monomial's reducer by
-comparing tuples.  ``pair_loop_basis`` runs it exact or mod P, and
+entry (generators sorted by top degree and reduced as they enter), pair
+heap, coprime and chain criteria, memo of shifted reducers and stop
+rules (a constant lead; mod P, a pure power of every variable), with a
+division kernel that finds each monomial's reducer by comparing tuples.
+``pair_loop_basis`` runs it exact or mod P, and
 ``tests/test_modular.py`` requires the packed loop to give the same
 basis, coefficient for coefficient, leads and pair counts.  Its exact
 leads are the reference dimension there, where ``buchberger`` is far too
-slow.
+slow.  ``lead_dimension`` reads a dimension from leads by walking every
+subset of the variables, the reference for ``groebner._lead_dimension``.
 """
 
 from __future__ import annotations
@@ -265,32 +268,44 @@ def _chain_criterion(i: int, j: int, lcm, basis, pending) -> bool:
     return False
 
 
-def pair_loop(basis: list[Divisor], modulus, stats: dict) -> list[Divisor]:
-    """``toricfol.groebner._pair_loop`` on exponent tuples: the monic
-    ``basis`` extended to a Groebner basis, partial when the mod-P loop
-    stops at leads of dimension at most zero; ``stats`` receives
-    pairs_reduced, basis_size and stopped_early."""
+def pair_loop(gens: list[dict], modulus, stats: dict) -> list[Divisor]:
+    """``toricfol.groebner._pair_loop`` on exponent tuples: the nonzero
+    term dicts ``gens`` entered in ascending order of top total degree,
+    each reduced by the basis so far, then extended to a Groebner basis;
+    partial when the loop stops at a constant lead or, mod P, at leads of
+    dimension at most zero.  ``stats`` receives pairs_reduced, basis_size
+    and stopped_early."""
+    basis: list[Divisor] = []
     heap: list = []
     pending: set = set()
     memo: dict = {}
-    unbounded = set(range(len(basis[0].lead)))
+    unbounded = set(range(len(next(iter(gens[0])))))
     reduced = 0
+    done = False
 
-    def admit(k):
-        lm_k = basis[k].lead
-        support = [j for j, e in enumerate(lm_k) if e]
-        if not support:
-            unbounded.clear()
-        elif len(support) == 1:
+    def admit(rem):
+        nonlocal done
+        lm = next(iter(rem))
+        basis.append(_monic(lm, rem.pop(lm), rem, modulus))
+        k = len(basis) - 1
+        support = [j for j, e in enumerate(lm) if e]
+        if len(support) == 1:
             unbounded.discard(support[0])
+        done = not support or (modulus is not None and not unbounded)
+        if done:
+            return
         for i in range(k):
-            lcm = monomial_lcm(basis[i].lead, lm_k)
+            lcm = monomial_lcm(basis[i].lead, lm)
             heappush(heap, (sum(lcm), i, k, lcm))
             pending.add((i, k))
 
-    for k in range(len(basis)):
-        admit(k)
-    while heap and (modulus is None or unbounded):
+    for g in sorted(gens, key=lambda g: max(map(sum, g))):
+        rem = divide_terms(dict(g), basis, modulus, memo)
+        if rem:
+            admit(rem)
+            if done:
+                break
+    while heap and not done:
         _, i, j, lcm = heappop(heap)
         pending.discard((i, j))
         if lcm == monomial_mul(basis[i].lead, basis[j].lead):
@@ -300,10 +315,8 @@ def pair_loop(basis: list[Divisor], modulus, stats: dict) -> list[Divisor]:
         reduced += 1
         rem = divide_terms(_spoly_terms(basis[i], basis[j], lcm), basis, modulus, memo)
         if rem:
-            lm = next(iter(rem))
-            basis.append(_monic(lm, rem.pop(lm), rem, modulus))
-            admit(len(basis) - 1)
-    stats.update(pairs_reduced=reduced, basis_size=len(basis), stopped_early=bool(heap))
+            admit(rem)
+    stats.update(pairs_reduced=reduced, basis_size=len(basis), stopped_early=done)
     return basis
 
 
@@ -325,14 +338,25 @@ def pair_loop_basis(polys, modulus, stats: dict) -> list[dict] | None:
     """The basis ``toricfol.groebner._leads`` reads its leads from, exact
     or mod the prime ``modulus``, made by ``pair_loop``: one monic term
     dict per element, lead first; None when a poly vanishes mod it."""
-    gens = [dict(g.terms) for g in polys] if modulus is None else modular_generators(polys)
+    gens = [g.terms for g in polys] if modulus is None else modular_generators(polys)
     if gens is None:
         return None
-    basis = []
-    for terms in gens:
-        lm = max(terms, key=grevlex_key)
-        basis.append(_monic(lm, terms.pop(lm), terms, modulus))
-    return [{d.lead: 1, **dict(zip(d.tail_monos, d.tail_coeffs))} for d in pair_loop(basis, modulus, stats)]
+    return [{d.lead: 1, **dict(zip(d.tail_monos, d.tail_coeffs))} for d in pair_loop(gens, modulus, stats)]
+
+
+def lead_dimension(lms) -> int:
+    """The largest set of variables containing the support of no leading
+    monomial, by walking every subset; EMPTY_VARIETY for a constant lead."""
+    nvars = len(lms[0])
+    if any(sum(m) == 0 for m in lms):
+        return groebner.EMPTY_VARIETY
+    supports = [frozenset(j for j, e in enumerate(m) if e) for m in lms]
+    for size in range(nvars, -1, -1):
+        for subset in combinations(range(nvars), size):
+            s = set(subset)
+            if not any(sup <= s for sup in supports):
+                return size
+    return 0
 
 
 def exact_leads(polys) -> list:

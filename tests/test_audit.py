@@ -146,6 +146,20 @@ def test_audit_attaches_decomposition():
     assert entries["P[z1,z2]"] == "-1/3*z2"
 
 
+def test_audit_takes_each_partial_derivative_once(monkeypatch):
+    # The invariance check, the strong check and the attached Koszul
+    # solve all read the partials the audit takes once.
+    fix = torsion_fermat_fixture(3)
+    want = koszul_decompose(fix.model, fix.hypersurface, fix.field)
+    taken = []
+    partial = Polynomial.partial_derivative
+    monkeypatch.setattr(Polynomial, "partial_derivative", lambda f, j: taken.append(j) or partial(f, j))
+    report = audit_case(fix.model, fix.field, fix.hypersurface, AuditOptions(attach_decomposition=True))
+    assert report.quasi_smoothness == "strong"
+    assert report.decomposition == want
+    assert sorted(taken) == list(range(fix.model.nvars))
+
+
 def test_attached_decomposition_equals_public_solve_on_golden_cases():
     # The audit hands its own degrees and cofactor to the Koszul solve; on
     # every golden case file, subset audits included, the attached result
@@ -316,8 +330,8 @@ def test_audit_evidence_carries_the_modular_loop():
     report = _audit_dense((1, 1, 1), 3)
     assert report.evidence["quasi_smoothness_path"] == "modular"
     assert report.evidence["quasi_smoothness_modular"] == {
-        "pairs_reduced": 5,
-        "basis_size": 8,
+        "pairs_reduced": 3,
+        "basis_size": 6,
         "stopped_early": True,
     }
     fix = split_field_fixture(1, 2, (1, 1))

@@ -5,8 +5,12 @@ from itertools import combinations
 import groebner_oracle as oracle
 from toricfol.groebner import (
     EMPTY_VARIETY,
+    P,
     Divisor,
     _layout_for,
+    _lead_dimension,
+    _leads,
+    _set_to_one,
     divide_terms,
     ideal_dimension,
     only_origin_check,
@@ -130,6 +134,78 @@ def test_ideal_dimension_fermat_jacobian(p2):
 def test_ideal_dimension_unit_ideal():
     one = Polynomial.constant(2, 1)
     assert ideal_dimension([one]) == EMPTY_VARIETY
+
+
+def test_generators_enter_reduced_in_degree_order():
+    # The third generator is the difference of the first two, so it
+    # reduces to zero on entry and leaves no element; the cubic enters
+    # after the linear form that is given last, reduced to y^3.
+    x, y, z = (V(3, j) for j in range(3))
+    for gens, leads in (
+        ([x * x - y * z, x * x + y * y - y * z, y * y], [(2, 0, 0), (0, 2, 0)]),
+        ([x ** 3 + y ** 3, x], [(1, 0, 0), (0, 3, 0)]),
+    ):
+        stats, want_stats = {}, {}
+        basis = oracle.engine_basis(gens, stats)
+        assert [g.terms for g in basis] == oracle.pair_loop_basis(gens, None, want_stats)
+        assert stats == want_stats == {"pairs_reduced": 0, "basis_size": 2, "stopped_early": False}
+        assert [g.leading_term()[0] for g in basis] == leads
+        assert oracle.engine_reduced_basis(gens) == oracle.buchberger(gens)
+
+
+def test_constant_generator_reduces_no_pair():
+    x, y = V(2, 0), V(2, 1)
+    gens = [x * x + y, Polynomial.constant(2, 3), x * y]
+    stats = {}
+    assert oracle.engine_basis(gens, stats) == [Polynomial.constant(2, 1)]
+    assert stats == {"pairs_reduced": 0, "basis_size": 1, "stopped_early": True}
+    assert ideal_dimension(gens) == EMPTY_VARIETY
+    stats = {}
+    assert _lead_dimension(_leads(gens, P, stats)) == EMPTY_VARIETY
+    assert stats == {"pairs_reduced": 0, "basis_size": 1, "stopped_early": True}
+
+
+def test_chart_reaching_one_stops_there():
+    # On the split-field (1,2) fixture one chart ideal of the partials
+    # has no constant generator and reaches 1 at its first S-pair; the
+    # loop returns there, with pairs still queued, as the oracle's does.
+    from toricfol.families import split_field_fixture
+
+    fix = split_field_fixture(1, 2, (1, 2))
+    f = fix.hypersurface
+    partials = [f.partial_derivative(j) for j in range(f.nvars)]
+    seen = []
+    for gen in fix.model.irrelevant_ideal():
+        chart = [p for p in (_set_to_one(p, gen) for p in partials) if not p.is_zero()]
+        stats, want_stats = {}, {}
+        basis = oracle.engine_basis(chart, stats)
+        assert [g.terms for g in basis] == oracle.pair_loop_basis(chart, None, want_stats)
+        assert stats == want_stats
+        assert basis[-1] == Polynomial.constant(f.nvars, 1)
+        assert stats["stopped_early"]
+        if stats["pairs_reduced"]:
+            assert all(g.total_degree() > 0 for g in chart)
+            seen.append((stats["pairs_reduced"], stats["basis_size"], len(chart)))
+    assert seen == [(1, 5, 4)]
+
+
+def test_lead_dimension_matches_the_full_enumeration():
+    # Leaving out the variables with a pure-power lead changes no answer.
+    rng = random.Random(47)
+    kinds = set()
+    for _ in range(600):
+        nv = rng.randint(1, 5)
+        lms = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(nv)) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.05:
+            lms.insert(rng.randrange(len(lms) + 1), (0,) * nv)
+        if rng.random() < 0.2:
+            lms = [m for m in lms if sum(map(bool, m)) != 1] or [(1,) * nv]
+        want = oracle.lead_dimension(lms)
+        assert _lead_dimension(lms) == want, lms
+        pure = any(sum(map(bool, m)) == 1 for m in lms)
+        kinds.add("unit" if want == EMPTY_VARIETY else ("pure" if pure else "no pure power"))
+        kinds.add(want)
+    assert {"unit", "pure", "no pure power", 0, 1, 2, 3} <= kinds
 
 
 def test_ideal_dimension_monomial_oracle():

@@ -171,7 +171,8 @@ def _m(*exponents, c=1):
 def test_overflowing_degrees_repack_and_match_oracle(monkeypatch):
     # The packed layout starts with 16-bit fields, so every exponent and
     # degree must stay below 2^15.  Here the lcm of a pair or the
-    # generators themselves cross it, and the answers must not change.
+    # generators themselves cross it, or a generator is reduced on entry
+    # after the move, and the answers must not change.
     import toricfol.groebner as groebner
 
     limit = groebner._layout_for(3, 0).limit
@@ -186,6 +187,8 @@ def test_overflowing_degrees_repack_and_match_oracle(monkeypatch):
         "generators": ([_m(17000, 1), _m(1, 17000), _m(17001, 0) + _m(0, 17001)], 2),
         "wide generators": ([_m(40000, 0) - _m(0, 40000), _m(1, 39999)], 0),
         "wider than 2^31": ([_m(2**31 + 3, 0) - _m(0, 2**31 + 3), _m(2, 2**31 + 1)], 0),
+        # the third generator enters after the move and reduces to y^17002 there
+        "reduced after the move": ([_m(17000, 1), _m(1, 17000), _m(17001, 1) + _m(0, 17002)], 2),
     }
     answers = []
     for name, (gens, repacked) in cases.items():
@@ -200,7 +203,9 @@ def test_overflowing_degrees_repack_and_match_oracle(monkeypatch):
         answer = only_origin_check(gens, record=record)
         assert answer is (ideal_dimension(gens) <= 0)
         answers.append((answer, record["path"]))
-    assert answers == [(False, "exact")] + [(True, "modular")] * 3
+    assert answers == [(False, "exact")] + [(True, "modular")] * 3 + [(False, "exact")]
+    basis = oracle.engine_basis(cases["reduced after the move"][0])
+    assert [g.leading_term()[0] for g in basis] == [(17000, 1), (1, 17000), (0, 17002)]
     gb = oracle.buchberger([_m(1, 0) - _m(0, 1), _m(0, 2) - _m(0, 0)])
     f = _m(50000, 1) + _m(3, 49998, c=Fraction(1, 2))
     # the division loop on a basis in 32-bit fields
