@@ -9,7 +9,7 @@ from .degrees import DegreeClass
 from .grading import homogeneous_degree
 from .model import ToricModel
 from .poly import Polynomial, add_product
-from .ratlinalg import solve_sparse
+from .ratlinalg import Elimination
 
 
 class DegreeInconsistencyError(ValueError):
@@ -179,11 +179,11 @@ def lie_g_membership(
             return False, None
         quotients.append(q)
     monomials = sorted({m for q in quotients for m in q.terms}, reverse=True)
-    coeff_rows = [{i: model.radial[i][j] for i in range(r)} for j in range(nv)]
+    # Every monomial solves against the same r-column rows: eliminate once.
+    elimination = Elimination([{i: model.radial[i][j] for i in range(r)} for j in range(nv)], r)
     witness_terms: list[dict] = [dict() for _ in range(r)]
     for m in monomials:
-        rhs = [quotients[j].terms.get(m, 0) for j in range(nv)]
-        sol = solve_sparse(coeff_rows, rhs, r)
+        sol = elimination.solve([quotients[j].terms.get(m, 0) for j in range(nv)])
         if sol is None:
             return False, None
         for i, c in enumerate(sol):

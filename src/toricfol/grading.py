@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from itertools import product
-from math import ceil, floor, lcm
+from math import lcm
 from operator import index, mul
 
 from .degrees import DegreeClass
 from .model import ToricModel
-from .halfspaces import coordinate_interval
+from .halfspaces import count_integer_points
 from .poly import Polynomial, grevlex_key
 
 
@@ -135,9 +134,9 @@ def _enumerate_monomials(model: ToricModel, alpha: DegreeClass) -> tuple[tuple[i
 def count_lattice_points(model: ToricModel, coefficients) -> int:
     """Lattice points of the polytope cut out by <m, ray> >= -a_ray.
 
-    Brute force over the exact bounding box.  Errors out when the model
-    has no rays, the divisor is not effective, or the polytope is
-    unbounded (incomplete fan or degenerate divisor).
+    Counted slice by slice by ``halfspaces.count_integer_points``.  Errors
+    out when the model has no rays, the divisor is not effective, or the
+    polytope is unbounded (incomplete fan or degenerate divisor).
     """
     if model.rays is None:
         raise ValueError("lattice-point counting needs a ray-based model")
@@ -146,19 +145,4 @@ def count_lattice_points(model: ToricModel, coefficients) -> int:
         raise ValueError("divisor coefficient count mismatch")
     if any(a < 0 for a in coefficients):
         raise ValueError("divisor is not effective")
-    ineqs = [(ray, -a) for ray, a in zip(model.rays, coefficients)]
-    ranges = []
-    for i in range(model.n):
-        feasible, lo, hi = coordinate_interval(ineqs, model.n, i)
-        if not feasible:
-            return 0
-        if lo is None or hi is None:
-            raise ValueError(
-                f"polytope is unbounded in coordinate {i}; model {model.name} "
-                "is not complete or the divisor is degenerate"
-            )
-        ranges.append(range(ceil(lo), floor(hi) + 1))
-    return sum(
-        all(sum(map(mul, ray, point)) >= bound for ray, bound in ineqs)
-        for point in product(*ranges)
-    )
+    return count_integer_points([(ray, -a) for ray, a in zip(model.rays, coefficients)], model.n)

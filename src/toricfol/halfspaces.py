@@ -1,7 +1,7 @@
 """Exact Fourier-Motzkin elimination for small integer halfspace systems.
 
 An inequality is a pair (coeffs, rhs) of ints meaning coeffs . x >= rhs.
-Used to certify strictly positive grading functionals and to box lattice
+Used to certify strictly positive grading functionals and to slice lattice
 polytopes; system sizes here are tiny, so the quadratic blowup of
 elimination is irrelevant.
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 Inequality = tuple[tuple[int, ...], int]
 
@@ -44,11 +45,18 @@ def _eliminate_last(ineqs: list[Inequality]) -> list[Inequality]:
     return list(out)
 
 
-def feasible_point(ineqs: list[Inequality], nvars: int) -> tuple[Fraction, ...] | None:
-    """Some rational x with coeffs . x >= rhs for all inequalities, else None."""
+def _projections(ineqs: list[Inequality], nvars: int) -> list[list[Inequality]]:
+    """The Fourier-Motzkin stages: entry k is the projection of the system
+    onto its first nvars - k variables, so entry nvars holds constants."""
     stages = [list(ineqs)]
     for _ in range(nvars):
         stages.append(_eliminate_last(stages[-1]))
+    return stages
+
+
+def feasible_point(ineqs: list[Inequality], nvars: int) -> tuple[Fraction, ...] | None:
+    """Some rational x with coeffs . x >= rhs for all inequalities, else None."""
+    stages = _projections(ineqs, nvars)
     if any(rhs > 0 for _, rhs in stages[-1]):
         return None
     point: list[Fraction] = []
@@ -72,30 +80,37 @@ def feasible_point(ineqs: list[Inequality], nvars: int) -> tuple[Fraction, ...] 
     return tuple(point)
 
 
-def coordinate_interval(
-    ineqs: list[Inequality], nvars: int, coord: int
-) -> tuple[bool, Fraction | None, Fraction | None]:
-    """(feasible, lower, upper) of one coordinate over the polyhedron.
+def count_integer_points(ineqs: list[Inequality], nvars: int) -> int:
+    """The number of integer x with coeffs . x >= rhs for all inequalities.
 
-    A None bound means unbounded in that direction.
+    Stage nvars-1-k projects onto coordinates 0..k, so on a slice with
+    coordinates 0..k-1 fixed its inequalities give coordinate k's integer
+    interval; one without coordinate k is carried to a later stage and
+    checked there.  Only points of the projections are visited, and the
+    last interval is counted, not walked.  ``ValueError`` when the
+    polyhedron is nonempty and unbounded.
     """
-    # Move the tracked coordinate to the front, then eliminate the rest.
-    perm = [coord] + [j for j in range(nvars) if j != coord]
-    system = [(tuple(coeffs[j] for j in perm), rhs) for coeffs, rhs in ineqs]
-    for _ in range(nvars - 1):
-        system = _eliminate_last(system)
-    lo, hi = None, None
-    for coeffs, rhs in system:
-        c = coeffs[0]
-        if c == 0:
-            if rhs > 0:
-                return False, None, None
-            continue
-        b = Fraction(rhs, c)
-        if c > 0:
-            lo = b if lo is None else max(lo, b)
-        else:
-            hi = b if hi is None else min(hi, b)
-    if lo is not None and hi is not None and lo > hi:
-        return False, None, None
-    return True, lo, hi
+    stages = _projections(ineqs, nvars)
+    if any(rhs > 0 for _, rhs in stages[-1]):
+        return 0
+    # A nonempty polyhedron is bounded iff every stage bounds its last
+    # coordinate on both sides; the first stage that does not names the
+    # first unbounded coordinate.
+    levels = []
+    for k in range(nvars):
+        stage = [(coeffs[:k], coeffs[k], rhs) for coeffs, rhs in stages[nvars - 1 - k]]
+        lower, upper = [q for q in stage if q[1] > 0], [q for q in stage if q[1] < 0]
+        if not (lower and upper):
+            raise ValueError(f"polytope is unbounded in coordinate {k}")
+        levels.append((lower, upper))
+
+    def count(k: int, point: tuple[int, ...]) -> int:
+        # c x_k >= rhs - prefix . point: a ceiling for c > 0, a floor for c < 0
+        lower, upper = levels[k]
+        lo = max(-((sum(map(mul, prefix, point)) - rhs) // c) for prefix, c, rhs in lower)
+        hi = min((rhs - sum(map(mul, prefix, point))) // c for prefix, c, rhs in upper)
+        if k == nvars - 1:
+            return max(0, hi - lo + 1)
+        return sum(count(k + 1, point + (x,)) for x in range(lo, hi + 1))
+
+    return count(0, ())

@@ -184,6 +184,12 @@ class ToricModel:
         """Memo of ``grading.monomials_of_degree``: degree class -> basis."""
         return {}
 
+    @cached_property
+    def _koszul_system(self) -> list:
+        """``normalform._decompose``'s last factored pair system: empty, or
+        one ((index set, deg X - deg f, partials), system) tuple."""
+        return []
+
     def monomial_degree(self, exponents) -> DegreeClass:
         if len(exponents) != self.nvars:
             raise ValueError("exponent length mismatch")

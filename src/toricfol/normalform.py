@@ -12,13 +12,16 @@ deg(f), the partials of f on the index set, the invariance cofactor g
 from them and the field's degree, and hands them to the private
 ``_decompose``.  ``audit_case`` calls ``_decompose`` directly with the
 values its hypothesis checks already hold, so an audit with a
-decomposition attached computes each of them once.  Within
-one solve, the forced degree is computed once per distinct pair of
-variable degrees, and each basis comes from the model's memo in
-``monomials_of_degree``.  The system is built from term dicts: the
-right-hand side is, per slot, the field's terms less the radial part
-(g / theta) R, and the solver's values are already canonical, so no
-intermediate field or polynomial is built or re-validated.
+decomposition attached computes each of them once.
+
+The matrix of the system depends only on the index set, deg X - deg f
+(the twist less deg f) and the partials of f on the index set; the field
+gives only the right-hand side, per slot its terms less the radial part
+(g / theta) R.  Each model keeps the last system it factored under that
+key, so one per model, and a field of the same hypersurface, twist and
+index set costs its residual and one solve.  A new key builds the system
+from term dicts, with one forced degree per distinct pair of variable
+degrees and each basis from the model's memo in ``monomials_of_degree``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .foliation import (
 from .grading import homogeneous_degree, monomials_of_degree
 from .model import ToricModel
 from .poly import Polynomial, exact_div, monomial_mul
-from .ratlinalg import solve_sparse
+from .ratlinalg import Elimination
 
 
 class DecompositionError(RuntimeError):
@@ -208,45 +211,19 @@ def _decompose(
             else:
                 del terms[mc]
 
-    pair_list = [(j, k) for a, j in enumerate(indices) for k in indices[a + 1 :]]
-    columns = []  # (pair, monomial) in deterministic order
-    # The (j, k) degree is shift + deg z_j + deg z_k: it is computed once
-    # per distinct pair of variable degrees, and its basis fetched once.
+    # The model keeps the last system it factored (see the module docstring).
     shift = deg_field - alpha
-    degrees = model.degrees
-    forced: dict[tuple[DegreeClass, DegreeClass], DegreeClass] = {}
-    bases: dict[DegreeClass, tuple] = {}
-    for j, k in pair_list:
-        key = (degrees[j], degrees[k])
-        if key not in forced:
-            forced[key] = shift + degrees[j] + degrees[k]
-        delta = forced[key]
-        if delta not in bases:
-            bases[delta] = monomials_of_degree(model, delta)
-        columns.extend(((j, k), m) for m in bases[delta])
+    key = (indices, shift, tuple(partials[j] for j in indices))
+    slot = model._koszul_system
+    if not slot or slot[0][0] != key:  # compared, not hashed: a hit is cheap
+        slot[:] = [(key, _pair_system(model, partials, indices, shift))]
+    pair_list, columns, row_of, elimination = slot[0][1]
 
-    # Equations: per slot c in the index set, match every monomial coefficient.
-    # Each row is a sparse {column: coefficient} dict; the solution the
-    # solver returns does not depend on the order of the rows.  Within one
-    # column the (slot, monomial) keys are distinct, so each entry is
-    # written once and never accumulated.
-    rows: dict[tuple[int, tuple], dict[int, int | Fraction]] = {}
-
-    # The pair (j, k) puts +df/dz_j on slot k and -df/dz_k on slot j.
-    plus = {j: tuple(partials[j].terms.items()) for j in indices}
-    minus = {j: tuple((mm, -cc) for mm, cc in plus[j]) for j in indices}
-    for col, ((j, k), m) in enumerate(columns):
-        for mm, cc in plus[j]:
-            rows.setdefault((k, monomial_mul(mm, m)), {})[col] = cc
-        for mm, cc in minus[k]:
-            rows.setdefault((j, monomial_mul(mm, m)), {})[col] = cc
+    rhs = [0] * (len(row_of) + 1)
     for c in indices:
-        for m in residual[c]:
-            rows.setdefault((c, m), {})
-
-    solution = solve_sparse(
-        list(rows.values()), [residual[c].get(m, 0) for c, m in rows], len(columns)
-    )
+        for m, v in residual[c].items():
+            rhs[row_of.get((c, m), -1)] = v
+    solution = elimination.solve(rhs)
     if solution is None:
         names = model.variable_names
         raise DecompositionError(
@@ -265,6 +242,47 @@ def _decompose(
         radial_index=radial_index,
         theta_value=theta,
     )
+
+
+def _pair_system(model: ToricModel, partials, indices: tuple[int, ...], shift: DegreeClass):
+    """(pairs, columns, (slot, monomial) -> row, elimination) of the pair system.
+
+    Column (jk, m) is the coefficient of m in P_jk, row (c, m) the
+    coefficient of m in slot c.
+    """
+    pair_list = [(j, k) for a, j in enumerate(indices) for k in indices[a + 1 :]]
+    columns = []  # (pair, monomial) in deterministic order
+    # The (j, k) degree is shift + deg z_j + deg z_k: it is computed once
+    # per distinct pair of variable degrees, and its basis fetched once.
+    degrees = model.degrees
+    forced: dict[tuple[DegreeClass, DegreeClass], DegreeClass] = {}
+    bases: dict[DegreeClass, tuple] = {}
+    for j, k in pair_list:
+        key = (degrees[j], degrees[k])
+        if key not in forced:
+            forced[key] = shift + degrees[j] + degrees[k]
+        delta = forced[key]
+        if delta not in bases:
+            bases[delta] = monomials_of_degree(model, delta)
+        columns.extend(((j, k), m) for m in bases[delta])
+
+    # Each row is a sparse {column: coefficient} dict; the solution does
+    # not depend on the order of the rows.  Within one column the
+    # (slot, monomial) keys are distinct, so each entry is written once
+    # and never accumulated.  The pair (j, k) puts +df/dz_j on slot k and
+    # -df/dz_k on slot j.
+    rows: dict[tuple[int, tuple], dict[int, int | Fraction]] = {}
+    plus = {j: tuple(partials[j].terms.items()) for j in indices}
+    minus = {j: tuple((mm, -cc) for mm, cc in plus[j]) for j in indices}
+    for col, ((j, k), m) in enumerate(columns):
+        for mm, cc in plus[j]:
+            rows.setdefault((k, monomial_mul(mm, m)), {})[col] = cc
+        for mm, cc in minus[k]:
+            rows.setdefault((j, monomial_mul(mm, m)), {})[col] = cc
+    # A last, empty row takes every residual term that no pair field
+    # reaches: a nonzero one there makes the system inconsistent.
+    row_of = {slot_monomial: i for i, slot_monomial in enumerate(rows)}
+    return pair_list, columns, row_of, Elimination([*rows.values(), {}], len(columns))
 
 
 def verify_decomposition(

@@ -1,9 +1,12 @@
-"""Unpruned monomial enumeration and summed variable degrees: the references
-the pruned descent and the degree-row kernel are tested against."""
+"""Unpruned monomial enumeration, summed variable degrees and the box walk
+of lattice points: the references the pruned descent, the degree-row kernel
+and the slice-wise count are tested against."""
 
 from __future__ import annotations
 
 from math import lcm
+
+from linalg_oracle import box_count
 
 from toricfol.degrees import DegreeClass
 from toricfol.poly import grevlex_key
@@ -63,3 +66,8 @@ def monomials_of_degree_unpruned(model, alpha) -> tuple[tuple[int, ...], ...]:
 
     descend(0, budget, [0] * model.rank)
     return tuple(sorted(out, key=grevlex_key, reverse=True))
+
+
+def count_lattice_points_box(model, coefficients) -> int:
+    """Lattice points of <m, ray> >= -a_ray by the box walk of ``box_count``."""
+    return box_count([(ray, -a) for ray, a in zip(model.rays, coefficients)], model.n)

@@ -1,9 +1,12 @@
-"""Dense rational Gauss-Jordan and Fraction Fourier-Motzkin: the references the
-sparse solver and the integer halfspace elimination are tested against."""
+"""Dense rational Gauss-Jordan, Fraction Fourier-Motzkin and the box walk of
+integer points: the references the sparse solver, the integer halfspace
+elimination and the slice-wise count are tested against."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import ceil, floor
 
 
 def solve_dense(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -119,3 +122,22 @@ def fm_coordinate_interval(ineqs, nvars: int, coord: int):
     if lo is not None and hi is not None and lo > hi:
         return False, None, None
     return True, lo, hi
+
+
+def box_count(ineqs, nvars: int) -> int:
+    """Integer points of coeffs . x >= rhs by brute force over the exact
+    bounding box, each coordinate's interval by ``fm_coordinate_interval``.
+    ``ValueError`` names the first unbounded coordinate of a nonempty
+    polyhedron."""
+    box = []
+    for i in range(nvars):
+        feasible, lo, hi = fm_coordinate_interval(ineqs, nvars, i)
+        if not feasible:
+            return 0
+        if lo is None or hi is None:
+            raise ValueError(f"polytope is unbounded in coordinate {i}")
+        box.append(range(ceil(lo), floor(hi) + 1))
+    return sum(
+        all(sum(a * x for a, x in zip(coeffs, point)) >= rhs for coeffs, rhs in ineqs)
+        for point in product(*box)
+    )

@@ -8,6 +8,7 @@ next benchmark run.
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,9 @@ def test_casefile_batch_repeats_identically(tmp_path):
 @pytest.mark.parametrize("seed", [1, 97])
 def test_roundtrip_audit_attaches_the_public_decomposition(seed, tmp_path, monkeypatch):
     # Each koszul-roundtrip case audits with a decomposition attached; it
-    # must equal what koszul_decompose computes on the same inputs.
+    # must equal what koszul_decompose computes on the same inputs, on the
+    # case's model (which holds the system of the decomposition before it)
+    # and on a fresh copy of it.
     audits = []
     audit_case = audit.audit_case
 
@@ -65,6 +68,7 @@ def test_roundtrip_audit_attaches_the_public_decomposition(seed, tmp_path, monke
         assert options.attach_decomposition and options.subset is None
         want = normalform.koszul_decompose(model, f, field, radial_index=options.radial_index)
         assert report.decomposition == want
+        assert normalform.koszul_decompose(replace(model), f, field, radial_index=options.radial_index) == want
 
 
 def test_roundtrip_audit_computes_the_cofactor_once(tmp_path, monkeypatch):

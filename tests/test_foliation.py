@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -133,6 +134,22 @@ def test_lie_membership_constructed(p2):
     member, witness = lie_g_membership(p2, scaled)
     assert member
     assert witness[0] == f
+
+
+def test_lie_membership_several_monomials(p1p1):
+    # X = g0 R0 + g1 R1 with g0 and g1 of several terms, one a Fraction:
+    # each monomial is one solve against the same radial rows, and since
+    # the radial fields are independent the witness is (g0, g1).
+    g0 = Polynomial(4, {(1, 0, 1, 0): 2, (0, 1, 0, 1): -1, (1, 0, 0, 1): Fraction(1, 3)})
+    g1 = Polynomial(4, {(1, 0, 1, 0): 1, (0, 1, 1, 0): 5})
+    field = VectorField(
+        tuple(
+            g0 * Polynomial.variable(4, j, coeff=p1p1.radial[0][j])
+            + g1 * Polynomial.variable(4, j, coeff=p1p1.radial[1][j])
+            for j in range(4)
+        )
+    )
+    assert lie_g_membership(p1p1, field) == (True, [g0, g1])
 
 
 def test_lie_membership_rejected():

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 
-from linalg_oracle import fm_coordinate_interval, fm_feasible_point
+import pytest
+from linalg_oracle import box_count, fm_feasible_point
 
-from toricfol.halfspaces import coordinate_interval, feasible_point
+from toricfol.halfspaces import count_integer_points, feasible_point
 
 
-def _random_system(rng: random.Random):
-    nvars = rng.randint(1, 4)
+def _random_system(rng: random.Random, max_vars: int = 4):
+    nvars = rng.randint(1, max_vars)
     ineqs = [
         (tuple(rng.randint(-4, 4) for _ in range(nvars)), rng.randint(-4, 4))
         for _ in range(rng.randint(1, 8))
@@ -17,7 +18,7 @@ def _random_system(rng: random.Random):
 
 def test_int_elimination_matches_the_fraction_oracle():
     rng = random.Random(2024)
-    infeasible = unbounded = bounded = 0
+    infeasible = feasible = 0
     for _ in range(500):
         ineqs, nvars = _random_system(rng)
         point = feasible_point(ineqs, nvars)
@@ -25,15 +26,34 @@ def test_int_elimination_matches_the_fraction_oracle():
         if point is None:
             infeasible += 1
         else:
+            feasible += 1
             assert all(type(x) is Fraction for x in point)
             assert all(sum(a * x for a, x in zip(c, point)) >= b for c, b in ineqs)
-        for coord in range(nvars):
-            got = coordinate_interval(ineqs, nvars, coord)
-            assert got == fm_coordinate_interval(ineqs, nvars, coord)
-            if got[0]:
-                if got[1] is None or got[2] is None:
-                    unbounded += 1
-                else:
-                    bounded += 1
-    assert min(infeasible, unbounded, bounded) >= 50
+    assert min(infeasible, feasible) >= 50
 
+
+def test_slice_count_matches_the_box_walk():
+    # Infeasible systems count 0, unbounded ones raise on the same first
+    # coordinate as the box walk, and bounded ones count the same points.
+    # The box of a random system in four variables can hold millions of
+    # points, so these have at most three; the stellar fans of
+    # test_stellar_fans.py count in four.
+    rng = random.Random(2026)
+    seen = {"infeasible": 0, "unbounded": 0, "bounded": 0}
+    for _ in range(500):
+        ineqs, nvars = _random_system(rng, max_vars=3)
+        if rng.random() < 0.5:  # boxed in: bounded unless infeasible
+            for i in range(nvars):
+                unit = tuple(int(j == i) for j in range(nvars))
+                ineqs += [(unit, -2), (tuple(-u for u in unit), -2)]
+        try:
+            want = box_count(ineqs, nvars)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                count_integer_points(ineqs, nvars)
+            assert str(info.value) == str(exc)
+            seen["unbounded"] += 1
+            continue
+        assert count_integer_points(ineqs, nvars) == want
+        seen["infeasible" if feasible_point(ineqs, nvars) is None else "bounded"] += 1
+    assert min(seen.values()) >= 50, seen

@@ -1,11 +1,15 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from test_ratlinalg import KOSZUL_FIXTURES, _koszul_fields
+
+from toricfol.families import FIXTURE_BUILDERS
 
 from toricfol.degrees import DegreeClass
 from toricfol.foliation import VectorField, invariance_cofactor
-from toricfol.grading import homogeneous_degree
+from toricfol.grading import homogeneous_degree, monomials_of_degree
 from toricfol.normalform import (
     DecompositionError,
     KoszulDecomposition,
@@ -236,9 +240,10 @@ def test_decompose_without_pair_columns_raises(p1p1):
     # columns, while its residual -z1 z3^2 d/dz1 is nonzero.
     f = Polynomial(4, {(2, 0, 3, 0): 1})
     field = VectorField.from_components(4, {0: Polynomial(4, {(1, 0, 0, 2): 1})})
-    with pytest.raises(DecompositionError) as info:
-        koszul_decompose(p1p1, f, field)
-    assert info.value.residual == {"z1_1": "-z1_1*z2_1^2"}
+    for _ in range(2):  # a miss, then a hit on the stored system
+        with pytest.raises(DecompositionError) as info:
+            koszul_decompose(p1p1, f, field)
+        assert info.value.residual == {"z1_1": "-z1_1*z2_1^2"}
 
 
 @pytest.mark.parametrize(
@@ -296,16 +301,107 @@ def test_decompose_enumerates_each_pair_degree_once(monkeypatch):
     from toricfol import normalform
     from toricfol.families import biproj_pairs_fixture, wps_pairs_fixture
 
-    calls = []
+    # A second decomposition with the same hypersurface, twist and index
+    # set reuses the model's stored system: it enumerates no basis and
+    # eliminates no rows.
+    calls, eliminations = [], []
     enumerate_monomials = normalform.monomials_of_degree
+    eliminate = normalform.Elimination
 
     def counting(model, alpha):
         calls.append(alpha)
         return enumerate_monomials(model, alpha)
 
+    def counting_rows(rows, ncols):
+        eliminations.append(ncols)
+        return eliminate(rows, ncols)
+
     monkeypatch.setattr(normalform, "monomials_of_degree", counting)
+    monkeypatch.setattr(normalform, "Elimination", counting_rows)
     for fix in (biproj_pairs_fixture(1, [1], [1]), wps_pairs_fixture((1, 2, 1, 2), (4, 2, 4, 2))):
         calls.clear()
+        eliminations.clear()
         dec = koszul_decompose(fix.model, fix.hypersurface, fix.field)
         assert len(dec.pairs) == 6
         assert len(calls) == len(set(calls)) == 3, fix.name
+        assert len(eliminations) == 1
+        twin = fix.field + fix.field  # another field of the same degree
+        again = koszul_decompose(fix.model, fix.hypersurface, twin)
+        assert len(calls) == 3 and len(eliminations) == 1, fix.name
+        assert again == _fresh_decompose(fix.model, fix.hypersurface, twin)
+
+
+def _decompose_or_residual(model, f, field, **kwargs):
+    try:
+        return koszul_decompose(model, f, field, **kwargs)
+    except DecompositionError as exc:
+        return exc.residual
+
+
+def _fresh_decompose(model, f, field, **kwargs):
+    """The decomposition on a new copy of the model, which holds no system."""
+    return _decompose_or_residual(replace(model), f, field, **kwargs)
+
+
+@pytest.mark.parametrize("name,args", KOSZUL_FIXTURES, ids=str)
+def test_decomposition_on_a_warm_model_equals_a_fresh_one(name, args):
+    # Every field is decomposed twice in a row on the fixture's one model:
+    # a miss (the model may hold another field's system), then a hit.
+    fix = FIXTURE_BUILDERS[name](*args)
+    kwargs = {"radial_index": fix.radial_index, "index_set": fix.subset}
+    for field in _koszul_fields(fix):
+        want = _fresh_decompose(fix.model, fix.hypersurface, field, **kwargs)
+        for _ in range(2):
+            assert _decompose_or_residual(fix.model, fix.hypersurface, field, **kwargs) == want
+
+
+def _roundtrip_field(rng, model, f, twist, indices):
+    """sum P_jk (f_j d_k - f_k d_j) + (g/theta) R_0 on the index set, with
+    seeded P_jk and g of their forced degrees."""
+    alpha = homogeneous_degree(model, f)
+
+    def seeded(delta):
+        basis = monomials_of_degree(model, delta)
+        picked = rng.sample(basis, min(len(basis), 3))
+        return Polynomial(model.nvars, {m: rng.randint(1, 5) for m in picked})
+
+    pairs = [
+        ((j, k), seeded(pair_degree(model, twist, alpha, j, k)))
+        for a, j in enumerate(indices)
+        for k in indices[a + 1 :]
+    ]
+    dec = KoszulDecomposition(indices, tuple(pairs), seeded(twist), 0, model.theta(0, alpha))
+    return reconstruct(model, f, dec)
+
+
+def test_interleaved_keys_never_share_a_system():
+    # On one P^1 x P^1, alternate between two hypersurfaces, two twists and
+    # index sets; radial field 0 lives on {z1_0, z1_1}, so every index set
+    # carries it.  f3 = (z1_0^2 + z1_1^2)(z2_0 + z2_1)^2 has equal partials
+    # in z2_0 and z2_1, so on (0, 1, 2) and (0, 1, 3) the systems differ
+    # only in which slot each row belongs to.  Each decomposition equals
+    # the one on a fresh model.
+    from toricfol import multiprojective
+
+    rng = random.Random(26)
+    model = multiprojective(1, 1)
+    f1 = Polynomial(4, {(2, 0, 2, 0): 1, (0, 2, 0, 2): 1, (1, 1, 1, 1): 3})
+    f2 = Polynomial(4, {(2, 0, 0, 2): 2, (0, 2, 2, 0): 1})
+    square = Polynomial(4, {(0, 0, 2, 0): 1, (0, 0, 1, 1): 2, (0, 0, 0, 2): 1})
+    f3 = Polynomial(4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1}) * square
+    full, pair = (0, 1, 2, 3), (0, 1)
+    keys = [
+        (f1, DegreeClass((1, 1)), full),
+        (f2, DegreeClass((1, 1)), full),
+        (f1, DegreeClass((2, 1)), full),
+        (f1, DegreeClass((1, 1)), pair),
+        (f1, DegreeClass((0, 0)), pair),
+        (f3, DegreeClass((1, 1)), (0, 1, 2)),
+        (f3, DegreeClass((1, 1)), (0, 1, 3)),
+    ]
+    fields = [(f, _roundtrip_field(rng, model, f, twist, indices), indices) for f, twist, indices in keys]
+    for f, field, indices in fields + fields[::-1] + fields:
+        dec = koszul_decompose(model, f, field, index_set=indices)
+        assert dec == _fresh_decompose(model, f, field, index_set=indices)
+        assert verify_decomposition(model, f, field, dec)
+        assert len(model._koszul_system) == 1  # only the last system is kept

@@ -11,7 +11,7 @@ from toricfol import normalform
 from toricfol.families import FIXTURE_BUILDERS
 from toricfol.foliation import DegreeInconsistencyError, VectorField, foliation_degree
 from toricfol.normalform import DecompositionError, koszul_decompose
-from toricfol.ratlinalg import solve_sparse
+from toricfol.ratlinalg import Elimination, solve_sparse
 
 
 def _oracle(rows, rhs, ncols):
@@ -148,6 +148,54 @@ def test_sparse_matches_dense_oracle_on_random_systems():
     assert min(shares.values()) >= 20, shares
 
 
+def _state(elimination):
+    return copy.deepcopy([getattr(elimination, name) for name in Elimination.__slots__])
+
+
+def test_one_elimination_solves_many_right_hand_sides():
+    # Each system is eliminated once and solved for several right-hand
+    # sides: consistent ones from seeded solutions, arbitrary (mostly
+    # inconsistent) ones, and the same ones as Fractions, integral or
+    # not.  Every solve equals the one-shot solver and the dense oracle.
+    rng = random.Random(20261020)
+    seen = {"solved": 0, "inconsistent": 0, "fraction rows": 0, "fraction rhs": 0}
+    for make in [lambda: _random_system(rng)] * 200 + [lambda: _wide_system(rng)] * 15:
+        rows, _, ncols = make()
+        before = copy.deepcopy(rows)
+        elimination = Elimination(rows, ncols)
+        state = _state(elimination)
+        for _ in range(2):
+            x0 = [_canonical(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))) for _ in range(ncols)]
+            consistent = [_canonical(sum((v * x0[c] for c, v in row.items()), Fraction(0))) for row in rows]
+            arbitrary = [rng.randint(-3, 3) for _ in rows]
+            halves = [Fraction(v, 2) for v in arbitrary]
+            for rhs in (consistent, arbitrary, halves, [Fraction(v) for v in consistent]):
+                want = _oracle(rows, rhs, ncols)
+                got = elimination.solve(rhs)
+                assert got == want == solve_sparse(rows, rhs, ncols), (rows, rhs, ncols)
+                if got is not None:
+                    _assert_canonical(got)
+                seen["solved"] += got is not None
+                seen["inconsistent"] += got is None
+                seen["fraction rhs"] += any(type(v) is Fraction and v.denominator > 1 for v in rhs)
+        seen["fraction rows"] += any(type(v) is Fraction for row in rows for v in row.values())
+        assert rows == before and _state(elimination) == state
+    assert min(seen.values()) >= 50, seen
+
+
+def test_elimination_refuses_bad_right_hand_sides():
+    elimination = Elimination([{0: 1}, {1: 2}], 2)
+    with pytest.raises(ValueError, match="length"):
+        elimination.solve([1])
+    with pytest.raises(ValueError, match="length"):
+        elimination.solve([1, 2, 3])
+    with pytest.raises(TypeError, match="2.0"):
+        elimination.solve([1, 2.0])
+    with pytest.raises(TypeError, match="True"):  # Python counts a bool an int
+        elimination.solve([True, 2])
+    assert elimination.solve([1, 2]) == [1, 1]
+
+
 def test_sparse_returns_canonical_coefficients():
     # Pivot rows with no later nonzero unknown leave an int over an int
     # pivot, where / would give a float; each unknown must come back an
@@ -227,26 +275,43 @@ def _koszul_fields(fix):
     return [field]
 
 
-@pytest.mark.parametrize("name,args", KOSZUL_FIXTURES, ids=lambda v: str(v))
-def test_sparse_matches_dense_oracle_on_koszul_systems(name, args, monkeypatch):
-    systems = []
+class _Recording:
+    """An elimination that checks every solve against the dense oracle."""
 
-    def capture(rows, rhs, ncols):
-        got = solve_sparse(rows, rhs, ncols)
-        systems.append((got, _oracle(rows, rhs, ncols)))
+    def __init__(self, systems, rows, ncols):
+        self.systems, self.rows, self.ncols = systems, copy.deepcopy(rows), ncols
+        self.elimination = Elimination(rows, ncols)
+
+    def solve(self, rhs):
+        got = self.elimination.solve(rhs)
+        self.systems.append((got, _oracle(self.rows, rhs, self.ncols)))
         return got
 
-    monkeypatch.setattr(normalform, "solve_sparse", capture)
+
+@pytest.mark.parametrize("name,args", KOSZUL_FIXTURES, ids=lambda v: str(v))
+def test_sparse_matches_dense_oracle_on_koszul_systems(name, args, monkeypatch):
+    # The model keeps its last factored system, so the seam is the
+    # elimination: each system it builds records every right-hand side
+    # solved against it.  Each field is decomposed twice in a row, so the
+    # second solve reuses the stored system.
+    systems, built = [], []
+
+    def recording(rows, ncols):
+        built.append(_Recording(systems, rows, ncols))
+        return built[-1]
+
+    monkeypatch.setattr(normalform, "Elimination", recording)
     fix = FIXTURE_BUILDERS[name](*args)
     fields = _koszul_fields(fix)
-    for field in fields:
+    for field in [field for field in fields for _ in range(2)]:
         try:
             koszul_decompose(
                 fix.model, fix.hypersurface, field, radial_index=fix.radial_index, index_set=fix.subset
             )
         except DecompositionError:
             pass
-    assert len(systems) == len(fields)
+    assert len(systems) == 2 * len(fields)
+    assert 1 <= len(built) <= len(fields)
     for got, want in systems:
         assert got == want
         if got is not None:

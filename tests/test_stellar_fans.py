@@ -2,13 +2,15 @@
 
 Every fan must build; its class group must match the invariant factors
 that ``minor_gcds`` reads off its ray matrix; and lattice-point counting
-must agree with monomial enumeration on eight effective divisors.
+must agree with monomial enumeration and the box walk on eight effective
+divisors.
 """
 
 import random
 from functools import cache
 
 import pytest
+from grading_oracle import count_lattice_points_box
 
 from stellar_fans import stellar_fan
 from toricfol.grading import count_lattice_points, monomials_of_degree
@@ -41,7 +43,7 @@ def test_lattice_points_count_the_monomials(n, seed):
     for _ in range(8):
         coeffs = tuple(rng.randint(0, 2) for _ in rays)
         want = len(monomials_of_degree(model, model.monomial_degree(coeffs)))
-        assert count_lattice_points(model, coeffs) == want, coeffs
+        assert count_lattice_points(model, coeffs) == count_lattice_points_box(model, coeffs) == want, coeffs
 
 
 def test_a_sparse_piece_on_the_rank_four_fan():
@@ -51,7 +53,7 @@ def test_a_sparse_piece_on_the_rank_four_fan():
     assert model.class_group.rank == 4 and model.class_group.torsion == (5, 5)
     coeffs = (0, 1, 1, 1, 2, 1, 2, 2)
     basis = monomials_of_degree(model, model.monomial_degree(coeffs))
-    assert len(basis) == count_lattice_points(model, coeffs) == 2
+    assert len(basis) == count_lattice_points(model, coeffs) == count_lattice_points_box(model, coeffs) == 2
 
 
 def test_fans_reach_torsion_and_picard_rank_three():
