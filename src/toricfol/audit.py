@@ -140,9 +140,14 @@ class AuditReport:
     # serialized.  quasi_smoothness_path is "modular" when a basis mod a
     # prime certified the Groebner dimension check of quasi_smoothness, and
     # "exact" otherwise; quasi_smoothness_modular holds that mod-P loop's
-    # pairs_reduced, basis_size and stopped_early, or None when none ran.
-    # On a subset, sing_in_irrelevant_chart is the irrelevant generator
-    # whose chart meets the singular cone, or None.
+    # pairs_reduced, basis_size and stopped_early, or None when none ran:
+    # when a generator vanishes mod P, or when every generator is a single
+    # term and so its own basis.  On a subset, sing_in_irrelevant_chart is
+    # the irrelevant generator whose chart meets the singular cone, or None.
+    # Two witnesses name what a failure rests on: mixed_degree_terms, on
+    # mixed degrees, holds two terms of f as (exponents, degree) with
+    # different degrees, and radial_coefficients, on a radial field, the
+    # verified g_i of X = sum_i g_i R_i; each is None otherwise.
     evidence: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     # -- serialization ----------------------------------------------------
@@ -269,7 +274,21 @@ class _Case:
 
 def _check_quasi_homogeneous(case: _Case):
     deg_v = homogeneous_degree(case.model, case.f)
-    return ("pass" if deg_v is not None else "fail: mixed degrees"), {"deg_hypersurface": deg_v}
+    if deg_v is not None:
+        return "pass", {"deg_hypersurface": deg_v, "mixed_degree_terms": None}
+    return "fail: mixed degrees", {"deg_hypersurface": None, "mixed_degree_terms": _terms_of_two_degrees(case)}
+
+
+def _terms_of_two_degrees(case: _Case):
+    """The leading monomial of f and the first one after it of another
+    degree, each as (exponents, degree); f must have mixed degrees."""
+    first, *rest = (m for m, _ in case.f.sorted_terms())
+    want = homogeneous_degree(case.model, Polynomial.monomial(first))
+    for m in rest:
+        deg = homogeneous_degree(case.model, Polynomial.monomial(m))
+        if deg != want:
+            return (first, want), (m, deg)
+    raise AssertionError("f has a single degree")
 
 
 def _check_field_degree(case: _Case):
@@ -291,20 +310,20 @@ def _check_invariance(case: _Case):
 
 
 def _check_radial_span(case: _Case):
-    member = None
+    member = witness = None
     # Restricting a consistent field to a subset keeps its degree, and the
     # audited field is never zero, so a measured degree is reused as is.
     deg_field = case.evidence["deg_field"]
     if deg_field is not None or case.subset is not None:
         try:
-            member, _ = lie_g_membership(case.model, case.audited, deg_field)
+            member, witness = lie_g_membership(case.model, case.audited, deg_field)
         except (DegreeInconsistencyError, ValueError):
             pass
     if member is None:
         status = "fail: field degree inconsistent"
     else:
         status = "fail: field is radial" if member else "pass"
-    return status, {"lie_g_member": member}
+    return status, {"lie_g_member": member, "radial_coefficients": witness}
 
 
 def _check_quasi_smoothness(case: _Case):

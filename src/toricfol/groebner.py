@@ -1,11 +1,17 @@
 """Buchberger-based ideal computations at desk scale.
 
-Every verdict is a dimension read from the leads of the pair loop's
-basis, which is never interreduced (``_leads``); ``ideal_dimension`` is
-the exact one.  Minimalization drops only leads another lead divides, so
+Every verdict is a dimension read from the leads of a Groebner basis,
+which is never interreduced (``_leads``); ``ideal_dimension`` is the
+exact one.  Minimalization drops only leads another lead divides, so
 these leads span the initial ideal of the reduced basis, whose dimension
 they give (Cox, Little & O'Shea, ch. 9 section 3); for the unit ideal
 they hold 1.
+
+When every generator is a single term, as every partial of a Fermat- or
+Delsarte-type sum is, the generators are that basis: the s-polynomial of
+two terms is zero (Cox, Little & O'Shea, ch. 2 section 6).  Their
+monomials are the leads, duplicates and non-minimal ones included, and
+no loop runs.  Otherwise the leads are those of the pair loop's basis.
 
 The pair loop follows Gebauer & Moeller, "On an installation of
 Buchberger's algorithm" (J. Symb. Comput. 6, 1988), at the level of
@@ -78,8 +84,11 @@ one from above.  That certifies ``dimension <= 0`` and, with Krull's
 bound ``dimension >= n - k`` for k homogeneous generators of a proper
 ideal, ``dimension == n - k``.  Any other outcome, including a generator
 that vanishes mod P, falls back to the exact computation, so a verdict
-never depends on the prime.  ``sing_inside_irrelevant`` stays exact: a
-chart ideal is not homogeneous, so a unit ideal mod P proves nothing.
+never depends on the prime.  Single terms take the same route with no
+loop: mod P their monomials stay the leads unless P divides a term's
+numerator, and then that generator vanishes mod P.
+``sing_inside_irrelevant`` stays exact: a chart ideal is not
+homogeneous, so a unit ideal mod P proves nothing.
 
 Only a dimension is read from the mod-P basis, so the mod-P loop stops
 as soon as the leading monomials include a constant or a pure power of
@@ -367,10 +376,19 @@ def _pair_loop(gens: list[dict], modulus: int | None, stats: dict | None = None)
 
 
 def _leads(polys: list[Polynomial], modulus: int | None, stats: dict | None = None) -> list | None:
-    """Leading monomials of the basis ``_pair_loop`` makes of the nonzero
-    polys, exact or mod the prime ``modulus``; mod it the basis is partial
-    when the loop stops early, and None means some poly vanishes once its
-    denominators are cleared.  ``stats`` receives the loop's."""
+    """Leading monomials of a Groebner basis of the nonzero polys, exact or
+    mod the prime ``modulus``; None means some poly vanishes mod it once
+    its denominators are cleared.
+
+    When every poly is a single term they are their own basis, since the
+    s-polynomial of two terms is zero, so their monomials are returned
+    and no loop runs.  Otherwise these are the leads of the basis
+    ``_pair_loop`` makes, partial mod the prime when the loop stops
+    early, and ``stats`` receives the loop's."""
+    if all(len(g.terms) == 1 for g in polys):
+        if modulus and any(c.numerator % modulus == 0 for g in polys for c in g.terms.values()):
+            return None
+        return [m for g in polys for m in g.terms]
     gens = []
     for g in polys:
         terms = g.terms
@@ -423,7 +441,7 @@ def _modular_first(gens, accept, record) -> bool:
     """accept(dimension), decided by the mod-P basis when it says yes and by
     the exact basis otherwise; record["path"] names the one that decided,
     and record["modular"] holds the mod-P loop's stats, None when no loop
-    ran because a generator vanishes mod P."""
+    ran: a generator vanishes mod P, or every generator is a single term."""
     polys = _nonzero_generators(gens)
     stats: dict = {}
     leads = _leads(polys, P, stats)
@@ -443,7 +461,8 @@ def regular_subsequence_check(f: Polynomial, indices, *, record: dict | None = N
     Precondition: f is quasi-homogeneous for a grading with a positive
     functional.  When ``record`` is given, record["path"] is "modular" or
     "exact", the computation that decided, and record["modular"] holds the
-    mod-P loop's pairs_reduced, basis_size and stopped_early.
+    mod-P loop's pairs_reduced, basis_size and stopped_early, or None when
+    no loop ran.
     """
     indices = sorted(set(indices))
     partials = [f.partial_derivative(j) for j in indices]
@@ -461,8 +480,8 @@ def only_origin_check(gens, *, record: dict | None = None) -> bool:
     cone, and a cone of dimension at most zero is the origin or empty.
     When ``record`` is given, record["path"] is "modular" or "exact", the
     computation that decided, and record["modular"] holds the mod-P loop's
-    pairs_reduced, basis_size and stopped_early.  The mod-P loop stops as
-    soon as its leads certify ``dimension <= 0``.
+    pairs_reduced, basis_size and stopped_early, or None when no loop ran.
+    The mod-P loop stops as soon as its leads certify ``dimension <= 0``.
     """
     return _modular_first(gens, lambda dim: dim <= 0, record)
 

@@ -2,8 +2,18 @@
 
 An inequality is a pair (coeffs, rhs) of ints meaning coeffs . x >= rhs.
 Used to certify strictly positive grading functionals and to slice lattice
-polytopes; system sizes here are tiny, so the quadratic blowup of
-elimination is irrelevant.
+polytopes.
+
+Each step combines every pair of opposite-signed inequalities, so the
+stages grow quadratically per step and doubly exponentially overall, most
+of them redundant.  Chernikov's rule prunes them: every inequality
+carries the set of original inequalities it was combined from, and once
+k variables are eliminated a combination of more than k + 1 of them is
+implied by the others and dropped (Chernikov, "The convolution of finite
+systems of linear inequalities", 1965; Kohler, 1967).  Where
+deduplication meets one inequality twice it keeps the smaller set.  Only
+redundant inequalities go, so every projection, and with it every
+feasible point, lattice count and unboundedness message, is unchanged.
 
 Elimination stays in the integers: each combined inequality is divided
 by the gcd of its coefficients and right-hand side, the one primitive
@@ -21,36 +31,49 @@ from operator import mul
 Inequality = tuple[tuple[int, ...], int]
 
 
-def _eliminate_last(ineqs: list[Inequality]) -> list[Inequality]:
+def _eliminate_last(ineqs: dict[Inequality, int], limit: int) -> dict[Inequality, int]:
+    """Eliminate the last variable from ``ineqs``, each mapped to the set
+    of original inequalities it combines, as a bitmask of their indices;
+    a combination of more than ``limit`` of them is dropped (Chernikov's
+    rule)."""
     pos, neg, keep = [], [], []
-    for coeffs, rhs in ineqs:
+    for (coeffs, rhs), sources in ineqs.items():
         c = coeffs[-1]
         if c > 0:
-            pos.append((coeffs, rhs))
+            pos.append((coeffs, rhs, sources))
         elif c < 0:
-            neg.append((coeffs, rhs))
+            neg.append((coeffs, rhs, sources))
         else:
-            keep.append((coeffs[:-1], rhs))
-    for pc, pr in pos:
+            keep.append((coeffs[:-1], rhs, sources))
+    for pc, pr, ps in pos:
         cp = pc[-1]
-        for nc, nr in neg:
+        for nc, nr, ns in neg:
+            sources = ps | ns
+            if sources.bit_count() > limit:
+                continue
             cn = -nc[-1]
-            keep.append((tuple(cn * a + cp * b for a, b in zip(pc[:-1], nc[:-1])), cn * pr + cp * nr))
-    out = {}
-    for coeffs, rhs in keep:
+            keep.append((tuple(cn * a + cp * b for a, b in zip(pc[:-1], nc[:-1])), cn * pr + cp * nr, sources))
+    out: dict[Inequality, int] = {}
+    for coeffs, rhs, sources in keep:
         g = gcd(*coeffs, rhs)
         if g > 1:
             coeffs, rhs = tuple(a // g for a in coeffs), rhs // g
-        out.setdefault((coeffs, rhs))
-    return list(out)
+        seen = out.get((coeffs, rhs))
+        if seen is None or sources.bit_count() < seen.bit_count():
+            out[coeffs, rhs] = sources
+    return out
 
 
 def _projections(ineqs: list[Inequality], nvars: int) -> list[list[Inequality]]:
     """The Fourier-Motzkin stages: entry k is the projection of the system
     onto its first nvars - k variables, so entry nvars holds constants."""
     stages = [list(ineqs)]
-    for _ in range(nvars):
-        stages.append(_eliminate_last(stages[-1]))
+    current: dict[Inequality, int] = {}
+    for i, ineq in enumerate(ineqs):
+        current.setdefault(ineq, 1 << i)
+    for k in range(1, nvars + 1):
+        current = _eliminate_last(current, k + 1)
+        stages.append(list(current))
     return stages
 
 

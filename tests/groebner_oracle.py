@@ -335,8 +335,9 @@ def modular_generators(polys) -> list[dict] | None:
 
 
 def pair_loop_basis(polys, modulus, stats: dict) -> list[dict] | None:
-    """The basis ``toricfol.groebner._leads`` reads its leads from, exact
-    or mod the prime ``modulus``, made by ``pair_loop``: one monic term
+    """The basis ``toricfol.groebner._pair_loop`` makes, whose leads
+    ``_leads`` reads unless every poly is a single term, exact or mod the
+    prime ``modulus``, made by ``pair_loop``: one monic term
     dict per element, lead first; None when a poly vanishes mod it."""
     gens = [g.terms for g in polys] if modulus is None else modular_generators(polys)
     if gens is None:

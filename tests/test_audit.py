@@ -343,6 +343,48 @@ def test_audit_evidence_carries_the_modular_loop():
         "stopped_early": False,
     }
     assert "modular" not in report.to_json()
+    # The Fermat partials are single terms, their own basis: no loop runs
+    fix = torsion_fermat_fixture(3)
+    report = audit_case(fix.model, fix.field, fix.hypersurface)
+    assert report.evidence["quasi_smoothness_path"] == "modular"
+    assert report.evidence["quasi_smoothness_modular"] is None
+
+
+def test_mixed_degrees_name_two_terms_of_different_degrees():
+    model = weighted_projective(1, 1, 2)
+    f = Polynomial(3, {(4, 0, 0): 1, (0, 2, 0): 3, (0, 0, 2): -1})  # degrees 4, 2, 4
+    field = VectorField.from_components(3, {0: Polynomial.variable(3, 1)})
+    report = audit_case(model, field, f)
+    assert dict(report.hypotheses)["quasi_homogeneous_hypersurface"] == "fail: mixed degrees"
+    (m1, d1), (m2, d2) = report.evidence["mixed_degree_terms"]
+    assert (m1, d1, m2, d2) == ((4, 0, 0), DegreeClass((4,)), (0, 2, 0), DegreeClass((2,)))
+    # a quasi-homogeneous f records none, and no witness is serialized
+    fix = torsion_fermat_fixture(3)
+    passing = audit_case(fix.model, fix.field, fix.hypersurface)
+    assert passing.evidence["mixed_degree_terms"] is None
+    assert "mixed_degree_terms" not in report.to_json()
+
+
+def test_radial_field_keeps_its_verified_coefficients():
+    # X = 2g R_1 - g R_2 on P^1 x P^1, with g = z1_1 z2_1 of the field's degree
+    model = multiprojective(1, 1)
+
+    def radial_combination(coefficients):
+        return [
+            sum((c * Polynomial.variable(4, j, coeff=model.radial[i][j]) for i, c in enumerate(coefficients)), Polynomial.zero(4))
+            for j in range(4)
+        ]
+
+    f = g = Polynomial.variable(4, 0) * Polynomial.variable(4, 2)
+    components = radial_combination((g.scale(2), g.scale(-1)))
+    field = VectorField.from_components(4, {j: p for j, p in enumerate(components) if p})
+    report = audit_case(model, field, f)
+    assert dict(report.hypotheses)["field_outside_radial_span"] == "fail: field is radial"
+    witness = report.evidence["radial_coefficients"]
+    assert witness == [g.scale(2), g.scale(-1)]
+    assert radial_combination(witness) == components
+    fix = torsion_fermat_fixture(3)
+    assert audit_case(fix.model, fix.field, fix.hypersurface).evidence["radial_coefficients"] is None
 
 
 def test_audit_dense_sextic_without_pure_power_fails():

@@ -379,29 +379,41 @@ def test_machine_output_is_the_json_modules_text(tmp_path, capsys, argv):
 def test_fixture_computes_each_groebner_basis_once(capsys, monkeypatch):
     from toricfol import groebner
 
-    # Every basis, mod P or exact, is one run of the shared pair loop.
-    calls = []
-    original = groebner._pair_loop
+    # Every lead set, mod P or exact, is read once through ``_leads``; the
+    # shared pair loop runs only for generators that are not all single
+    # terms, which are their own basis.
+    leads, loops = [], []
 
-    def counting(basis, modulus, *args, **kwargs):
-        calls.append("exact" if modulus is None else "modular")
-        return original(basis, modulus, *args, **kwargs)
+    def spy(name, calls):
+        original = getattr(groebner, name)
 
-    monkeypatch.setattr(groebner, "_pair_loop", counting)
+        def counting(gens, modulus, *args, **kwargs):
+            calls.append("exact" if modulus is None else "modular")
+            return original(gens, modulus, *args, **kwargs)
+
+        monkeypatch.setattr(groebner, name, counting)
+
+    spy("_leads", leads)
+    spy("_pair_loop", loops)
+    split = ["modular"] + ["exact"] * 4 + ["modular", "exact"]
     expected = [
-        (("torsion-fermat", "--m", "3"), ["modular"]),
+        # the Fermat partials are single terms
+        (("torsion-fermat", "--m", "3"), ["modular"], []),
         # the strong check is not certified mod P, so one exact basis decides;
-        # then the fixture's subset check: a unit chart, then a failing one
-        (("monomial-hypersurface", "--alpha", "2", "--beta", "3"), ["modular", "exact", "exact", "exact"]),
+        # then the fixture's subset check: a unit chart, then a failing one;
+        # every partial and every chart generator is a single term
+        (("monomial-hypersurface", "--alpha", "2", "--beta", "3"), ["modular", "exact", "exact", "exact"], []),
         # the subset audit's regular-subsequence test (certified mod P), one
         # exact basis per chart of its four cones, then the fixture's strong check
-        (("split-field", "--alpha1", "1", "--alpha2", "2"), ["modular"] + ["exact"] * 4 + ["modular", "exact"]),
+        (("split-field", "--alpha1", "1", "--alpha2", "2"), split, split),
     ]
-    for params, want in expected:
-        calls.clear()
+    for params, want_leads, want_loops in expected:
+        leads.clear()
+        loops.clear()
         code, _ = invoke(capsys, "fixture", *params)
         assert code == 0
-        assert calls == want, params
+        assert leads == want_leads, params
+        assert loops == want_loops, params
 
 
 def test_closed_stdout_exits_one_without_traceback():

@@ -232,6 +232,92 @@ def test_ideal_dimension_monomial_oracle():
         assert dim == best
 
 
+SINGLE_TERM_COEFFICIENTS = (1, -3, 7, P, -2 * P, Fraction(1, P), Fraction(P, 7), Fraction(-2, 5), Fraction(3, 4))
+
+
+def _random_term(rng, nvars):
+    exponents = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(nvars))
+    return Polynomial.monomial(exponents, rng.choice(SINGLE_TERM_COEFFICIENTS))
+
+
+def _vanishes_mod_p(gens) -> bool:
+    return any(c.numerator % P == 0 for g in gens for c in g.terms.values())
+
+
+def _refuse_pair_loop(*args, **kwargs):
+    raise AssertionError("the pair loop ran on single-term generators")
+
+
+def test_single_term_generators_are_their_own_basis(monkeypatch):
+    # A set of terms is a Groebner basis, since the s-polynomial of two
+    # terms is zero.  Every dimension check reads the terms' monomials
+    # without entering the pair loop, and agrees with the oracle's loop;
+    # mod P it hands over to the exact check exactly when P divides a
+    # coefficient's numerator, and it records no loop stats.
+    from toricfol import groebner
+
+    monkeypatch.setattr(groebner, "_pair_loop", _refuse_pair_loop)
+    rng = random.Random(27)
+    seen = set()
+    for trial in range(400):
+        nvars = rng.randint(1, 4)
+        gens = [_random_term(rng, nvars) for _ in range(rng.randint(1, 5))]
+        x = V(nvars, 0)
+        gens += [
+            Polynomial.zero(nvars),
+            gens[0],  # a duplicate
+            gens[0].scale(rng.choice(SINGLE_TERM_COEFFICIENTS)),  # a multiple of it
+            x * x, x * x * V(nvars, nvars - 1),  # x^2 and a non-minimal x^2 y
+        ][: rng.randint(0, 5)]
+        if trial % 10 == 0:
+            gens.append(Polynomial.constant(nvars, rng.choice(SINGLE_TERM_COEFFICIENTS)))
+        rng.shuffle(gens)
+        want = _lead_dimension(oracle.exact_leads(gens))
+        assert ideal_dimension(gens) == want, gens
+        record = {}
+        answer = only_origin_check(gens, record=record)
+        assert answer is (want <= 0), gens
+        assert record["modular"] is None
+        assert record["path"] == ("modular" if answer and not _vanishes_mod_p(gens) else "exact")
+        seen.add((want, record["path"]))
+    assert {(EMPTY_VARIETY, "modular"), (EMPTY_VARIETY, "exact"), (0, "modular"), (0, "exact")} <= seen
+    assert {(1, "exact"), (2, "exact"), (3, "exact")} <= seen
+
+
+def test_delsarte_partials_are_their_own_basis(monkeypatch):
+    # Each variable of a Delsarte-type sum lies in one term, so each
+    # partial is a single term and no regular-subsequence check loops.
+    from toricfol import groebner
+
+    monkeypatch.setattr(groebner, "_pair_loop", _refuse_pair_loop)
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(300):
+        nvars = rng.randint(2, 5)
+        order = list(range(nvars))
+        rng.shuffle(order)
+        if rng.random() < 0.1:
+            order.pop()  # a variable f does not involve: its partial is zero
+        f = Polynomial.zero(nvars)
+        while order:  # each term takes the next one to three variables
+            size = rng.randint(1, 3)
+            exponents = [0] * nvars
+            for j in order[:size]:
+                exponents[j] = rng.randint(1, 3)
+            f = f + Polynomial.monomial(exponents, rng.choice(SINGLE_TERM_COEFFICIENTS))
+            order = order[size:]
+        indices = rng.sample(range(nvars), rng.randint(1, nvars))
+        partials = [f.partial_derivative(j) for j in indices]
+        want = all(partials) and _lead_dimension(oracle.exact_leads(partials)) == nvars - len(indices)
+        record = {"path": None}
+        assert regular_subsequence_check(f, indices, record=record) is want, (f, indices)
+        if all(partials):
+            assert record["modular"] is None
+            assert record["path"] == ("modular" if want and not _vanishes_mod_p(partials) else "exact")
+        seen.add((want, record["path"]))
+    assert {(True, "modular"), (True, "exact"), (False, "exact"), (False, None)} <= seen
+
+
 def test_regular_subsequence_fermat(p2):
     f = Polynomial(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
     assert regular_subsequence_check(f, [0, 1, 2])

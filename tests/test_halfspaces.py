@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from linalg_oracle import box_count, fm_feasible_point
@@ -35,9 +36,9 @@ def test_int_elimination_matches_the_fraction_oracle():
 def test_slice_count_matches_the_box_walk():
     # Infeasible systems count 0, unbounded ones raise on the same first
     # coordinate as the box walk, and bounded ones count the same points.
-    # The box of a random system in four variables can hold millions of
-    # points, so these have at most three; the stellar fans of
-    # test_stellar_fans.py count in four.
+    # The bounding box of a random system in four variables can hold
+    # millions of points, so these have at most three; four-variable
+    # systems are boxed in below.
     rng = random.Random(2026)
     seen = {"infeasible": 0, "unbounded": 0, "bounded": 0}
     for _ in range(500):
@@ -57,3 +58,23 @@ def test_slice_count_matches_the_box_walk():
         assert count_integer_points(ineqs, nvars) == want
         seen["infeasible" if feasible_point(ineqs, nvars) is None else "bounded"] += 1
     assert min(seen.values()) >= 50, seen
+    # Eight random rows in four variables inside the box -2 <= x_i <= 2:
+    # the 625 points of the box are walked directly, and any point found
+    # satisfies every row.  Unpruned elimination grows such a system to
+    # thousands of inequalities; with Chernikov's rule it stays small.
+    box = [(tuple(s * int(j == i) for j in range(4)), -2) for i in range(4) for s in (1, -1)]
+    counts = {"empty": 0, "points": 0}
+    for _ in range(100):
+        ineqs = [(tuple(rng.randint(-3, 3) for _ in range(4)), rng.randint(-3, 3)) for _ in range(8)] + box
+        want = sum(
+            all(sum(a * x for a, x in zip(c, point)) >= b for c, b in ineqs)
+            for point in product(range(-2, 3), repeat=4)
+        )
+        assert count_integer_points(ineqs, 4) == want
+        point = feasible_point(ineqs, 4)
+        if point is None:
+            assert want == 0
+        else:
+            assert all(sum(a * x for a, x in zip(c, point)) >= b for c, b in ineqs)
+        counts["points" if want else "empty"] += 1
+    assert min(counts.values()) >= 20, counts
