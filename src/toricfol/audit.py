@@ -20,7 +20,7 @@ from .degrees import DegreeClass
 from .foliation import (
     DegreeInconsistencyError,
     VectorField,
-    _invariance_cofactor,
+    _invariance_division,
     component_degree_candidates,
     foliation_degree,
     lie_g_membership,
@@ -144,10 +144,12 @@ class AuditReport:
     # when a generator vanishes mod P, or when every generator is a single
     # term and so its own basis.  On a subset, sing_in_irrelevant_chart is
     # the irrelevant generator whose chart meets the singular cone, or None.
-    # Two witnesses name what a failure rests on: mixed_degree_terms, on
+    # Three witnesses name what a failure rests on: mixed_degree_terms, on
     # mixed degrees, holds two terms of f as (exponents, degree) with
-    # different degrees, and radial_coefficients, on a radial field, the
-    # verified g_i of X = sum_i g_i R_i; each is None otherwise.
+    # different degrees; radial_coefficients, on a radial field, the
+    # verified g_i of X = sum_i g_i R_i; invariance_witness, on a division
+    # of X(f) by f that fails, its (q, r) with X(f) = q*f + r and lead(r)
+    # not divisible by lead(f).  Each is None otherwise.
     evidence: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     # -- serialization ----------------------------------------------------
@@ -302,11 +304,12 @@ def _check_field_degree(case: _Case):
 
 
 def _check_invariance(case: _Case):
-    cofactor = None
+    cofactor = witness = None
     if case.evidence["deg_hypersurface"] is not None:
-        cofactor = _invariance_cofactor(case.audited, case.f, case.partials.__getitem__)
+        q, r = _invariance_division(case.audited, case.f, case.partials.__getitem__)
+        cofactor, witness = (None, (q, r)) if r else (q, None)
     status = "pass" if cofactor is not None else "fail: no polynomial cofactor"
-    return status, {"cofactor": cofactor}
+    return status, {"cofactor": cofactor, "invariance_witness": witness}
 
 
 def _check_radial_span(case: _Case):

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .degrees import DegreeClass
-from .grading import homogeneous_degree
+from .grading import degree_vector
 from .model import ToricModel
-from .poly import Polynomial, add_product
+from .poly import Polynomial, sum_of_products
 from .ratlinalg import Elimination
 
 
@@ -98,13 +98,17 @@ class VectorField:
 def component_degree_candidates(
     model: ToricModel, field: VectorField
 ) -> list[tuple[int, DegreeClass]]:
-    """Per nonzero component j, the twist deg(P_j) - deg(z_j) it forces."""
+    """Per nonzero component j, the twist deg(P_j) - deg(z_j) it forces:
+    column j of ``model.degree_rows`` taken from the degree row of P_j."""
+    rows, rank, moduli = model.degree_rows, model.rank, model.moduli
     out = []
     for j in field.support():
-        dj = homogeneous_degree(model, field.components[j])
-        if dj is None:
+        d = degree_vector(model, field.components[j])
+        if d is None:
             raise ValueError(f"component {j} is not quasi-homogeneous")
-        out.append((j, dj - model.degrees[j]))
+        free = tuple(d[k] - rows[k][j] for k in range(rank))
+        residues = tuple((d[k] - rows[k][j]) % t for k, t in enumerate(moduli, rank))
+        out.append((j, DegreeClass._trusted(free, residues, moduli)))
     return out
 
 
@@ -129,26 +133,24 @@ def _apply_partials(field: VectorField, f: Polynomial, partial) -> Polynomial:
     asked only where the field's component is nonzero."""
     if f.nvars != field.nvars:
         raise ValueError("variable count mismatch")
-    sums: dict = {}
-    for j, p in enumerate(field.components):
-        if p:
-            add_product(sums, p, partial(j))
-    return Polynomial._from_sums(field.nvars, sums)
+    return sum_of_products(field.nvars, ((p, partial(j)) for j, p in enumerate(field.components) if p))
 
 
 def invariance_cofactor(
     model: ToricModel, field: VectorField, f: Polynomial
 ) -> Polynomial | None:
     """The polynomial g with X(f) = g * f, or None when f is not invariant."""
-    return _invariance_cofactor(field, f, f.partial_derivative)
+    g, rest = _invariance_division(field, f, f.partial_derivative)
+    return None if rest else g
 
 
-def _invariance_cofactor(field: VectorField, f: Polynomial, partial) -> Polynomial | None:
-    """``invariance_cofactor`` with ``partial(j)`` giving df/dz_j, so a
-    caller that holds the partials of f already passes them in."""
+def _invariance_division(field: VectorField, f: Polynomial, partial) -> tuple[Polynomial, Polynomial]:
+    """(q, r) with X(f) = q * f + r from one division of X(f) by f: r is
+    zero exactly when f is invariant with cofactor q.  ``partial(j)``
+    gives df/dz_j, so a caller that holds the partials of f passes them in."""
     if f.is_zero():
         raise ValueError("hypersurface polynomial is zero")
-    return _apply_partials(field, f, partial).divide_exact(f)
+    return _apply_partials(field, f, partial)._divide(f)
 
 
 def lie_g_membership(

@@ -8,37 +8,38 @@ from operator import index, mul
 from .degrees import DegreeClass
 from .model import ToricModel
 from .halfspaces import count_integer_points
-from .poly import Polynomial, grevlex_key
+from .poly import Polynomial, heap_key
 
 
 def homogeneous_degree(model: ToricModel, f: Polynomial) -> DegreeClass | None:
     """Common degree of all terms of f, or None when terms disagree.
 
     The zero polynomial carries no degree at all and is rejected loudly,
-    so callers can tell "no degree" apart from "mixed degrees".  Each term
-    costs one dot product per row of ``model.degree_rows``: free parts
-    are compared exactly, torsion parts mod t_k.  Those sums are ints and
-    the residues are reduced, so the class is built without re-validation.
+    so callers can tell "no degree" apart from "mixed degrees".
     """
+    d = degree_vector(model, f)
+    if d is None:
+        return None
+    return DegreeClass._trusted(tuple(d[: model.rank]), tuple(d[model.rank :]), model.moduli)
+
+
+def degree_vector(model: ToricModel, f: Polynomial) -> list[int] | None:
+    """deg(f) as one int per row of ``model.degree_rows``, or None when the
+    terms of f disagree: one dot product per row and term, free rows
+    compared exactly and torsion rows mod t_k, their residues reduced."""
     if f.nvars != model.nvars:
         raise ValueError("variable count mismatch")
     if f.is_zero():
         raise ValueError("the zero polynomial has no degree")
-    rows = model.degree_rows
-    moduli = model.moduli
-    free_rows, torsion_rows = rows[: model.rank], rows[model.rank :]
-    terms = iter(f.terms)
-    first = next(terms)
-    free = [sum(map(mul, row, first)) for row in free_rows]
-    residues = [sum(map(mul, row, first)) % t for row, t in zip(torsion_rows, moduli)]
-    for m in terms:
-        for row, want in zip(free_rows, free):
-            if sum(map(mul, row, m)) != want:
-                return None
-        for row, t, want in zip(torsion_rows, moduli, residues):
-            if sum(map(mul, row, m)) % t != want:
-                return None
-    return DegreeClass._trusted(tuple(free), tuple(residues), moduli)
+    out = []
+    for row, t in zip(model.degree_rows, (0,) * model.rank + model.moduli):
+        found = {sum(map(mul, row, m)) for m in f.terms}
+        if t:
+            found = {x % t for x in found}
+        if len(found) > 1:
+            return None
+        out.append(found.pop())
+    return out
 
 
 def monomials_of_degree(model: ToricModel, alpha: DegreeClass) -> tuple[tuple[int, ...], ...]:
@@ -128,7 +129,7 @@ def _enumerate_monomials(model: ToricModel, alpha: DegreeClass) -> tuple[tuple[i
             descend(t + 1, tuple(g - e * x for g, x in zip(gap, step)) if e else gap)
 
     descend(0, (sum(map(mul, functional, alpha.free)),) + alpha.free)
-    return tuple(sorted(out, key=grevlex_key, reverse=True))
+    return tuple(sorted(out, key=heap_key))
 
 
 def count_lattice_points(model: ToricModel, coefficients) -> int:

@@ -33,7 +33,7 @@ from .degrees import DegreeClass
 from .foliation import (
     DegreeInconsistencyError,
     VectorField,
-    _invariance_cofactor,
+    _invariance_division,
     foliation_degree,
 )
 from .grading import homogeneous_degree, monomials_of_degree
@@ -163,8 +163,8 @@ def koszul_decompose(
         raise ValueError("hypersurface is not quasi-homogeneous")
     # the field is supported on the index set, so X(f) needs no other partial
     partials = {j: f.partial_derivative(j) for j in indices}
-    g = _invariance_cofactor(field, f, partials.__getitem__)
-    if g is None:
+    g, rest = _invariance_division(field, f, partials.__getitem__)
+    if rest:
         raise ValueError("field does not leave the hypersurface invariant")
     deg_field = foliation_degree(model, field)
     return _decompose(model, partials, field, radial_index, indices, alpha, g, deg_field)

@@ -7,7 +7,11 @@ not 1.  Integer inputs thus never pay for ``Fraction`` arithmetic, and
 ``exact_div`` is the one place where a coefficient is divided.  The
 canonical term order (for printing, leading terms and division) is
 graded reverse lexicographic on the raw exponents, independent of any
-toric grading.
+toric grading, with ``heap_key`` its one key.  While every exponent of
+every factor is below 128, ``sum_of_products`` sums a monomial as the int
+whose little-endian byte j is exponent j: no byte of a product reaches
+256, so the key of a product is the sum of the keys.  ``divide_exact``
+returns the zero quotient of a zero numerator before any lead search.
 """
 
 from __future__ import annotations
@@ -19,10 +23,6 @@ from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
 Coefficient = int | Fraction  # canonical: a Fraction never has denominator 1
-
-
-def grevlex_key(m: Exponents):
-    return (sum(m), tuple(-e for e in reversed(m)))
 
 
 def heap_key(m: Exponents):
@@ -71,14 +71,46 @@ def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
-def add_product(sums: dict[Exponents, Coefficient], a: "Polynomial", b: "Polynomial") -> None:
-    """Add the terms of a * b into ``sums``, a dict of exact sums that may
-    hold zeros and integral Fractions until ``Polynomial._from_sums``."""
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            m = monomial_mul(m1, m2)
-            old = sums.get(m)
-            sums[m] = c1 * c2 if old is None else old + c1 * c2
+def _packed(terms: dict[Exponents, Coefficient], high: int) -> list[tuple[int, Coefficient]] | None:
+    """The terms under their byte keys, or None when an exponent reaches 128,
+    which sets a bit of ``high``, or 256, which ``int.from_bytes`` refuses."""
+    out = []
+    try:
+        for m, c in terms.items():
+            k = int.from_bytes(m, "little")
+            if k & high:
+                return None
+            out.append((k, c))
+    except ValueError:  # an exponent of 256 or more, or a negative one
+        return None
+    return out
+
+
+def sum_of_products(nvars: int, pairs: Iterable[tuple["Polynomial", "Polynomial"]]) -> "Polynomial":
+    """The sum of a * b over the pairs, in one dict of exact sums, keyed by
+    bytes when every factor packs and by exponent tuples otherwise; terms
+    come in the order of the pairs, then of a's terms, then of b's."""
+    factors = [(a.terms, b.terms) for a, b in pairs]
+    high = int.from_bytes(b"\x80" * nvars, "little")
+    packed = [(_packed(a, high), _packed(b, high)) for a, b in factors]
+    sums: dict = {}
+    if all(a is not None and b is not None for a, b in packed):
+        for a, b in packed:
+            for k1, c1 in a:
+                for k2, c2 in b:
+                    k = k1 + k2
+                    old = sums.get(k)
+                    sums[k] = c1 * c2 if old is None else old + c1 * c2
+        return Polynomial._trusted(
+            nvars, {tuple(k.to_bytes(nvars, "little")): _canonical(c) for k, c in sums.items() if c}
+        )
+    for a, b in factors:
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = monomial_mul(m1, m2)
+                old = sums.get(m)
+                sums[m] = c1 * c2 if old is None else old + c1 * c2
+    return Polynomial._from_sums(nvars, sums)
 
 
 class Polynomial:
@@ -163,12 +195,12 @@ class Polynomial:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def sorted_terms(self) -> list[tuple[Exponents, Coefficient]]:
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: heap_key(t[0]))
 
     def leading_term(self) -> tuple[Exponents, Coefficient]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=grevlex_key)
+        m = min(self.terms, key=heap_key)
         return m, self.terms[m]
 
     def total_degree(self) -> int:
@@ -205,9 +237,7 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        sums: dict[Exponents, Coefficient] = {}
-        add_product(sums, self, other)
-        return Polynomial._from_sums(self.nvars, sums)
+        return sum_of_products(self.nvars, ((self, other),))
 
     def scale(self, c) -> "Polynomial":
         c = _exact_coefficient(c)
@@ -281,6 +311,15 @@ class Polynomial:
         den, the leading term of rem is divisible by the leading term of
         den under any monomial order, so a single failed step certifies
         non-divisibility.
+        """
+        quotient, remainder = self._divide(den)
+        return None if remainder else quotient
+
+    def _divide(self, den: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """(q, r) with self == q * den + r, from the division loop behind
+        ``divide_exact``: r is zero when den divides, and otherwise what
+        is left of self when the loop stops, its leading monomial the
+        first one that the leading monomial of den does not divide.
 
         What is left of self sits in a term dict whose monomials are
         pushed once each on a heap ordered by ``heap_key``; a cancelled
@@ -295,6 +334,8 @@ class Polynomial:
         self._check(den)
         if den.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
+        if not self.terms:
+            return self, self  # 0 = 0 * den + 0
         lead, lc = den.leading_term()
         tail = [(m, c) for m, c in den.terms.items() if m != lead]
         terms = dict(self.terms)
@@ -309,7 +350,8 @@ class Polynomial:
             if not c:
                 continue
             if not monomial_divides(lead, m):
-                return None
+                terms[m] = c
+                break
             shift = monomial_div(m, lead)
             q = quotient[shift] = exact_div(c, lc)
             for t, tc in tail:
@@ -320,7 +362,7 @@ class Polynomial:
                     heappush(heap, (heap_key(t), t))
                 else:
                     terms[t] = old - q * tc
-        return Polynomial._trusted(self.nvars, quotient)
+        return Polynomial._trusted(self.nvars, quotient), Polynomial._from_sums(self.nvars, terms)
 
     # -- printing ----------------------------------------------------------
 

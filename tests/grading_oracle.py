@@ -7,9 +7,9 @@ from __future__ import annotations
 from math import lcm
 
 from linalg_oracle import box_count
+from poly_oracle import grevlex_key
 
 from toricfol.degrees import DegreeClass
-from toricfol.poly import grevlex_key
 
 
 def degree_of_monomial(variable_degrees, exponents) -> DegreeClass:

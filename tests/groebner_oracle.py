@@ -39,12 +39,13 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, repeat
 from typing import NamedTuple
 
+from poly_oracle import grevlex_key
+
 from toricfol import groebner
 from toricfol.groebner import P
 from toricfol.poly import (
     Polynomial,
     exact_div,
-    grevlex_key,
     heap_key,
     monomial_div,
     monomial_divides,

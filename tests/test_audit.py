@@ -387,6 +387,30 @@ def test_radial_field_keeps_its_verified_coefficients():
     assert audit_case(fix.model, fix.field, fix.hypersurface).evidence["radial_coefficients"] is None
 
 
+def test_failed_invariance_keeps_the_division_where_it_stopped():
+    # The cyclic field z1 -> z2 -> z3 -> z1 does not leave the Fermat cubic
+    # invariant: X(f) = 3 (z1^2 z2 + z2^2 z3 + z3^2 z1) is no multiple of f.
+    model = weighted_projective(1, 1, 1)
+    z = [Polynomial.variable(3, j) for j in range(3)]
+    f = z[0] ** 3 + z[1] ** 3 + z[2] ** 3
+    field = VectorField((z[1], z[2], z[0]))
+    report = audit_case(model, field, f)
+    assert dict(report.hypotheses)["invariant_hypersurface"] == "fail: no polynomial cofactor"
+    assert report.cofactor == "none"
+    lead = f.leading_term()[0]
+    # adding z1 d/dz1 makes the division take one step, q = 3, first
+    for field, want_q in ((field, Polynomial.zero(3)), (VectorField((z[0] + z[1], z[2], z[0])), Polynomial.constant(3, 3))):
+        q, r = audit_case(model, field, f).evidence["invariance_witness"]
+        assert q == want_q
+        assert field.apply_to(f) == q * f + r
+        assert r and not all(a <= b for a, b in zip(lead, r.leading_term()[0]))
+    # a pass records none, and no witness is serialized
+    fix = torsion_fermat_fixture(3)
+    passing = audit_case(fix.model, fix.field, fix.hypersurface)
+    assert passing.evidence["invariance_witness"] is None
+    assert "invariance_witness" not in report.to_json()
+
+
 def test_audit_dense_sextic_without_pure_power_fails():
     # Without z3^2 every partial vanishes at (0, 0, 0, 1): no monomial of
     # degree 6 is z3 times another variable of weight 3.

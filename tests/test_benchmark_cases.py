@@ -74,14 +74,14 @@ def test_roundtrip_audit_attaches_the_public_decomposition(seed, tmp_path, monke
 def test_roundtrip_audit_computes_the_cofactor_once(tmp_path, monkeypatch):
     # every cofactor, public or inside an audit, is one call of the helper
     calls = []
-    cofactor = foliation._invariance_cofactor
+    cofactor = foliation._invariance_division
 
     def counting(field, f, partial):
         calls.append(field)
         return cofactor(field, f, partial)
 
     for module in (foliation, audit, normalform):
-        monkeypatch.setattr(module, "_invariance_cofactor", counting)
+        monkeypatch.setattr(module, "_invariance_division", counting)
     cases = workloads.build("koszul-roundtrip", seed=1, smoke=False, workdir=str(tmp_path))
     for case in cases:
         calls.clear()

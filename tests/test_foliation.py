@@ -2,17 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from grading_oracle import degree_of_monomial
 
 from toricfol.degrees import DegreeClass
 from toricfol.foliation import (
     DegreeInconsistencyError,
     VectorField,
+    component_degree_candidates,
     foliation_degree,
     invariance_cofactor,
     lie_g_membership,
     singular_scheme_minors,
 )
-from toricfol.grading import homogeneous_degree
+from toricfol.grading import homogeneous_degree, monomials_of_degree
 from toricfol.poly import Polynomial
 from toricfol.selfcheck import random_quasi_homogeneous
 
@@ -266,3 +268,85 @@ def test_division_by_a_variable_matches_divide_exact(monkeypatch):
     assert got == [_membership(model, field) for model, field in fields]
     answers = [g[0] for g in got if type(g) is tuple]
     assert sum(answers) >= 10 and answers.count(False) >= 5, answers
+
+
+# -- component degrees against degrees summed from the variable degrees ------
+
+
+def _oracle_candidates(model, field):
+    """``component_degree_candidates`` as first written, each term's degree
+    summed from the variable degrees by ``degree_of_monomial``."""
+    out = []
+    for j in field.support():
+        found = {degree_of_monomial(model.degrees, m) for m in field.components[j].terms}
+        if len(found) != 1:
+            raise ValueError(f"component {j} is not quasi-homogeneous")
+        out.append((j, found.pop() - model.degrees[j]))
+    return out
+
+
+def _oracle_degree(model, field):
+    candidates = _oracle_candidates(model, field)
+    if not candidates:
+        raise ValueError("the zero vector field has no degree")
+    first_j, d = candidates[0]
+    for j, dj in candidates[1:]:
+        if dj != d:
+            raise DegreeInconsistencyError([(first_j, d), (j, dj)])
+    return d
+
+
+def _outcome(fn, model, field):
+    try:
+        return fn(model, field)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _seeded_fields(rng, model):
+    """(kind, field) pairs: consistent fields z_j * h_j with every h_j of one
+    degree, the same with one component times a variable (inconsistent) or
+    plus such a multiple (not quasi-homogeneous), and the zero field."""
+    nv = model.nvars
+    z = [Polynomial.variable(nv, j) for j in range(nv)]
+    out = [("zero", VectorField.zero(nv))]
+    for _ in range(3):
+        exps = [0] * nv
+        for _ in range(rng.randint(1, 2)):
+            exps[rng.randrange(nv)] += 1
+        basis = monomials_of_degree(model, model.monomial_degree(exps))
+        support = rng.sample(range(nv), rng.randint(2, min(nv, 4)))
+        comps = {
+            j: z[j] * Polynomial(nv, {m: rng.choice([-3, -1, 1, Fraction(1, 2)]) for m in rng.sample(basis, min(len(basis), 3))})
+            for j in support
+        }
+        out.append(("consistent", VectorField.from_components(nv, comps)))
+        j, k = support[-1], rng.randrange(nv)
+        out.append(("inconsistent", VectorField.from_components(nv, {**comps, j: comps[j] * z[k]})))
+        out.append(("mixed", VectorField.from_components(nv, {**comps, j: comps[j] + comps[j] * z[k]})))
+    return out
+
+
+def test_component_degrees_match_the_summed_oracle(family_models):
+    from test_grading import fixture_models
+    from test_stellar_fans import FANS, fan_model
+
+    models = family_models + fixture_models() + [fan_model(n, seed)[1] for n, seed in FANS]
+    assert any(m.moduli for m in models) and any(m.rank >= 3 for m in models)
+    rng = random.Random(28)
+    kinds = {"zero": 0, "consistent": 0, "inconsistent": 0, "mixed": 0, "torsion": 0}
+    for model in models:
+        for kind, field in _seeded_fields(rng, model):
+            want = _outcome(_oracle_degree, model, field)
+            assert _outcome(foliation_degree, model, field) == want
+            assert _outcome(component_degree_candidates, model, field) == _outcome(_oracle_candidates, model, field)
+            if kind == "consistent":
+                assert isinstance(want, DegreeClass)
+                got = foliation_degree(model, field)
+                assert hash(got) == hash(want) and type(got.free) is tuple and type(got.residues) is tuple
+                kinds["torsion"] += bool(model.moduli)
+            else:
+                error = {"zero": ValueError, "inconsistent": DegreeInconsistencyError, "mixed": ValueError}[kind]
+                assert want[0] is error, (kind, want)
+            kinds[kind] += 1
+    assert min(kinds.values()) >= 5, kinds

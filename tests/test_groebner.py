@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import groebner_oracle as oracle
+from poly_oracle import grevlex_key
 from toricfol.groebner import (
     EMPTY_VARIETY,
     P,
@@ -17,7 +18,7 @@ from toricfol.groebner import (
     regular_subsequence_check,
     sing_inside_irrelevant,
 )
-from toricfol.poly import Polynomial, grevlex_key
+from toricfol.poly import Polynomial
 from linalg_oracle import solve_dense
 from test_poly import _is_canonical
 

@@ -150,7 +150,7 @@ def test_reduce_poly_first_match_wins():
 
 def test_divide_exact_matches_oracle():
     rng = random.Random(29)
-    divisible = 0
+    divisible = zeros = 0
     for _ in range(300):
         nvars = rng.randint(1, 3)
         den = _random_poly(rng, nvars, max_terms=3, max_exp=2)
@@ -158,10 +158,13 @@ def test_divide_exact_matches_oracle():
             continue
         q = _random_poly(rng, nvars, max_terms=3, max_exp=2)
         f = q * den if rng.random() < 0.5 else q * den + _random_poly(rng, nvars, max_terms=1)
+        if rng.random() < 0.1:
+            f = Polynomial.zero(nvars)
+        zeros += f.is_zero()
         want = oracle.divide_exact(f, den)
         assert f.divide_exact(den) == want
         divisible += want is not None
-    assert divisible >= 100
+    assert divisible >= 100 and zeros >= 20
 
 
 def _m(*exponents, c=1):

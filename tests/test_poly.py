@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 import groebner_oracle as oracle
-from toricfol.poly import Polynomial, exact_div, grevlex_key, heap_key
+import poly_oracle
+from poly_oracle import grevlex_key
+from toricfol import poly
+from toricfol.poly import Polynomial, exact_div, heap_key, sum_of_products
 
 
 def P(nvars, terms):
@@ -66,6 +69,41 @@ def test_divide_exact_fails_cleanly():
         x.divide_exact(Polynomial.zero(2))
 
 
+def test_divide_exact_of_zero(monkeypatch):
+    x = Polynomial.variable(3, 0)
+    with monkeypatch.context() as m:  # a zero numerator is not divided: no lead search
+        m.setattr(Polynomial, "leading_term", lambda self: pytest.fail("lead searched"))
+        q = Polynomial.zero(3).divide_exact(x * x - x)
+    assert q.is_zero() and q.nvars == 3
+    with pytest.raises(ZeroDivisionError):
+        Polynomial.zero(3).divide_exact(Polynomial.zero(3))
+    with pytest.raises(ValueError):
+        Polynomial.zero(2).divide_exact(x)
+    with pytest.raises(ValueError):
+        x.divide_exact(Polynomial.variable(2, 0))
+
+
+def test_division_stops_at_a_remainder_lead_it_cannot_divide():
+    # (q, r) behind divide_exact: f = q * den + r, and r is zero exactly
+    # when den divides f, else lead(den) does not divide lead(r)
+    rng = random.Random(17)
+    stopped = 0
+    for _ in range(200):
+        nvars = rng.randint(1, 4)
+        f, den = _random_poly(rng, nvars), _random_poly(rng, nvars, max_terms=3)
+        if den.is_zero():
+            continue
+        q, r = f._divide(den)
+        assert f == q * den + r
+        assert (f.divide_exact(den) is None) == bool(r)
+        if r:
+            lead, rlead = den.leading_term()[0], r.leading_term()[0]
+            assert not all(a <= b for a, b in zip(lead, rlead))
+            stopped += 1
+        _assert_well_formed(r, nvars)
+    assert stopped >= 50
+
+
 def test_divide_round_trip_random():
     import random
 
@@ -96,6 +134,17 @@ def test_heap_keys_reverse_the_term_orders():
     rng = random.Random(8)
     monos = {tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(60)}
     assert sorted(monos, key=heap_key) == sorted(monos, key=grevlex_key, reverse=True)
+
+
+def test_leading_term_is_the_grevlex_maximum():
+    rng = random.Random(12)
+    for _ in range(200):
+        nvars = rng.randint(1, 5)
+        p = _random_poly(rng, nvars, max_terms=8, max_exp=4)
+        if p:
+            m = max(p.terms, key=grevlex_key)
+            assert p.leading_term() == (m, p.terms[m])
+            assert [t for t, _ in p.sorted_terms()] == sorted(p.terms, key=grevlex_key, reverse=True)
 
 
 def test_leading_term_and_monic():
@@ -317,3 +366,63 @@ def test_inexact_coefficients_and_exponents_refused():
             P(2, {(0, 1): 1}).mul_monomial(exps)
     assert Polynomial(1, {(1,): Fraction(1, 10)}).terms == {(1,): Fraction(1, 10)}
     assert P(1, {(1,): 3}).scale(Fraction(1, 3)) == P(1, {(1,): 1})
+
+
+# -- the product kernel against the tuple loop --------------------------------
+
+
+def _factor(rng, nvars, top):
+    """Up to five terms with exponents up to ``top`` and int or Fraction
+    coefficients; sometimes zero."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        m = tuple(rng.randint(0, top) for _ in range(nvars))
+        c = rng.choice([-3, -1, 1, 2, 5])
+        terms[m] = c if rng.random() < 0.6 else Fraction(c, rng.randint(2, 4))
+    return Polynomial(nvars, terms)
+
+
+def _same_terms_in_order(got, want):
+    assert got.nvars == want.nvars
+    assert list(got.terms.items()) == list(want.terms.items())
+    _assert_well_formed(got, got.nvars)
+
+
+def test_products_match_the_tuple_loop_random():
+    rng = random.Random(28)
+    for _ in range(300):
+        nvars = rng.randint(1, 6)
+        top = rng.choice([2, 3, 127])
+        pairs = [(_factor(rng, nvars, top), _factor(rng, nvars, top)) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:  # a pair that cancels the first: the sum is zero there
+            a, b = pairs[0]
+            pairs.append((a, -b))
+        _same_terms_in_order(sum_of_products(nvars, pairs), poly_oracle.sum_of_products(nvars, pairs))
+        a, b = pairs[0]
+        _same_terms_in_order(a * b, poly_oracle.sum_of_products(nvars, [(a, b)]))
+
+
+def test_products_at_the_byte_boundary(monkeypatch):
+    # 127 packs, and 127 + 127 = 254 still fits its byte; 128 and 255 take
+    # the tuple loop by their top bit, 256 by the ValueError of int.from_bytes.
+    calls = []
+    monomial_mul = poly.monomial_mul
+
+    def counting(a, b):
+        calls.append(a)
+        return monomial_mul(a, b)
+
+    monkeypatch.setattr(poly, "monomial_mul", counting)
+    x = Polynomial.variable(3, 0)
+    rng = random.Random(5)
+    for top, tuple_loop in ((127, False), (128, True), (255, True), (256, True)):
+        for _ in range(20):
+            a = _factor(rng, 3, 3) + Polynomial.monomial((top, 1, 0), rng.choice([1, Fraction(1, 2)]))
+            b = _factor(rng, 3, 3) + x.mul_monomial((126, 0, 2)) - x
+            pairs = [(a, b), (b, a)]
+            calls.clear()
+            got = sum_of_products(3, pairs)
+            assert bool(calls) == tuple_loop, top
+            _same_terms_in_order(got, poly_oracle.sum_of_products(3, pairs))
+    p = Polynomial.monomial((127, 0, 127), 2)
+    assert (p * p).terms == {(254, 0, 254): 4}
