@@ -26,7 +26,7 @@ from .foliation import (
     lie_g_membership,
 )
 from .grading import homogeneous_degree
-from .groebner import only_origin_check, regular_subsequence_check, sing_inside_irrelevant
+from .groebner import _regular_subsequence, _sing_inside_irrelevant, only_origin_check
 from .model import ToricModel
 from .normalform import KoszulDecomposition, _check_indices, _decompose
 from .poly import Polynomial
@@ -193,7 +193,32 @@ class AuditReport:
         return doc
 
     def to_json(self) -> str:
-        return machine_json(self.to_dict())
+        """``machine_json(self.to_dict())``, written in one pass from the
+        fields: the keys in sorted order, each value at its depth."""
+        enc = encode_basestring_ascii
+        parts = [
+            '{\n  "bounds": ', _rows_json(self.rows, "\n  "),
+            ',\n  "candidates": ', _candidates_json(self.candidates),
+            ',\n  "cofactor": ', enc(self.cofactor),
+        ]
+        if self.decomposition is not None or self.decomposition_note:
+            parts += ',\n  "decomposition": ', enc(self.decomposition_note or "attached")
+        parts += (
+            ',\n  "deg_f": ', enc(self.deg_field),
+            ',\n  "deg_v": ', enc(self.deg_hypersurface),
+            ',\n  "eligible_k": ', _one_based_json(self.eligible),
+            ',\n  "hypotheses": ', _hypotheses_json(self.hypotheses),
+            ',\n  "inequality_violated": ', _BOOL[self.inequality_violated],
+            ',\n  "lie_g": ', enc(self.lie_g),
+            ',\n  "model": ', enc(self.model),
+        )
+        if self.witnesses:
+            parts += ',\n  "pairwise": ', _witnesses_json(self.witnesses)
+        parts += ',\n  "quasi_smoothness": ', enc(self.quasi_smoothness)
+        if self.subset is not None:
+            parts += ',\n  "subset": ', _one_based_json(self.subset)
+        parts += ',\n  "verdict": ', enc(self.verdict), "\n}"
+        return "".join(parts)
 
     def to_text(self, names=None) -> str:
         lines = [f"model: {self.model}"]
@@ -225,6 +250,61 @@ class AuditReport:
         lines.append(f"inequality_violated: {'yes' if self.inequality_violated else 'no'}")
         lines.append(f"verdict: {self.verdict}")
         return "\n".join(lines)
+
+
+# Writers for AuditReport.to_json: each value as _json_value writes it at
+# its depth, the values of a report's top-level keys opening at "\n  ".
+_BOOL = ("false", "true")
+
+
+def _list_json(items: list[str], newline: str) -> str:
+    """A list opening at ``newline`` of items written one level deeper."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _one_based_json(indices: tuple[int, ...]) -> str:
+    return _list_json([int.__repr__(j + 1) for j in indices], "\n  ")
+
+
+def _rows_json(rows: tuple[BoundRow, ...], newline: str) -> str:
+    item = newline + "  "
+    key = item + "  "
+    fmt = int.__repr__
+    return _list_json([
+        f'{{{key}"actual": {fmt(r.actual)},{key}"bound": {fmt(r.bound)},{key}"k": {fmt(r.k + 1)},'
+        f'{key}"sharp": {_BOOL[r.sharp]},{key}"slack": {fmt(r.slack)}{item}}}'
+        for r in rows
+    ], newline)
+
+
+def _candidates_json(candidates: tuple[DegreeCandidate, ...]) -> str:
+    return _list_json([
+        '{\n      "bounds": ' + _rows_json(c.rows, "\n      ")
+        + ',\n      "component": ' + int.__repr__(c.component + 1)
+        + ',\n      "deg_f": ' + encode_basestring_ascii(str(c.deg_field)) + "\n    }"
+        for c in candidates
+    ], "\n  ")
+
+
+def _hypotheses_json(hypotheses: tuple[tuple[str, str], ...]) -> str:
+    if not hypotheses:
+        return "{}"
+    enc = encode_basestring_ascii
+    return "{\n    " + ",\n    ".join(
+        [enc(name) + ": " + enc(status) for name, status in sorted(dict(hypotheses).items())]
+    ) + "\n  }"
+
+
+def _witnesses_json(witnesses: tuple[PairwiseWitness, ...]) -> str:
+    fmt = int.__repr__
+    return _list_json([
+        f'{{\n      "attained": {_BOOL[w.attained]},\n      "bound": {fmt(w.bound)},\n      "k": {fmt(w.k + 1)},'
+        f'\n      "pair": [\n        {fmt(w.pair[0] + 1)},\n        {fmt(w.pair[1] + 1)}\n      ]\n    }}'
+        for w in witnesses
+    ], "\n  ")
 
 
 def poincare_bound(
@@ -340,7 +420,7 @@ def _check_quasi_smoothness(case: _Case):
             "quasi_smoothness_path": "exact",
             "quasi_smoothness_modular": None,
         }
-    model, f = case.model, case.f
+    model = case.model
     record = {"path": "exact", "modular": None}
     if case.subset is None:
         nonzero = [p for p in case.partials if not p.is_zero()]
@@ -356,13 +436,13 @@ def _check_quasi_smoothness(case: _Case):
             "quasi_smoothness_modular": record["modular"],
         }
     problems = []
-    regular = regular_subsequence_check(f, case.subset, record=record)
+    regular = _regular_subsequence(case.f.nvars, [case.partials[j] for j in case.subset], record)
     if not regular:
         problems.append("selected partials are not a regular subsequence")
     radial = model.radial[case.options.radial_index]
     if any(radial[j] for j in range(model.nvars) if j not in case.subset):
         problems.append("radial field not supported on the subset")
-    sing = sing_inside_irrelevant(model, f, record=record)
+    sing = _sing_inside_irrelevant(model, case.partials, record)
     if sing == "no":
         problems.append("singular cone escapes the removed locus")
     if not problems:

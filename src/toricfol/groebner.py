@@ -72,7 +72,7 @@ B doubled, as often as it takes, and the loop goes on there.
 
 The dimension checks ``only_origin_check`` and
 ``regular_subsequence_check`` try the same pair loop modulo the fixed
-prime ``P = 2**31 - 1`` first (Arnold, "Modular algorithms for computing
+prime ``P = 2**30 - 35`` first (Arnold, "Modular algorithms for computing
 Groebner bases", J. Symb. Comput. 35, 2003).  Each generator's
 denominators are cleared and its integer coefficients reduced mod P.
 The generators are quasi-homogeneous for a grading with a positive
@@ -136,7 +136,9 @@ from .poly import (
 )
 
 EMPTY_VARIETY = -1
-P = 2**31 - 1  # the prime of the modular first step
+# The prime of the modular first step: 2**30 - 35, the largest prime below
+# 2**30, so every coefficient reduced mod P is one 30-bit CPython digit.
+P = 1073741789
 
 
 class _Layout:
@@ -464,11 +466,16 @@ def regular_subsequence_check(f: Polynomial, indices, *, record: dict | None = N
     mod-P loop's pairs_reduced, basis_size and stopped_early, or None when
     no loop ran.
     """
-    indices = sorted(set(indices))
-    partials = [f.partial_derivative(j) for j in indices]
+    partials = [f.partial_derivative(j) for j in sorted(set(indices))]
+    return _regular_subsequence(f.nvars, partials, record)
+
+
+def _regular_subsequence(nvars: int, partials, record) -> bool:
+    """regular_subsequence_check on the partials of f at the indices,
+    taken once by the caller."""
     if any(p.is_zero() for p in partials):
         return False
-    wanted = f.nvars - len(indices)
+    wanted = nvars - len(partials)
     return _modular_first(partials, lambda dim: dim == wanted, record)
 
 
@@ -496,7 +503,11 @@ def sing_inside_irrelevant(model, f: Polynomial, *, record: dict | None = None) 
     restricted to every chart generate the unit ideal, "no" otherwise;
     record["chart"], when given, is the first failing generator or None.
     """
-    partials = [f.partial_derivative(j) for j in range(f.nvars)]
+    return _sing_inside_irrelevant(model, [f.partial_derivative(j) for j in range(f.nvars)], record)
+
+
+def _sing_inside_irrelevant(model, partials, record) -> str:
+    """sing_inside_irrelevant on every partial of f, taken once by the caller."""
     failing = None
     for gen in model.irrelevant_ideal():
         chart = [p for p in (_set_to_one(p, gen) for p in partials) if not p.is_zero()]

@@ -156,7 +156,7 @@ def koszul_decompose(
     coeffs = model.radial[radial_index]
     if any(coeffs[j] for j in range(nv) if j not in indices):
         raise ValueError(
-            f"radial field {radial_index} is not supported on the index set"
+            f"radial field {radial_index + 1} is not supported on the index set"
         )
     alpha = homogeneous_degree(model, f)
     if alpha is None:
@@ -192,7 +192,7 @@ def _decompose(
     theta = model.theta(radial_index, alpha)
     if theta == 0:
         raise ValueError(
-            f"radial field {radial_index} has zero Euler factor on {alpha}; try another index"
+            f"radial field {radial_index + 1} has zero Euler factor on {alpha}; try another index"
         )
     coeffs = model.radial[radial_index]
 

@@ -19,6 +19,7 @@ from toricfol.families import (
 )
 from toricfol.foliation import VectorField
 from toricfol.grading import monomials_of_degree
+from toricfol.groebner import regular_subsequence_check, sing_inside_irrelevant
 from toricfol.normalform import koszul_decompose
 from toricfol.poly import Polynomial
 
@@ -158,6 +159,23 @@ def test_audit_takes_each_partial_derivative_once(monkeypatch):
     assert report.quasi_smoothness == "strong"
     assert report.decomposition == want
     assert sorted(taken) == list(range(fix.model.nvars))
+
+
+def test_subset_audit_takes_each_partial_derivative_once(monkeypatch):
+    # The regular-subsequence and chart checks of the subset route read the
+    # audit's partials too, and answer as their public entries do.
+    fix = split_field_fixture(1, 2, (1, 1))
+    f = fix.hypersurface
+    taken = []
+    partial = Polynomial.partial_derivative
+    monkeypatch.setattr(Polynomial, "partial_derivative", lambda f, j: taken.append(j) or partial(f, j))
+    report = audit_case(fix.model, fix.field, f, AuditOptions(radial_index=0, subset=fix.subset))
+    assert report.quasi_smoothness == "quasi-sing-in-irrelevant"
+    assert sorted(taken) == list(range(fix.model.nvars))
+    record = {}
+    assert report.evidence["regular_subset"] == regular_subsequence_check(f, fix.subset)
+    assert report.evidence["sing_in_irrelevant"] == sing_inside_irrelevant(fix.model, f, record=record)
+    assert report.evidence["sing_in_irrelevant_chart"] == record["chart"]
 
 
 def test_attached_decomposition_equals_public_solve_on_golden_cases():

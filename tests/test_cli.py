@@ -191,6 +191,15 @@ def test_decompose_subset_via_flags(tmp_path, capsys):
     assert "P[z1_0,z1_1]" in out
 
 
+def test_decompose_numbers_the_radial_field_from_one(tmp_path, capsys):
+    # as --radial-index and the case file's radial_index do
+    _, text = invoke(capsys, "export", "torsion-fermat", "--m", "3")
+    path = tmp_path / "tor.case"
+    path.write_text(text)
+    code, out = invoke(capsys, "decompose", "--case", str(path), "--subset", "z1,z2")
+    assert (code, out.strip()) == (2, "decomposition failed: radial field 1 is not supported on the index set")
+
+
 P2_MODEL = "[model]\ndimension = 2\nvariables = x y z\nrays = (1,0) (0,1) (-1,-1)\n"
 
 

@@ -1,7 +1,7 @@
 """The modular first step of the dimension checks against the exact path.
 
 ``only_origin_check`` and ``regular_subsequence_check`` may answer from a
-Groebner basis mod P = 2^31 - 1.  Each answer here is compared with the
+Groebner basis mod P = 2^30 - 35.  Each answer here is compared with the
 exact dimension read from the leads of the tuple oracle's exact pair
 loop, ``groebner_oracle.exact_leads``, and the recorded path is checked:
 the dense quasi-smooth ladder must be certified mod P, and a singular
@@ -15,6 +15,7 @@ basis, which must give the dimension of the reduced one.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
@@ -259,6 +260,14 @@ def test_exact_leads_give_the_reduced_basis_dimension(weights, degree, nodal, se
 
 def V(j, c=1, p=2):
     return Polynomial.variable(3, j, power=p, coeff=c)
+
+
+def test_modulus_is_a_prime_below_2_to_30():
+    # below 2^30 a reduced coefficient is one CPython digit
+    assert 2 < P < 2**30
+    assert all(P % d for d in range(2, isqrt(P) + 1))
+    # ... and the largest one
+    assert all(any(n % d == 0 for d in range(2, isqrt(n) + 1)) for n in range(P + 1, 2**30))
 
 
 def test_generator_vanishing_mod_p_falls_back():

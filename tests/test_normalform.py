@@ -214,7 +214,7 @@ def test_decompose_requires_invariance(p2):
 def test_decompose_rejects_zero_theta(p1p1):
     f = Polynomial(4, {(0, 0, 1, 1): 1})  # degree (0, 2): first Euler factor is 0
     radial2 = VectorField.radial(p1p1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^radial field 1 has zero Euler factor"):
         koszul_decompose(p1p1, f, radial2, radial_index=0)
     dec = koszul_decompose(p1p1, f, radial2, radial_index=1)
     assert dec.cofactor == Polynomial.constant(4, 2)
@@ -230,7 +230,7 @@ def test_decompose_rejects_field_outside_subset(p1p1):
 def test_decompose_rejects_radial_not_on_subset(p1p1):
     f = Polynomial(4, {(1, 0, 1, 0): 1, (0, 1, 0, 1): 1})
     x = VectorField.from_components(4, {0: Polynomial.variable(4, 0)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^radial field 2 is not supported on the index set$"):
         koszul_decompose(p1p1, f, x, radial_index=1, index_set=(0, 1))
 
 
