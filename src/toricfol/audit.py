@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 from .degrees import DegreeClass
@@ -26,7 +25,7 @@ from .foliation import (
     lie_g_membership,
 )
 from .grading import homogeneous_degree
-from .groebner import _regular_subsequence, _sing_inside_irrelevant, only_origin_check
+from .groebner import only_origin_check, regular_subsequence_check, sing_inside_irrelevant
 from .model import ToricModel
 from .normalform import KoszulDecomposition, _check_indices, _decompose
 from .poly import Polynomial
@@ -348,11 +347,6 @@ class _Case:
     subset: tuple[int, ...] | None
     evidence: dict
 
-    @cached_property
-    def partials(self) -> tuple[Polynomial, ...]:
-        """df/dz_j for every variable, taken once per audit."""
-        return tuple(self.f.partial_derivative(j) for j in range(self.f.nvars))
-
 
 def _check_quasi_homogeneous(case: _Case):
     deg_v = homogeneous_degree(case.model, case.f)
@@ -386,7 +380,7 @@ def _check_field_degree(case: _Case):
 def _check_invariance(case: _Case):
     cofactor = witness = None
     if case.evidence["deg_hypersurface"] is not None:
-        q, r = _invariance_division(case.audited, case.f, case.partials.__getitem__)
+        q, r = _invariance_division(case.audited, case.f)
         cofactor, witness = (None, (q, r)) if r else (q, None)
     status = "pass" if cofactor is not None else "fail: no polynomial cofactor"
     return status, {"cofactor": cofactor, "invariance_witness": witness}
@@ -423,7 +417,7 @@ def _check_quasi_smoothness(case: _Case):
     model = case.model
     record = {"path": "exact", "modular": None}
     if case.subset is None:
-        nonzero = [p for p in case.partials if not p.is_zero()]
+        nonzero = [p for p in case.f.partials() if p]
         strong = only_origin_check(nonzero, record=record) if nonzero else False
         if strong:
             status, label = "pass", "strong"
@@ -436,13 +430,13 @@ def _check_quasi_smoothness(case: _Case):
             "quasi_smoothness_modular": record["modular"],
         }
     problems = []
-    regular = _regular_subsequence(case.f.nvars, [case.partials[j] for j in case.subset], record)
+    regular = regular_subsequence_check(case.f, case.subset, record=record)
     if not regular:
         problems.append("selected partials are not a regular subsequence")
     radial = model.radial[case.options.radial_index]
     if any(radial[j] for j in range(model.nvars) if j not in case.subset):
         problems.append("radial field not supported on the subset")
-    sing = _sing_inside_irrelevant(model, case.partials, record)
+    sing = sing_inside_irrelevant(model, case.f, record=record)
     if sing == "no":
         problems.append("singular cone escapes the removed locus")
     if not problems:
@@ -533,7 +527,7 @@ def audit_case(
             indices = tuple(range(model.nvars)) if subset is None else subset
             try:
                 decomposition = _decompose(
-                    model, case.partials, audited, options.radial_index, indices, deg_v, ev["cofactor"], deg_field
+                    model, f, audited, options.radial_index, indices, deg_v, ev["cofactor"], deg_field
                 )
             except Exception as exc:  # noqa: BLE001 - recorded, not raised
                 note = f"decomposition failed: {exc}"

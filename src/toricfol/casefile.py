@@ -284,12 +284,18 @@ def _radial_index(model: ToricModel, text: str) -> int:
 
 
 def _subset(model: ToricModel, text: str) -> tuple[int, ...]:
-    """Comma or space separated variable names -> sorted 0-based indices."""
+    """Comma or space separated variable names -> sorted 0-based indices,
+    at least two of them and no name twice."""
     names = model.variable_names
     items = text.replace(",", " ").split()
     bad = [v for v in items if v not in names]
     if bad:
         raise ValueError(f"subset names not declared: {' '.join(bad)}")
+    repeated = dict.fromkeys(v for i, v in enumerate(items) if v in items[:i])
+    if repeated:
+        raise ValueError(f"subset names repeated: {' '.join(repeated)}")
+    if len(items) < 2:
+        raise ValueError("an index subset needs at least two variables")
     return tuple(sorted(names.index(v) for v in items))
 
 

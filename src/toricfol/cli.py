@@ -193,45 +193,32 @@ def _build_fixture(args):
         raise ValueError(f"cannot build fixture: {exc}") from None
 
 
-# The flags of every fixture, in the order the parser adds them, and the
-# ones each fixture reads; any other flag given to it is an input error.
-_FIXTURE_PARAMS = ("m", "n", "a", "b", "c", "omega", "d", "coeffs", "alpha", "beta", "alpha1", "alpha2")
-_FIXTURE_FLAGS = {
-    "wps-pairs": {"omega", "d", "coeffs"},
-    "biproj-pairs": {"n", "a", "b"},
-    "torsion-fermat": {"m"},
-    "split-field": {"alpha1", "alpha2", "c"},
-    "monomial-hypersurface": {"alpha", "beta"},
+# Each fixture's builder arguments in order, as (flag, parser, required).
+# Optional flags come last: one absent or given empty leaves the builder's
+# default.  A flag of another fixture is an input error.
+_FIXTURE_ARGS = {
+    "wps-pairs": (
+        ("omega", _parse_int_list, True), ("d", _parse_int_list, True), ("coeffs", _parse_fraction_list, False)
+    ),
+    "biproj-pairs": (("n", _exact_int, True), ("a", _parse_fraction_list, True), ("b", _parse_fraction_list, True)),
+    "torsion-fermat": (("m", _exact_int, True),),
+    "split-field": (("alpha1", _exact_int, True), ("alpha2", _exact_int, True), ("c", _parse_fraction_list, False)),
+    "monomial-hypersurface": (("alpha", _exact_int, True), ("beta", _exact_int, True)),
 }
+# Every fixture flag, in the order the parser adds them and names foreign ones.
+_FIXTURE_PARAMS = ("m", "n", "a", "b", "c", "omega", "d", "coeffs", "alpha", "beta", "alpha1", "alpha2")
 
 
-def _fixture_arguments(args) -> tuple:
-    name = args.name
-    foreign = [f"--{p}" for p in _FIXTURE_PARAMS if getattr(args, p) is not None and p not in _FIXTURE_FLAGS[name]]
+def _fixture_arguments(args) -> list:
+    name, spec = args.name, _FIXTURE_ARGS[args.name]
+    own = [flag for flag, _, _ in spec]
+    foreign = [f"--{p}" for p in _FIXTURE_PARAMS if getattr(args, p) is not None and p not in own]
     if foreign:
         raise ValueError(f"{name} takes no {', '.join(foreign)}")
-    if name == "wps-pairs":
-        if not args.omega or not args.d:
-            raise ValueError("wps-pairs needs --omega and --d")
-        coeffs = _parse_fraction_list(args.coeffs, "--coeffs") if args.coeffs else None
-        return _parse_int_list(args.omega, "--omega"), _parse_int_list(args.d, "--d"), coeffs
-    if name == "biproj-pairs":
-        if args.n is None or not args.a or not args.b:
-            raise ValueError("biproj-pairs needs --n, --a and --b")
-        a, b = _parse_fraction_list(args.a, "--a"), _parse_fraction_list(args.b, "--b")
-        return _exact_int(args.n, "--n"), a, b
-    if name == "torsion-fermat":
-        if args.m is None:
-            raise ValueError("torsion-fermat needs --m")
-        return (_exact_int(args.m, "--m"),)
-    if name == "split-field":
-        if args.alpha1 is None or args.alpha2 is None:
-            raise ValueError("split-field needs --alpha1 and --alpha2")
-        c = _parse_fraction_list(args.c, "--c") if args.c else (1, 1)
-        return _exact_int(args.alpha1, "--alpha1"), _exact_int(args.alpha2, "--alpha2"), c
-    if args.alpha is None or args.beta is None:  # monomial-hypersurface
-        raise ValueError("monomial-hypersurface needs --alpha and --beta")
-    return _exact_int(args.alpha, "--alpha"), _exact_int(args.beta, "--beta")
+    if any(needed and not getattr(args, flag) for flag, _, needed in spec):
+        *rest, last = [f"--{flag}" for flag, _, needed in spec if needed]
+        raise ValueError(f"{name} needs {', '.join(rest)} and {last}" if rest else f"{name} needs {last}")
+    return [parse(getattr(args, flag), f"--{flag}") for flag, parse, _ in spec if getattr(args, flag)]
 
 
 def _cmd_selftest(args) -> int:

@@ -496,8 +496,7 @@ def _run_check(fix: Fixture, report: AuditReport, key: str, want):
     elif key in evidence:
         actual = evidence[key]
     elif key == "strongly_quasi_smooth":
-        partials = [f.partial_derivative(j) for j in range(f.nvars)]
-        actual = only_origin_check([p for p in partials if not p.is_zero()])
+        actual = only_origin_check([p for p in f.partials() if p])
     elif key == "sing_in_irrelevant":
         actual = sing_inside_irrelevant(model, f)
     elif key == "regular_subset":

@@ -84,8 +84,10 @@ class VectorField:
 
     def apply_to(self, f: Polynomial) -> Polynomial:
         """Directional derivative sum_j components[j] * df/dz_j, summed in
-        one term dict."""
-        return _apply_partials(self, f, f.partial_derivative)
+        one term dict from the partials f keeps."""
+        if f.nvars != self.nvars:
+            raise ValueError("variable count mismatch")
+        return sum_of_products(self.nvars, ((p, df) for p, df in zip(self.components, f.partials()) if p))
 
     def to_strings(self, names) -> dict[str, str]:
         return {
@@ -128,29 +130,21 @@ def foliation_degree(model: ToricModel, field: VectorField) -> DegreeClass:
     return d
 
 
-def _apply_partials(field: VectorField, f: Polynomial, partial) -> Polynomial:
-    """X(f) summed in one term dict, ``partial(j)`` giving df/dz_j; it is
-    asked only where the field's component is nonzero."""
-    if f.nvars != field.nvars:
-        raise ValueError("variable count mismatch")
-    return sum_of_products(field.nvars, ((p, partial(j)) for j, p in enumerate(field.components) if p))
-
-
 def invariance_cofactor(
     model: ToricModel, field: VectorField, f: Polynomial
 ) -> Polynomial | None:
     """The polynomial g with X(f) = g * f, or None when f is not invariant."""
-    g, rest = _invariance_division(field, f, f.partial_derivative)
+    g, rest = _invariance_division(field, f)
     return None if rest else g
 
 
-def _invariance_division(field: VectorField, f: Polynomial, partial) -> tuple[Polynomial, Polynomial]:
+def _invariance_division(field: VectorField, f: Polynomial) -> tuple[Polynomial, Polynomial]:
     """(q, r) with X(f) = q * f + r from one division of X(f) by f: r is
-    zero exactly when f is invariant with cofactor q.  ``partial(j)``
-    gives df/dz_j, so a caller that holds the partials of f passes them in."""
+    zero exactly when f is invariant with cofactor q.  The audit keeps the
+    pair as its witness when r is not zero."""
     if f.is_zero():
         raise ValueError("hypersurface polynomial is zero")
-    return _apply_partials(field, f, partial)._divide(f)
+    return field.apply_to(f)._divide(f)
 
 
 def lie_g_membership(

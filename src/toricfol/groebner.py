@@ -466,16 +466,11 @@ def regular_subsequence_check(f: Polynomial, indices, *, record: dict | None = N
     mod-P loop's pairs_reduced, basis_size and stopped_early, or None when
     no loop ran.
     """
-    partials = [f.partial_derivative(j) for j in sorted(set(indices))]
-    return _regular_subsequence(f.nvars, partials, record)
-
-
-def _regular_subsequence(nvars: int, partials, record) -> bool:
-    """regular_subsequence_check on the partials of f at the indices,
-    taken once by the caller."""
-    if any(p.is_zero() for p in partials):
+    every = f.partials()
+    partials = [every[j] for j in sorted(set(indices))]
+    if not all(partials):
         return False
-    wanted = nvars - len(partials)
+    wanted = f.nvars - len(partials)
     return _modular_first(partials, lambda dim: dim == wanted, record)
 
 
@@ -503,14 +498,9 @@ def sing_inside_irrelevant(model, f: Polynomial, *, record: dict | None = None) 
     restricted to every chart generate the unit ideal, "no" otherwise;
     record["chart"], when given, is the first failing generator or None.
     """
-    return _sing_inside_irrelevant(model, [f.partial_derivative(j) for j in range(f.nvars)], record)
-
-
-def _sing_inside_irrelevant(model, partials, record) -> str:
-    """sing_inside_irrelevant on every partial of f, taken once by the caller."""
     failing = None
     for gen in model.irrelevant_ideal():
-        chart = [p for p in (_set_to_one(p, gen) for p in partials) if not p.is_zero()]
+        chart = [p for p in (_set_to_one(p, gen) for p in f.partials()) if p]
         if not chart or ideal_dimension(chart) != EMPTY_VARIETY:
             failing = gen
             break

@@ -8,11 +8,11 @@ solve under valid hypotheses would falsify the normal form, so it is
 raised loudly with the residual system attached.
 
 ``koszul_decompose`` is the public entry: it checks its inputs, computes
-deg(f), the partials of f on the index set, the invariance cofactor g
-from them and the field's degree, and hands them to the private
-``_decompose``.  ``audit_case`` calls ``_decompose`` directly with the
-values its hypothesis checks already hold, so an audit with a
-decomposition attached computes each of them once.
+deg(f), the invariance cofactor g and the field's degree, and hands
+them with f to the private ``_decompose``, which reads the partials f
+keeps.  ``audit_case`` calls ``_decompose`` directly with the degrees
+and the cofactor its hypothesis checks already hold, so an audit with a
+decomposition attached divides X(f) by f once.
 
 The matrix of the system depends only on the index set, deg X - deg f
 (the twist less deg f) and the partials of f on the index set; the field
@@ -98,7 +98,7 @@ def reconstruct(
 ) -> VectorField:
     """The vector field the decomposition denotes, on the full slot range."""
     nv = model.nvars
-    partials = {j: f.partial_derivative(j) for j in dec.index_set}
+    partials = f.partials()
     comps = [Polynomial.zero(nv) for _ in range(nv)]
     for (j, k), p in dec.pairs:
         if p.is_zero():
@@ -161,18 +161,16 @@ def koszul_decompose(
     alpha = homogeneous_degree(model, f)
     if alpha is None:
         raise ValueError("hypersurface is not quasi-homogeneous")
-    # the field is supported on the index set, so X(f) needs no other partial
-    partials = {j: f.partial_derivative(j) for j in indices}
-    g, rest = _invariance_division(field, f, partials.__getitem__)
+    g, rest = _invariance_division(field, f)
     if rest:
         raise ValueError("field does not leave the hypersurface invariant")
     deg_field = foliation_degree(model, field)
-    return _decompose(model, partials, field, radial_index, indices, alpha, g, deg_field)
+    return _decompose(model, f, field, radial_index, indices, alpha, g, deg_field)
 
 
 def _decompose(
     model: ToricModel,
-    partials,
+    f: Polynomial,
     field: VectorField,
     radial_index: int,
     indices: tuple[int, ...],
@@ -183,10 +181,9 @@ def _decompose(
     """The solve behind ``koszul_decompose``, on checked inputs.
 
     ``indices`` is sorted and holds the field's support and the radial
-    field's; ``partials[j]`` is df/dz_j for each j in it, ``alpha`` =
-    deg(f), ``g`` the invariance cofactor and ``deg_field`` the field's
-    degree, as the caller has already computed them (``audit_case``
-    passes its evidence).
+    field's; ``alpha`` = deg(f), ``g`` the invariance cofactor and
+    ``deg_field`` the field's degree, as the caller has already computed
+    them (``audit_case`` passes its evidence).
     """
     nv = model.nvars
     theta = model.theta(radial_index, alpha)
@@ -213,6 +210,7 @@ def _decompose(
 
     # The model keeps the last system it factored (see the module docstring).
     shift = deg_field - alpha
+    partials = f.partials()
     key = (indices, shift, tuple(partials[j] for j in indices))
     slot = model._koszul_system
     if not slot or slot[0][0] != key:  # compared, not hashed: a hit is cheap

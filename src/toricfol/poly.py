@@ -12,6 +12,8 @@ every factor is below 128, ``sum_of_products`` sums a monomial as the int
 whose little-endian byte j is exponent j: no byte of a product reaches
 256, so the key of a product is the sum of the keys.  ``divide_exact``
 returns the zero quotient of a zero numerator before any lead search.
+A polynomial takes all of its partials on the first request and keeps
+them, so X(f) and the Jacobian checks of one f share them.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class Polynomial:
     int when integral, else a Fraction.  The constructor accepts any int,
     Fraction or other exact rational and refuses floats."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_partials")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Coefficient] | None = None):
         clean: dict[Exponents, Coefficient] = {}
@@ -279,12 +281,26 @@ class Polynomial:
     def partial_derivative(self, j: int) -> "Polynomial":
         if not 0 <= j < self.nvars:
             raise IndexError(f"variable index {j} out of range")
-        # m -> m - e_j is injective, so each term is assigned exactly once.
-        terms: dict[Exponents, Coefficient] = {}
-        for m, c in self.terms.items():
-            if m[j]:
-                terms[m[:j] + (m[j] - 1,) + m[j + 1 :]] = _canonical(c * m[j])
-        return Polynomial._trusted(self.nvars, terms)
+        return self.partials()[j]
+
+    def partials(self) -> tuple["Polynomial", ...]:
+        """(df/dz_0, ..., df/dz_(n-1)), computed on the first request and
+        kept in a slot: the polynomial is immutable, so every caller that
+        asks for its partials shares one tuple."""
+        try:
+            return self._partials
+        except AttributeError:
+            pass
+        out = []
+        for j in range(self.nvars):
+            # m -> m - e_j is injective, so each term is assigned exactly once.
+            terms: dict[Exponents, Coefficient] = {}
+            for m, c in self.terms.items():
+                if m[j]:
+                    terms[m[:j] + (m[j] - 1,) + m[j + 1 :]] = _canonical(c * m[j])
+            out.append(Polynomial._trusted(self.nvars, terms))
+        object.__setattr__(self, "_partials", tuple(out))
+        return self._partials
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a point of int or Fraction coordinates."""

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from toricfol import audit
 from toricfol.audit import AuditOptions, audit_case, poincare_bound
 from toricfol.casefile import parse_case
 from toricfol.degrees import DegreeClass
@@ -19,7 +20,7 @@ from toricfol.families import (
 )
 from toricfol.foliation import VectorField
 from toricfol.grading import monomials_of_degree
-from toricfol.groebner import regular_subsequence_check, sing_inside_irrelevant
+from toricfol.groebner import only_origin_check, regular_subsequence_check, sing_inside_irrelevant
 from toricfol.normalform import koszul_decompose
 from toricfol.poly import Polynomial
 
@@ -147,35 +148,74 @@ def test_audit_attaches_decomposition():
     assert entries["P[z1,z2]"] == "-1/3*z2"
 
 
-def test_audit_takes_each_partial_derivative_once(monkeypatch):
-    # The invariance check, the strong check and the attached Koszul
-    # solve all read the partials the audit takes once.
+def _record_partials(monkeypatch) -> list:
+    """(polynomial, tuple) per request of ``Polynomial.partials``.  The list
+    keeps both alive, so each distinct tuple is one fill of the memo."""
+    asked = []
+    partials = Polynomial.partials
+
+    def recording(p):
+        out = partials(p)
+        asked.append((p, out))
+        return out
+
+    monkeypatch.setattr(Polynomial, "partials", recording)
+    return asked
+
+
+def _fills(asked) -> list:
+    """The id of the polynomial behind each distinct partials tuple, in
+    request order."""
+    seen = {}
+    for p, out in asked:
+        seen.setdefault(id(out), p)
+    return [id(p) for p in seen.values()]
+
+
+def test_audit_computes_the_partials_of_a_fresh_polynomial_once(monkeypatch):
+    # The invariance check, the strong check, the attached Koszul solve and
+    # the public entries asked afterwards all read the partials f computed
+    # on the first request.
     fix = torsion_fermat_fixture(3)
-    want = koszul_decompose(fix.model, fix.hypersurface, fix.field)
-    taken = []
-    partial = Polynomial.partial_derivative
-    monkeypatch.setattr(Polynomial, "partial_derivative", lambda f, j: taken.append(j) or partial(f, j))
-    report = audit_case(fix.model, fix.field, fix.hypersurface, AuditOptions(attach_decomposition=True))
+    f = Polynomial(fix.model.nvars, fix.hypersurface.terms)  # keeps no partials yet
+    asked = _record_partials(monkeypatch)
+    report = audit_case(fix.model, fix.field, f, AuditOptions(attach_decomposition=True))
     assert report.quasi_smoothness == "strong"
-    assert report.decomposition == want
-    assert sorted(taken) == list(range(fix.model.nvars))
+    assert report.decomposition == koszul_decompose(fix.model, f, fix.field)
+    assert only_origin_check([p for p in f.partials() if p]) is True
+    assert len(asked) > 3 and _fills(asked) == [id(f)]
 
 
-def test_subset_audit_takes_each_partial_derivative_once(monkeypatch):
+def test_subset_audit_computes_the_partials_of_a_fresh_polynomial_once(monkeypatch):
     # The regular-subsequence and chart checks of the subset route read the
-    # audit's partials too, and answer as their public entries do.
+    # partials f keeps, and answer as their public entries do.
     fix = split_field_fixture(1, 2, (1, 1))
-    f = fix.hypersurface
-    taken = []
-    partial = Polynomial.partial_derivative
-    monkeypatch.setattr(Polynomial, "partial_derivative", lambda f, j: taken.append(j) or partial(f, j))
+    f = Polynomial(fix.model.nvars, fix.hypersurface.terms)
+    asked = _record_partials(monkeypatch)
     report = audit_case(fix.model, fix.field, f, AuditOptions(radial_index=0, subset=fix.subset))
     assert report.quasi_smoothness == "quasi-sing-in-irrelevant"
-    assert sorted(taken) == list(range(fix.model.nvars))
     record = {}
     assert report.evidence["regular_subset"] == regular_subsequence_check(f, fix.subset)
     assert report.evidence["sing_in_irrelevant"] == sing_inside_irrelevant(fix.model, f, record=record)
     assert report.evidence["sing_in_irrelevant_chart"] == record["chart"]
+    assert len(asked) > 3 and _fills(asked) == [id(f)]
+
+
+def test_audit_calls_each_groebner_check_by_its_public_name(monkeypatch):
+    # A wrapper put on a public name in the audit's namespace sees every
+    # Groebner check of both quasi-smoothness routes.
+    calls = []
+    for name in ("only_origin_check", "regular_subsequence_check", "sing_inside_irrelevant"):
+        original = getattr(audit, name)
+        monkeypatch.setattr(audit, name, lambda *a, _n=name, _f=original, **k: calls.append(_n) or _f(*a, **k))
+    fix = split_field_fixture(1, 2, (1, 1))
+    report = audit_case(fix.model, fix.field, fix.hypersurface, AuditOptions(radial_index=0, subset=fix.subset))
+    assert report.quasi_smoothness == "quasi-sing-in-irrelevant"
+    assert calls == ["regular_subsequence_check", "sing_inside_irrelevant"]
+    calls.clear()
+    fix = torsion_fermat_fixture(3)
+    assert audit_case(fix.model, fix.field, fix.hypersurface).quasi_smoothness == "strong"
+    assert calls == ["only_origin_check"]
 
 
 def test_attached_decomposition_equals_public_solve_on_golden_cases():

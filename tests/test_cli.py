@@ -93,6 +93,11 @@ def test_fixture_and_export_share_one_error_path(capsys, params):
         (["torsion-fermat", "--m", "3", "--omega", "9,9", "--alpha", "7"], "torsion-fermat takes no --omega, --alpha"),
         (["split-field", "--alpha1", "1", "--alpha2", "2", "--alpha", "1"], "split-field takes no --alpha"),
         (["monomial-hypersurface", "--alpha", "2", "--beta", "3", "--c", "1,1"], "monomial-hypersurface takes no --c"),
+        (["wps-pairs", "--d", "2,2", "--coeffs", "1,1"], "wps-pairs needs --omega and --d"),
+        (["biproj-pairs", "--n", "1", "--a", "1", "--b", ""], "biproj-pairs needs --n, --a and --b"),
+        (["torsion-fermat", "--m", ""], "torsion-fermat needs --m"),
+        (["split-field", "--alpha2", "2", "--c", "1,1"], "split-field needs --alpha1 and --alpha2"),
+        (["monomial-hypersurface", "--alpha", "2"], "monomial-hypersurface needs --alpha and --beta"),
     ],
 )
 def test_fixture_flags_read_numbers_as_case_files_do(capsys, params, message):
@@ -324,6 +329,27 @@ def test_subset_flag_undeclared_name_rejected(tmp_path, capsys):
     code, out = invoke(capsys, "audit", "--case", str(path), "--subset", "z1,nope")
     assert code == 1
     assert "subset names not declared: nope" in out
+
+
+@pytest.mark.parametrize("command", ["audit", "decompose"])
+@pytest.mark.parametrize(
+    "subset, message",
+    [
+        ("z1", "an index subset needs at least two variables"),
+        ("", "an index subset needs at least two variables"),
+        ("z1,z1", "subset names repeated: z1"),
+        ("z2 z1 z2,z1", "subset names repeated: z2 z1"),
+    ],
+)
+def test_subset_of_fewer_than_two_distinct_variables_rejected(tmp_path, capsys, command, subset, message):
+    # the --subset flag and the [options] entry share one validator
+    path = _torsion_case(tmp_path, capsys)
+    code, out = invoke(capsys, command, "--case", str(path), "--subset", subset)
+    assert (code, out) == (1, f"error: {message}\n")
+    path = _torsion_case(tmp_path, capsys, f"\n[options]\nsubset = {subset}\n")
+    lineno = path.read_text().splitlines().index(f"subset = {subset}") + 1
+    code, out = invoke(capsys, command, "--case", str(path))
+    assert (code, out) == (1, f"input error:\nline {lineno}: {message}\n")
 
 
 def test_power_cap_in_case_file_is_an_unknown_option(tmp_path, capsys):

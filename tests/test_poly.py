@@ -54,6 +54,32 @@ def test_partial_derivative():
         x.partial_derivative(3)
 
 
+def test_partials_are_computed_once_and_match_the_terms_random():
+    # one tuple per polynomial, whoever asks, equal to the term-by-term rule
+    rng = random.Random(30)
+    for _ in range(100):
+        nvars = rng.randint(1, 4)
+        f = _random_poly(rng, nvars)
+        every = f.partials()
+        assert type(every) is tuple and len(every) == nvars
+        assert f.partials() is every
+        for j in range(nvars):
+            assert f.partial_derivative(j) is every[j]
+            want = {m[:j] + (m[j] - 1,) + m[j + 1 :]: c * m[j] for m, c in f.terms.items() if m[j]}
+            assert every[j].terms == want
+            _assert_well_formed(every[j], nvars)
+
+
+@pytest.mark.parametrize("nvars", [1, 3])
+def test_partial_derivative_refuses_an_index_out_of_range(nvars):
+    # a bare index into the kept tuple would read -1 as the last variable
+    f = Polynomial.variable(nvars, 0, power=2)
+    f.partials()
+    for j in (-1, nvars):
+        with pytest.raises(IndexError):
+            f.partial_derivative(j)
+
+
 def test_divide_exact_difference_of_squares():
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
