@@ -147,8 +147,8 @@ class AuditReport:
     # mixed degrees, holds two terms of f as (exponents, degree) with
     # different degrees; radial_coefficients, on a radial field, the
     # verified g_i of X = sum_i g_i R_i; invariance_witness, on a division
-    # of X(f) by f that fails, its (q, r) with X(f) = q*f + r and lead(r)
-    # not divisible by lead(f).  Each is None otherwise.
+    # of X(f) by f that fails, its (q, r) with X(f) = q*f + r, r the full
+    # remainder: lead(f) divides no term of r.  Each is None otherwise.
     evidence: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     # -- serialization ----------------------------------------------------

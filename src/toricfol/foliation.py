@@ -139,9 +139,9 @@ def invariance_cofactor(
 
 
 def _invariance_division(field: VectorField, f: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """(q, r) with X(f) = q * f + r from one division of X(f) by f: r is
-    zero exactly when f is invariant with cofactor q.  The audit keeps the
-    pair as its witness when r is not zero."""
+    """(q, r) with X(f) = q * f + r, r the full remainder of X(f) by f:
+    zero exactly when f is invariant with cofactor q, else with no term
+    divisible by lead(f).  The audit keeps the pair when r is not zero."""
     if f.is_zero():
         raise ValueError("hypersurface polynomial is zero")
     return field.apply_to(f)._divide(f)

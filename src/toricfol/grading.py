@@ -8,7 +8,7 @@ from operator import index, mul
 from .degrees import DegreeClass
 from .model import ToricModel
 from .halfspaces import count_integer_points
-from .poly import Polynomial, heap_key
+from .poly import Polynomial
 
 
 def homogeneous_degree(model: ToricModel, f: Polynomial) -> DegreeClass | None:
@@ -129,7 +129,7 @@ def _enumerate_monomials(model: ToricModel, alpha: DegreeClass) -> tuple[tuple[i
             descend(t + 1, tuple(g - e * x for g, x in zip(gap, step)) if e else gap)
 
     descend(0, (sum(map(mul, functional, alpha.free)),) + alpha.free)
-    return tuple(sorted(out, key=heap_key))
+    return tuple(m for m, _ in Polynomial._trusted(nvars, dict.fromkeys(out, 1)).sorted_terms())
 
 
 def count_lattice_points(model: ToricModel, coefficients) -> int:

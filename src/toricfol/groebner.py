@@ -45,30 +45,10 @@ the same ideal.  The initial ideal depends only on the ideal and the
 order, so the leads of the finished basis span the same initial ideal
 and give the same dimension.
 
-Inside Groebner work a monomial is one int, packed as in Monagan &
-Pearce, "Sparse polynomial division using a heap" (J. Symb. Comput. 46,
-2011).  Exponent j gets a B-bit field at bit j*B whose top bit is a
-guard, so e_(n-1) is highest; the total degree d sits above all fields,
-at S = n*B, and the key is ``fields - (d << S)``.  While every exponent
-stays below 2^(B-1):
-
-- the key of a product is the sum of the keys, and of a quotient the
-  difference;
-- a smaller key is a larger monomial in grevlex: a higher degree first,
-  then a smaller e_(n-1), then a smaller e_(n-2), and so on; so a plain
-  min-heap of keys pops the leading term;
-- a divides b exactly when ``(key_b - key_a) & GUARD`` is zero, GUARD
-  being the guard bits: the degree term is a multiple of 2^S, and the
-  lowest field with e_b < e_a borrows and sets its guard bit.
-
-The public ``Polynomial`` keeps its exponent tuples: terms are packed
-when a loop starts and the leads unpacked when it returns, and the pair
-heap, the coprime check and the lcm stay on tuples, one lcm per pair.
-Layouts start at B = 16 and are built on first use per (n, B).  Every
-term a pair loop makes has at most the degree of its pair's lcm, which
-bounds each exponent, so the loop checks that degree when it admits a
-pair; one that reaches 2^(B-1) moves the whole basis to a layout with
-B doubled, as often as it takes, and the loop goes on there.
+Inside Groebner work a monomial is one int in the packed layout that
+``poly`` describes, and each generator enters as the packing it keeps.
+The pair heap, the coprime check and the lcm stay on tuples; a pair whose
+lcm degree the layout cannot hold moves the basis to a wider one.
 
 The dimension checks ``only_origin_check`` and
 ``regular_subsequence_check`` try the same pair loop modulo the fixed
@@ -113,24 +93,24 @@ the loop before any pair.
 
 Exact coefficients are ints wherever they are integral, and ``c / lc``
 on two ints would give a float, so every exact coefficient division
-goes through ``poly.exact_div``: each divisor is made monic once, and
-the division loop itself divides nothing.
+goes through ``poly.exact_div``: each divisor is made monic once, so
+the division loop divides no coefficient here.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import combinations
-from operator import mul
-from typing import NamedTuple
 
 from .poly import (
-    Coefficient,
+    Divisor,
     Exponents,
+    Layout,
     Polynomial,
+    divide_terms,
     exact_div,
+    layout_for,
     monomial_lcm,
     monomial_mul,
 )
@@ -139,55 +119,6 @@ EMPTY_VARIETY = -1
 # The prime of the modular first step: 2**30 - 35, the largest prime below
 # 2**30, so every coefficient reduced mod P is one 30-bit CPython digit.
 P = 1073741789
-
-
-class _Layout:
-    """Exponent tuples of one length packed into ints, ``bits`` bits per
-    exponent, as the module docstring describes."""
-
-    __slots__ = ("nvars", "limit", "guard", "weights", "offsets", "mask")
-
-    def __init__(self, nvars: int, bits: int):
-        self.nvars = nvars
-        self.limit = 1 << (bits - 1)  # every exponent stays below
-        self.offsets = [j * bits for j in range(nvars)]
-        self.mask = (1 << bits) - 1
-        self.guard = sum(self.limit << o for o in self.offsets)
-        # e_j adds 1 to field j and takes 1 from the negated degree
-        shift = nvars * bits
-        self.weights = [(1 << o) - (1 << shift) for o in self.offsets]
-
-    def pack(self, m: Exponents) -> int:
-        return sum(map(mul, m, self.weights))
-
-    def unpack(self, key: int) -> Exponents:
-        mask = self.mask
-        return tuple([(key >> o) & mask for o in self.offsets])
-
-
-@cache
-def _layout(nvars: int, bits: int) -> _Layout:
-    """One layout per (nvars, bits), built on first use."""
-    return _Layout(nvars, bits)
-
-
-def _layout_for(nvars: int, degree: int) -> _Layout:
-    """The narrowest layout, from 16 bits up by doubling, that holds every
-    monomial of total degree at most ``degree``."""
-    bits = 16
-    while degree >= 1 << (bits - 1):
-        bits *= 2
-    return _layout(nvars, bits)
-
-
-class Divisor(NamedTuple):
-    """A monic polynomial as the division loop reads it: its packed
-    leading monomial, and its tail's packed monomials and coefficients in
-    parallel lists."""
-
-    lead: int
-    tail_monos: list[int]
-    tail_coeffs: list[Coefficient]
 
 
 def _monic(terms: dict, modulus) -> Divisor:
@@ -201,65 +132,6 @@ def _monic(terms: dict, modulus) -> Divisor:
         inv = pow(lc, -1, modulus)
         coeffs = [c * inv % modulus for c in terms.values()]
     return Divisor(lm, list(terms), coeffs)
-
-
-def divide_terms(terms: dict, divisors: list[Divisor], guard: int, modulus: int | None, memo: dict) -> dict:
-    """Divide the packed ``terms`` by ``divisors``; return the remainder.
-
-    The one division loop of Groebner work.  Each step cancels the leading
-    term of what is left with the first divisor whose lead divides it, or
-    moves it to the remainder, which thus comes out in descending order.
-    ``terms`` is consumed; a cancelled monomial stays in it at zero until
-    popped, so each monomial is in the heap once.  ``guard`` is the guard
-    mask of the divisors' layout.  Every divisor is monic, so the quotient
-    coefficient is the popped coefficient itself.  With ``modulus`` None
-    the coefficients are exact rationals, made canonical when popped;
-    otherwise they are ints reduced mod that prime when popped, and the
-    divisors' tails must be reduced already.
-
-    ``memo`` maps a popped monomial either to ``(i, shifted)``, its first
-    matching divisor and that divisor's tail monomials multiplied up to
-    it, or to the number k of leading divisors known not to divide it.  It
-    is valid only while ``divisors`` is append-only; a one-off division
-    passes a fresh one.
-    """
-    heap = list(terms)
-    heapify(heap)
-    rem = {}
-    get, push, pop = terms.get, heappush, heappop
-    while heap:
-        m = pop(heap)
-        c = terms.pop(m)
-        if modulus:
-            c %= modulus
-        elif type(c) is not int and c.denominator == 1:
-            c = c.numerator
-        if not c:
-            continue
-        hit = memo.get(m, 0)
-        if type(hit) is tuple:
-            i, shifted = hit
-            d = divisors[i]
-        else:
-            for i in range(hit, len(divisors)):
-                d = divisors[i]
-                if not (m - d.lead) & guard:
-                    break
-            else:
-                memo[m] = len(divisors)
-                rem[m] = c
-                continue
-            shift = m - d.lead
-            shifted = [t + shift for t in d.tail_monos]
-            memo[m] = i, shifted
-        for t, tc in zip(shifted, d.tail_coeffs):
-            old = get(t)
-            if old is None:
-                terms[t] = -c * tc
-                push(heap, t)
-            else:
-                terms[t] = old - c * tc
-    return rem
 
 
 def _spoly_terms(a: Divisor, b: Divisor, lcm: int) -> dict:
@@ -285,13 +157,16 @@ def _nonzero_generators(gens) -> list[Polynomial]:
     return polys
 
 
-def _repack(d: Divisor, old: _Layout, new: _Layout) -> Divisor:
-    tail = [new.pack(old.unpack(m)) for m in d.tail_monos]
-    return Divisor(new.pack(old.unpack(d.lead)), tail, d.tail_coeffs)
+def _repack(d: Divisor, old: Layout, new: Layout) -> Divisor:
+    lead, *tail = new.pack(old.unpack(dict.fromkeys([d.lead, *d.tail_monos])))
+    return Divisor(lead, tail, d.tail_coeffs)
 
 
-def _pair_loop(gens: list[dict], modulus: int | None, stats: dict | None = None) -> tuple[list[Divisor], _Layout]:
-    """A Groebner basis of the nonzero term dicts ``gens``, with exact
+def _pair_loop(
+    gens: list[dict], modulus: int | None, layout: Layout, stats: dict | None = None
+) -> tuple[list[Divisor], Layout]:
+    """A Groebner basis of the nonzero term dicts ``gens``, packed in
+    ``layout``, which must hold them, and left unchanged, with exact
     rational coefficients or, given a prime ``modulus``, ints mod it, whose
     values must then be reduced and nonzero.  Returns the basis as monic
     divisors in the returned layout.
@@ -316,8 +191,7 @@ def _pair_loop(gens: list[dict], modulus: int | None, stats: dict | None = None)
     layout cannot hold, the basis moves to a wider one and the memo,
     whose keys are packed, starts again.
     """
-    nvars = len(next(iter(gens[0])))
-    layout = _layout_for(nvars, max(sum(m) for g in gens for m in g))
+    nvars, start = layout.nvars, layout
     basis: list[Divisor] = []
     leads: list[Exponents] = []  # the leading monomials as tuples
     heap: list = []
@@ -330,7 +204,7 @@ def _pair_loop(gens: list[dict], modulus: int | None, stats: dict | None = None)
     def admit(terms):
         nonlocal layout, memo, done
         d = _monic(terms, modulus)
-        lm_k = layout.unpack(d.lead)
+        [lm_k] = layout.unpack({d.lead: None})
         k = len(basis)
         basis.append(d)
         leads.append(lm_k)
@@ -349,12 +223,14 @@ def _pair_loop(gens: list[dict], modulus: int | None, stats: dict | None = None)
             heappush(heap, (degree, i, k, lcm))
             pending.add((i, k))
         if top >= layout.limit:
-            wider = _layout_for(nvars, top)
+            wider = layout_for(nvars, top)
             basis[:] = [_repack(d, layout, wider) for d in basis]
             layout, memo = wider, {}
 
-    for g in sorted(gens, key=lambda g: max(map(sum, g))):
-        rem = divide_terms({layout.pack(m): c for m, c in g.items()}, basis, layout.guard, modulus, memo)
+    for g in sorted(gens, key=lambda g: -(min(g) >> start.shift)):
+        # a generator that enters after the basis moved is packed anew
+        g = dict(g) if layout is start else layout.pack(start.unpack(g))
+        rem = divide_terms(g, basis, layout.guard, modulus, memo)
         if rem:
             admit(rem)
             if done:
@@ -364,7 +240,7 @@ def _pair_loop(gens: list[dict], modulus: int | None, stats: dict | None = None)
         pending.discard((i, j))
         if lcm == monomial_mul(leads[i], leads[j]):
             continue  # coprime leading terms: s-polynomial reduces to zero
-        lcm = layout.pack(lcm)
+        [lcm] = layout.pack({lcm: None})
         if _chain_criterion(i, j, lcm, basis, pending, layout.guard):
             continue
         reduced += 1
@@ -391,18 +267,19 @@ def _leads(polys: list[Polynomial], modulus: int | None, stats: dict | None = No
         if modulus and any(c.numerator % modulus == 0 for g in polys for c in g.terms.values()):
             return None
         return [m for g in polys for m in g.terms]
+    layout = layout_for(polys[0].nvars, max(g.total_degree() for g in polys))
     gens = []
     for g in polys:
-        terms = g.terms
+        terms = g.keyed(layout)
         if modulus:
             den = math.lcm(*(c.denominator for c in terms.values()))
-            terms = {m: c.numerator * (den // c.denominator) % modulus for m, c in terms.items()}
-            terms = {m: c for m, c in terms.items() if c}
+            terms = {k: c.numerator * (den // c.denominator) % modulus for k, c in terms.items()}
+            terms = {k: c for k, c in terms.items() if c}
             if not terms:
                 return None
         gens.append(terms)
-    basis, layout = _pair_loop(gens, modulus, stats)
-    return [layout.unpack(d.lead) for d in basis]
+    basis, layout = _pair_loop(gens, modulus, layout, stats)
+    return list(layout.unpack(dict.fromkeys(d.lead for d in basis)))
 
 
 def _chain_criterion(i: int, j: int, lcm: int, basis: list[Divisor], pending, guard: int) -> bool:

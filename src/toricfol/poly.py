@@ -1,36 +1,50 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A monomial is an exponent tuple; a polynomial maps exponent tuples to
-nonzero exact rational coefficients in canonical form: an ``int`` when
-the coefficient is integral, a ``Fraction`` only when its denominator is
-not 1.  Integer inputs thus never pay for ``Fraction`` arithmetic, and
-``exact_div`` is the one place where a coefficient is divided.  The
-canonical term order (for printing, leading terms and division) is
-graded reverse lexicographic on the raw exponents, independent of any
-toric grading, with ``heap_key`` its one key.  While every exponent of
-every factor is below 128, ``sum_of_products`` sums a monomial as the int
-whose little-endian byte j is exponent j: no byte of a product reaches
-256, so the key of a product is the sum of the keys.  ``divide_exact``
-returns the zero quotient of a zero numerator before any lead search.
+A polynomial maps exponent tuples, its public ``terms`` view, to nonzero
+exact rational coefficients in canonical form: an ``int`` when the
+coefficient is integral, a ``Fraction`` only when its denominator is not
+1.  Integer inputs thus never pay for ``Fraction`` arithmetic, and
+``exact_div`` is the one place where a coefficient is divided.  The term
+order (for printing, leading terms and division) is graded reverse
+lexicographic on the raw exponents, independent of any toric grading.
 A polynomial takes all of its partials on the first request and keeps
 them, so X(f) and the Jacobian checks of one f share them.
+
+Products, divisions and the term order run on one packed layout, the
+heap layout of Monagan & Pearce, "Sparse polynomial division using a
+heap" (J. Symb. Comput. 46, 2011).  In a ``Layout`` of B bits, exponent
+j gets a B-bit field at bit j*B whose top bit is a guard, so e_(n-1) is
+highest; the total degree d sits above the fields, at S = n*B, and the
+key is ``fields - (d << S)``.  While every exponent stays below 2^(B-1):
+
+- the key of a product is the sum of the keys, and of a quotient the
+  difference;
+- a smaller key is a larger monomial in grevlex: a higher degree first,
+  then a smaller e_(n-1), then a smaller e_(n-2), and so on; so the
+  smallest key is the lead, and a min-heap of keys pops the leading term;
+- a divides b exactly when ``(key_b - key_a) & GUARD`` is zero, GUARD
+  being the guard bits: the degree term is a multiple of 2^S, and the
+  lowest field with e_b < e_a borrows and sets its guard bit.
+
+A layout holds every monomial of total degree below 2^(B-1).  Layouts
+start at B = 8, where a pack or an unpack is one ``int.from_bytes`` or
+``to_bytes`` call, and widen by doubling B.  A polynomial keeps the keys
+of the product or division that made it, or packs itself once in the
+narrowest layout that holds it.  ``sum_of_products`` adds those keys,
+and ``divide_terms``, the one division loop, divides them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
-from operator import add, index, le, sub
-from typing import Iterable, Mapping
+from operator import add, index, mul
+from typing import Iterable, Mapping, NamedTuple, TypeVar
 
 Exponents = tuple[int, ...]
 Coefficient = int | Fraction  # canonical: a Fraction never has denominator 1
-
-
-def heap_key(m: Exponents):
-    """The grevlex order reversed, as a flat tuple: ascending in this key is
-    descending in the term order, so a min-heap pops the leading monomial."""
-    return (-sum(m),) + m[::-1]
+V = TypeVar("V")
 
 
 def _exact_coefficient(c) -> Coefficient:
@@ -61,58 +75,160 @@ def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(add, a, b))
 
 
-def monomial_divides(a: Exponents, b: Exponents) -> bool:
-    return all(map(le, a, b))
-
-
-def monomial_div(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(sub, a, b))
-
-
 def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
-def _packed(terms: dict[Exponents, Coefficient], high: int) -> list[tuple[int, Coefficient]] | None:
-    """The terms under their byte keys, or None when an exponent reaches 128,
-    which sets a bit of ``high``, or 256, which ``int.from_bytes`` refuses."""
-    out = []
-    try:
-        for m, c in terms.items():
-            k = int.from_bytes(m, "little")
-            if k & high:
-                return None
-            out.append((k, c))
-    except ValueError:  # an exponent of 256 or more, or a negative one
-        return None
-    return out
+class Layout:
+    """Exponent tuples of one length packed into ints, ``bits`` bits per
+    exponent, as the module docstring describes."""
+
+    __slots__ = ("nvars", "bits", "limit", "shift", "mask", "guard", "weights")
+
+    def __init__(self, nvars: int, bits: int):
+        self.nvars = nvars
+        self.bits = bits
+        self.limit = 1 << (bits - 1)  # every exponent stays below
+        self.shift = nvars * bits
+        self.mask = (1 << self.shift) - 1  # the fields
+        offsets = range(0, self.shift, bits)
+        self.guard = sum(self.limit << o for o in offsets)
+        # e_j adds 1 to field j and takes 1 from the negated degree
+        self.weights = [(1 << o) - (1 << self.shift) for o in offsets]
+
+    def pack(self, terms: Mapping[Exponents, V]) -> dict[int, V]:
+        """The dict with each exponent tuple replaced by its key, in order;
+        at 8 bits an exponent of 256 or more raises ValueError."""
+        out, shift, weights = {}, self.shift, self.weights
+        if self.bits == 8:
+            from_bytes = int.from_bytes
+            for m, v in terms.items():
+                out[from_bytes(m, "little") - (sum(m) << shift)] = v
+        else:
+            for m, v in terms.items():
+                out[sum(map(mul, m, weights))] = v
+        return out
+
+    def unpack(self, keyed: Mapping[int, V]) -> dict[Exponents, V]:
+        """The dict with each key replaced by its exponent tuple, in order."""
+        out, mask, nvars, bits = {}, self.mask, self.nvars, self.bits
+        if bits == 8:
+            for k, v in keyed.items():
+                out[tuple((k & mask).to_bytes(nvars, "little"))] = v
+        else:
+            field, offsets = (1 << bits) - 1, range(0, self.shift, bits)
+            for k, v in keyed.items():
+                out[tuple([(k >> o) & field for o in offsets])] = v
+        return out
+
+
+@cache
+def _layout(nvars: int, bits: int) -> Layout:
+    """One layout per (nvars, bits), built on first use."""
+    return Layout(nvars, bits)
+
+
+def layout_for(nvars: int, degree: int) -> Layout:
+    """The narrowest layout, from 8 bits up by doubling, that holds every
+    monomial of total degree at most ``degree``."""
+    bits = 8
+    while degree >= 1 << (bits - 1):
+        bits *= 2
+    return _layout(nvars, bits)
+
+
+class Divisor(NamedTuple):
+    """A polynomial as the division loop reads it: packed lead, tail
+    monomials and coefficients in parallel lists, and lead coefficient."""
+
+    lead: int
+    tail_monos: list[int]
+    tail_coeffs: list[Coefficient]
+    lc: Coefficient = 1
+
+
+def divide_terms(
+    terms: dict, divisors: list[Divisor], guard: int, modulus: int | None, memo: dict, quotient: dict | None = None
+) -> dict:
+    """Divide the packed ``terms`` by ``divisors``; return the remainder.
+
+    Each step cancels the leading term of what is left with the first
+    divisor whose lead divides it, or moves it to the remainder, which
+    so comes out full and in descending order.  ``terms`` is consumed; a
+    cancelled monomial stays in it at zero until popped, so each is in
+    the heap once.  ``guard`` is the layout's guard mask.  With
+    ``modulus`` None the coefficients are exact, made canonical when
+    popped; otherwise ints reduced mod that prime when popped, and the
+    divisors' tails must be reduced already.
+
+    Every divisor is monic unless ``quotient`` is given: then the one
+    exact divisor keeps its lead coefficient, which divides each popped
+    coefficient into ``quotient``, and its tail stays as it is, so an
+    integral quotient by an integer divisor makes no ``Fraction``.
+
+    ``memo`` maps a popped monomial either to ``(i, shifted)``, its first
+    matching divisor and that divisor's tail monomials multiplied up to
+    it, or to the number k of leading divisors known not to divide it.  It
+    is valid only while ``divisors`` is append-only; a one-off division
+    passes a fresh one.
+    """
+    heap = list(terms)
+    heapify(heap)
+    rem = {}
+    get, push, pop = terms.get, heappush, heappop
+    while heap:
+        m = pop(heap)
+        c = terms.pop(m)
+        if modulus:
+            c %= modulus
+        elif type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        if not c:
+            continue
+        hit = memo.get(m, 0)
+        if type(hit) is tuple:
+            i, shifted = hit
+            d = divisors[i]
+        else:
+            for i in range(hit, len(divisors)):
+                d = divisors[i]
+                if not (m - d.lead) & guard:
+                    break
+            else:
+                memo[m] = len(divisors)
+                rem[m] = c
+                continue
+            shift = m - d.lead
+            shifted = [t + shift for t in d.tail_monos]
+            memo[m] = i, shifted
+        if quotient is not None:
+            c = quotient[m - d.lead] = exact_div(c, d.lc)
+        for t, tc in zip(shifted, d.tail_coeffs):
+            old = get(t)
+            if old is None:
+                terms[t] = -c * tc
+                push(heap, t)
+            else:
+                terms[t] = old - c * tc
+    return rem
 
 
 def sum_of_products(nvars: int, pairs: Iterable[tuple["Polynomial", "Polynomial"]]) -> "Polynomial":
-    """The sum of a * b over the pairs, in one dict of exact sums, keyed by
-    bytes when every factor packs and by exponent tuples otherwise; terms
-    come in the order of the pairs, then of a's terms, then of b's."""
-    factors = [(a.terms, b.terms) for a, b in pairs]
-    high = int.from_bytes(b"\x80" * nvars, "little")
-    packed = [(_packed(a, high), _packed(b, high)) for a, b in factors]
+    """The sum of a * b over the pairs, in one dict of exact sums keyed in
+    the narrowest layout that holds every product, so that the key of a
+    product is the sum of its factors' keys; the result keeps those keys.
+    Terms come in the order of the pairs, then of a's terms, then of b's."""
+    packings = [(a.packed(), b.packed()) for a, b in pairs if a.terms and b.terms]
+    layout = layout_for(nvars, max([da + db for (_, _, da), (_, _, db) in packings] or [0]))
     sums: dict = {}
-    if all(a is not None and b is not None for a, b in packed):
-        for a, b in packed:
-            for k1, c1 in a:
-                for k2, c2 in b:
-                    k = k1 + k2
-                    old = sums.get(k)
-                    sums[k] = c1 * c2 if old is None else old + c1 * c2
-        return Polynomial._trusted(
-            nvars, {tuple(k.to_bytes(nvars, "little")): _canonical(c) for k, c in sums.items() if c}
-        )
-    for a, b in factors:
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = monomial_mul(m1, m2)
-                old = sums.get(m)
-                sums[m] = c1 * c2 if old is None else old + c1 * c2
-    return Polynomial._from_sums(nvars, sums)
+    for (la, a, _), (lb, b, _) in packings:
+        b = (b if lb is layout else layout.pack(lb.unpack(b))).items()
+        for k1, c1 in (a if la is layout else layout.pack(la.unpack(a))).items():
+            for k2, c2 in b:
+                k = k1 + k2
+                old = sums.get(k)
+                sums[k] = c1 * c2 if old is None else old + c1 * c2
+    return Polynomial._from_keyed(nvars, layout, sums)
 
 
 class Polynomial:
@@ -120,7 +236,7 @@ class Polynomial:
     int when integral, else a Fraction.  The constructor accepts any int,
     Fraction or other exact rational and refuses floats."""
 
-    __slots__ = ("nvars", "terms", "_partials")
+    __slots__ = ("nvars", "terms", "_partials", "_packing")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Coefficient] | None = None):
         clean: dict[Exponents, Coefficient] = {}
@@ -131,12 +247,16 @@ class Polynomial:
                 c = _exact_coefficient(c)
                 if c:
                     clean[tuple(map(index, m))] = c
+            if nvars and min(map(min, terms)) < 0:  # no layout holds a negative exponent
+                raise ValueError(f"negative exponent in {min(terms, key=min)}")
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_packing", None)
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[Exponents, Coefficient]) -> "Polynomial":
-        """A polynomial that owns ``terms`` as given, without re-validation.
+    def _trusted(cls, nvars: int, terms: dict[Exponents, Coefficient], packing=None) -> "Polynomial":
+        """A polynomial that owns ``terms`` as given, without re-validation,
+        and ``packing``, when given, as the one ``packed`` would make.
 
         Only for results the class builds itself, whose keys are already
         int tuples of length nvars and whose values are nonzero and
@@ -145,6 +265,7 @@ class Polynomial:
         p = object.__new__(cls)
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_packing", packing)
         return p
 
     @classmethod
@@ -152,6 +273,13 @@ class Polynomial:
         """A polynomial from exact sums the caller accumulated on trusted
         keys: zeros are dropped and each coefficient is made canonical once."""
         return cls._trusted(nvars, {m: _canonical(c) for m, c in sums.items() if c})
+
+    @classmethod
+    def _from_keyed(cls, nvars: int, layout: Layout, sums: dict[int, Coefficient]) -> "Polynomial":
+        """``_from_sums`` on keys packed in ``layout``, which must hold
+        them; the polynomial keeps the keys as its packing."""
+        keyed = {k: _canonical(c) for k, c in sums.items() if c}
+        return cls._trusted(nvars, layout.unpack(keyed), (layout, keyed, -(min(keyed) >> layout.shift) if keyed else -1))
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -196,19 +324,43 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
+    def packed(self) -> tuple[Layout, dict[int, Coefficient], int]:
+        """(layout, terms keyed in it in the order of ``terms``, total
+        degree), as the module docstring describes; kept, never changed."""
+        packing = self._packing
+        if packing is None:
+            terms, layout = self.terms, _layout(self.nvars, 8)
+            try:  # 8-bit keys hold the degree exactly while every exponent is below 256
+                keyed = layout.pack(terms)
+                degree = -(min(keyed) >> layout.shift) if keyed else -1
+            except ValueError:
+                degree = max(map(sum, terms))
+            if degree >= layout.limit:
+                layout = layout_for(self.nvars, degree)
+                keyed = layout.pack(terms)
+            packing = layout, keyed, degree
+            object.__setattr__(self, "_packing", packing)
+        return packing
+
+    def keyed(self, layout: Layout) -> dict[int, Coefficient]:
+        """The terms keyed in ``layout``, which must hold them: the kept
+        dict when it is in that layout, else a fresh one."""
+        own, keyed, _ = self.packed()
+        return keyed if own is layout else layout.pack(self.terms)
+
     def sorted_terms(self) -> list[tuple[Exponents, Coefficient]]:
-        return sorted(self.terms.items(), key=lambda t: heap_key(t[0]))
+        """The terms in descending term order: ascending packed keys."""
+        return [term for _, term in sorted(zip(self.packed()[1], self.terms.items()))]
 
     def leading_term(self) -> tuple[Exponents, Coefficient]:
+        """The term of the smallest packed key."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = min(self.terms, key=heap_key)
-        return m, self.terms[m]
+        return min(zip(self.packed()[1], self.terms.items()))[1]
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
+        """The degree above the fields of the smallest key; -1 for zero."""
+        return self.packed()[2]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -253,6 +405,8 @@ class Polynomial:
         if len(exponents) != self.nvars:
             raise ValueError(f"exponent tuple {exponents} does not have {self.nvars} entries")
         shift = tuple(map(index, exponents))
+        if min(shift, default=0) < 0:
+            raise ValueError(f"negative exponent in {shift}")
         c = _exact_coefficient(coeff)
         if not c:
             return Polynomial.zero(self.nvars)
@@ -323,62 +477,29 @@ class Polynomial:
     def divide_exact(self, den: "Polynomial") -> "Polynomial | None":
         """Quotient q with self == q * den, or None when den does not divide.
 
-        Leading-term division is complete here: when rem is a multiple of
-        den, the leading term of rem is divisible by the leading term of
-        den under any monomial order, so a single failed step certifies
-        non-divisibility.
+        While what is left of self is a multiple of den, its lead is a
+        multiple of den's, so the remainder is zero exactly when den divides.
         """
         quotient, remainder = self._divide(den)
         return None if remainder else quotient
 
     def _divide(self, den: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """(q, r) with self == q * den + r, from the division loop behind
-        ``divide_exact``: r is zero when den divides, and otherwise what
-        is left of self when the loop stops, its leading monomial the
-        first one that the leading monomial of den does not divide.
-
-        What is left of self sits in a term dict whose monomials are
-        pushed once each on a heap ordered by ``heap_key``; a cancelled
-        monomial stays in the dict at zero until it is popped.  Each
-        popped coefficient is put in canonical form, and each quotient
-        coefficient comes from ``exact_div``, so the quotient is
-        canonical.  Groebner division, by many divisors at once, runs in
-        ``groebner.divide_terms`` on packed monomials instead: a one-off
-        division by one divisor reuses no monomial, and packing would
-        cost more than it saves.
-        """
+        """(q, r) with self == q * den + r from ``divide_terms`` with den as
+        its one divisor, in the wider of their layouts: r is zero exactly
+        when den divides self, and otherwise lead(den) divides no term of r."""
         self._check(den)
         if den.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if not self.terms:
             return self, self  # 0 = 0 * den + 0
-        lead, lc = den.leading_term()
-        tail = [(m, c) for m, c in den.terms.items() if m != lead]
-        terms = dict(self.terms)
-        heap = [(heap_key(m), m) for m in terms]
-        heapify(heap)
-        quotient: dict[Exponents, Coefficient] = {}
-        while heap:
-            m = heappop(heap)[1]
-            c = terms.pop(m)
-            if type(c) is not int and c.denominator == 1:
-                c = c.numerator
-            if not c:
-                continue
-            if not monomial_divides(lead, m):
-                terms[m] = c
-                break
-            shift = monomial_div(m, lead)
-            q = quotient[shift] = exact_div(c, lc)
-            for t, tc in tail:
-                t = monomial_mul(t, shift)
-                old = terms.get(t)
-                if old is None:
-                    terms[t] = -q * tc
-                    heappush(heap, (heap_key(t), t))
-                else:
-                    terms[t] = old - q * tc
-        return Polynomial._trusted(self.nvars, quotient), Polynomial._from_sums(self.nvars, terms)
+        layout = max(self.packed()[0], den.packed()[0], key=lambda layout: layout.bits)
+        tail = dict(den.keyed(layout))
+        lead = min(tail)
+        lc = tail.pop(lead)
+        divisor = Divisor(lead, list(tail), list(tail.values()), lc)
+        quotient: dict = {}
+        rem = divide_terms(dict(self.keyed(layout)), [divisor], layout.guard, None, {}, quotient)
+        return Polynomial._from_keyed(self.nvars, layout, quotient), Polynomial._from_keyed(self.nvars, layout, rem)
 
     # -- printing ----------------------------------------------------------
 

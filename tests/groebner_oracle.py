@@ -15,7 +15,7 @@ zero.
 The engine keeps no remainder function of its own, since no verdict
 reads a normal form.  ``kernel_remainder`` packs a polynomial and its
 divisors with ``packed_divisor`` and runs the engine's one division loop,
-``toricfol.groebner.divide_terms``, on them, so that the loop is compared
+``toricfol.poly.divide_terms``, on them, so that the loop is compared
 with ``reduce_poly`` on any divisor list.
 
 ``pair_loop`` is the engine's pair loop on exponent tuples: the same
@@ -39,16 +39,14 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, repeat
 from typing import NamedTuple
 
-from poly_oracle import grevlex_key
+from poly_oracle import grevlex_key, heap_key, monomial_div, monomial_divides
 
-from toricfol import groebner
+from toricfol import groebner, poly
 from toricfol.groebner import P
 from toricfol.poly import (
     Polynomial,
     exact_div,
-    heap_key,
-    monomial_div,
-    monomial_divides,
+    layout_for,
     monomial_lcm,
     monomial_mul,
 )
@@ -71,18 +69,23 @@ def reduce_poly(f: Polynomial, gens) -> Polynomial:
     return Polynomial(f.nvars, rem)
 
 
-def packed_divisor(g: Polynomial, layout) -> groebner.Divisor:
-    """The nonzero g, made monic, as ``groebner.divide_terms`` reads a divisor in ``layout``."""
-    return groebner._monic({layout.pack(m): c for m, c in g.terms.items()}, None)
+def packed_divisor(g: Polynomial, layout) -> poly.Divisor:
+    """The nonzero g, made monic, as ``poly.divide_terms`` reads a divisor in ``layout``."""
+    return groebner._monic(layout.pack(g.terms), None)
 
 
 def kernel_remainder(f: Polynomial, gens) -> Polynomial:
     """The remainder of f on division by the nonzero gens, from
-    ``groebner.divide_terms`` in a layout that holds every degree."""
-    layout = groebner._layout_for(f.nvars, max(g.total_degree() for g in (f, *gens)))
+    ``poly.divide_terms`` in a layout that holds every degree."""
+    layout = layout_for(f.nvars, max(g.total_degree() for g in (f, *gens)))
     divisors = [packed_divisor(g, layout) for g in gens]
-    rem = groebner.divide_terms({layout.pack(m): c for m, c in f.terms.items()}, divisors, layout.guard, None, {})
-    return Polynomial._trusted(f.nvars, {layout.unpack(m): c for m, c in rem.items()})
+    rem = poly.divide_terms(layout.pack(f.terms), divisors, layout.guard, None, {})
+    return Polynomial._trusted(f.nvars, layout.unpack(rem))
+
+
+def divisor_terms(d: poly.Divisor, layout) -> dict:
+    """The monic divisor d as an exponent-tuple term dict, lead first."""
+    return layout.unpack({d.lead: 1, **dict(zip(d.tail_monos, d.tail_coeffs))})
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -160,12 +163,9 @@ def engine_basis(gens, stats: dict | None = None) -> list[Polynomial]:
     and unchecked: its coefficients are the kernel's own.  ``stats``
     receives the loop's."""
     polys = groebner._nonzero_generators(gens)
-    basis, layout = groebner._pair_loop([g.terms for g in polys], None, stats)
-    unpack = layout.unpack
-    return [
-        Polynomial._trusted(layout.nvars, {unpack(d.lead): 1, **dict(zip(map(unpack, d.tail_monos), d.tail_coeffs))})
-        for d in basis
-    ]
+    layout = layout_for(polys[0].nvars, max(g.total_degree() for g in polys))
+    basis, layout = groebner._pair_loop([g.keyed(layout) for g in polys], None, layout, stats)
+    return [Polynomial._trusted(layout.nvars, divisor_terms(d, layout)) for d in basis]
 
 
 def engine_reduced_basis(gens) -> tuple[Polynomial, ...]:
@@ -210,7 +210,7 @@ def _monic(lm, lc, tail: dict, modulus) -> Divisor:
 def divide_terms(terms: dict, divisors: list[Divisor], modulus, memo: dict) -> dict:
     """The remainder of ``terms`` on division by the monic ``divisors``,
     first matching reducer, in descending order; ``memo`` as in
-    ``toricfol.groebner.divide_terms``."""
+    ``toricfol.poly.divide_terms``."""
     heap = [(heap_key(m), m) for m in terms]
     heapify(heap)
     rem = {}

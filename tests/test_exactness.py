@@ -20,6 +20,13 @@ fails the test, and an input that must be an integer goes through
 ``operator.index``, which refuses a float or a ``Fraction``.
 ``parsing.py`` and ``casefile.py`` are exempt: they call ``int`` only on
 digit strings that a regular expression has already checked.
+
+One polynomial kernel: ``heapify`` may appear only in
+``poly.divide_terms``, the one division loop, and ``from_bytes`` or
+``to_bytes`` only in ``poly.Layout.pack`` and ``poly.Layout.unpack``, the
+one monomial layout's packing.  A use anywhere else, as a name or as an
+attribute, fails the test, so neither a second division loop nor a
+second packed layout can come back unnoticed.
 """
 
 import ast
@@ -163,3 +170,68 @@ def test_int_detector_sees_each_kind():
     # the exemptions are not stale: each exempt module does call int
     for name in INT_EXEMPT_MODULES:
         assert int_calls(ast.parse((CORE / name).read_text(encoding="utf-8")))
+
+
+# name -> {module: the functions, as "f" or "Class.f", where it may appear}
+CONFINED_NAMES = {
+    "heapify": {"poly.py": ("divide_terms",)},
+    "from_bytes": {"poly.py": ("Layout.pack",)},
+    "to_bytes": {"poly.py": ("Layout.unpack",)},
+}
+
+
+def confined_uses(tree: ast.AST, names, exempt_functions=()) -> list[str]:
+    """Each name or attribute in ``names`` outside the named functions,
+    each given as "f" at module level or "Class.f" in a class there."""
+    skip: set[int] = set()
+    for node in tree.body:
+        scopes = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            scopes = [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef)]
+        for name, scope in scopes:
+            if name in exempt_functions:
+                skip.update(id(n) for n in ast.walk(scope))
+    spots = []
+    for node in ast.walk(tree):
+        # a name, or the attribute of an ast.Attribute
+        used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if used in names and id(node) not in skip:
+            spots.append((node.lineno, f"line {node.lineno}: {used}"))
+    return [text for _, text in sorted(spots)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_division_loop_and_one_layout(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    spots = []
+    for name, exempt in CONFINED_NAMES.items():
+        spots += confined_uses(tree, {name}, exempt.get(path.name, ()))
+    assert not spots, f"{path.name}: " + "; ".join(spots)
+
+
+def test_confined_name_detector_sees_each_kind():
+    source = "\n".join(
+        [
+            "import heapq",
+            "from heapq import heapify",
+            "def loop(h):",
+            "    heapify(h)",
+            "class Layout:",
+            "    def pack(self, m):",
+            "        return int.from_bytes(m, 'little')",
+            "def other(h, k):",
+            "    heapq.heapify(h)",
+            "    return k.to_bytes(2, 'little')",
+        ]
+    )
+    tree = ast.parse(source)
+    names = {"heapify", "from_bytes", "to_bytes"}
+    assert confined_uses(tree, names) == [
+        "line 4: heapify", "line 7: from_bytes", "line 9: heapify", "line 10: to_bytes"
+    ]
+    assert confined_uses(tree, names, ("loop", "Layout.pack")) == ["line 9: heapify", "line 10: to_bytes"]
+    # the exemptions are not stale: each exempt function uses its name
+    for name, exempt in CONFINED_NAMES.items():
+        for module, functions in exempt.items():
+            tree = ast.parse((CORE / module).read_text(encoding="utf-8"))
+            assert len(confined_uses(tree, {name})) > len(confined_uses(tree, {name}, functions))

@@ -7,18 +7,15 @@ from poly_oracle import grevlex_key
 from toricfol.groebner import (
     EMPTY_VARIETY,
     P,
-    Divisor,
-    _layout_for,
     _lead_dimension,
     _leads,
     _set_to_one,
-    divide_terms,
     ideal_dimension,
     only_origin_check,
     regular_subsequence_check,
     sing_inside_irrelevant,
 )
-from toricfol.poly import Polynomial
+from toricfol.poly import Divisor, Polynomial, divide_terms, layout_for
 from linalg_oracle import solve_dense
 from test_poly import _is_canonical
 
@@ -89,7 +86,7 @@ def test_membership_matches_bounded_combination_oracle():
 
 
 def test_reduced_basis_invariants():
-    from toricfol.poly import monomial_divides
+    from poly_oracle import monomial_divides
 
     z1, z2, z3 = (V(3, j) for j in range(3))
     gens = oracle.engine_reduced_basis([z1 * z2 - z3 * z3, z2 * z2 - z1 * z3])
@@ -423,7 +420,8 @@ def _random_divisor(rng, nvars, kind, layout):
         return _random_divisor(rng, nvars, kind, layout)
     lm = max(terms, key=grevlex_key)
     inv = pow(terms.pop(lm), -1, MODULUS)
-    return Divisor(layout.pack(lm), [layout.pack(m) for m in terms], [c * inv % MODULUS for c in terms.values()])
+    [lead] = layout.pack({lm: None})
+    return Divisor(lead, list(layout.pack(terms)), [c * inv % MODULUS for c in terms.values()])
 
 
 def test_memo_changes_no_division():
@@ -436,16 +434,17 @@ def test_memo_changes_no_division():
         modulus = MODULUS if kind == "mod" else None
         for _ in range(25):
             nvars = rng.randint(1, 3)
-            layout = _layout_for(nvars, 12)
+            layout = layout_for(nvars, 12)
             divisors = [_random_divisor(rng, nvars, kind, layout)]
             memo = {}
             for _ in range(15):
                 if rng.random() < 0.4:
                     divisors.append(_random_divisor(rng, nvars, kind, layout))
                 terms = {
-                    layout.pack(tuple(rng.randint(0, 4) for _ in range(nvars))): _random_coefficient(rng, kind)
+                    tuple(rng.randint(0, 4) for _ in range(nvars)): _random_coefficient(rng, kind)
                     for _ in range(rng.randint(1, 6))
                 }
+                terms = layout.pack(terms)
                 cached = {m for m, v in memo.items() if type(v) is tuple}
                 scanned = {m for m, v in memo.items() if type(v) is int and v < len(divisors)}
                 fresh = {}

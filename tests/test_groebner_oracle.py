@@ -172,41 +172,43 @@ def _m(*exponents, c=1):
 
 
 def test_overflowing_degrees_repack_and_match_oracle(monkeypatch):
-    # The packed layout starts with 16-bit fields, so every exponent and
-    # degree must stay below 2^15.  Here the lcm of a pair or the
-    # generators themselves cross it, or a generator is reduced on entry
-    # after the move, and the answers must not change.
+    # A layout of B-bit fields holds exponents and degrees below 2^(B-1);
+    # layouts start at 8 bits and double.  Here the lcm of a pair or the
+    # generators themselves cross a limit, or a generator is reduced on
+    # entry after the move, and the answers must not change.
     import toricfol.groebner as groebner
 
-    limit = groebner._layout_for(3, 0).limit
     repacks = []
     repack = groebner._repack
     monkeypatch.setattr(
         groebner, "_repack", lambda d, old, new: repacks.append((old.limit, new.limit)) or repack(d, old, new)
     )
-    n = 12000  # 2n < limit <= 3n: the first lcm past the limit is a new element's
+    n = 12000  # 2n < 2^15 <= 3n: the first lcm past the limit is a new element's
     cases = {
-        "new element": ([_m(n, 1, 0) - _m(0, 0, n + 1), _m(1, n, 0) - _m(0, 0, n + 1)], 3),
-        "generators": ([_m(17000, 1), _m(1, 17000), _m(17001, 0) + _m(0, 17001)], 2),
-        "wide generators": ([_m(40000, 0) - _m(0, 40000), _m(1, 39999)], 0),
-        "wider than 2^31": ([_m(2**31 + 3, 0) - _m(0, 2**31 + 3), _m(2, 2**31 + 1)], 0),
+        # the same move from 8-bit fields: 2 * 50 < 2^7 <= 3 * 50
+        "new element past 8 bits": ([_m(50, 1, 0) - _m(0, 0, 51), _m(1, 50, 0) - _m(0, 0, 51)], 8, 3),
+        "new element": ([_m(n, 1, 0) - _m(0, 0, n + 1), _m(1, n, 0) - _m(0, 0, n + 1)], 16, 3),
+        "generators": ([_m(17000, 1), _m(1, 17000), _m(17001, 0) + _m(0, 17001)], 16, 2),
+        "wide generators": ([_m(40000, 0) - _m(0, 40000), _m(1, 39999)], 32, 0),
+        "wider than 2^31": ([_m(2**31 + 3, 0) - _m(0, 2**31 + 3), _m(2, 2**31 + 1)], 64, 0),
         # the third generator enters after the move and reduces to y^17002 there
-        "reduced after the move": ([_m(17000, 1), _m(1, 17000), _m(17001, 1) + _m(0, 17002)], 2),
+        "reduced after the move": ([_m(17000, 1), _m(1, 17000), _m(17001, 1) + _m(0, 17002)], 16, 2),
     }
     answers = []
-    for name, (gens, repacked) in cases.items():
+    for name, (gens, bits, repacked) in cases.items():
         repacks.clear()
         stats, want_stats = {}, {}
         got = [g.terms for g in oracle.engine_basis(gens, stats)]
         assert got == oracle.pair_loop_basis(gens, None, want_stats), name
         assert stats == want_stats, name
-        # the basis held ``repacked`` elements when it moved to 32-bit fields
-        assert repacks == [(limit, 2**31)] * repacked, name
+        # the loop started at ``bits`` and the basis held ``repacked``
+        # elements when its fields doubled
+        assert repacks == [(2 ** (bits - 1), 2 ** (2 * bits - 1))] * repacked, name
         record = {}
         answer = only_origin_check(gens, record=record)
         assert answer is (ideal_dimension(gens) <= 0)
         answers.append((answer, record["path"]))
-    assert answers == [(False, "exact")] + [(True, "modular")] * 3 + [(False, "exact")]
+    assert answers == [(False, "exact")] * 2 + [(True, "modular")] * 3 + [(False, "exact")]
     basis = oracle.engine_basis(cases["reduced after the move"][0])
     assert [g.leading_term()[0] for g in basis] == [(17000, 1), (1, 17000), (0, 17002)]
     gb = oracle.buchberger([_m(1, 0) - _m(0, 1), _m(0, 2) - _m(0, 0)])

@@ -20,6 +20,7 @@ from math import isqrt
 import pytest
 
 import groebner_oracle as oracle
+from poly_oracle import monomial_divides
 from toricfol.families import (
     biproj_pairs_fixture,
     monomial_hypersurface_fixture,
@@ -36,7 +37,7 @@ from toricfol.groebner import (
     only_origin_check,
     regular_subsequence_check,
 )
-from toricfol.poly import Polynomial, monomial_divides
+from toricfol.poly import Polynomial, layout_for
 
 
 def nonzero_partials(f):
@@ -210,10 +211,9 @@ def test_packed_loop_matches_tuple_oracle(weights, degree, nodal, seed):
     stats = {}
     assert _leads(gens, P, stats) == [next(iter(g)) for g in want]
     assert stats == want_stats
-    basis, layout = _pair_loop(oracle.modular_generators(gens), P, {})
-    unpack = layout.unpack
-    got = [{unpack(d.lead): 1, **{unpack(m): c for m, c in zip(d.tail_monos, d.tail_coeffs)}} for d in basis]
-    assert got == want
+    layout = layout_for(f.nvars, max(g.total_degree() for g in gens))
+    basis, layout = _pair_loop([layout.pack(g) for g in oracle.modular_generators(gens)], P, layout, {})
+    assert [oracle.divisor_terms(d, layout) for d in basis] == want
     record = {}
     only_origin_check(gens, record=record)
     assert record["modular"] == want_stats

@@ -6,8 +6,7 @@ import pytest
 import groebner_oracle as oracle
 import poly_oracle
 from poly_oracle import grevlex_key
-from toricfol import poly
-from toricfol.poly import Polynomial, exact_div, heap_key, sum_of_products
+from toricfol.poly import Polynomial, exact_div, layout_for, sum_of_products
 
 
 def P(nvars, terms):
@@ -97,9 +96,10 @@ def test_divide_exact_fails_cleanly():
 
 def test_divide_exact_of_zero(monkeypatch):
     x = Polynomial.variable(3, 0)
-    with monkeypatch.context() as m:  # a zero numerator is not divided: no lead search
-        m.setattr(Polynomial, "leading_term", lambda self: pytest.fail("lead searched"))
-        q = Polynomial.zero(3).divide_exact(x * x - x)
+    den = x * x - x
+    with monkeypatch.context() as m:  # a zero numerator is not divided: nothing is packed
+        m.setattr(Polynomial, "packed", lambda self: pytest.fail("packed"))
+        q = Polynomial.zero(3).divide_exact(den)
     assert q.is_zero() and q.nvars == 3
     with pytest.raises(ZeroDivisionError):
         Polynomial.zero(3).divide_exact(Polynomial.zero(3))
@@ -109,11 +109,11 @@ def test_divide_exact_of_zero(monkeypatch):
         x.divide_exact(Polynomial.variable(2, 0))
 
 
-def test_division_stops_at_a_remainder_lead_it_cannot_divide():
+def test_division_leaves_a_full_remainder():
     # (q, r) behind divide_exact: f = q * den + r, and r is zero exactly
-    # when den divides f, else lead(den) does not divide lead(r)
+    # when den divides f, else lead(den) divides no term of r
     rng = random.Random(17)
-    stopped = 0
+    left = 0
     for _ in range(200):
         nvars = rng.randint(1, 4)
         f, den = _random_poly(rng, nvars), _random_poly(rng, nvars, max_terms=3)
@@ -122,12 +122,75 @@ def test_division_stops_at_a_remainder_lead_it_cannot_divide():
         q, r = f._divide(den)
         assert f == q * den + r
         assert (f.divide_exact(den) is None) == bool(r)
-        if r:
-            lead, rlead = den.leading_term()[0], r.leading_term()[0]
-            assert not all(a <= b for a, b in zip(lead, rlead))
-            stopped += 1
+        lead = den.leading_term()[0]
+        assert not any(all(a <= b for a, b in zip(lead, m)) for m in r.terms)
+        left += len(r.terms) > 1
+        _assert_well_formed(q, nvars)
         _assert_well_formed(r, nvars)
-    assert stopped >= 50
+    assert left >= 50
+
+
+def _boundary_poly(rng, nvars, top):
+    """Up to three terms, each with one exponent near ``top`` and small
+    others, int or Fraction coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        m = [rng.randint(0, 2) for _ in range(nvars)]
+        m[rng.randrange(nvars)] = top - rng.randint(0, 2)
+        c = rng.choice([-3, -2, 1, 2, 6])
+        terms[tuple(m)] = c if rng.random() < 0.6 else Fraction(c, rng.randint(2, 3))
+    return Polynomial(nvars, terms)
+
+
+def test_division_matches_the_tuple_oracle_random():
+    # The packed loop against the tuple loop it replaced: the same quotient
+    # whenever the divisor divides, and f = q * den + r always, on int and
+    # Fraction coefficients, divisors that are not monic, and exponents on
+    # both sides of the 8-bit and 16-bit layouts' limits.
+    rng = random.Random(32)
+    divided = widths = 0
+    seen = set()
+    for trial in range(600):
+        nvars = rng.randint(1, 4)
+        if trial % 3:
+            den = _random_poly(rng, nvars, max_terms=3)
+            q = _random_poly(rng, nvars)
+        else:
+            top = rng.choice([127, 128, 129, 32767, 32768, 32769])
+            den = _boundary_poly(rng, nvars, rng.choice([2, top]))
+            q = _boundary_poly(rng, nvars, top)
+        if den.is_zero():
+            continue
+        f = q * den if rng.random() < 0.6 else q * den + _random_poly(rng, nvars, max_terms=2)
+        got_q, got_r = f._divide(den)
+        want_q, want_r = poly_oracle.divide(f, den)
+        assert f == got_q * den + got_r
+        assert bool(got_r) == bool(want_r)
+        if not want_r:
+            assert list(got_q.terms.items()) == list(want_q.terms.items())
+            assert f.divide_exact(den) == want_q
+            divided += 1
+        _assert_well_formed(got_q, nvars)
+        _assert_well_formed(got_r, nvars)
+        seen.add(max(f.packed()[0].bits, den.packed()[0].bits))
+    assert divided >= 300 and seen == {8, 16, 32}, (divided, seen)
+
+
+def test_division_by_a_non_monic_integer_makes_no_fraction(monkeypatch):
+    # The divisor keeps its lead coefficient: its tail stays in ints, and
+    # each popped coefficient is divided by the lead one, so an integral
+    # quotient makes no Fraction anywhere in the loop.
+    x, y, z = (Polynomial.variable(3, j) for j in range(3))
+    den = (x * x).scale(6) - (x * y).scale(4) + (z * z).scale(10)
+    q = (x * y).scale(5) - (y * z).scale(7) + Polynomial.constant(3, 3)
+    f = q * den
+    f.packed(), den.packed()
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: made.append(args) or new(cls, *args, **kw))
+    got = f.divide_exact(den)
+    assert made == []
+    assert got == q and all(type(c) is int for c in got.terms.values())
 
 
 def test_divide_round_trip_random():
@@ -155,11 +218,16 @@ def test_orders():
 
 
 def test_heap_keys_reverse_the_term_orders():
-    import random
-
+    # Ascending packed keys are descending grevlex, in every layout width,
+    # and each key unpacks to its monomial.
     rng = random.Random(8)
-    monos = {tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(60)}
-    assert sorted(monos, key=heap_key) == sorted(monos, key=grevlex_key, reverse=True)
+    for degree in (9, 127, 128, 32767, 32768):
+        layout = layout_for(3, degree)
+        monos = {tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(60)}
+        monos |= {(degree - a - b, a, b) for a, b in ((0, 0), (1, 0), (0, 1), (2, 3))}
+        keyed = layout.pack(dict.fromkeys(monos))
+        assert list(layout.unpack(dict.fromkeys(sorted(keyed)))) == sorted(monos, key=grevlex_key, reverse=True)
+        assert list(layout.unpack(keyed)) == list(monos)
 
 
 def test_leading_term_is_the_grevlex_maximum():
@@ -390,6 +458,17 @@ def test_inexact_coefficients_and_exponents_refused():
             Polynomial(2, {exps: 1})
         with pytest.raises(TypeError):
             P(2, {(0, 1): 1}).mul_monomial(exps)
+    # No layout holds a negative exponent.
+    with pytest.raises(ValueError):
+        Polynomial(2, {(-1, 2): 1, (0, 0): 1})
+    with pytest.raises(ValueError):
+        Polynomial(2, {(-1, 2): 0})
+    with pytest.raises(ValueError):
+        Polynomial.monomial((0, -1))
+    with pytest.raises(ValueError):
+        Polynomial.variable(2, 0, power=-1)
+    with pytest.raises(ValueError):
+        Polynomial.variable(2, 0).mul_monomial((-1, 0))
     assert Polynomial(1, {(1,): Fraction(1, 10)}).terms == {(1,): Fraction(1, 10)}
     assert P(1, {(1,): 3}).scale(Fraction(1, 3)) == P(1, {(1,): 1})
 
@@ -428,27 +507,28 @@ def test_products_match_the_tuple_loop_random():
         _same_terms_in_order(a * b, poly_oracle.sum_of_products(nvars, [(a, b)]))
 
 
-def test_products_at_the_byte_boundary(monkeypatch):
-    # 127 packs, and 127 + 127 = 254 still fits its byte; 128 and 255 take
-    # the tuple loop by their top bit, 256 by the ValueError of int.from_bytes.
-    calls = []
-    monomial_mul = poly.monomial_mul
-
-    def counting(a, b):
-        calls.append(a)
-        return monomial_mul(a, b)
-
-    monkeypatch.setattr(poly, "monomial_mul", counting)
+def test_products_at_the_byte_boundary():
+    # A product is keyed in the narrowest layout that holds the sum of its
+    # factors' degrees: 8-bit fields below 128, 16-bit ones below 2^15.
+    # Crossing either limit widens the product's layout past both of its
+    # factors'; widened or not, it equals the tuple loop, term for term
+    # and in order.
     x = Polynomial.variable(3, 0)
     rng = random.Random(5)
-    for top, tuple_loop in ((127, False), (128, True), (255, True), (256, True)):
+    widenings = []
+    for top, bits in ((64, 8), (65, 16), (32704, 16), (32705, 32)):
         for _ in range(20):
             a = _factor(rng, 3, 3) + Polynomial.monomial((top, 1, 0), rng.choice([1, Fraction(1, 2)]))
-            b = _factor(rng, 3, 3) + x.mul_monomial((126, 0, 2)) - x
+            b = _factor(rng, 3, 3) + x.mul_monomial((59, 0, 2)) - x  # degrees top + 1 and 62
             pairs = [(a, b), (b, a)]
-            calls.clear()
             got = sum_of_products(3, pairs)
-            assert bool(calls) == tuple_loop, top
+            layout = got.packed()[0]
+            assert layout.bits == bits, top
+            widenings.append(layout.bits > max(a.packed()[0].bits, b.packed()[0].bits))
             _same_terms_in_order(got, poly_oracle.sum_of_products(3, pairs))
+    assert widenings == [False] * 20 + [True] * 20 + [False] * 20 + [True] * 20
+    # a polynomial packs itself in the narrowest layout of its degree
+    for e, bits in ((127, 8), (128, 16), (32767, 16), (32768, 32)):
+        assert Polynomial.monomial((e, 0, 0)).packed()[0].bits == bits
     p = Polynomial.monomial((127, 0, 127), 2)
     assert (p * p).terms == {(254, 0, 254): 4}
