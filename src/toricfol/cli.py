@@ -24,7 +24,6 @@ from .families import FIXTURE_BUILDERS, check_fixture
 from .foliation import invariance_cofactor
 from .grading import homogeneous_degree
 from .normalform import DecompositionError, koszul_decompose
-from .selfcheck import run_all
 
 OK, INPUT_ERROR, FAILED = 0, 1, 2
 
@@ -221,17 +220,6 @@ def _fixture_arguments(args) -> list:
     return [parse(getattr(args, flag), f"--{flag}") for flag, parse, _ in spec if getattr(args, flag)]
 
 
-def _cmd_selftest(args) -> int:
-    outcome = sorted(run_all(fast=args.fast).items())
-    doc = {name: "pass" if ok else f"FAIL: {sample}" for name, (ok, sample) in outcome}
-    lines = []
-    for name, (ok, sample) in outcome:
-        lines.append(f"suite {name}: {'pass' if ok else 'FAIL'}")
-        lines.extend(f"  {note}" for note in sample)
-    _emit(doc, lines, args.format)
-    return OK if all(ok for _, (ok, _) in outcome) else FAILED
-
-
 def _cmd_export(args) -> int:
     """Render a fixture as a case file (round-trip aid)."""
     fix = _build_fixture(args)
@@ -306,11 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("name")
     _add_fixture_params(sub)
     sub.set_defaults(func=_cmd_export)
-
-    sub = subs.add_parser("selftest", help="randomized property suites")
-    sub.add_argument("--fast", action="store_true")
-    sub.add_argument("--format", choices=("text", "machine"), default="text")
-    sub.set_defaults(func=_cmd_selftest)
 
     return parser
 

@@ -8,8 +8,6 @@ class groups (cokernels of ray pairing matrices).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
 from operator import index
 
 
@@ -87,9 +85,6 @@ class IntMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         return _bareiss(self.entries)
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -232,19 +227,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     )
 
 
-def minor_gcds(a: IntMatrix) -> list[int]:
-    """gcd of all k x k minors, k = 1..min(rows, cols); brute-force oracle."""
-    out = []
-    k_max = min(a.rows, a.cols)
-    for k in range(1, k_max + 1):
-        g = 0
-        for ri in combinations(range(a.rows), k):
-            for ci in combinations(range(a.cols), k):
-                g = gcd(g, _bareiss([[a.entries[i][j] for j in ci] for i in ri]))
-        out.append(g)
-    return out
-
-
 @dataclass(frozen=True)
 class AbelianGroupPresentation:
     """Cokernel Z^N / image(A) in invariant-factor form.
@@ -270,38 +252,14 @@ class AbelianGroupPresentation:
         residues = tuple(x % t for x, t in zip(img[self.rank :], self.torsion))
         return free, residues
 
-    def primary_form(self) -> tuple[tuple[int, int], ...]:
-        """Torsion as prime powers (p, p^lambda), for display."""
-        out = []
-        for t in self.torsion:
-            for p, k in _factorize(t):
-                out.append((p, p**k))
-        return tuple(sorted(out))
-
     def describe(self) -> str:
         parts = []
         if self.rank == 1:
             parts.append("Z")
         elif self.rank > 1:
             parts.append(f"Z^{self.rank}")
-        parts.extend(f"Z/{q}" for _, q in self.primary_form())
+        parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            out.append((d, k))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def cokernel(a: IntMatrix) -> AbelianGroupPresentation:

@@ -1,7 +1,7 @@
 import pytest
 
+from property_suites import default_models
 from toricfol import multiprojective, rational_scroll, torsion_surface, weighted_projective
-from toricfol.selfcheck import default_models
 
 
 @pytest.fixture(scope="session")

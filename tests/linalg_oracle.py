@@ -1,12 +1,15 @@
-"""Dense rational Gauss-Jordan, Fraction Fourier-Motzkin and the box walk of
-integer points: the references the sparse solver, the integer halfspace
-elimination and the slice-wise count are tested against."""
+"""Dense rational Gauss-Jordan, Fraction Fourier-Motzkin, the box walk of
+integer points and the gcds of all k x k minors: the references the sparse
+solver, the integer halfspace elimination, the slice-wise count and the
+Smith normal form are tested against."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import ceil, floor
+from itertools import combinations, product
+from math import ceil, floor, gcd
+
+from toricfol.intlinalg import IntMatrix
 
 
 def solve_dense(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -141,3 +144,16 @@ def box_count(ineqs, nvars: int) -> int:
         all(sum(a * x for a, x in zip(coeffs, point)) >= rhs for coeffs, rhs in ineqs)
         for point in product(*box)
     )
+
+
+def minor_gcds(a: IntMatrix) -> list[int]:
+    """gcd of all k x k minors, k = 1..min(rows, cols); brute-force oracle."""
+    out = []
+    k_max = min(a.rows, a.cols)
+    for k in range(1, k_max + 1):
+        g = 0
+        for ri in combinations(range(a.rows), k):
+            for ci in combinations(range(a.cols), k):
+                g = gcd(g, IntMatrix.from_rows([[a.entries[i][j] for j in ci] for i in ri]).det())
+        out.append(g)
+    return out

@@ -9,9 +9,11 @@ import time
 from fractions import Fraction
 from itertools import product
 
+from property_suites import check_smith, default_models, euler_suite, random_int_matrix
 from toricfol import (
     DegreeClass,
     IntMatrix,
+    build_from_rays,
     cokernel,
     count_lattice_points,
     monomials_of_degree,
@@ -41,7 +43,6 @@ from toricfol.groebner import (
 )
 from toricfol.normalform import KoszulDecomposition, koszul_decompose, verify_decomposition
 from toricfol.poly import Polynomial
-from toricfol.selfcheck import check_smith, default_models, euler_suite, random_int_matrix
 
 
 def _verdict(tag: str, ok: bool, detail: str = ""):
@@ -72,6 +73,15 @@ def test_criterion_01_class_groups():
     oct_group = cokernel(IntMatrix.from_rows(octahedron_rays()))
     checks.append(oct_group.rank == 5 and oct_group.torsion == (2, 2))
     checks.append(time.monotonic() - start < 1.0)
+    # torsion prints as invariant factors, unfactored, so a huge one is quick
+    triangle = ((0, 1), (1, 2), (0, 2))
+    for rays, text in (
+        (((1, 0), (-7, -6), (-1, 6)), "Z + Z/6"),
+        (((1, 0), (1, 10**18 + 3), (-2, -(10**18 + 3))), f"Z + Z/{10**18 + 3}"),
+    ):
+        start = time.monotonic()
+        checks.append(build_from_rays(2, rays, max_cones=triangle).class_group.describe() == text)
+        checks.append(time.monotonic() - start < 1.0)
     _verdict("01 class groups", all(checks), f"{time.monotonic() - t0:.2f}s")
 
 

@@ -282,13 +282,6 @@ def test_parse_error_exit_one(tmp_path, capsys):
     assert "rational literals" in out
 
 
-def test_selftest_fast(capsys):
-    code, out = invoke(capsys, "selftest", "--fast")
-    assert code == 0
-    assert "suite smith_normal_form: pass" in out
-    assert "suite euler_identity: pass" in out
-
-
 def test_export_round_trip_through_cli(tmp_path, capsys):
     _, text1 = invoke(capsys, "export", "torsion-fermat", "--m", "6")
     path = tmp_path / "t6.case"
@@ -370,6 +363,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run([]) == 1
     assert run(["audit", "--no-such-flag"]) == 1
     assert run(["audit", "--format", "yaml"]) == 1
+    assert run(["selftest"]) == 1
     path = _torsion_case(tmp_path, capsys)
     code, out = invoke(capsys, "audit", "--case", str(path), "--radial-index", "x")
     assert code == 1
@@ -378,14 +372,6 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run(["--help"]) == 0
     assert run(["audit", "--help"]) == 0
     assert "usage:" in capsys.readouterr().out
-
-
-def test_selftest_machine_prints_json_only(capsys):
-    code, out = invoke(capsys, "selftest", "--fast", "--format", "machine")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["smith_normal_form"] == "pass"
-    assert set(doc.values()) == {"pass"}
 
 
 @pytest.mark.parametrize(
@@ -397,7 +383,6 @@ def test_selftest_machine_prints_json_only(capsys):
         ["decompose", "--case", "CASE"],
         ["audit", "--case", "CASE", "--decompose"],
         ["fixture", "torsion-fermat", "--m", "3"],
-        ["selftest", "--fast"],
     ],
 )
 def test_machine_output_is_the_json_modules_text(tmp_path, capsys, argv):
@@ -453,14 +438,15 @@ def test_fixture_computes_each_groebner_basis_once(capsys, monkeypatch):
 
 def test_closed_stdout_exits_one_without_traceback():
     # The reader of stdout is gone before anything is written, as with
-    # `toricfol selftest --fast --format machine | head -3` once head exits.
+    # `toricfol fixture torsion-fermat --m 3 --format machine | head -3`
+    # once head exits.
     src = str(Path(toricfol.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "toricfol.cli", "selftest", "--fast", "--format", "machine"],
+            [sys.executable, "-m", "toricfol.cli", "fixture", "torsion-fermat", "--m", "3", "--format", "machine"],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,
@@ -643,21 +629,33 @@ def test_irrelevant_line_rejected_beside_rays(tmp_path, capsys):
     assert code == 0
 
 
-def test_readme_flags_are_accepted():
-    # every flag the README's command block shows must parse for its command
+def _readme_commands() -> list[list[str]]:
+    """The words of each `toricfol` line in the README's command block."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```", 2)[1]
-    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    lines = (line.split("#", 1)[0].split() for line in block.splitlines())
+    return [words for words in lines if len(words) >= 2 and words[0] == "toricfol"]
+
+
+def _subparsers() -> argparse._SubParsersAction:
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_readme_flags_are_accepted():
+    # every flag the README's command block shows must parse for its command
+    subparsers = _subparsers()
     checked = 0
-    for line in block.splitlines():
-        words = line.split("#", 1)[0].split()
-        if len(words) < 2 or words[0] != "toricfol":
-            continue
+    for words in _readme_commands():
         accepted = subparsers.choices[words[1]]._option_string_actions
         for flag in re.findall(r"--[a-z][a-z-]*", " ".join(words[2:])):
             assert flag in accepted, f"README shows {flag} for {words[1]}"
             checked += 1
     assert checked >= 10
+
+
+def test_readme_lists_exactly_the_parsers_subcommands():
+    named = sorted(words[1] for words in _readme_commands())
+    assert named == sorted(_subparsers().choices)
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

@@ -6,8 +6,8 @@ with its file and line.
 
 No probabilistic verdicts either: an import of ``random`` or ``secrets``
 fails the test too, so no verdict can come to depend on a randomly chosen
-prime.  ``selfcheck.py`` is exempt from that rule alone: its suites draw
-their test inputs from a seeded ``random.Random``.
+prime.  No module is exempt: the seeded random inputs of the property
+suites live under ``tests/``.
 
 No true division either, since ``/`` on two ints is a float and
 coefficients are ints wherever they are integral: a ``/`` or ``/=`` fails
@@ -58,7 +58,6 @@ def inexact_spots(tree: ast.AST) -> list[str]:
 
 
 RANDOM_SOURCES = ("random", "secrets")
-SEEDED_INPUT_MODULES = ("selfcheck.py",)
 
 
 def random_imports(tree: ast.AST) -> list[str]:
@@ -91,9 +90,7 @@ def test_detector_sees_each_kind():
     assert inexact_spots(ast.parse("from fractions import Fraction\nx = Fraction(3, 2)\n")) == []
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name not in SEEDED_INPUT_MODULES], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_random_sources_in_core(path):
     spots = random_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     assert not spots, f"{path.name}: " + "; ".join(spots)
@@ -103,9 +100,6 @@ def test_random_detector_sees_each_kind():
     source = "import random\nimport secrets as s\nfrom random import Random\nfrom secrets import randbelow"
     assert len(random_imports(ast.parse(source))) == 4
     assert random_imports(ast.parse("import math\nfrom fractions import Fraction\n")) == []
-    # the exemption is not stale: the exempt module does draw random inputs
-    for name in SEEDED_INPUT_MODULES:
-        assert random_imports(ast.parse((CORE / name).read_text(encoding="utf-8")))
 
 
 DIVISION_EXEMPT_FUNCTIONS = {"poly.py": ("exact_div",)}

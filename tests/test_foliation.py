@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from grading_oracle import degree_of_monomial
 
+from property_suites import random_quasi_homogeneous
 from toricfol.degrees import DegreeClass
 from toricfol.foliation import (
     DegreeInconsistencyError,
@@ -16,7 +17,6 @@ from toricfol.foliation import (
 )
 from toricfol.grading import homogeneous_degree, monomials_of_degree
 from toricfol.poly import Polynomial
-from toricfol.selfcheck import random_quasi_homogeneous
 
 
 def test_foliation_degree_biproj_pairs():
@@ -219,9 +219,9 @@ def _fields_to_divide():
     a radial multiple g * R_i and a field of degree zero whose component
     j is a random form of degree deg z_j, so that components lacking
     their variable and both answers of the membership test occur."""
+    from property_suites import default_models
     from test_modular import FIXTURES
     from toricfol.grading import monomials_of_degree
-    from toricfol.selfcheck import default_models
 
     fields = [(fix.model, fix.field) for fix in FIXTURES]
     rng = random.Random(12)

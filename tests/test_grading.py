@@ -6,6 +6,7 @@ from operator import mul
 import pytest
 
 from grading_oracle import count_lattice_points_box, degree_of_monomial, monomials_of_degree_unpruned
+from property_suites import default_models, random_quasi_homogeneous
 from toricfol.degrees import DegreeClass
 from toricfol.families import (
     biproj_pairs_fixture,
@@ -22,7 +23,6 @@ from toricfol.families import (
 from toricfol.grading import count_lattice_points, homogeneous_degree, monomials_of_degree
 from toricfol.model import build_from_presentation, build_from_rays
 from toricfol.poly import Polynomial
-from toricfol.selfcheck import default_models, random_quasi_homogeneous
 
 
 def test_homogeneous_degree_product_quadric(p1p1):

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import groebner_oracle as oracle
+from property_suites import default_models, random_quasi_homogeneous
 from toricfol.families import (
     biproj_pairs_fixture,
     monomial_hypersurface_fixture,
@@ -26,7 +27,6 @@ from toricfol.degrees import DegreeClass
 from toricfol.grading import monomials_of_degree
 from toricfol.groebner import ideal_dimension, only_origin_check
 from toricfol.poly import Polynomial
-from toricfol.selfcheck import default_models, random_quasi_homogeneous
 
 def assert_same_basis(gens) -> int:
     """The oracle's basis size."""

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from linalg_oracle import minor_gcds
+from property_suites import check_smith, random_int_matrix
 from toricfol.intlinalg import (
     IntMatrix,
     cokernel,
-    minor_gcds,
     smith_normal_form,
 )
-from toricfol.selfcheck import check_smith, random_int_matrix
 
 
 def test_snf_identity():

@@ -6,11 +6,11 @@ from operator import mul
 
 import pytest
 
+from property_suites import random_quasi_homogeneous
 from toricfol.degrees import DegreeClass
 from toricfol.grading import homogeneous_degree, monomials_of_degree
 from toricfol.intlinalg import IntMatrix, cokernel
 from toricfol.model import build_from_pairing_rows, build_from_presentation, build_from_rays
-from toricfol.selfcheck import random_quasi_homogeneous
 
 
 def test_projective_plane_from_rays(p2):
@@ -243,7 +243,7 @@ def test_random_ray_models_self_consistent():
         for j in range(model.nvars):
             free, residues = group.reduce(tuple(1 if i == j else 0 for i in range(model.nvars)))
             assert DegreeClass(free, residues, model.moduli) == model.degrees[j]
-        from toricfol.selfcheck import random_quasi_homogeneous
+        from property_suites import random_quasi_homogeneous
 
         f = random_quasi_homogeneous(rng, model, 4)
         alpha = homogeneous_degree(model, f)

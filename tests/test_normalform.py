@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from test_ratlinalg import KOSZUL_FIXTURES, _koszul_fields
 
+from property_suites import random_quasi_homogeneous
 from toricfol.families import FIXTURE_BUILDERS
 
 from toricfol.degrees import DegreeClass
@@ -20,7 +21,6 @@ from toricfol.normalform import (
     verify_decomposition,
 )
 from toricfol.poly import Polynomial
-from toricfol.selfcheck import random_quasi_homogeneous
 
 
 def test_euler_check_monomials(family_models):

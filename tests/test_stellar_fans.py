@@ -11,10 +11,11 @@ from functools import cache
 
 import pytest
 from grading_oracle import count_lattice_points_box
+from linalg_oracle import minor_gcds
 
 from stellar_fans import stellar_fan
 from toricfol.grading import count_lattice_points, monomials_of_degree
-from toricfol.intlinalg import IntMatrix, minor_gcds
+from toricfol.intlinalg import IntMatrix
 from toricfol.model import build_from_rays
 
 FANS = [(n, seed) for n in (2, 3, 4) for seed in range(5)]
